@@ -40,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, evolve, flowmap, operators, reference, stokes_solver
+from . import diagnostics, evolve, flowmap, operators, stokes_solver
 from .grid import Grid, l2_norm, make_grid
 from .transforms import PhysicalParams, make_pressure_law
 
@@ -213,7 +213,7 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
             f"{sorted(evolve.MODE_MODEL)}{_key_line(text, 'mode')}")
     nx, ny, nz = _parse_grid(obj, text)
     try:
-        make_grid(nx, ny, nz)
+        g = make_grid(nx, ny, nz)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
     params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
@@ -265,10 +265,13 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
         kwargs["output_dir"] = obj["output_dir"]
 
     try:
-        return evolve.RunConfig(mode=mode, nx=nx, ny=ny, nz=nz, params=params,
-                                dt=dt, t_end=t_end, **kwargs)
+        cfg = evolve.RunConfig(mode=mode, nx=nx, ny=ny, nz=nz, params=params,
+                               dt=dt, t_end=t_end, **kwargs)
+        # the preset's initial density must lie in [M1, M2]
+        evolve.initial_state(cfg, g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def parse_resolvent_problem(path: str):
@@ -643,6 +646,8 @@ def _verify_steady_decomposed(tol_scale: float):
 
 
 def _verify_oracle(tol_scale: float, mutation):
+    from . import reference  # imports sympy, which only this check needs
+
     template = reference.build_oracle_template("LocalGamma1",
                                                mu=1.0, mu_prime=0.5)
     g = make_grid(24, 24, 17)

@@ -60,7 +60,12 @@ from .grid import (
     vertical_average,
     vertical_derivative,
 )
-from .operators import vertical_lame_block
+from .operators import (
+    mode_matrices,
+    mode_wavevectors,
+    uniform_lame_block,
+    vertical_lame_block,
+)
 from .transforms import DELTA, PhysicalParams, density_from_surface
 
 __all__ = [
@@ -345,26 +350,6 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
 # ---------------------------------------------------------------------------
 
 
-def _bc_row_indices(nz: int, offset: int) -> tuple[list[int], list[int]]:
-    """Row indices of the top (Dirichlet) and bottom (Neumann) velocity rows."""
-    top = [offset + (nz - 1) * 2 + c for c in range(2)]
-    bot = [offset + 0 * 2 + c for c in range(2)]
-    return top, bot
-
-
-def _replace_velocity_bc_rows(M: np.ndarray, nz: int, offset: int,
-                              Dz0: np.ndarray) -> None:
-    """Overwrite the boundary-node velocity rows of a per-mode matrix."""
-    iz = np.arange(nz)
-    top, bot = _bc_row_indices(nz, offset)
-    for c, (rt, rb) in enumerate(zip(top, bot)):
-        M[rt, :] = 0.0
-        M[rt, rt] = 1.0
-        M[rb, :] = 0.0
-        M[rb, offset + iz * 2 + c] = Dz0
-    return None
-
-
 class Stepper:
     """Precomputed implicit solves for repeated IMEX steps at fixed ``dt``.
 
@@ -389,28 +374,8 @@ class Stepper:
         self.fp_tol = float(fp_tol)
         self.fp_max_iter = int(fp_max_iter)
         self.det_floor = float(det_floor)
-        nz = g.nz
-        kx = g.ikx.imag
-        ky = g.iky.imag
         if mode == "GlobalGamma1":
-            n = 1 + 2 * nz
-            iz = np.arange(nz)
-            stack = np.empty((g.nx, g.ny, n, n), dtype=complex)
-            for ix in range(g.nx):
-                for iy in range(g.ny):
-                    kt = np.array([kx[ix], ky[iy]])
-                    Ak = vertical_lame_block(kt, params.xi_bar, g, params)
-                    M = np.zeros((n, n), dtype=complex)
-                    M[0, 0] = 1.0
-                    for c in range(2):
-                        M[0, 1 + iz * 2 + c] = (dt * params.xi_bar * 1j
-                                                * kt[c] * g.wz)
-                    M[1:, 1:] = np.eye(2 * nz) - dt * Ak
-                    for c in range(2):
-                        M[1 + iz * 2 + c, 0] = dt * 1j * kt[c]
-                    _replace_velocity_bc_rows(M, nz, 1, g.Dz[0, :])
-                    stack[ix, iy] = M
-            self._inv = np.linalg.inv(stack)
+            shift, xi_bar = 1.0, params.xi_bar
             self.rho0 = None
             self.rho_star = None
         else:
@@ -425,24 +390,20 @@ class Stepper:
                 raise ValueError("baseline density must be positive")
             self.rho0 = rho0[..., None]
             self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
-            n2 = 2 * nz
-            Dzz = g.Dz @ g.Dz
-            stack = np.empty((g.nx, g.ny, n2, n2))
-            for ix in range(g.nx):
-                for iy in range(g.ny):
-                    kt = np.array([kx[ix], ky[iy]])
-                    if mode == "LocalGamma1":
-                        Lk = vertical_lame_block(kt, 1.0, g, params)
-                    else:
-                        k2 = float(kt @ kt)
-                        Lk = (params.mu
-                              * np.kron(Dzz - k2 * np.eye(nz), np.eye(2))
-                              - params.mu_prime
-                              * np.kron(np.eye(nz), np.outer(kt, kt)))
-                    M = self.rho_star * np.eye(n2) - dt * Lk
-                    _replace_velocity_bc_rows(M, nz, 0, g.Dz[0, :])
-                    stack[ix, iy] = M
-            self._inv = np.linalg.inv(stack)
+            shift, xi_bar = self.rho_star, None
+        # the implicit operator, inverted one kx row of modes at a time
+        K = mode_wavevectors(g)
+        n = 2 * g.nz + (xi_bar is not None)
+        self._inv = np.empty((g.nx, g.ny, n, n),
+                             dtype=float if xi_bar is None else complex)
+        for ix in range(g.nx):
+            if MODE_MODEL[mode] == "Gamma1":
+                # at the unit state (GlobalGamma1 requires xi_bar = 1)
+                A = vertical_lame_block(K[ix], 1.0, g, params)
+            else:  # the flat part mu Lap + mu' grad_H div_H, c = 1
+                A = uniform_lame_block(K[ix], np.ones(g.nz), g, params)
+            self._inv[ix] = np.linalg.inv(
+                mode_matrices(A, K[ix], g, shift, dt, xi_bar))
 
     # -- helpers ------------------------------------------------------------
 
@@ -518,6 +479,7 @@ class Stepper:
         if self.mode == "GlobalGamma1":
             F1 = nonlinearity_F1(state, g, params)
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
+            Vbar_new = vertical_average(V_new, g)
         else:
             V_new = self._solve_momentum(state.V, F2)
             mid = dataclasses.replace(state, V=V_new)
@@ -528,8 +490,10 @@ class Stepper:
                 div3 = div_h(V_new, g)
                 lin = lin + 0.5 * ((div3 * g.z[None, None, :]) @ g.wz)
             zeta_new = state.zeta + dt * (F1 - lin)
-        fm_new = advance_flow_lagrangian(state.fm,
-                                         vertical_average(V_new, g), g, dt)
+        try:
+            fm_new = advance_flow_lagrangian(state.fm, Vbar_new, g, dt)
+        except ValueError as exc:  # the new Jacobian is singular
+            raise MapNonInvertible(f"flow map degenerated: {exc}") from exc
         self._check_state(zeta_new, V_new, fm_new)
         return LagrangianState(
             mode=self.mode, zeta=zeta_new, V=V_new, fm=fm_new,
@@ -704,14 +668,12 @@ def initial_state(cfg: RunConfig, g: Grid) -> LagrangianState:
 
 
 def _diagnostics_row(state: LagrangianState, g: Grid, params: PhysicalParams,
-                     diss_integral: float) -> tuple:
+                     energy: float, diss_integral: float) -> tuple:
     zf = full_surface_density(state, params)
     zeta_m = state.zeta - float(np.mean(state.zeta))
-    entry = diagnostics.lagrangian_energy(zf, state.V, state.fm, g, params,
-                                          state.mode)
     mass = diagnostics.lagrangian_mass(zf, state.fm, g, params, state.mode)
     return (
-        float(state.t), mass, entry.E, float(diss_integral),
+        float(state.t), mass, energy, float(diss_integral),
         diagnostics.surface_h1_norm(zeta_m, g), l2_norm(state.V, g),
         float(np.min(zf)), float(np.max(zf)), float(np.min(state.fm.detX)),
     )
@@ -730,11 +692,16 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     state = initial_state(cfg, g)
     stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0,
                       fp_tol=cfg.fp_tol, det_floor=cfg.det_floor)
-    rows = [_diagnostics_row(state, g, params, 0.0)]
+
+    def energy(state: LagrangianState) -> diagnostics.EnergyEntry:
+        return diagnostics.lagrangian_energy(
+            full_surface_density(state, params), state.V, state.fm, g,
+            params, state.mode)
+
+    entry = energy(state)
+    rows = [_diagnostics_row(state, g, params, entry.E, 0.0)]
     diss = 0.0
-    d_prev = diagnostics.lagrangian_energy(
-        full_surface_density(state, params), state.V, state.fm, g, params,
-        state.mode).D
+    d_prev = entry.D
     status, message = "completed", None
     cfl_warned = False
     n_done = 0
@@ -745,11 +712,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             status, message = exc.status, str(exc)
             break
         n_done = n
-        d_new = diagnostics.lagrangian_energy(
-            full_surface_density(state, params), state.V, state.fm, g,
-            params, state.mode).D
-        diss += 0.5 * cfg.dt * (d_prev + d_new)
-        d_prev = d_new
+        entry = energy(state)
+        diss += 0.5 * cfg.dt * (d_prev + entry.D)
+        d_prev = entry.D
         if not cfl_warned:
             speed = float(np.max(np.abs(state.V)))
             h = min(1.0 / g.nx, 1.0 / g.ny)
@@ -760,6 +725,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                     stacklevel=2)
                 cfl_warned = True
         if n % cfg.output_every == 0 or n == cfg.n_steps:
-            rows.append(_diagnostics_row(state, g, params, diss))
+            rows.append(_diagnostics_row(state, g, params, entry.E, diss))
     return RunResult(status=status, t_final=float(state.t), n_steps=n_done,
                      rows=rows, state=state, message=message)

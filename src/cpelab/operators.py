@@ -73,7 +73,10 @@ __all__ = [
     "dense_hydrostatic_lame",
     "dense_chs",
     "assemble_chs",
+    "mode_wavevectors",
+    "uniform_lame_block",
     "vertical_lame_block",
+    "mode_matrices",
     "vertical_reduction",
     "pack_state",
     "unpack_state",
@@ -385,19 +388,24 @@ def vertical_reduction(g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return S, R
 
 
-def _replace_rows_dense(A: np.ndarray, g: Grid, ncomp: int = 2) -> np.ndarray:
-    """Overwrite boundary rows of a dense operator on (nx, ny, nz, ncomp)."""
+def _replace_rows_dense(A: np.ndarray, g: Grid, offset: int = 0) -> np.ndarray:
+    """Overwrite the boundary rows of a dense operator on V fields.
+
+    The velocity (nx, ny, nz, 2) flattened C-order starts at row and column
+    ``offset``; top rows become V = 0 at z = 1 and bottom rows d_z V = 0 at
+    z = 0.
+    """
     A = A.copy()
     nz = g.nz
-    for node2 in range(g.nx * g.ny):
-        for c in range(ncomp):
-            top = (node2 * nz + nz - 1) * ncomp + c
-            bot = (node2 * nz + 0) * ncomp + c
-            A[top, :] = 0.0
-            A[top, top] = 1.0
-            A[bot, :] = 0.0
-            for j in range(nz):
-                A[bot, (node2 * nz + j) * ncomp + c] = g.Dz[0, j]
+    # (node2, comp, iz) -> flat index of V[node2, iz, comp]
+    idx = (offset + 2 * (np.arange(g.nx * g.ny)[:, None, None] * nz
+                         + np.arange(nz)) + np.arange(2)[:, None])
+    top = idx[..., -1].ravel()
+    bot = idx[..., :1]
+    A[top, :] = 0.0
+    A[top, top] = 1.0
+    A[bot.ravel(), :] = 0.0
+    A[bot, idx] = g.Dz[0]
     return A
 
 
@@ -487,19 +495,7 @@ def dense_chs(
     if bc == "raw":
         return full
     if bc == "replace":
-        # replace boundary rows of the velocity block, zeroing zeta coupling
-        out = full.copy()
-        nz = g.nz
-        for node2 in range(n2):
-            for c in range(2):
-                top = n2 + (node2 * nz + nz - 1) * 2 + c
-                bot = n2 + (node2 * nz + 0) * 2 + c
-                out[top, :] = 0.0
-                out[top, top] = 1.0
-                out[bot, :] = 0.0
-                for j in range(nz):
-                    out[bot, n2 + (node2 * nz + j) * 2 + c] = g.Dz[0, j]
-        return out
+        return _replace_rows_dense(full, g, offset=n2)
     S, R = vertical_reduction(g)
     lift = np.kron(np.eye(n2), np.kron(R, np.eye(2)))
     sel = np.kron(np.eye(n2), np.kron(S, np.eye(2)))
@@ -571,40 +567,118 @@ def unpack_state(u: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
 # per-mode vertical blocks
 # ---------------------------------------------------------------------------
 
+def mode_wavevectors(g: Grid) -> np.ndarray:
+    """Angular wave vectors of all horizontal modes, shape (nx, ny, 2).
+
+    These are the wavenumbers as the discrete derivative sees them, so
+    the Nyquist entries are zero.
+    """
+    kx, ky = np.broadcast_arrays(g.ikx.imag[:, None], g.iky.imag[None, :])
+    return np.stack([kx, ky], axis=-1)
+
+
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcast over the rest."""
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    rows = A.shape[-2] * B.shape[-2]
+    cols = A.shape[-1] * B.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
+
+
+def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|kt|^2 shaped (..., 1, 1) and the outer products kt kt^T (..., 2, 2)."""
+    kt = np.asarray(kt, dtype=float)
+    # a matmul of one row and one column is the dot product ``kt @ kt``,
+    # so a stack of modes gets the same bits as one mode at a time
+    k2 = kt[..., None, :] @ kt[..., :, None]
+    return k2, kt[..., :, None] * kt[..., None, :]
+
+
+def uniform_lame_block(
+    kt: np.ndarray, c: np.ndarray, g: Grid, params: PhysicalParams
+) -> np.ndarray:
+    """Vertical blocks of c (mu Lap + mu' grad_H div_H) at modes ``kt``.
+
+    ``c`` is the coefficient profile in z; see :func:`vertical_lame_block`
+    for the shapes.
+    """
+    k2, kk = _symbol_parts(kt)
+    dzz = g.Dz @ g.Dz
+    return (
+        params.mu * _kron(c[:, None] * (dzz - k2 * np.eye(g.nz)), np.eye(2))
+        - params.mu_prime * _kron(np.diag(c), kk)
+    )
+
+
 def vertical_lame_block(
     kt: np.ndarray, xi0_value: float, g: Grid, params: PhysicalParams
 ) -> np.ndarray:
-    """Vertical block of the viscous operator at one horizontal mode.
+    """Vertical blocks of the viscous operator at horizontal modes.
 
-    ``kt`` is the angular wave vector (2 pi k_H).  Returns the real
-    (2 nz) x (2 nz) matrix acting on V-hat(z) flattened as (iz, comp)
-    C-order, without boundary handling (combine with
-    :func:`vertical_reduction` for solves and eigensolves).
+    ``kt`` holds angular wave vectors (2 pi k_H) along its last axis,
+    shape (..., 2).  Returns the real blocks, shape (..., 2 nz, 2 nz), each
+    acting on V-hat(z) flattened as (iz, comp) C-order, without boundary
+    handling (combine with :func:`vertical_reduction` for eigensolves and
+    with :func:`mode_matrices` for solves).  A single (2,) wave vector
+    gives a single block.
     """
-    kt = np.asarray(kt, dtype=float)
-    k2 = float(kt @ kt)
+    if params.model != "Gamma1":
+        if params.model == "Gamma2":
+            c = 1.0 / (xi0_value + g.z / 2.0)
+        else:
+            c = np.full(g.nz, 1.0 / xi0_value)
+        return uniform_lame_block(kt, c, g, params)
+    k2, kk = _symbol_parts(kt)
     mu, mup = params.mu, params.mu_prime
     I2 = np.eye(2)
-    kk = np.outer(kt, kt)
-    if params.model == "Gamma1":
-        one_minus = 1.0 - DELTA * g.z
-        a = 1.0 / (one_minus * xi0_value)
-        b = one_minus / (DELTA**2 * xi0_value)
-        vert = g.Dz @ np.diag(b) @ g.Dz
-        return (
-            -mu * k2 * np.kron(np.diag(a), I2)
-            + mu * np.kron(vert, I2)
-            - mup * np.kron(np.diag(a), kk)
-        )
-    if params.model == "Gamma2":
-        c = 1.0 / (xi0_value + g.z / 2.0)
-    else:
-        c = np.full(g.nz, 1.0 / xi0_value)
-    dzz = g.Dz @ g.Dz
+    one_minus = 1.0 - DELTA * g.z
+    a = np.diag(1.0 / (one_minus * xi0_value))
+    b = one_minus / (DELTA**2 * xi0_value)
+    vert = g.Dz @ np.diag(b) @ g.Dz
     return (
-        mu * np.kron(np.diag(c) @ (dzz - k2 * np.eye(g.nz)), I2)
-        - mup * np.kron(np.diag(c), kk)
+        -mu * k2 * _kron(a, I2)
+        + mu * _kron(vert, I2)
+        - mup * _kron(a, kk)
     )
+
+
+def mode_matrices(
+    A: np.ndarray,
+    kt: np.ndarray,
+    g: Grid,
+    shift: complex,
+    scale: float,
+    xi_bar: float | None = None,
+) -> np.ndarray:
+    """Per-mode matrices of shift - scale * A_CHS with boundary rows replaced.
+
+    ``A`` holds the viscous blocks of :func:`vertical_lame_block` at the
+    wave vectors ``kt`` (..., 2).  With ``xi_bar`` the blocks are bordered
+    by the zeta row and column of the Stokes block operator and act on
+    (zeta-hat, V-hat(z)), shape (..., 1 + 2 nz, 1 + 2 nz); without it they
+    act on V-hat(z) alone, shape (..., 2 nz, 2 nz).  The top velocity rows
+    then hold V = 0 at z = 1 and the bottom rows d_z V = 0 at z = 0.
+    """
+    nz = g.nz
+    M = shift * np.eye(2 * nz) - scale * A
+    off = 0
+    if xi_bar is not None:
+        kt = np.asarray(kt, dtype=float)
+        vel, off = M, 1
+        M = np.zeros(vel.shape[:-2] + (1 + 2 * nz, 1 + 2 * nz), dtype=complex)
+        M[..., 0, 0] = shift
+        M[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
+                         * g.wz[:, None]).reshape(kt.shape[:-1] + (2 * nz,))
+        M[..., 1:, 0] = np.tile(scale * 1j * kt, nz)
+        M[..., 1:, 1:] = vel
+    comp = np.arange(2)
+    top = off + 2 * (nz - 1) + comp
+    bot = off + comp
+    M[..., top, :] = 0.0
+    M[..., top, top] = 1.0
+    M[..., bot, :] = 0.0
+    M[..., bot[:, None], off + 2 * np.arange(nz) + comp[:, None]] = g.Dz[0]
+    return M
 
 
 def export_matrix(A: np.ndarray, path) -> None:

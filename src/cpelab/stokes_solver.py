@@ -49,11 +49,15 @@ from .grid import (
     vertical_derivative,
 )
 from .operators import (
+    _replace_rows_dense,
     apply_hydrostatic_lame,
     dense_chs,
+    mode_matrices,
+    mode_wavevectors,
     pack_state,
     unpack_state,
     vertical_lame_block,
+    vertical_reduction,
 )
 from .transforms import DELTA, PhysicalParams
 
@@ -117,11 +121,6 @@ def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
         raise ValueError(
             "compatibility violation: lambda = 0 requires a mean-free f1 "
             f"(|int f1| = {mean:.3e}, ||f1|| = {scale:.3e})")
-
-
-def _effective_wavevectors(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Angular wavenumbers as the discrete derivative sees them (Nyquist 0)."""
-    return g.ikx.imag.copy(), g.iky.imag.copy()
 
 
 def resolvent_residual(
@@ -197,65 +196,51 @@ def manufactured_resolvent_problem(
     return ResolventProblem(lam, f1, f2, xi_bar=xi_bar), zeta, V
 
 
-def _as_complex_3d(f2: np.ndarray) -> np.ndarray:
-    return np.asarray(f2, dtype=complex)
+def _interior_rhs(f2: np.ndarray) -> np.ndarray:
+    """Complex copy of f2 with its boundary layers set to zero.
+
+    Their rows hold the boundary conditions V = 0 and d_z V = 0.
+    """
+    f2 = np.array(f2, dtype=complex)
+    f2[:, :, [0, -1], :] = 0.0
+    return f2
 
 
 def _solve_per_mode(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-by-mode bordered solve of (lambda - A_CHS) U = F."""
+    """Mode-by-mode bordered solve of (lambda - A_CHS) U = F.
+
+    The modes are solved one kx row at a time, so only one row of the
+    bordered blocks is held at once.
+    """
     lam = complex(p.lam)
-    nz = g.nz
-    n = 1 + 2 * nz
-    kx, ky = _effective_wavevectors(g)
+    nx, ny, nz = g.nx, g.ny, g.nz
+    K = mode_wavevectors(g)
     f1h = np.fft.fft2(np.asarray(p.f1, dtype=complex), axes=(0, 1))
-    f2h = np.fft.fft2(_as_complex_3d(p.f2), axes=(0, 1))
-    zetah = np.zeros((g.nx, g.ny), dtype=complex)
-    Vh = np.zeros((g.nx, g.ny, nz, 2), dtype=complex)
-    iz = np.arange(nz)
-    for ix in range(g.nx):
-        for iy in range(g.ny):
-            kt = np.array([kx[ix], ky[iy]])
-            Ak = vertical_lame_block(kt, p.xi_bar, g, params)
-            M = np.zeros((n, n), dtype=complex)
-            rhs = np.zeros(n, dtype=complex)
-            M[0, 0] = lam
-            for c in range(2):
-                M[0, 1 + iz * 2 + c] = p.xi_bar * 1j * kt[c] * g.wz
-            M[1:, 1:] = lam * np.eye(2 * nz) - Ak
-            for c in range(2):
-                M[1 + iz * 2 + c, 0] = 1j * kt[c]
-            rhs[0] = f1h[ix, iy]
-            rhs[1:] = f2h[ix, iy].reshape(2 * nz)
-            # boundary rows: V = 0 at z=1, d_z V = 0 at z=0
-            for c in range(2):
-                top = 1 + (nz - 1) * 2 + c
-                bot = 1 + 0 * 2 + c
-                M[top, :] = 0.0
-                M[top, top] = 1.0
-                rhs[top] = 0.0
-                M[bot, :] = 0.0
-                M[bot, 1 + iz * 2 + c] = g.Dz[0, :]
-                rhs[bot] = 0.0
-            if lam == 0:
-                nyquist = not g.active_mask[ix, iy]
-                if ix == 0 and iy == 0 or nyquist:
-                    # zeta is the normalized mean (or a Nyquist artifact):
-                    # pin it to zero and drop the continuity row.
-                    M[0, :] = 0.0
-                    M[0, 0] = 1.0
-                    rhs[0] = 0.0
-            try:
-                sol = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"linear-solver breakdown at mode ({ix},{iy}): {exc}"
-                ) from exc
-            zetah[ix, iy] = sol[0]
-            Vh[ix, iy] = sol[1:].reshape(nz, 2)
-    zeta = np.fft.ifft2(zetah, axes=(0, 1))
-    V = np.fft.ifft2(Vh, axes=(0, 1))
+    f2h = np.fft.fft2(_interior_rhs(p.f2), axes=(0, 1))
+    rhs = np.concatenate(
+        [f1h[..., None], f2h.reshape(nx, ny, 2 * nz)], axis=-1)[..., None]
+    pin = np.zeros((nx, ny), dtype=bool)
+    if lam == 0:
+        # zeta is the normalized mean (or a Nyquist artifact): pin it to
+        # zero and drop the continuity row.
+        pin = ~g.active_mask
+        pin[0, 0] = True
+        rhs[pin, 0] = 0.0
+    sol = np.empty_like(rhs)
+    for ix in range(nx):
+        M = mode_matrices(vertical_lame_block(K[ix], p.xi_bar, g, params),
+                          K[ix], g, lam, 1.0, xi_bar=p.xi_bar)
+        M[pin[ix], 0, :] = 0.0
+        M[pin[ix], 0, 0] = 1.0
+        try:
+            sol[ix] = np.linalg.solve(M, rhs[ix])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"linear-solver breakdown in mode row {ix}: {exc}") from exc
+    zeta = np.fft.ifft2(sol[..., 0, 0], axes=(0, 1))
+    V = np.fft.ifft2(sol[..., 1:, 0].reshape(nx, ny, nz, 2), axes=(0, 1))
     if abs(lam.imag) == 0.0:
         return zeta.real, V.real
     return zeta, V
@@ -269,21 +254,8 @@ def _solve_dense(
     n2 = g.nx * g.ny
     A = dense_chs(p.xi_bar, g, params, bc="raw")
     n = A.shape[0]
-    M = lam * np.eye(n) - A
-    rhs = pack_state(np.asarray(p.f1, dtype=complex), _as_complex_3d(p.f2))
-    # boundary condition rows
-    nz = g.nz
-    for node2 in range(n2):
-        for c in range(2):
-            top = n2 + (node2 * nz + nz - 1) * 2 + c
-            bot = n2 + (node2 * nz + 0) * 2 + c
-            M[top, :] = 0.0
-            M[top, top] = 1.0
-            rhs[top] = 0.0
-            M[bot, :] = 0.0
-            for j in range(nz):
-                M[bot, n2 + (node2 * nz + j) * 2 + c] = g.Dz[0, j]
-            rhs[bot] = 0.0
+    M = _replace_rows_dense(lam * np.eye(n) - A, g, offset=n2)
+    rhs = pack_state(np.asarray(p.f1, dtype=complex), _interior_rhs(p.f2))
     if lam == 0:
         # deflate the one-dimensional kernel (zeta = const, V = 0); the
         # left kernel is the zeta-row mean, so the deflated solve returns
@@ -337,7 +309,7 @@ def solve_resolvent(
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
     res = resolvent_residual(
         complex(p.lam), zeta, V, np.asarray(p.f1, dtype=complex),
-        _as_complex_3d(p.f2), p.xi_bar, g, params)
+        np.asarray(p.f2, dtype=complex), p.xi_bar, g, params)
     if res > lin_tol:
         raise RuntimeError(
             f"linear-solver breakdown: relative residual {res:.3e} "
@@ -390,7 +362,9 @@ def solve_steady_decomposed(
     validate_field(f2, g)
     _check_compatibility(f1, g)
     mu, mup = params.mu, params.mu_prime
-    kx, ky = _effective_wavevectors(g)
+    K = mode_wavevectors(g)
+    kx, ky = K[..., 0], K[..., 1]
+    k2 = kx * kx + ky * ky
     f1h = np.fft.fft2(f1, axes=(0, 1))
     f2h = np.fft.fft2(np.asarray(f2, dtype=complex), axes=(0, 1))
     one_minus = 1.0 - DELTA * g.z
@@ -408,22 +382,11 @@ def solve_steady_decomposed(
     else:
         raise ValueError(f"init must be 'monolithic' or 'zero', got {init!r}")
 
-    # per-mode elliptic blocks A_k with boundary rows, factored once
-    blocks = {}
-    nz = g.nz
-    iz = np.arange(nz)
-    for ix in range(g.nx):
-        for iy in range(g.ny):
-            kt = np.array([kx[ix], ky[iy]])
-            Ak = vertical_lame_block(kt, 1.0, g, params).astype(complex)
-            for c in range(2):
-                top = (nz - 1) * 2 + c
-                bot = 0 * 2 + c
-                Ak[top, :] = 0.0
-                Ak[top, top] = 1.0
-                Ak[bot, :] = 0.0
-                Ak[bot, iz * 2 + c] = g.Dz[0, :]
-            blocks[ix, iy] = scipy.linalg.lu_factor(Ak)
+    # per-mode elliptic blocks A_k with boundary rows, inverted once
+    inv = np.linalg.inv(mode_matrices(
+        vertical_lame_block(K, 1.0, g, params), K, g, 0.0, -1.0))
+    nonzero = k2 != 0.0
+    k2_safe = np.where(nonzero, k2, 1.0)
 
     zeta = np.zeros((g.nx, g.ny))
     for it in range(max_iter):
@@ -437,30 +400,16 @@ def solve_steady_decomposed(
             + g.wz[-1] * (1.0 - DELTA) * r_all[:, :, -1, :]
         Rh = baseh + np.fft.fft2(
             np.asarray(trace + tau, dtype=complex), axes=(0, 1))
-        zetah = np.zeros((g.nx, g.ny), dtype=complex)
-        for ix in range(g.nx):
-            for iy in range(g.ny):
-                kt = np.array([kx[ix], ky[iy]])
-                k2 = kt @ kt
-                if k2 == 0.0:
-                    continue
-                # saddle elimination: ztilde = (mu(k2-1) f1 - i kt . R)/k2
-                zt = (mu * (k2 - 1.0) * f1h[ix, iy] - 1j * kt @ Rh[ix, iy]) / k2
-                zetah[ix, iy] = zt / (1.0 - DELTA / 2.0)
+        # saddle elimination: ztilde = (mu(k2-1) f1 - i kt . R)/k2
+        zt = (mu * (k2 - 1.0) * f1h
+              - 1j * (kx * Rh[..., 0] + ky * Rh[..., 1])) / k2_safe
+        zetah = np.where(nonzero, zt / (1.0 - DELTA / 2.0), 0.0)
         zeta = np.fft.ifft2(zetah, axes=(0, 1)).real
-        gzh = np.empty((g.nx, g.ny, 2), dtype=complex)
-        gzh[:, :, 0] = 1j * kx[:, None] * zetah
-        gzh[:, :, 1] = 1j * ky[None, :] * zetah
-        Vh = np.zeros((g.nx, g.ny, nz, 2), dtype=complex)
-        for ix in range(g.nx):
-            for iy in range(g.ny):
-                rhs = np.tile(gzh[ix, iy], nz).astype(complex) - \
-                    f2h[ix, iy].reshape(2 * nz)
-                for c in range(2):
-                    rhs[(nz - 1) * 2 + c] = 0.0
-                    rhs[0 * 2 + c] = 0.0
-                Vh[ix, iy] = scipy.linalg.lu_solve(
-                    blocks[ix, iy], rhs).reshape(nz, 2)
+        gzh = 1j * K * zetah[..., None]
+        rhs = gzh[:, :, None, :] - f2h
+        rhs[:, :, [0, -1], :] = 0.0
+        Vh = np.einsum("abij,abj->abi", inv,
+                       rhs.reshape(g.nx, g.ny, 2 * g.nz)).reshape(rhs.shape)
         V_new = np.fft.ifft2(Vh, axes=(0, 1)).real
         diff = np.abs(V_new - V).max() / max(np.abs(V_new).max(), 1e-300)
         V = V_new
@@ -522,32 +471,31 @@ def spectral_bound(
     dense reduced realization onto the mean-free active subspace.  Raises
     if the computed bound is not positive.
     """
-    from .operators import vertical_reduction
-
-    S, R = vertical_reduction(g)
-    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
     if method == "per_mode":
-        kx, ky = _effective_wavevectors(g)
+        S, R = vertical_reduction(g)
+        S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
         avg_row = g.wz @ R
-        m = 2 * (g.nz - 2)
-        eigs = []
-        for ix in range(g.nx):
-            for iy in range(g.ny):
-                if not g.active_mask[ix, iy]:
-                    continue
-                kt = np.array([kx[ix], ky[iy]])
-                Ak = S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2
-                if ix == 0 and iy == 0:
-                    eigs.extend(np.linalg.eigvals(Ak))
-                    continue
-                B = np.zeros((1 + m, 1 + m), dtype=complex)
-                B[1:, 1:] = Ak
-                idx = np.arange(m // 2)
-                for c in range(2):
-                    B[0, 1 + idx * 2 + c] = -xi_bar * 1j * kt[c] * avg_row
-                    B[1 + idx * 2 + c, 0] = -1j * kt[c]
-                eigs.extend(np.linalg.eigvals(B))
-        max_re = max(e.real for e in eigs)
+        K = mode_wavevectors(g)
+        # The block at -k is the complex conjugate of the block at k and
+        # has the conjugate eigenvalues, so one mode of each +-k pair is
+        # solved: (ix, iy) when it is not after (-ix, -iy) in row order.
+        ix, iy = np.indices((g.nx, g.ny))
+        mx, my = -ix % g.nx, -iy % g.ny
+        keep = g.active_mask & ((ix < mx) | ((ix == mx) & (iy <= my)))
+        # k = 0: the velocity part alone is the mean-free restriction
+        keep[0, 0] = False
+        A0 = S2 @ vertical_lame_block(K[0, 0], xi_bar, g, params) @ R2
+        max_re = np.linalg.eigvals(A0).real.max()
+        for row in np.flatnonzero(keep.any(axis=1)):
+            kt = K[row, keep[row]]
+            Ak = S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2
+            B = np.zeros((len(kt), 1 + Ak.shape[-1], 1 + Ak.shape[-1]),
+                         dtype=complex)
+            B[:, 1:, 1:] = Ak
+            B[:, 0, 1:] = (-xi_bar * 1j * kt[:, None, :]
+                           * avg_row[:, None]).reshape(len(kt), -1)
+            B[:, 1:, 0] = np.tile(-1j * kt, g.nz - 2)
+            max_re = max(max_re, np.linalg.eigvals(B).real.max())
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cpelab import cli
+import cpelab
+from cpelab import cli, diagnostics
 
 pytestmark = pytest.mark.usefixtures("clean_output_env")
 
@@ -114,6 +118,45 @@ def test_simulate_reports_terminal_status(tmp_path):
     assert summary["status"] == "positivity_lost"
     assert summary["exit_code"] == 3
     assert "xi_bar/2" in summary["message"]
+
+
+@pytest.mark.parametrize("amplitude", (0.45, 0.9))
+@pytest.mark.parametrize("mode", ("LocalGamma1", "LocalGamma2",
+                                  "GeneralNoGravity"))
+def test_singular_flow_map_jacobian_exits_4(tmp_path, mode, amplitude):
+    # One violent step makes the new flow-map Jacobian singular.
+    cfg = write_config(
+        tmp_path, mode=mode, grid={"nx": 12, "ny": 12, "nz": 7},
+        params={"mu": 0.02, "mu_prime": 0.02, "M1": 0.05, "M2": 2.0},
+        dt=0.5, t_end=2.0, output_every=1, preset="fourier_perturbation",
+        amplitude=amplitude, perturbation_mode=[1, 0])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 4
+    summary = read_summary(out)
+    assert summary["status"] == "map_noninvertible"
+    assert summary["exit_code"] == 4
+    assert "singular Jacobian" in summary["message"]
+    rows = diagnostics.read_diagnostics_csv(str(out / "diagnostics.csv"))
+    assert np.all(np.isfinite(rows))
+    assert rows.shape[0] == summary["rows_written"] == summary["n_steps"] + 1
+
+
+def test_initial_density_outside_window_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, preset="fourier_perturbation",
+                       amplitude=0.9, perturbation_mode=[1, 0])
+    assert cli.main(["simulate", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "[M1, M2] = [0.5, 2.0]" in err
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(cpelab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, cpelab.cli; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 # ---------------------------------------------------------------------------

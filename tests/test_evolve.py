@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cpelab import reference
+from cpelab import diagnostics, reference
 from cpelab.evolve import (
     EVOLUTION_MODES,
     MODE_MODEL,
@@ -16,6 +16,7 @@ from cpelab.evolve import (
     RunConfig,
     Stepper,
     TerminalCondition,
+    _diagnostics_row,
     full_surface_density,
     initial_state,
     nonlinearity_F1,
@@ -27,6 +28,7 @@ from cpelab.evolve import (
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
 from cpelab.grid import grad_h, grad_h_vec, l2_norm, make_grid
+from cpelab.operators import mode_wavevectors, vertical_lame_block
 from cpelab.transforms import PhysicalParams, make_pressure_law
 
 
@@ -260,6 +262,105 @@ def test_stepper_reuse_matches_throwaway_steps():
                            fm=identity_map(g), t=0.0)
     with pytest.raises(ValueError, match="stepper built for"):
         stepper.step(glob)
+
+
+def loop_implicit_matrix(mode, kt, g, params, dt, rho_star):
+    """One mode's implicit matrix, written out as the reference."""
+    nz, iz = g.nz, np.arange(g.nz)
+    if mode == "GlobalGamma1":
+        off = 1
+        M = np.zeros((1 + 2 * nz, 1 + 2 * nz), dtype=complex)
+        M[0, 0] = 1.0
+        M[1:, 1:] = np.eye(2 * nz) - dt * vertical_lame_block(
+            kt, params.xi_bar, g, params)
+        for c in range(2):
+            M[0, 1 + iz * 2 + c] = dt * params.xi_bar * 1j * kt[c] * g.wz
+            M[1 + iz * 2 + c, 0] = dt * 1j * kt[c]
+    else:
+        off = 0
+        if mode == "LocalGamma1":
+            L = vertical_lame_block(kt, 1.0, g, params)
+        else:  # mu Lap + mu' grad_H div_H with unit coefficient
+            L = (params.mu * np.kron(g.Dz @ g.Dz - float(kt @ kt)
+                                     * np.eye(nz), np.eye(2))
+                 - params.mu_prime * np.kron(np.eye(nz), np.outer(kt, kt)))
+        M = rho_star * np.eye(2 * nz) - dt * L
+    for c in range(2):
+        top, bot = off + (nz - 1) * 2 + c, off + c
+        M[top, :] = 0.0
+        M[top, top] = 1.0
+        M[bot, :] = 0.0
+        M[bot, off + iz * 2 + c] = g.Dz[0]
+    return M
+
+
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_stepper_inverse_matches_mode_loop(mode, general_params):
+    g = make_grid(6, 8, 5)
+    params = {"Gamma1": gamma1_params(),
+              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
+              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    zeta0 = None
+    if mode != "GlobalGamma1":
+        zeta0 = 1.0 + 0.2 * np.cos(2 * np.pi * g.x)[:, None] \
+            * np.ones((1, g.ny))
+    stepper = Stepper(mode, g, params, 0.05, zeta0=zeta0)
+    K = mode_wavevectors(g)
+    for ix, iy in np.ndindex(g.nx, g.ny):
+        ref = np.linalg.inv(loop_implicit_matrix(
+            mode, K[ix, iy], g, params, 0.05, stepper.rho_star))
+        err = np.max(np.abs(stepper._inv[ix, iy] - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_energy_is_evaluated_once_per_state(monkeypatch):
+    calls = []
+    original = diagnostics.lagrangian_energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "lagrangian_energy", counted)
+    cfg = RunConfig(mode="LocalGamma1", nx=8, ny=8, nz=5,
+                    params=gamma1_params(), dt=1e-3, t_end=7e-3,
+                    output_every=2, preset="random_smooth", amplitude=0.05,
+                    seed=1)
+    res = run_simulation(cfg)
+    assert res.status == "completed" and res.n_steps == 7
+    assert len(calls) == 7 + 1
+
+
+def test_diagnostics_match_separate_energy_evaluations(tmp_path):
+    # The rows equal those of a loop that evaluates the energy functional
+    # for D at every step and again for E at every output row.
+    params = gamma1_params()
+    cfg = RunConfig(mode="LocalGamma1", nx=8, ny=8, nz=5, params=params,
+                    dt=1e-3, t_end=7e-3, output_every=2,
+                    preset="random_smooth", amplitude=0.05, seed=1)
+    g = make_grid(8, 8, 5)
+
+    def entry(s):
+        return diagnostics.lagrangian_energy(
+            full_surface_density(s, params), s.V, s.fm, g, params, s.mode)
+
+    state = initial_state(cfg, g)
+    stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0)
+    rows = [_diagnostics_row(state, g, params, entry(state).E, 0.0)]
+    diss, d_prev = 0.0, entry(state).D
+    for n in range(1, cfg.n_steps + 1):
+        state = stepper.step(state)
+        d_new = entry(state).D
+        diss += 0.5 * cfg.dt * (d_prev + d_new)
+        d_prev = d_new
+        if n % cfg.output_every == 0 or n == cfg.n_steps:
+            rows.append(_diagnostics_row(state, g, params, entry(state).E,
+                                         diss))
+    diagnostics.write_diagnostics_csv(rows, tmp_path / "ref.csv")
+    diagnostics.write_diagnostics_csv(run_simulation(cfg).rows,
+                                      tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_stepper_validation():

@@ -24,6 +24,8 @@ from cpelab.operators import (
     export_matrix,
     lame_symbol_eigs,
     make_lame_coefficients,
+    mode_matrices,
+    mode_wavevectors,
     pack_state,
     symbol_ellipticity_report,
     unpack_state,
@@ -217,6 +219,81 @@ def test_vertical_block_matches_full_operator_on_single_mode(params):
                                          constant_coefficient=True, bc="raw"))
     ref = wave[..., None] * (blk @ phi).reshape(g.nz, 2)[None, None, :, :]
     assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
+def loop_lame_block(kt, xi0_value, g, params):
+    """The one-mode block written out with np.kron, as the reference."""
+    k2 = float(kt @ kt)
+    mu, mup = params.mu, params.mu_prime
+    I2 = np.eye(2)
+    kk = np.outer(kt, kt)
+    if params.model == "Gamma1":
+        one_minus = 1.0 - DELTA * g.z
+        a = 1.0 / (one_minus * xi0_value)
+        b = one_minus / (DELTA**2 * xi0_value)
+        vert = g.Dz @ np.diag(b) @ g.Dz
+        return (-mu * k2 * np.kron(np.diag(a), I2) + mu * np.kron(vert, I2)
+                - mup * np.kron(np.diag(a), kk))
+    if params.model == "Gamma2":
+        c = 1.0 / (xi0_value + g.z / 2.0)
+    else:
+        c = np.full(g.nz, 1.0 / xi0_value)
+    return (mu * np.kron(np.diag(c) @ (g.Dz @ g.Dz - k2 * np.eye(g.nz)), I2)
+            - mup * np.kron(np.diag(c), kk))
+
+
+@pytest.mark.parametrize("params", all_model_params(),
+                         ids=lambda p: p.model)
+def test_stacked_blocks_equal_single_mode_blocks(params):
+    g = make_grid(8, 6, 7)
+    K = mode_wavevectors(g)
+    rng = np.random.default_rng(12)
+    stacks = [
+        rng.uniform(-40.0, 40.0, (3, 4, 2)),   # random wave vectors
+        np.zeros((1, 2)),                      # k = 0
+        K[g.nx // 2],                          # the Nyquist lines
+        K[:, g.ny // 2],
+        K,                                     # the whole grid
+    ]
+    for kt in stacks:
+        blocks = vertical_lame_block(kt, 1.3, g, params)
+        assert blocks.shape == kt.shape[:-1] + (2 * g.nz, 2 * g.nz)
+        for idx in np.ndindex(kt.shape[:-1]):
+            ref = loop_lame_block(kt[idx], 1.3, g, params)
+            assert np.array_equal(blocks[idx], ref)
+            assert np.array_equal(
+                vertical_lame_block(kt[idx], 1.3, g, params), ref)
+
+
+def test_mode_matrices_border_and_boundary_rows():
+    g = make_grid(6, 6, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    nz, iz = g.nz, np.arange(g.nz)
+    K = mode_wavevectors(g)
+    A = vertical_lame_block(K, 1.0, g, params)
+    shift, scale, xi_bar = 0.5 + 2j, 0.3, 1.7
+    bordered = mode_matrices(A, K, g, shift, scale, xi_bar=xi_bar)
+    plain = mode_matrices(A, K, g, 2.0, scale)
+    assert bordered.shape == (6, 6, 1 + 2 * nz, 1 + 2 * nz)
+    assert plain.shape == (6, 6, 2 * nz, 2 * nz) and plain.dtype == float
+    for ix, iy in np.ndindex(6, 6):
+        kt = K[ix, iy]
+        ref = np.zeros((1 + 2 * nz, 1 + 2 * nz), dtype=complex)
+        ref[0, 0] = shift
+        ref[1:, 1:] = shift * np.eye(2 * nz) - scale * A[ix, iy]
+        ref_plain = 2.0 * np.eye(2 * nz) - scale * A[ix, iy]
+        for c in range(2):
+            ref[0, 1 + iz * 2 + c] = scale * xi_bar * 1j * kt[c] * g.wz
+            ref[1 + iz * 2 + c, 0] = scale * 1j * kt[c]
+        for M, off in ((ref, 1), (ref_plain, 0)):
+            for c in range(2):
+                top, bot = off + (nz - 1) * 2 + c, off + c
+                M[top, :] = 0.0
+                M[top, top] = 1.0
+                M[bot, :] = 0.0
+                M[bot, off + iz * 2 + c] = g.Dz[0]
+        assert np.array_equal(bordered[ix, iy], ref)
+        assert np.array_equal(plain[ix, iy], ref_plain)
 
 
 def test_vertical_reduction_properties():

@@ -12,6 +12,11 @@ import numpy as np
 import pytest
 
 from cpelab.grid import dealias, l2_norm, make_grid
+from cpelab.operators import (
+    mode_wavevectors,
+    vertical_lame_block,
+    vertical_reduction,
+)
 from cpelab.stokes_solver import (
     ResolventProblem,
     imaginary_axis_resolvent_sweep,
@@ -156,6 +161,84 @@ def test_spectral_bound_per_mode_matches_dense():
     e2 = spectral_bound(g, params, method="dense")
     assert e1 > 0
     assert np.isclose(e1, e2, rtol=1e-8)
+
+
+def full_spectrum_max_re(g, params, xi_bar=1.0):
+    """Largest real part over every active mode, one mode at a time."""
+    S, R = vertical_reduction(g)
+    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+    avg_row = g.wz @ R
+    K = mode_wavevectors(g)
+    m = 2 * (g.nz - 2)
+    idx = np.arange(m // 2)
+    best = -np.inf
+    for ix, iy in zip(*np.nonzero(g.active_mask)):
+        kt = K[ix, iy]
+        Ak = S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2
+        if ix == 0 and iy == 0:
+            best = max(best, np.linalg.eigvals(Ak).real.max())
+            continue
+        B = np.zeros((1 + m, 1 + m), dtype=complex)
+        B[1:, 1:] = Ak
+        for c in range(2):
+            B[0, 1 + idx * 2 + c] = -xi_bar * 1j * kt[c] * avg_row
+            B[1 + idx * 2 + c, 0] = -1j * kt[c]
+        best = max(best, np.linalg.eigvals(B).real.max())
+    return best
+
+
+@pytest.mark.parametrize("n", (8, 16))
+@pytest.mark.parametrize("mu,mu_prime", ((1.0, 1.0), (0.7, -0.3)))
+def test_spectral_bound_half_spectrum_is_the_full_maximum(n, mu, mu_prime):
+    g = make_grid(n, n, 9)
+    params = PhysicalParams(mu=mu, mu_prime=mu_prime)
+    assert spectral_bound(g, params) == -full_spectrum_max_re(g, params)
+
+
+def loop_solve_per_mode(problem, g, params):
+    """Bordered solve of (lambda - A_CHS) U = F, one mode at a time."""
+    lam, xi_bar, nz = complex(problem.lam), problem.xi_bar, g.nz
+    n, iz = 1 + 2 * nz, np.arange(nz)
+    K = mode_wavevectors(g)
+    f1h = np.fft.fft2(np.asarray(problem.f1, dtype=complex), axes=(0, 1))
+    f2h = np.fft.fft2(np.asarray(problem.f2, dtype=complex), axes=(0, 1))
+    zetah = np.zeros((g.nx, g.ny), dtype=complex)
+    Vh = np.zeros((g.nx, g.ny, nz, 2), dtype=complex)
+    for ix, iy in np.ndindex(g.nx, g.ny):
+        kt = K[ix, iy]
+        M = np.zeros((n, n), dtype=complex)
+        M[0, 0] = lam
+        M[1:, 1:] = lam * np.eye(2 * nz) - vertical_lame_block(
+            kt, xi_bar, g, params)
+        rhs = np.concatenate([[f1h[ix, iy]], f2h[ix, iy].reshape(2 * nz)])
+        for c in range(2):
+            M[0, 1 + iz * 2 + c] = xi_bar * 1j * kt[c] * g.wz
+            M[1 + iz * 2 + c, 0] = 1j * kt[c]
+            top, bot = 1 + (nz - 1) * 2 + c, 1 + c
+            M[top, :] = 0.0
+            M[top, top] = 1.0
+            M[bot, :] = 0.0
+            M[bot, 1 + iz * 2 + c] = g.Dz[0]
+            rhs[top] = rhs[bot] = 0.0
+        if lam == 0 and (ix == iy == 0 or not g.active_mask[ix, iy]):
+            M[0, :] = 0.0
+            M[0, 0] = 1.0
+            rhs[0] = 0.0
+        sol = np.linalg.solve(M, rhs)
+        zetah[ix, iy] = sol[0]
+        Vh[ix, iy] = sol[1:].reshape(nz, 2)
+    return (np.fft.ifft2(zetah, axes=(0, 1)),
+            np.fft.ifft2(Vh, axes=(0, 1)))
+
+
+@pytest.mark.parametrize("lam", (0.0, 3.0, 40j), ids=str)
+def test_batched_resolvent_matches_mode_loop(setup, lam):
+    g, params = setup
+    problem, _, _ = manufactured_resolvent_problem(lam, g, params)
+    zeta, V = solve_resolvent(problem, g, params)
+    z_ref, V_ref = loop_solve_per_mode(problem, g, params)
+    for got, ref in ((zeta, z_ref), (V, V_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mean_free_decomposition_properties():
