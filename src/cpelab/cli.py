@@ -74,7 +74,7 @@ class ConfigError(Exception):
 _GRID_KEYS = {"nx", "ny", "nz"}
 _PARAM_KEYS = {"mu", "mu_prime", "xi_bar", "M1", "M2", "pressure"}
 _PRESSURE_KEYS = {"law", "c", "alpha"}
-_TOLERANCE_KEYS = {"fp_tol", "inv_tol", "det_floor", "lin_tol", "mean_tol"}
+_TOLERANCE_KEYS = set(evolve.TOLERANCES)
 _RUN_KEYS = {
     "schema_version", "mode", "grid", "params", "dt", "t_end",
     "output_every", "preset", "amplitude", "perturbation_mode", "seed",
@@ -145,21 +145,48 @@ def _check_schema_version(obj: dict, text: str) -> None:
             f"version {SCHEMA_VERSION}{_key_line(text, 'schema_version')}")
 
 
-def _parse_grid(obj: dict, text: str) -> tuple[int, int, int]:
+def _parse_mode(obj: dict, text: str) -> str:
+    mode = _require(obj, "mode", text)
+    if mode not in evolve.MODE_MODEL:
+        raise ConfigError(
+            f"unknown mode {mode!r}; expected one of "
+            f"{sorted(evolve.MODE_MODEL)}{_key_line(text, 'mode')}")
+    return mode
+
+
+def _parse_grid(obj: dict, text: str) -> Grid:
     grid = _require(obj, "grid", text)
     if not isinstance(grid, dict):
         raise ConfigError(f"'grid' must be an object{_key_line(text, 'grid')}")
     _check_unknown(grid, _GRID_KEYS, text, "'grid'")
-    return tuple(_as_int(_require(grid, k, text), k, text)
-                 for k in ("nx", "ny", "nz"))
+    nx, ny, nz = (_as_int(_require(grid, k, text), k, text)
+                  for k in ("nx", "ny", "nz"))
+    try:
+        return make_grid(nx, ny, nz)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _parse_params(obj: dict, text: str, model: str) -> PhysicalParams:
+def _parse_output_dir(obj: dict, text: str) -> str | None:
+    output_dir = obj.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(
+            f"'output_dir' must be a string{_key_line(text, 'output_dir')}")
+    return output_dir
+
+
+def _params_object(obj: dict, text: str) -> dict:
+    """The raw ``params`` object, checked for its type and unknown keys."""
     raw = _require(obj, "params", text)
     if not isinstance(raw, dict):
         raise ConfigError(
             f"'params' must be an object{_key_line(text, 'params')}")
     _check_unknown(raw, _PARAM_KEYS, text, "'params'")
+    return raw
+
+
+def _parse_params(obj: dict, text: str, model: str) -> PhysicalParams:
+    raw = _params_object(obj, text)
     kwargs = {
         "mu": _as_number(_require(raw, "mu", text), "mu", text),
         "mu_prime": _as_number(_require(raw, "mu_prime", text),
@@ -206,16 +233,8 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
     obj, text = _load_json(path)
     _check_unknown(obj, _RUN_KEYS, text, "run config")
     _check_schema_version(obj, text)
-    mode = _require(obj, "mode", text)
-    if mode not in evolve.MODE_MODEL:
-        raise ConfigError(
-            f"unknown mode {mode!r}; expected one of "
-            f"{sorted(evolve.MODE_MODEL)}{_key_line(text, 'mode')}")
-    nx, ny, nz = _parse_grid(obj, text)
-    try:
-        g = make_grid(nx, ny, nz)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    mode = _parse_mode(obj, text)
+    g = _parse_grid(obj, text)
     params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
 
     if require_time or "dt" in obj:
@@ -258,15 +277,11 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
         _check_unknown(tol, _TOLERANCE_KEYS, text, "'tolerances'")
         for key, value in tol.items():
             kwargs[key] = _as_number(value, key, text)
-    if "output_dir" in obj:
-        if not isinstance(obj["output_dir"], str):
-            raise ConfigError(
-                f"'output_dir' must be a string{_key_line(text, 'output_dir')}")
-        kwargs["output_dir"] = obj["output_dir"]
+    kwargs["output_dir"] = _parse_output_dir(obj, text)
 
     try:
-        cfg = evolve.RunConfig(mode=mode, nx=nx, ny=ny, nz=nz, params=params,
-                               dt=dt, t_end=t_end, **kwargs)
+        cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
+                               params=params, dt=dt, t_end=t_end, **kwargs)
         # the preset's initial density must lie in [M1, M2]
         evolve.initial_state(cfg, g)
     except ValueError as exc:
@@ -283,7 +298,7 @@ def parse_resolvent_problem(path: str):
     obj, text = _load_json(path)
     _check_unknown(obj, _RESOLVENT_KEYS, text, "resolvent problem")
     _check_schema_version(obj, text)
-    nx, ny, nz = _parse_grid(obj, text)
+    g = _parse_grid(obj, text)
     params = _parse_params(obj, text, "Gamma1")
     raw_lam = _require(obj, "lam", text)
     if isinstance(raw_lam, list) and len(raw_lam) == 2:
@@ -305,15 +320,7 @@ def parse_resolvent_problem(path: str):
             f"unknown rhs preset {rhs!r}; expected manufactured, random or "
             f"zero{_key_line(text, 'rhs')}")
     seed = _as_int(obj.get("seed", 0), "seed", text)
-    output_dir = obj.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(
-            f"'output_dir' must be a string{_key_line(text, 'output_dir')}")
-    try:
-        g = make_grid(nx, ny, nz)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-    return lam, rhs, seed, g, params, output_dir
+    return lam, rhs, seed, g, params, _parse_output_dir(obj, text)
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +400,13 @@ def _cmd_spectrum(args) -> int:
     obj, text = _load_json(args.config)
     _check_unknown(obj, _RUN_KEYS, text, "run config")
     _check_schema_version(obj, text)
-    mode = _require(obj, "mode", text)
-    if mode not in evolve.MODE_MODEL:
-        raise ConfigError(
-            f"unknown mode {mode!r}; expected one of "
-            f"{sorted(evolve.MODE_MODEL)}{_key_line(text, 'mode')}")
-    nx, ny, nz = _parse_grid(obj, text)
-    try:
-        g = make_grid(nx, ny, nz)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-    raw = _require(obj, "params", text)
-    if not isinstance(raw, dict):
-        raise ConfigError(
-            f"'params' must be an object{_key_line(text, 'params')}")
-    _check_unknown(raw, _PARAM_KEYS, text, "'params'")
+    mode = _parse_mode(obj, text)
+    g = _parse_grid(obj, text)
+    raw = _params_object(obj, text)
     mu = _as_number(_require(raw, "mu", text), "mu", text)
     mu_prime = _as_number(_require(raw, "mu_prime", text), "mu_prime", text)
     xi_bar = _as_number(raw.get("xi_bar", 1.0), "xi_bar", text)
-    cfg_out = obj.get("output_dir")
-    if cfg_out is not None and not isinstance(cfg_out, str):
-        raise ConfigError(
-            f"'output_dir' must be a string{_key_line(text, 'output_dir')}")
-    out_dir = _resolve_output_dir(args.output_dir, cfg_out)
+    out_dir = _resolve_output_dir(args.output_dir, _parse_output_dir(obj, text))
     report = operators.symbol_ellipticity_report(mu, mu_prime, kmax=8)
 
     rows = []
@@ -445,7 +436,7 @@ def _cmd_spectrum(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "spectrum",
-        "grid": [nx, ny, nz],
+        "grid": [g.nx, g.ny, g.nz],
         "mu": mu,
         "mu_prime": mu_prime,
         "xi_bar": xi_bar,

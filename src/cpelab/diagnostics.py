@@ -26,14 +26,11 @@ __all__ = [
     "EnergyEntry",
     "EnergyReport",
     "DecayFit",
-    "PositivityReport",
     "potential_energy_density",
-    "total_mass",
     "energy",
     "lagrangian_energy",
     "lagrangian_mass",
     "surface_h1_norm",
-    "positivity_report",
     "fit_decay_rate",
     "envelope_maxima",
     "envelope_is_decreasing",
@@ -94,15 +91,6 @@ class DecayFit:
     t_start: float
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Pointwise extrema of a density field against configured bounds."""
-
-    min: float
-    max: float
-    ok: bool
-
-
 def potential_energy_density(xi: np.ndarray,
                              params: PhysicalParams) -> np.ndarray:
     """Potential energy density of the surface field, per model.
@@ -125,14 +113,6 @@ def potential_energy_density(xi: np.ndarray,
     vals = params.pressure(s) / s**2
     prim = 0.5 * (xi - 1.0) * (vals @ weights)
     return xi * prim - float(params.pressure(1.0)) * (xi - 1.0)
-
-
-def total_mass(rho: np.ndarray, g: Grid) -> float:
-    """Quadrature integral of a 3D density field over the cylinder."""
-    kind = validate_field(rho, g)
-    if kind != "scalar3d":
-        raise ValueError(f"total_mass expects a 3D scalar density, got {kind}")
-    return integral(rho, g)
 
 
 def _gamma1_dissipation_weights(g: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -237,14 +217,6 @@ def surface_h1_norm(f: np.ndarray, g: Grid) -> float:
     if kind != "scalar2d":
         raise ValueError(f"surface_h1_norm expects a 2D scalar, got {kind}")
     return float(np.sqrt(l2_norm(f, g) ** 2 + l2_norm(grad_h(f, g), g) ** 2))
-
-
-def positivity_report(xi: np.ndarray, lower: float,
-                      upper: float) -> PositivityReport:
-    """Pointwise extrema of a density field against the given bounds."""
-    lo = float(np.min(xi))
-    hi = float(np.max(xi))
-    return PositivityReport(min=lo, max=hi, ok=bool(lower <= lo and hi <= upper))
 
 
 def _tail_mask(t: np.ndarray, t_skip_fraction: float) -> np.ndarray:

@@ -53,7 +53,6 @@ from .grid import (
     div_h,
     grad_h,
     grad_h_vec,
-    integral,
     l2_norm,
     make_grid,
     validate_field,
@@ -183,15 +182,6 @@ def full_surface_density(state: LagrangianState,
     if state.mode == "GlobalGamma1":
         return params.xi_bar + state.zeta
     return state.zeta
-
-
-def _full_density_column(state: LagrangianState, params: PhysicalParams,
-                         g: Grid) -> np.ndarray:
-    """3D density factor multiplying the material derivative, shape (nx,ny,nz)."""
-    zf = full_surface_density(state, params)
-    if state.mode == "LocalGamma2":
-        return zf[:, :, None] + 0.5 * g.z[None, None, :]
-    return np.broadcast_to(zf[:, :, None], (g.nx, g.ny, g.nz)).copy()
 
 
 def _grad2(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -529,6 +519,7 @@ def pull_back(state: LagrangianState, g: Grid, params: PhysicalParams,
 # ---------------------------------------------------------------------------
 
 PRESETS = ("steady", "fourier_perturbation", "random_smooth")
+TOLERANCES = ("fp_tol", "inv_tol", "det_floor", "lin_tol", "mean_tol")
 
 
 @dataclass(frozen=True)
@@ -536,11 +527,11 @@ class RunConfig:
     """Validated simulation configuration.
 
     ``perturbation_mode`` is the horizontal integer wavevector of the
-    ``fourier_perturbation`` preset.  ``lin_tol`` and ``mean_tol`` mirror the
-    steady-solver tolerances so one config schema covers every subcommand;
-    the time stepper itself uses ``fp_tol`` (implicit fixed point),
-    ``inv_tol`` (flow-map inversion in pull-backs) and ``det_floor``
-    (Jacobian floor of the invertibility check).
+    ``fourier_perturbation`` preset.  The time stepper uses ``fp_tol``
+    (implicit fixed point) and ``det_floor`` (Jacobian floor of the
+    invertibility check).  ``inv_tol``, ``lin_tol`` and ``mean_tol`` are
+    accepted for schema compatibility and have no effect on a simulation.
+    Every tolerance must be finite and positive.
     """
 
     mode: str
@@ -574,6 +565,12 @@ class RunConfig:
         if self.t_end < self.dt:
             raise ValueError(
                 f"t_end={self.t_end} is shorter than one step dt={self.dt}")
+        for name in TOLERANCES:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"tolerance '{name}' must be finite and positive, "
+                    f"got {value}")
         if self.output_every < 1:
             raise ValueError(
                 f"output_every must be >= 1, got {self.output_every}")

@@ -24,7 +24,6 @@ smooth, and exact at grid nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 

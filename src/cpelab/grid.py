@@ -32,9 +32,7 @@ Design notes
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -45,8 +43,6 @@ __all__ = [
     "vertical_average",
     "vertical_derivative",
     "integrate_from_bottom",
-    "horizontal_derivatives",
-    "HorizontalDerivatives",
     "grad_h",
     "div_h",
     "grad_h_vec",
@@ -54,9 +50,6 @@ __all__ = [
     "integral",
     "l2_norm",
     "validate_field",
-    "field_to_csv",
-    "field_to_binary",
-    "field_from_binary",
 ]
 
 
@@ -165,14 +158,6 @@ class Grid:
     Iz: np.ndarray = field(repr=False)
     dealias_mask: np.ndarray = field(repr=False)
     active_mask: np.ndarray = field(repr=False)
-
-    @property
-    def shape2d(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
-
-    @property
-    def shape3d(self) -> tuple[int, int, int]:
-        return (self.nx, self.ny, self.nz)
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
@@ -348,26 +333,6 @@ def grad_h_vec(v: np.ndarray, g: Grid) -> np.ndarray:
     return np.stack([_ddx(v, g), _ddy(v, g)], axis=-1)
 
 
-class HorizontalDerivatives(NamedTuple):
-    """Result bundle of :func:`horizontal_derivatives`.
-
-    ``grad`` is the gradient (scalar input) or gradient tensor (vector
-    input); ``div`` is the horizontal divergence for vector input and
-    ``None`` for scalar input.
-    """
-
-    grad: np.ndarray
-    div: np.ndarray | None
-
-
-def horizontal_derivatives(f: np.ndarray, g: Grid) -> HorizontalDerivatives:
-    """Spectral horizontal derivatives of a periodic field."""
-    kind = validate_field(f, g)
-    if kind in ("scalar2d", "scalar3d"):
-        return HorizontalDerivatives(grad=grad_h(f, g), div=None)
-    return HorizontalDerivatives(grad=grad_h_vec(f, g), div=div_h(f, g))
-
-
 def dealias(f: np.ndarray, g: Grid) -> np.ndarray:
     """Apply the 2/3-rule mask to a field (used on products)."""
     validate_field(f, g)
@@ -407,65 +372,3 @@ def l2_norm(f: np.ndarray, g: Grid) -> float:
         mag2 = mag2.sum(axis=-1)
     return float(np.sqrt(integral(mag2, g)))
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _components(f: np.ndarray, kind: str) -> int:
-    return 2 if kind in ("vector2d", "vector3d") else 1
-
-
-def field_to_csv(f: np.ndarray, g: Grid, path: str) -> None:
-    """Write a field as CSV, one row per node: x,y[,z],components."""
-    kind = validate_field(f, g)
-    ncomp = _components(f, kind)
-    rows = []
-    if _is_3d(kind):
-        header = "x,y,z," + ",".join(f"c{i}" for i in range(ncomp))
-        vals = f.reshape(g.nx, g.ny, g.nz, ncomp)
-        for i in range(g.nx):
-            for j in range(g.ny):
-                for k in range(g.nz):
-                    coords = (g.x[i], g.y[j], g.z[k]) + tuple(vals[i, j, k])
-                    rows.append(",".join("%.17g" % c for c in coords))
-    else:
-        header = "x,y," + ",".join(f"c{i}" for i in range(ncomp))
-        vals = f.reshape(g.nx, g.ny, ncomp)
-        for i in range(g.nx):
-            for j in range(g.ny):
-                coords = (g.x[i], g.y[j]) + tuple(vals[i, j])
-                rows.append(",".join("%.17g" % c for c in coords))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
-
-
-def field_to_binary(f: np.ndarray, g: Grid, path: str) -> None:
-    """Write a field as a raw little-endian float64 dump plus JSON header.
-
-    The header is stored at ``path + ".json"`` and records the dimensions
-    and component count.
-    """
-    kind = validate_field(f, g)
-    header = {
-        "dims": list(np.shape(f)[: 3 if _is_3d(kind) else 2]),
-        "components": _components(f, kind),
-        "dtype": "<f8",
-        "order": "C",
-    }
-    np.ascontiguousarray(f, dtype="<f8").tofile(path)
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def field_from_binary(path: str) -> np.ndarray:
-    """Read a field written by :func:`field_to_binary`."""
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    data = np.fromfile(path, dtype="<f8")
-    shape = list(header["dims"])
-    if header["components"] > 1:
-        shape.append(header["components"])
-    return data.reshape(shape)

@@ -32,22 +32,15 @@ Fourier basis, so solvers and eigensolvers work mode by mode).  The
 ``reduced`` realization eliminates the boundary degrees of freedom
 (Dirichlet layer dropped, Neumann layer expressed through the interior)
 and is the one whose eigenvalues are meaningful.
-
-The cylindrical split multiplies the hydrostatic Lame operator by
-(1-delta z) xi0, yielding A1 = A2 + A3 with A2 the horizontal Lame
-operator (Fourier symbol matrix available in closed form) and A3 a
-vertical operator with first-order term -mu ((1-delta z)/delta) d_z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 import scipy.linalg
-import scipy.sparse
 
 from .grid import (
     Grid,
@@ -61,18 +54,15 @@ from .transforms import DELTA, PhysicalParams
 
 __all__ = [
     "LameCoefficients",
-    "LinearOperator",
     "SymbolEigs",
     "EllipticityReport",
     "make_lame_coefficients",
     "apply_hydrostatic_lame",
-    "apply_cylindrical_split",
     "apply_chs",
     "lame_symbol_eigs",
     "symbol_ellipticity_report",
     "dense_hydrostatic_lame",
     "dense_chs",
-    "assemble_chs",
     "mode_wavevectors",
     "uniform_lame_block",
     "vertical_lame_block",
@@ -80,7 +70,6 @@ __all__ = [
     "vertical_reduction",
     "pack_state",
     "unpack_state",
-    "export_matrix",
     "DENSE_LIMIT",
 ]
 
@@ -98,7 +87,7 @@ _BC_MODES = ("raw", "replace", "reduced")
 class LameCoefficients:
     """Coefficient fields of the viscous operator, shaped (nx, ny, nz).
 
-    For ``Gamma1``: a, b and the split coefficient b1(z) = (1-delta z)^2 /
+    For ``Gamma1``: a, b and the vertical coefficient b1(z) = (1-delta z)^2 /
     delta^2 (c is None).  For the uniform-coefficient models: c (a, b
     None).  b1 is stored as a 1D profile in z.
     """
@@ -212,31 +201,6 @@ def apply_hydrostatic_lame(
     return out
 
 
-def apply_cylindrical_split(
-    V: np.ndarray, xi0, g: Grid, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw action of A1 = (1-delta z) xi0 A and of its parts A2, A3.
-
-    A2 = mu Lap_H + mu' grad_H div_H carries the horizontal symbol; A3 =
-    mu b1(z) d_zz - mu ((1-delta z)/delta) d_z is the vertical remainder
-    (the first-order term enters with a minus sign: differentiating
-    b = (1-delta z)/(delta^2 xi0) once in z produces -1/(delta xi0), and
-    the prefactor (1-delta z) xi0 leaves -(1-delta z)/delta).
-    Only meaningful for model ``Gamma1``.
-    """
-    if params.model != "Gamma1":
-        raise ValueError("the cylindrical split applies to model 'Gamma1' only")
-    if validate_field(V, g) != "vector3d":
-        raise ValueError("expected a horizontal velocity field (nx, ny, nz, 2)")
-    mu, mup = params.mu, params.mu_prime
-    A2 = mu * _laplacian_h(V, g) + mup * _grad_div_h(V, g)
-    b1 = ((1.0 - DELTA * g.z) ** 2 / DELTA**2)[None, None, :, None]
-    first = ((1.0 - DELTA * g.z) / DELTA)[None, None, :, None]
-    dzv = vertical_derivative(V, g)
-    A3 = mu * b1 * vertical_derivative(dzv, g) - mu * first * dzv
-    return A2 + A3, A2, A3
-
-
 def apply_chs(
     zeta: np.ndarray,
     V: np.ndarray,
@@ -275,13 +239,11 @@ class SymbolEigs(NamedTuple):
     matrix: np.ndarray
 
 
-def lame_symbol_eigs(
-    k_H, mu: float, mu_prime: float, angular: bool = False
-) -> SymbolEigs:
-    """Eigenvalues and matrix of the horizontal Lame symbol -A2#(k_H).
+def lame_symbol_eigs(k_H, mu: float, mu_prime: float) -> SymbolEigs:
+    """Eigenvalues and matrix of the symbol of -(mu Lap_H + mu' grad_H div_H).
 
-    For the integer mode k_H the wave vector is kt = 2 pi k_H (pass
-    ``angular=True`` to supply kt directly); the symbol matrix is
+    For the integer mode k_H the wave vector is kt = 2 pi k_H; the symbol
+    matrix is
 
         [[mu |kt|^2 + mu' kt1^2,  mu' kt1 kt2],
          [mu' kt1 kt2,  mu |kt|^2 + mu' kt2^2]]
@@ -290,7 +252,7 @@ def lame_symbol_eigs(
     compressive direction) and lam2 = mu |kt|^2 (the shear direction).
     """
     k = np.asarray(k_H, dtype=float)
-    kt = k if angular else 2.0 * np.pi * k
+    kt = 2.0 * np.pi * k
     k2 = float(kt @ kt)
     mat = mu * k2 * np.eye(2) + mu_prime * np.outer(kt, kt)
     return SymbolEigs(lam1=(mu + mu_prime) * k2, lam2=mu * k2, matrix=mat)
@@ -509,46 +471,8 @@ def dense_chs(
 
 
 # ---------------------------------------------------------------------------
-# block operator wrapper and state packing
+# state packing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Immutable operator: applicator, optional dense matrix, BC tag, shift.
-
-    ``apply`` maps a state (zeta, V) to a state; ``dense`` (if present)
-    acts on packed vectors.  ``omega`` is an optional nonnegative shift
-    available to solvers as a regularization knob for variable
-    coefficients; it is not folded into ``apply``.
-    """
-
-    apply: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    bc: str
-    omega: float = 0.0
-    dense: np.ndarray | None = field(default=None, repr=False)
-
-
-def assemble_chs(
-    xi_bar: float,
-    g: Grid,
-    params: PhysicalParams,
-    dense: bool = False,
-    bc: str = "replace",
-    omega: float = 0.0,
-) -> LinearOperator:
-    """Bundle the Stokes block operator, optionally with a dense matrix."""
-    if not xi_bar > 0:
-        raise ValueError(f"xi_bar must be positive, got {xi_bar}")
-    if omega < 0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
-
-    def apply(zeta, V, bc=bc):
-        return apply_chs(zeta, V, xi_bar, g, params,
-                         bc="replace" if bc != "raw" else "raw")
-
-    matrix = dense_chs(xi_bar, g, params, bc=bc) if dense else None
-    return LinearOperator(apply=apply, bc=bc, omega=omega, dense=matrix)
-
 
 def pack_state(zeta: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Flatten (zeta, V) into the packed vector used by dense realizations."""
@@ -680,7 +604,3 @@ def mode_matrices(
     M[..., bot[:, None], off + 2 * np.arange(nz) + comp[:, None]] = g.Dz[0]
     return M
 
-
-def export_matrix(A: np.ndarray, path) -> None:
-    """Write a dense matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(A))

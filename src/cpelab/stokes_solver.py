@@ -139,10 +139,8 @@ def resolvent_residual(
     the boundary residuals V|_{z=1} and d_z V|_{z=0}.
     """
     r1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g) - f1
-    AV = (apply_hydrostatic_lame(V.real, xi_bar, g, params,
-                                 constant_coefficient=True, bc="raw")
-          + 1j * apply_hydrostatic_lame(V.imag, xi_bar, g, params,
-                                        constant_coefficient=True, bc="raw"))
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params,
+                                constant_coefficient=True, bc="raw")
     r2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :] - f2
     r2[:, :, -1, :] = V[:, :, -1, :]
     r2[:, :, 0, :] = np.einsum("j,abjc->abc", g.Dz[0, :], V)
@@ -180,10 +178,8 @@ def manufactured_resolvent_problem(
     if lam.imag != 0.0:
         zeta = zeta * (1.0 + 0.5j)
         V = V * (1.0 - 0.25j)
-    AV = (apply_hydrostatic_lame(V.real, xi_bar, g, params,
-                                 constant_coefficient=True, bc="raw")
-          + 1j * apply_hydrostatic_lame(V.imag, xi_bar, g, params,
-                                        constant_coefficient=True, bc="raw"))
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params,
+                                constant_coefficient=True, bc="raw")
     f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
     f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
     f2[:, :, -1, :] = 0.0

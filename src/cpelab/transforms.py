@@ -31,10 +31,7 @@ __all__ = [
     "MODELS",
     "PhysicalParams",
     "make_pressure_law",
-    "zprime_of_z",
-    "z_of_zprime",
     "density_from_surface",
-    "pressure_from_density",
 ]
 
 #: delta = 1 - e^{-1}, the constant of the vertical transform.
@@ -83,10 +80,6 @@ class PhysicalParams:
     @property
     def gravity(self) -> float:
         return 0.0 if self.model == "GeneralNoGravity" else 1.0
-
-    @property
-    def sound_c(self) -> float:
-        return 1.0
 
     def __post_init__(self) -> None:
         if not self.mu > 0:
@@ -170,26 +163,6 @@ def make_pressure_law(name: str, **kwargs) -> dict:
     raise ValueError(f"unknown pressure law {name!r}; expected 'linear' or 'tanh'")
 
 
-def _check_unit_interval(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    tol = 1e-12
-    if np.any(v < -tol) or np.any(v > 1.0 + tol):
-        raise ValueError(f"{name} outside [0, 1]: range [{v.min()}, {v.max()}]")
-    return np.clip(v, 0.0, 1.0)
-
-
-def zprime_of_z(z):
-    """Transformed coordinate z' = (1 - exp(-z)) / delta for z in [0,1]."""
-    z = _check_unit_interval(z, "z")
-    return -np.expm1(-z) / DELTA
-
-
-def z_of_zprime(zprime):
-    """Inverse transform z = log(1 / (1 - delta z')) for z' in [0,1]."""
-    zprime = _check_unit_interval(zprime, "zprime")
-    return -np.log1p(-DELTA * zprime)
-
-
 def density_from_surface(
     xi: np.ndarray,
     g: Grid,
@@ -221,12 +194,3 @@ def density_from_surface(
         return xi[:, :, None] + z / 2.0
     return np.broadcast_to(xi[:, :, None], (g.nx, g.ny, g.nz)).copy()
 
-
-def pressure_from_density(rho: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Pressure from density: p = rho (Gamma1), rho^2 (Gamma2), P(rho)."""
-    rho = np.asarray(rho, dtype=float)
-    if params.model == "Gamma1":
-        return rho.copy()
-    if params.model == "Gamma2":
-        return rho**2
-    return np.asarray(params.pressure(rho), dtype=float)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import cpelab
-from cpelab import cli, diagnostics
+from cpelab import cli, diagnostics, stokes_solver
+from cpelab.grid import grad_h, make_grid
+from cpelab.transforms import PhysicalParams
 
 pytestmark = pytest.mark.usefixtures("clean_output_env")
 
@@ -154,7 +156,9 @@ def test_initial_density_outside_window_is_config_error(tmp_path, capsys):
 def test_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(cpelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, cpelab.cli; assert 'sympy' not in sys.modules"
+    code = ("import sys, cpelab.cli\n"
+            "for name in ('sympy', 'scipy.io', 'scipy.sparse'):\n"
+            "    assert name not in sys.modules, name\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
 
@@ -190,6 +194,24 @@ def test_tolerance_typo_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"fp_tol": 1e-12, "fp_toll": 1.0})
     assert cli.main(["simulate", cfg]) == 2
     assert "fp_toll" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("fp_tol", 0.0),
+    ("fp_tol", -1.0),
+    ("fp_tol", float("nan")),
+    ("det_floor", -1.0),
+])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
+    # the fixed point can never meet fp_tol = 0, and a negative det_floor
+    # would switch the invertibility guard off
+    cfg = write_config(tmp_path, tolerances={key: value})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"'{key}'" in err
+    assert not (out / "summary.json").exists()
 
 
 def test_schema_version_mismatch(tmp_path, capsys):
@@ -308,6 +330,45 @@ def test_resolvent_zero_rhs(tmp_path):
     summary = read_summary(out)
     assert summary["zeta_l2"] == 0.0
     assert summary["v_l2"] == 0.0
+
+
+def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
+                                                           monkeypatch):
+    apply = stokes_solver.apply_hydrostatic_lame
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(stokes_solver, "apply_hydrostatic_lame", counting)
+    prob = write_problem(tmp_path, lam=3.0)
+    assert cli.main(["resolvent", prob,
+                     "--output-dir", str(tmp_path / "res")]) == 0
+    # the manufactured rhs, the residual check of solve_resolvent and the
+    # residual in the summary
+    assert len(calls) == 3
+
+    # one call on complex V matches the real and imaginary parts applied
+    # separately
+    g = make_grid(8, 8, 7)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    for lam in (3.0, 0.5 + 40j):
+        problem, zeta, V = stokes_solver.manufactured_resolvent_problem(
+            lam, g, params)
+        lam = complex(lam)
+        AV = (apply(V.real, 1.0, g, params, constant_coefficient=True,
+                    bc="raw")
+              + 1j * apply(V.imag, 1.0, g, params, constant_coefficient=True,
+                           bc="raw"))
+        f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
+        f2[:, :, -1, :] = 0.0
+        f2[:, :, 0, :] = 0.0
+        if lam.imag == 0.0:
+            assert np.array_equal(problem.f2, f2.real)
+        else:
+            err = np.max(np.abs(problem.f2 - f2)) / np.max(np.abs(f2))
+            assert err <= 1e-13
 
 
 @pytest.mark.parametrize("overrides,needle", [

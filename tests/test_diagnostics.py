@@ -16,15 +16,13 @@ from cpelab.diagnostics import (
     lagrangian_energy,
     lagrangian_mass,
     linear_envelope_series,
-    positivity_report,
     potential_energy_density,
     read_diagnostics_csv,
     surface_h1_norm,
-    total_mass,
     write_diagnostics_csv,
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
-from cpelab.grid import grad_h_vec, make_grid
+from cpelab.grid import grad_h_vec, integral, make_grid
 from cpelab.stokes_solver import spectral_bound
 from cpelab.transforms import DELTA, PhysicalParams, make_pressure_law
 
@@ -37,14 +35,6 @@ def test_columns_schema_is_frozen():
 # ---------------------------------------------------------------------------
 # mass
 # ---------------------------------------------------------------------------
-
-
-def test_total_mass_of_unit_density_is_one():
-    g = make_grid(8, 8, 7)
-    rho = np.ones((g.nx, g.ny, g.nz))
-    assert total_mass(rho, g) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError, match="3D scalar"):
-        total_mass(np.ones((g.nx, g.ny)), g)
 
 
 def test_lagrangian_mass_per_model():
@@ -62,7 +52,7 @@ def test_lagrangian_mass_per_model():
     assert lagrangian_mass(ones, fm, g, p2, "LocalGamma2") == \
         pytest.approx(1.25, abs=1e-14)
     rho3 = ones[:, :, None] + 0.5 * g.z[None, None, :]
-    assert total_mass(rho3, g) == pytest.approx(1.25, abs=1e-14)
+    assert integral(rho3, g) == pytest.approx(1.25, abs=1e-14)
     assert lagrangian_mass(2.0 * ones, fm, g, pg, "GeneralNoGravity") == \
         pytest.approx(2.0, abs=1e-14)
 
@@ -170,14 +160,6 @@ def test_surface_h1_norm_of_plane_wave():
     assert surface_h1_norm(f, g) == pytest.approx(want, rel=1e-13)
     with pytest.raises(ValueError, match="2D scalar"):
         surface_h1_norm(np.ones((g.nx, g.ny, g.nz)), g)
-
-
-def test_positivity_report():
-    xi = np.array([[0.6, 1.4], [0.9, 1.1]])
-    rep = positivity_report(xi, 0.5, 2.0)
-    assert rep.min == 0.6 and rep.max == 1.4 and rep.ok
-    assert not positivity_report(xi, 0.7, 2.0).ok
-    assert not positivity_report(xi, 0.5, 1.2).ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Grid construction, spectral derivatives, quadrature, serialization.
+"""Grid construction, spectral derivatives and quadrature.
 
 The differentiation machinery is checked against independent oracles:
 the classical cotangent interpolation matrix for the periodic
@@ -14,12 +14,8 @@ import pytest
 from cpelab.grid import (
     dealias,
     div_h,
-    field_from_binary,
-    field_to_binary,
-    field_to_csv,
     grad_h,
     grad_h_vec,
-    horizontal_derivatives,
     integral,
     integrate_from_bottom,
     l2_norm,
@@ -61,7 +57,6 @@ def test_grid_nodes_and_weights_basic_structure():
     assert g.z[0] == 0.0 and g.z[-1] == 1.0
     assert np.all(np.diff(g.z) > 0)
     assert np.isclose(g.wz.sum(), 1.0)
-    assert g.shape2d == (8, 6) and g.shape3d == (8, 6, 7)
 
 
 def test_horizontal_derivative_matches_cotangent_matrix():
@@ -70,7 +65,7 @@ def test_horizontal_derivative_matches_cotangent_matrix():
     f = rng.standard_normal((12, 8))
     Dx = fourier_diff_matrix(12)
     Dy = fourier_diff_matrix(8)
-    got = horizontal_derivatives(f, g).grad
+    got = grad_h(f, g)
     assert np.allclose(got[..., 0], Dx @ f, atol=1e-11)
     assert np.allclose(got[..., 1], f @ Dy.T, atol=1e-11)
 
@@ -92,9 +87,8 @@ def test_horizontal_derivative_of_complex_field():
     g = make_grid(8, 8, 3)
     rng = np.random.default_rng(1)
     f = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    got = horizontal_derivatives(f, g).grad[..., 0]
-    ref = (horizontal_derivatives(f.real, g).grad[..., 0]
-           + 1j * horizontal_derivatives(f.imag, g).grad[..., 0])
+    got = grad_h(f, g)[..., 0]
+    ref = grad_h(f.real, g)[..., 0] + 1j * grad_h(f.imag, g)[..., 0]
     assert np.iscomplexobj(got)
     assert np.allclose(got, ref, atol=1e-12)
 
@@ -182,24 +176,3 @@ def test_validate_field_classification_and_errors():
     with pytest.raises(ValueError):
         vertical_average(np.zeros((6, 4)), g)
 
-
-def test_field_binary_roundtrip_is_bitwise(tmp_path):
-    g = make_grid(6, 4, 5)
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((6, 4, 5, 2))
-    path = str(tmp_path / "field.bin")
-    field_to_binary(f, g, path)
-    back = field_from_binary(path)
-    assert back.shape == f.shape
-    assert np.array_equal(back, f)
-
-
-def test_field_csv_roundtrip(tmp_path):
-    g = make_grid(4, 4, 3)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((4, 4))
-    path = str(tmp_path / "field.csv")
-    field_to_csv(f, g, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (16, 3)
-    assert np.allclose(data[:, 2].reshape(4, 4), f, atol=0)

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.io
 
 from cpelab.grid import make_grid, vertical_derivative
 from cpelab.operators import (
     DENSE_LIMIT,
     apply_chs,
-    apply_cylindrical_split,
     apply_hydrostatic_lame,
-    assemble_chs,
     dense_chs,
     dense_hydrostatic_lame,
-    export_matrix,
     lame_symbol_eigs,
     make_lame_coefficients,
     mode_matrices,
@@ -64,9 +60,6 @@ def test_symbol_worked_examples():
     assert np.isclose(e.lam2, mu * 4 * np.pi**2, atol=1e-12)
     e2 = lame_symbol_eigs((1, 1), mu, mup)
     assert np.isclose(e2.lam2, mu * 8 * np.pi**2, atol=1e-12)
-    # angular input bypasses the 2 pi scaling
-    e3 = lame_symbol_eigs(np.array([1.0, 0.0]), mu, mup, angular=True)
-    assert np.isclose(e3.lam2, mu, atol=1e-15)
 
 
 def test_symbol_matrix_eigensolve_agreement():
@@ -96,7 +89,7 @@ def test_ellipticity_report_admissible_and_inadmissible():
 
 
 # ---------------------------------------------------------------------------
-# coefficients and split
+# coefficients
 # ---------------------------------------------------------------------------
 
 def test_lame_coefficients_values():
@@ -114,22 +107,6 @@ def test_lame_coefficients_values():
     assert np.allclose(c3.c[1, 2], 1.0 / xi0[1, 2], atol=1e-15)
     with pytest.raises(ValueError, match="nonpositive"):
         make_lame_coefficients(-1.0, g, all_model_params()[0])
-
-
-def test_cylindrical_split_reproduces_scaled_operator():
-    g = make_grid(8, 8, 7)
-    params = all_model_params()[0]
-    xi0 = smooth_xi0(g)
-    rng = np.random.default_rng(1)
-    V = rng.standard_normal((8, 8, 7, 2))
-    A1, A2, A3 = apply_cylindrical_split(V, xi0, g, params)
-    assert np.allclose(A1, A2 + A3, atol=1e-12)
-    raw = apply_hydrostatic_lame(V, xi0, g, params, bc="raw")
-    weight = ((1.0 - DELTA * g.z)[None, None, :]
-              * xi0[:, :, None])[..., None]
-    assert np.allclose(A1, weight * raw, atol=1e-9)
-    with pytest.raises(ValueError, match="Gamma1"):
-        apply_cylindrical_split(V, xi0, g, all_model_params()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +287,8 @@ def test_vertical_reduction_properties():
 
 
 # ---------------------------------------------------------------------------
-# wrapper, packing, export
+# packing
 # ---------------------------------------------------------------------------
-
-def test_assemble_chs_wrapper():
-    g = make_grid(4, 4, 5)
-    params = PhysicalParams(mu=1.0, mu_prime=0.5)
-    op = assemble_chs(1.0, g, params, dense=True)
-    rng = np.random.default_rng(8)
-    zeta = rng.standard_normal((4, 4))
-    V = rng.standard_normal((4, 4, 5, 2))
-    r1, r2 = op.apply(zeta, V)
-    ref = op.dense @ pack_state(zeta, V)
-    assert np.allclose(pack_state(r1, r2), ref, atol=1e-10)
-    with pytest.raises(ValueError, match="omega"):
-        assemble_chs(1.0, g, params, omega=-1.0)
-    with pytest.raises(ValueError, match="xi_bar"):
-        assemble_chs(-1.0, g, params)
-
 
 def test_pack_unpack_roundtrip():
     g = make_grid(4, 4, 5)
@@ -337,12 +298,3 @@ def test_pack_unpack_roundtrip():
     z2, V2 = unpack_state(pack_state(zeta, V), g)
     assert np.array_equal(z2, zeta) and np.array_equal(V2, V)
 
-
-def test_export_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((6, 6))
-    A[np.abs(A) < 0.8] = 0.0
-    path = tmp_path / "matrix.mtx"
-    export_matrix(A, path)
-    back = scipy.io.mmread(str(path)).toarray()
-    assert np.allclose(back, A, atol=1e-15)

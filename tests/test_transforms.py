@@ -1,4 +1,4 @@
-"""Model constants, pressure laws, vertical coordinate transform."""
+"""Model constants, pressure laws, density reconstruction."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from cpelab.transforms import (
     PhysicalParams,
     density_from_surface,
     make_pressure_law,
-    pressure_from_density,
-    z_of_zprime,
-    zprime_of_z,
 )
 
 
@@ -77,18 +74,6 @@ def test_pressure_derivative_bounds_enforced_by_params():
         PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity", **bad)
 
 
-def test_vertical_transform_roundtrip_and_endpoints():
-    z = np.linspace(0.0, 1.0, 33)
-    zp = zprime_of_z(z)
-    assert np.isclose(zp[0], 0.0, atol=0)
-    assert np.isclose(zp[-1], 1.0, atol=1e-15)
-    assert np.all(np.diff(zp) > 0)
-    back = z_of_zprime(zp)
-    assert np.allclose(back, z, atol=1e-14)
-    with pytest.raises(ValueError):
-        zprime_of_z(np.array([1.5]))
-
-
 def test_density_from_surface_profiles():
     g = make_grid(4, 4, 9)
     xi = np.full((4, 4), 1.3)
@@ -98,7 +83,8 @@ def test_density_from_surface_profiles():
     rho_tr = density_from_surface(xi, g, p1, coordinate="transformed")
     assert np.allclose(rho_tr[0, 0], 1.3 * (1.0 - DELTA * g.z))
     # the two profiles agree through the coordinate change 1 - delta z' = e^-z
-    assert np.allclose(np.exp(-g.z), 1.0 - DELTA * zprime_of_z(g.z),
+    # with z' = (1 - e^-z) / delta
+    assert np.allclose(np.exp(-g.z), 1.0 - DELTA * (-np.expm1(-g.z) / DELTA),
                        atol=1e-15)
     p2 = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma2")
     rho2 = density_from_surface(xi, g, p2)
@@ -109,17 +95,6 @@ def test_density_from_surface_profiles():
     assert np.allclose(rho3, 1.3)
     with pytest.raises(ValueError, match="nonpositive"):
         density_from_surface(np.zeros((4, 4)), g, p1)
-
-
-def test_pressure_from_density():
-    rho = np.array([0.5, 1.0, 2.0])
-    p1 = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1")
-    assert np.allclose(pressure_from_density(rho, p1), rho)
-    p2 = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma2")
-    assert np.allclose(pressure_from_density(rho, p2), rho**2)
-    png = PhysicalParams(mu=1.0, mu_prime=1.0, model="GeneralNoGravity",
-                         **make_pressure_law("linear", c=3.0))
-    assert np.allclose(pressure_from_density(rho, png), 3.0 * rho)
 
 
 def test_gravity_switch():
