@@ -25,6 +25,7 @@ Exit codes
 5   run stopped: blowup detected
 6   compatibility violation in a steady (lambda = 0) resolvent problem
 7   verification failed (one or more checks did not pass)
+8   run stopped: the implicit fixed point did not converge
 
 Determinism: identical configuration and seed produce bitwise-identical
 diagnostics CSV files and summary JSONs; no timestamps or host details
@@ -54,12 +55,14 @@ EXIT_NONINVERTIBLE = 4
 EXIT_BLOWUP = 5
 EXIT_COMPATIBILITY = 6
 EXIT_VERIFY_FAILED = 7
+EXIT_IMPLICIT_FAILED = 8
 
 STATUS_EXIT = {
     "completed": EXIT_OK,
     "positivity_lost": EXIT_POSITIVITY,
     "map_noninvertible": EXIT_NONINVERTIBLE,
     "blowup": EXIT_BLOWUP,
+    "implicit_solve_failed": EXIT_IMPLICIT_FAILED,
 }
 
 
@@ -282,7 +285,8 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
     try:
         cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
                                params=params, dt=dt, t_end=t_end, **kwargs)
-        # the preset's initial density must lie in [M1, M2]
+        # the preset's initial density must be positive, and in the local
+        # modes lie in [M1, M2]
         evolve.initial_state(cfg, g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -364,6 +368,9 @@ def _cmd_simulate(args) -> int:
                      "n_tail": fit.n_tail, "t_start": fit.t_start}
         except ValueError:
             decay = None
+    fp = result.fp_iterations
+    fp_stats = ({"min": min(fp), "mean": sum(fp) / len(fp), "max": max(fp)}
+                if fp else None)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "simulate",
@@ -380,6 +387,7 @@ def _cmd_simulate(args) -> int:
         "rows_written": int(rows.shape[0]),
         "final": final,
         "decay_fit": decay,
+        "fp_iterations": fp_stats,
         "diagnostics_csv": os.path.basename(csv_path),
     }
     _write_summary(out_dir, payload)

@@ -22,9 +22,9 @@ Evolution modes
 ``GeneralNoGravity``
     Uniform-in-z density with a general pressure law.
 
-Terminal conditions (positivity loss, flow-map degeneration, blowup) raise
-distinct exceptions so a caller can attribute the failure to the hypothesis
-that broke.
+Terminal conditions (positivity loss, flow-map degeneration, blowup, a
+failed implicit solve) raise distinct exceptions so a caller can attribute
+the failure to the hypothesis that broke.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "PositivityLost",
     "MapNonInvertible",
     "BlowupDetected",
+    "ImplicitSolveFailed",
     "LagrangianState",
     "EulerianFields",
     "RunConfig",
@@ -123,6 +124,12 @@ class BlowupDetected(TerminalCondition):
     """Non-finite values appeared in the state."""
 
     status = "blowup"
+
+
+class ImplicitSolveFailed(TerminalCondition):
+    """The implicit momentum fixed point did not converge."""
+
+    status = "implicit_solve_failed"
 
 
 @dataclass(frozen=True)
@@ -262,6 +269,28 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
 F2_MUTATIONS = ("flip_w_advection",)
 
 
+def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
+                   H: np.ndarray, Vt: np.ndarray):
+    """Twisted-minus-flat Laplacian and grad-div, and horizontal advection.
+
+    ``Vt`` is the velocity minus its vertical average.  The z-independent
+    products of ``Z`` and ``dZ`` are formed first, laid out so that each
+    contraction over z is one batched matmul.
+    """
+    nx, ny, nz = Vt.shape[:3]
+    C = np.einsum("abnk,abmk->abnm", Z, Z) - np.eye(2)
+    tau = np.einsum("abnk,abmkn->abm", Z, dZ)
+    twlap = (np.einsum("abnm,abzinm->abzi", C, H)
+             + np.einsum("abm,abzim->abzi", tau, dV))
+    ZZ = np.einsum("abni,abmj->abjnmi", Z, Z).reshape(nx, ny, 8, 2)
+    ZdZ = np.einsum("abni,abmjn->abjmi", Z, dZ).reshape(nx, ny, 4, 2)
+    twgd = (H.reshape(nx, ny, nz, 8) @ ZZ
+            - np.einsum("abzjij->abzi", H)
+            + dV.reshape(nx, ny, nz, 4) @ ZdZ)
+    advH = np.einsum("abzl,abzil->abzi", Vt @ np.swapaxes(Z, -1, -2), dV)
+    return twlap, twgd, advH
+
+
 def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
                     params: PhysicalParams, dealias: bool = True,
                     mutation: str | None = None) -> np.ndarray:
@@ -288,19 +317,10 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     H = np.stack([_ddx(dV, g), _ddy(dV, g)], axis=-2)  # [i, n, m]
     dZ = _grad2(Z, g)                           # [m, k, n] = d_n Z[m, k]
 
-    # twisted-minus-flat horizontal Laplacian and grad-div
-    C = np.einsum("abnk,abmk->abnm", Z, Z) - np.eye(2)
-    tau = np.einsum("abnk,abmkn->abm", Z, dZ)
-    twlap = (np.einsum("abnm,abzinm->abzi", C, H)
-             + np.einsum("abm,abzim->abzi", tau, dV))
-    twgd = (np.einsum("abni,abmj,abzjnm->abzi", Z, Z, H)
-            - np.einsum("abzjij->abzi", H)
-            + np.einsum("abni,abmjn,abzjm->abzi", Z, dZ, dV))
-
-    # full twisted advection
-    W = reconstruct_w(state, g, params)
+    # twisted-minus-flat viscous terms and the full twisted advection
     Vt = V - vertical_average(V, g)[:, :, None, :]
-    advH = np.einsum("abzk,ablk,abzil->abzi", Vt, Z, dV)
+    twlap, twgd, advH = _twisted_terms(Z, dZ, dV, H, Vt)
+    W = reconstruct_w(state, g, params)
     advZ = W[..., None] * vertical_derivative(V, g)
 
     dzeta = grad_h(state.zeta, g)
@@ -349,6 +369,12 @@ class Stepper:
     the viscous operator; the variable density multiplying the time
     derivative is handled by a contractive fixed-point iteration
     preconditioned with the midpoint density.
+
+    The fields are real, so only the ``rfft2`` half-spectrum ``ky >= 0`` is
+    stored and solved: the block at -k equals the block at k in the local
+    modes and is its complex conjugate in ``GlobalGamma1``.  ``_inv`` holds
+    the inverses, shape ``(nx, ny // 2 + 1, n, n)``.  ``fp_iterations``
+    lists the fixed-point iteration count of every step that returned.
     """
 
     def __init__(self, mode: str, g: Grid, params: PhysicalParams, dt: float,
@@ -364,6 +390,7 @@ class Stepper:
         self.fp_tol = float(fp_tol)
         self.fp_max_iter = int(fp_max_iter)
         self.det_floor = float(det_floor)
+        self.fp_iterations: list[int] = []
         if mode == "GlobalGamma1":
             shift, xi_bar = 1.0, params.xi_bar
             self.rho0 = None
@@ -381,10 +408,11 @@ class Stepper:
             self.rho0 = rho0[..., None]
             self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
             shift, xi_bar = self.rho_star, None
-        # the implicit operator, inverted one kx row of modes at a time
-        K = mode_wavevectors(g)
+        # the implicit operator on the half-spectrum, inverted one kx row of
+        # modes at a time
+        K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
         n = 2 * g.nz + (xi_bar is not None)
-        self._inv = np.empty((g.nx, g.ny, n, n),
+        self._inv = np.empty(K.shape[:2] + (n, n),
                              dtype=float if xi_bar is None else complex)
         for ix in range(g.nx):
             if MODE_MODEL[mode] == "Gamma1":
@@ -397,40 +425,53 @@ class Stepper:
 
     # -- helpers ------------------------------------------------------------
 
-    def _solve_coupled(self, zeta: np.ndarray, V: np.ndarray,
-                       F1: np.ndarray, F2: np.ndarray):
-        g, nz, dt = self.g, self.g.nz, self.dt
-        zh = np.fft.fft2(zeta + dt * F1, axes=(0, 1))
-        r = V + dt * F2
+    def _velocity_rhs(self, r: np.ndarray) -> np.ndarray:
+        """Half-spectrum of ``r`` after zeroing its boundary rows.
+
+        Zeroes the rows in place; returns shape (nx, ny // 2 + 1, 2 nz).
+        """
         r[:, :, -1, :] = 0.0
         r[:, :, 0, :] = 0.0
-        rh = np.fft.fft2(r, axes=(0, 1)).reshape(g.nx, g.ny, 2 * nz)
-        rhs = np.concatenate([zh[..., None], rh], axis=-1)
-        sol = np.einsum("abij,abj->abi", self._inv, rhs)
-        zeta_new = np.fft.ifft2(sol[..., 0], axes=(0, 1)).real
-        V_new = np.fft.ifft2(sol[..., 1:].reshape(g.nx, g.ny, nz, 2),
-                             axes=(0, 1)).real
-        return zeta_new, V_new
+        return np.fft.rfft2(r, axes=(0, 1)).reshape(
+            self._inv.shape[:2] + (2 * self.g.nz,))
 
-    def _solve_momentum(self, V: np.ndarray, F2: np.ndarray) -> np.ndarray:
-        """Fixed-point solve of (rho0 - dt L) V_new = rho0 (V + dt F2)."""
-        g, nz = self.g, self.g.nz
+    def _velocity(self, sol: np.ndarray) -> np.ndarray:
+        """Real velocity field of half-spectrum coefficients."""
+        g = self.g
+        return np.fft.irfft2(sol.reshape(sol.shape[:2] + (g.nz, 2)),
+                             s=(g.nx, g.ny), axes=(0, 1))
+
+    def _solve_coupled(self, zeta: np.ndarray, V: np.ndarray,
+                       F1: np.ndarray, F2: np.ndarray):
+        g, dt = self.g, self.dt
+        zh = np.fft.rfft2(zeta + dt * F1)
+        rh = self._velocity_rhs(V + dt * F2)
+        rhs = np.concatenate([zh[..., None], rh], axis=-1)
+        sol = (self._inv @ rhs[..., None])[..., 0]
+        zeta_new = np.fft.irfft2(sol[..., 0], s=(g.nx, g.ny))
+        return zeta_new, self._velocity(sol[..., 1:])
+
+    def _solve_momentum(self, V: np.ndarray,
+                        F2: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fixed-point solve of (rho0 - dt L) V_new = rho0 (V + dt F2).
+
+        Returns the new velocity and the number of iterations it took.
+        """
         base = self.rho0 * (V + self.dt * F2)
-        Vm = V.copy()
+        drho = self.rho_star - self.rho0
+        shape = self._inv.shape[:3] + (2,)
+        Vm = V
         scale = max(1.0, float(np.max(np.abs(V))))
-        for _ in range(self.fp_max_iter):
-            r = base + (self.rho_star - self.rho0) * Vm
-            r[:, :, -1, :] = 0.0
-            r[:, :, 0, :] = 0.0
-            rh = np.fft.fft2(r, axes=(0, 1)).reshape(g.nx, g.ny, 2 * nz)
-            sol = np.einsum("abij,abj->abi", self._inv, rh)
-            V_new = np.fft.ifft2(sol.reshape(g.nx, g.ny, nz, 2),
-                                 axes=(0, 1)).real
+        for it in range(1, self.fp_max_iter + 1):
+            rh = self._velocity_rhs(base + drho * Vm)
+            # the real inverse acts on the real and imaginary parts at once
+            sol = self._inv @ rh.view(float).reshape(shape)
+            V_new = self._velocity(sol.view(complex))
             change = float(np.max(np.abs(V_new - Vm)))
             Vm = V_new
             if change <= self.fp_tol * scale:
-                return Vm
-        raise RuntimeError(
+                return Vm, it
+        raise ImplicitSolveFailed(
             f"implicit momentum fixed point did not converge in "
             f"{self.fp_max_iter} iterations (last change {change:.3e})")
 
@@ -471,7 +512,7 @@ class Stepper:
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
             Vbar_new = vertical_average(V_new, g)
         else:
-            V_new = self._solve_momentum(state.V, F2)
+            V_new, iterations = self._solve_momentum(state.V, F2)
             mid = dataclasses.replace(state, V=V_new)
             F1 = nonlinearity_F1(mid, g, params)
             Vbar_new = vertical_average(V_new, g)
@@ -485,6 +526,8 @@ class Stepper:
         except ValueError as exc:  # the new Jacobian is singular
             raise MapNonInvertible(f"flow map degenerated: {exc}") from exc
         self._check_state(zeta_new, V_new, fm_new)
+        if self.mode != "GlobalGamma1":
+            self.fp_iterations.append(iterations)
         return LagrangianState(
             mode=self.mode, zeta=zeta_new, V=V_new, fm=fm_new,
             t=state.t + dt, zeta0=state.zeta0, dtV=(V_new - state.V) / dt)
@@ -593,7 +636,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of :func:`run_simulation`."""
+    """Outcome of :func:`run_simulation`.
+
+    ``fp_iterations`` holds the implicit fixed-point iteration count of each
+    completed step; it is empty for ``GlobalGamma1``, whose implicit solve
+    is direct.
+    """
 
     status: str
     t_final: float
@@ -601,6 +649,7 @@ class RunResult:
     rows: list
     state: LagrangianState
     message: str | None = None
+    fp_iterations: tuple[int, ...] = ()
 
 
 def _lowpass_random(rng: np.random.Generator, g: Grid, kmax: int = 2
@@ -652,6 +701,10 @@ def initial_state(cfg: RunConfig, g: Grid) -> LagrangianState:
     if cfg.mode == "GlobalGamma1":
         zeta = pert
         zeta0 = None
+        if np.min(xb + pert) <= 0:
+            raise ValueError(
+                f"initial surface density is not positive: min "
+                f"{np.min(xb + pert):.6g}")
     else:
         zeta = xb + pert
         zeta0 = zeta.copy()
@@ -724,4 +777,5 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         if n % cfg.output_every == 0 or n == cfg.n_steps:
             rows.append(_diagnostics_row(state, g, params, entry.E, diss))
     return RunResult(status=status, t_final=float(state.t), n_steps=n_done,
-                     rows=rows, state=state, message=message)
+                     rows=rows, state=state, message=message,
+                     fp_iterations=tuple(stepper.fp_iterations))

@@ -87,14 +87,12 @@ _BC_MODES = ("raw", "replace", "reduced")
 class LameCoefficients:
     """Coefficient fields of the viscous operator, shaped (nx, ny, nz).
 
-    For ``Gamma1``: a, b and the vertical coefficient b1(z) = (1-delta z)^2 /
-    delta^2 (c is None).  For the uniform-coefficient models: c (a, b
-    None).  b1 is stored as a 1D profile in z.
+    For ``Gamma1``: a and b (c is None).  For the uniform-coefficient
+    models: c (a, b None).
     """
 
     a: np.ndarray | None
     b: np.ndarray | None
-    b1: np.ndarray | None
     c: np.ndarray | None
 
 
@@ -121,13 +119,12 @@ def make_lame_coefficients(
         one_minus = 1.0 - DELTA * z
         a = 1.0 / (one_minus * xi0[:, :, None])
         b = one_minus / (DELTA**2 * xi0[:, :, None])
-        b1 = (1.0 - DELTA * g.z) ** 2 / DELTA**2
-        return LameCoefficients(a=a, b=b, b1=b1, c=None)
+        return LameCoefficients(a=a, b=b, c=None)
     if params.model == "Gamma2":
         c = 1.0 / (xi0[:, :, None] + z / 2.0)
     else:
         c = np.broadcast_to(1.0 / xi0[:, :, None], (g.nx, g.ny, g.nz)).copy()
-    return LameCoefficients(a=None, b=None, b1=None, c=c)
+    return LameCoefficients(a=None, b=None, c=c)
 
 
 # ---------------------------------------------------------------------------

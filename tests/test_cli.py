@@ -153,6 +153,60 @@ def test_initial_density_outside_window_is_config_error(tmp_path, capsys):
     assert "[M1, M2] = [0.5, 2.0]" in err
 
 
+def test_failed_fixed_point_exits_8_with_outputs(tmp_path):
+    # A positive fp_tol below round-off is valid but can never be met.
+    cfg = write_config(
+        tmp_path, grid={"nx": 12, "ny": 12, "nz": 7},
+        params={"mu": 0.02, "mu_prime": 0.02, "M1": 0.05, "M2": 2.0},
+        dt=0.1, t_end=2.0, output_every=1, preset="fourier_perturbation",
+        amplitude=0.45, perturbation_mode=[1, 0],
+        tolerances={"fp_tol": 1e-300})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 8
+    summary = read_summary(out)
+    assert summary["status"] == "implicit_solve_failed"
+    assert summary["exit_code"] == 8
+    assert "did not converge in 200 iterations" in summary["message"]
+    assert summary["n_steps"] == 0 and summary["fp_iterations"] is None
+    rows = diagnostics.read_diagnostics_csv(str(out / "diagnostics.csv"))
+    assert rows.shape[0] == summary["rows_written"] == 1
+    assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("amplitude,code", ((1.2, 2), (0.9, 3)))
+def test_global_initial_density_must_be_positive(tmp_path, capsys,
+                                                 amplitude, code):
+    cfg = write_config(
+        tmp_path, mode="GlobalGamma1", grid={"nx": 12, "ny": 12, "nz": 7},
+        params={"mu": 0.02, "mu_prime": 0.02, "M1": 0.05, "M2": 2.0},
+        dt=0.1, t_end=2.0, output_every=1, preset="fourier_perturbation",
+        amplitude=amplitude, perturbation_mode=[1, 0])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "not positive: min -0.2" in err
+        assert not (out / "summary.json").exists()
+    else:
+        assert read_summary(out)["status"] == "positivity_lost"
+
+
+def test_summary_reports_fixed_point_iterations(tmp_path):
+    out = tmp_path / "local"
+    assert cli.main(["simulate", write_config(tmp_path),
+                     "--output-dir", str(out)]) == 0
+    fp = read_summary(out)["fp_iterations"]
+    assert set(fp) == {"min", "mean", "max"}
+    assert 1 <= fp["min"] <= fp["mean"] <= fp["max"] <= 200
+    assert isinstance(fp["min"], int) and isinstance(fp["max"], int)
+
+    out = tmp_path / "global"
+    cfg = write_config(tmp_path, name="global.json", mode="GlobalGamma1")
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 0
+    assert read_summary(out)["fp_iterations"] is None
+
+
 def test_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(cpelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}

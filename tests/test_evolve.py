@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cpelab import diagnostics, reference
+from cpelab import diagnostics, evolve, reference
 from cpelab.evolve import (
     EVOLUTION_MODES,
     MODE_MODEL,
@@ -306,11 +308,135 @@ def test_stepper_inverse_matches_mode_loop(mode, general_params):
             * np.ones((1, g.ny))
     stepper = Stepper(mode, g, params, 0.05, zeta0=zeta0)
     K = mode_wavevectors(g)
-    for ix, iy in np.ndindex(g.nx, g.ny):
+    # only the rfft2 half-spectrum ky >= 0 is stored
+    assert stepper._inv.shape[:2] == (g.nx, g.ny // 2 + 1)
+    for ix, iy in np.ndindex(stepper._inv.shape[:2]):
         ref = np.linalg.inv(loop_implicit_matrix(
             mode, K[ix, iy], g, params, 0.05, stepper.rho_star))
         err = np.max(np.abs(stepper._inv[ix, iy] - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def grid_of_any_parity(nx, ny, nz):
+    """A grid whose horizontal sizes may be odd (make_grid takes even ones).
+
+    Only the fields the implicit solves read are set for odd sizes.
+    """
+    g = make_grid(nx + nx % 2, ny + ny % 2, nz)
+    if nx % 2 == 0 and ny % 2 == 0:
+        return g
+    fields = {"nx": nx, "ny": ny}
+    for axis, n in (("x", nx), ("y", ny)):
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+        ik = 1j * k
+        if n % 2 == 0:
+            ik[n // 2] = 0.0
+        fields.update({axis: np.arange(n) / n, "k" + axis: k, "ik" + axis: ik})
+    return dataclasses.replace(g, **fields)
+
+
+def full_spectrum_inverse(stepper):
+    g = stepper.g
+    K = mode_wavevectors(g)
+    return np.array([[np.linalg.inv(loop_implicit_matrix(
+        stepper.mode, K[ix, iy], g, stepper.params, stepper.dt,
+        stepper.rho_star)) for iy in range(g.ny)] for ix in range(g.nx)])
+
+
+def full_spectrum_momentum(stepper, inv, V, F2, iterations):
+    """The fixed point on every mode: fft2, a complex einsum, ifft2."""
+    g = stepper.g
+    base = stepper.rho0 * (V + stepper.dt * F2)
+    Vm = V
+    for _ in range(iterations):
+        r = base + (stepper.rho_star - stepper.rho0) * Vm
+        r[:, :, -1, :] = 0.0
+        r[:, :, 0, :] = 0.0
+        rh = np.fft.fft2(r, axes=(0, 1)).reshape(g.nx, g.ny, 2 * g.nz)
+        sol = np.einsum("abij,abj->abi", inv, rh)
+        Vm = np.fft.ifft2(sol.reshape(g.nx, g.ny, g.nz, 2),
+                          axes=(0, 1)).real
+    return Vm
+
+
+def full_spectrum_coupled(stepper, inv, zeta, V, F1, F2):
+    g, dt = stepper.g, stepper.dt
+    zh = np.fft.fft2(zeta + dt * F1, axes=(0, 1))
+    r = V + dt * F2
+    r[:, :, -1, :] = 0.0
+    r[:, :, 0, :] = 0.0
+    rh = np.fft.fft2(r, axes=(0, 1)).reshape(g.nx, g.ny, 2 * g.nz)
+    sol = np.einsum("abij,abj->abi", inv,
+                    np.concatenate([zh[..., None], rh], axis=-1))
+    zeta_new = np.fft.ifft2(sol[..., 0], axes=(0, 1)).real
+    V_new = np.fft.ifft2(sol[..., 1:].reshape(g.nx, g.ny, g.nz, 2),
+                         axes=(0, 1)).real
+    return zeta_new, V_new
+
+
+@pytest.mark.parametrize("shape", ((6, 8, 5), (7, 9, 5)))
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_half_spectrum_solves_match_full_spectrum(mode, shape,
+                                                  general_params):
+    g = grid_of_any_parity(*shape)
+    params = {"Gamma1": gamma1_params(),
+              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
+              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    rng = np.random.default_rng(21)
+    zeta0 = None
+    if mode != "GlobalGamma1":
+        zeta0 = 1.0 + 0.2 * rng.random((g.nx, g.ny))
+    stepper = Stepper(mode, g, params, 0.05, zeta0=zeta0)
+    inv = full_spectrum_inverse(stepper)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    V, F2 = rng.standard_normal((2, g.nx, g.ny, g.nz, 2))
+    if mode == "GlobalGamma1":
+        zeta, F1 = rng.standard_normal((2, g.nx, g.ny))
+        got = stepper._solve_coupled(zeta, V, F1, F2)
+        ref = full_spectrum_coupled(stepper, inv, zeta, V, F1, F2)
+        assert rel(got[0], ref[0]) <= 1e-12
+        assert rel(got[1], ref[1]) <= 1e-12
+    else:
+        got, iterations = stepper._solve_momentum(V, F2)
+        assert 1 <= iterations <= stepper.fp_max_iter
+        ref = full_spectrum_momentum(stepper, inv, V, F2, iterations)
+        assert rel(got, ref) <= 1e-12
+
+
+def three_operand_twisted_terms(Z, dZ, dV, H, Vt):
+    """F2's contractions with the z-dependent factor in every product."""
+    C = np.einsum("abnk,abmk->abnm", Z, Z) - np.eye(2)
+    tau = np.einsum("abnk,abmkn->abm", Z, dZ)
+    twlap = (np.einsum("abnm,abzinm->abzi", C, H)
+             + np.einsum("abm,abzim->abzi", tau, dV))
+    twgd = (np.einsum("abni,abmj,abzjnm->abzi", Z, Z, H)
+            - np.einsum("abzjij->abzi", H)
+            + np.einsum("abni,abmjn,abzjm->abzi", Z, dZ, dV))
+    advH = np.einsum("abzk,ablk,abzil->abzi", Vt, Z, dV)
+    return twlap, twgd, advH
+
+
+def test_F2_contractions_match_three_operand_forms(
+        oracle_gamma1, oracle_general, general_params, oracle_grid,
+        monkeypatch):
+    g = oracle_grid
+    rng = np.random.default_rng(14)
+    states = []
+    for template, params, mode in (
+            (oracle_gamma1, gamma1_params(), "LocalGamma1"),
+            (oracle_general, general_params, "GeneralNoGravity")):
+        for _ in range(2):
+            truth = template.evaluate(
+                reference.sample_coefficients(rng, mode), g)
+            states.append((state_from_truth(truth), params))
+    got = [nonlinearity_F2(s, s.dtV, g, p, dealias=False) for s, p in states]
+    monkeypatch.setattr(evolve, "_twisted_terms", three_operand_twisted_terms)
+    for (s, p), F2 in zip(states, got):
+        ref = nonlinearity_F2(s, s.dtV, g, p, dealias=False)
+        assert np.max(np.abs(F2 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_energy_is_evaluated_once_per_state(monkeypatch):

@@ -100,7 +100,6 @@ def test_lame_coefficients_values():
     assert np.allclose(c1.a[2, 3], 1.0 / (one_minus * xi0[2, 3]), atol=1e-15)
     assert np.allclose(c1.b[2, 3], one_minus / (DELTA**2 * xi0[2, 3]),
                        atol=1e-15)
-    assert np.allclose(c1.b1, one_minus**2 / DELTA**2, atol=1e-15)
     c2 = make_lame_coefficients(xi0, g, all_model_params()[1])
     assert np.allclose(c2.c[1, 2], 1.0 / (xi0[1, 2] + g.z / 2.0), atol=1e-15)
     c3 = make_lame_coefficients(xi0, g, all_model_params()[2])
