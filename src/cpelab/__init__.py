@@ -4,7 +4,8 @@ primitive equations on the periodic cylinder G x (0,1), G = (0,1)^2.
 The package provides
 
 * ``grid``          -- Fourier x Chebyshev discretization of the cylinder,
-* ``transforms``    -- vertical coordinate change and density reconstruction,
+* ``transforms``    -- physical parameters, pressure laws and the vertical
+                       coordinate change,
 * ``flowmap``       -- the 2D horizontal flow map driven by the vertically
                        averaged velocity (Lagrangian bookkeeping),
 * ``operators``     -- hydrostatic Lame and compressible hydrostatic Stokes
@@ -15,6 +16,7 @@ The package provides
                        hydrostatic Lagrangian coordinates,
 * ``diagnostics``   -- mass / energy / decay-rate functionals,
 * ``reference``     -- slow symbolic reference implementations (oracles),
+* ``verify``        -- the correctness battery of ``cpelab verify``,
 * ``cli``           -- the ``cpelab`` command line interface.
 """
 

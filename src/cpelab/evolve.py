@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +40,7 @@ from .flowmap import (
     FlowMap,
     advance_flow_lagrangian,
     check_invertibility,
-    compose,
     identity_map,
-    invert_map,
 )
 from .grid import (
     Grid,
@@ -53,6 +50,7 @@ from .grid import (
     div_h,
     grad_h,
     grad_h_vec,
+    integrate_from_bottom,
     l2_norm,
     make_grid,
     validate_field,
@@ -65,7 +63,7 @@ from .operators import (
     uniform_lame_block,
     vertical_lame_block,
 )
-from .transforms import DELTA, PhysicalParams, density_from_surface
+from .transforms import DELTA, PhysicalParams
 
 __all__ = [
     "EVOLUTION_MODES",
@@ -76,7 +74,6 @@ __all__ = [
     "BlowupDetected",
     "ImplicitSolveFailed",
     "LagrangianState",
-    "EulerianFields",
     "RunConfig",
     "RunResult",
     "Stepper",
@@ -84,8 +81,6 @@ __all__ = [
     "nonlinearity_F1",
     "nonlinearity_F2",
     "reconstruct_w",
-    "step",
-    "pull_back",
     "initial_state",
     "run_simulation",
 ]
@@ -160,15 +155,6 @@ class LagrangianState:
             raise ValueError(f"mode {self.mode} requires a zeta0 baseline")
 
 
-class EulerianFields(NamedTuple):
-    """Pull-back of a Lagrangian state to the Eulerian grid."""
-
-    xi: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    rho: np.ndarray
-
-
 def _check_mode_params(mode: str, params: PhysicalParams) -> None:
     if mode not in EVOLUTION_MODES:
         raise ValueError(
@@ -226,8 +212,6 @@ def reconstruct_w(state: LagrangianState, g: Grid,
         rho = zf[:, :, None] + 0.5 * g.z[None, None, :]
     else:
         rho = zf[:, :, None]
-    from .grid import integrate_from_bottom
-
     return -integrate_from_bottom(flux, g) / rho
 
 
@@ -531,30 +515,6 @@ class Stepper:
         return LagrangianState(
             mode=self.mode, zeta=zeta_new, V=V_new, fm=fm_new,
             t=state.t + dt, zeta0=state.zeta0, dtV=(V_new - state.V) / dt)
-
-
-def step(state: LagrangianState, dt: float, g: Grid,
-         params: PhysicalParams,
-         stepper: Stepper | None = None) -> LagrangianState:
-    """One IMEX step; builds a throwaway :class:`Stepper` if none is given."""
-    if stepper is None:
-        stepper = Stepper(state.mode, g, params, dt, zeta0=state.zeta0)
-    elif stepper.dt != dt:
-        raise ValueError(f"stepper was built for dt={stepper.dt}, got {dt}")
-    return stepper.step(state)
-
-
-def pull_back(state: LagrangianState, g: Grid, params: PhysicalParams,
-              inv_tol: float = 1e-10) -> EulerianFields:
-    """Eulerian snapshot of a state via flow-map inversion and composition."""
-    Y = invert_map(state.fm, g, inv_tol=inv_tol)
-    xi = compose(full_surface_density(state, params), Y, g)
-    v = compose(state.V, Y, g)
-    w = compose(reconstruct_w(state, g, params), Y, g)
-    coordinate = ("transformed" if MODE_MODEL[state.mode] == "Gamma1"
-                  else "physical")
-    rho = density_from_surface(xi, g, params, coordinate=coordinate)
-    return EulerianFields(xi=xi, v=v, w=w, rho=rho)
 
 
 # ---------------------------------------------------------------------------

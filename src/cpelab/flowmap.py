@@ -6,9 +6,10 @@ with its Jacobian gradX = grad_H X, the cofactor inverse Z = gradX^{-1},
 and det gradX.  This module stores X as the displacement X - y_H (a
 smooth periodic field), advances (X, gradX) jointly -- gradX by the
 matrix ODE d(gradX)/dt = (grad_H vbar circ X) gradX rather than by
-re-differentiating a wrapped field -- and provides spectral composition
-f circ X, Newton inversion Y = X^{-1}, and an invertibility report based
-on the Neumann-series criterion ||gradX - I||_inf <= 1/2.
+re-differentiating a wrapped field -- and provides spectral evaluation
+of grid fields at arbitrary points, Newton inversion Y = X^{-1}, and an
+invertibility report based on the Neumann-series criterion
+||gradX - I||_inf <= 1/2.
 
 Two advance paths exist: :func:`advance_flow` takes an Eulerian mean
 velocity field frozen over the step and moves points with classical RK4
@@ -17,9 +18,9 @@ velocity field frozen over the step and moves points with classical RK4
 Vbar(y_H) = vbar(X(y_H)) -- already sampled along the flow -- and applies
 the explicit Euler update used inside the IMEX integrator.
 
-Composition evaluates trigonometric interpolants at arbitrary points; the
-Nyquist mode is represented by its cosine so the interpolant is real,
-smooth, and exact at grid nodes.
+Point evaluation uses trigonometric interpolants; the Nyquist mode is
+represented by its cosine so the interpolant is real, smooth, and exact at
+grid nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, validate_field
+from .grid import Grid, grad_h_vec, validate_field
 
 __all__ = [
     "FlowMap",
@@ -42,7 +43,6 @@ __all__ = [
     "check_invertibility",
     "invert_map",
     "evaluate_at_points",
-    "compose",
 ]
 
 DET_FLOOR_DEFAULT = 0.1
@@ -186,22 +186,6 @@ def evaluate_at_points(f: np.ndarray, pts: np.ndarray, g: Grid) -> np.ndarray:
     return vals.real.reshape(lead + f.shape[2:])
 
 
-def compose(f: np.ndarray, pts: np.ndarray, g: Grid) -> np.ndarray:
-    """Compose a grid field with a point map: (f circ map)(m) = f(pts[m]).
-
-    pts holds absolute positions with shape (nx, ny, 2); for 3D fields the
-    horizontal map is applied level by level (the flow map is purely
-    horizontal).  Linear in f and exact on constants and resolved
-    trigonometric polynomials.
-    """
-    validate_field(f, g)
-    pts = np.asarray(pts, dtype=float)
-    if pts.shape != (g.nx, g.ny, 2):
-        raise ValueError(
-            f"expected point map of shape {(g.nx, g.ny, 2)}, got {pts.shape}")
-    return evaluate_at_points(f, pts, g)
-
-
 def advance_flow(fm: FlowMap, vbar: np.ndarray, g: Grid, dt: float) -> FlowMap:
     """One classical RK4 step of dX/dt = vbar(X), d(gradX)/dt = (grad vbar)(X) gradX.
 
@@ -214,8 +198,6 @@ def advance_flow(fm: FlowMap, vbar: np.ndarray, g: Grid, dt: float) -> FlowMap:
         raise ValueError(f"dt must be positive, got {dt}")
     if validate_field(vbar, g) != "vector2d":
         raise ValueError("advance_flow expects a 2D vector velocity field")
-    from .grid import grad_h_vec
-
     gv = grad_h_vec(vbar, g)  # (nx, ny, 2, 2), [i, j] = d v_i / d y_j
     x0 = positions(fm, g)
     G0 = fm.gradX
@@ -251,8 +233,6 @@ def advance_flow_lagrangian(
         raise ValueError(f"dt must be positive, got {dt}")
     if validate_field(Vbar, g) != "vector2d":
         raise ValueError("advance_flow_lagrangian expects a 2D vector field")
-    from .grid import grad_h_vec
-
     disp = fm.disp + dt * Vbar
     gvZ = np.einsum("...ik,...kj->...ij", grad_h_vec(Vbar, g), fm.Z)
     gradX = fm.gradX + dt * np.einsum("...ik,...kj->...ij", gvZ, fm.gradX)

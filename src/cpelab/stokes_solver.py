@@ -40,6 +40,9 @@ import scipy.linalg
 
 from .grid import (
     Grid,
+    _ddx,
+    _ddy,
+    dealias,
     div_h,
     grad_h,
     integral,
@@ -64,8 +67,6 @@ from .transforms import DELTA, PhysicalParams
 __all__ = [
     "MEAN_TOL",
     "ResolventProblem",
-    "MeanFreeDecomposition",
-    "mean_free_decomposition",
     "solve_resolvent",
     "solve_steady_decomposed",
     "spectral_bound",
@@ -96,22 +97,6 @@ class ResolventProblem:
                 f"resolvent parameter must satisfy Re lambda >= 0, got {self.lam}")
         if not self.xi_bar > 0:
             raise ValueError(f"xi_bar must be positive, got {self.xi_bar}")
-
-
-@dataclass(frozen=True)
-class MeanFreeDecomposition:
-    """Split f = f_m + f_avg with int_G f_m = 0 and f_avg constant."""
-
-    f_m: np.ndarray
-    f_avg: float
-
-
-def mean_free_decomposition(f: np.ndarray, g: Grid) -> MeanFreeDecomposition:
-    """Split a surface scalar into its mean-free part and its mean."""
-    if validate_field(f, g) != "scalar2d":
-        raise ValueError("mean_free_decomposition expects a surface scalar")
-    avg = integral(f, g)
-    return MeanFreeDecomposition(f_m=f - avg, f_avg=avg)
 
 
 def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
@@ -293,6 +278,15 @@ def solve_resolvent(
     Returns real fields for real lambda and complex fields otherwise;
     for lambda = 0, zeta is returned mean-free.
     """
+    zeta, V, _ = _solve_checked(p, g, params, method, lin_tol)
+    return zeta, V
+
+
+def _solve_checked(
+    p: ResolventProblem, g: Grid, params: PhysicalParams,
+    method: str = "per_mode", lin_tol: float = LIN_TOL,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`solve_resolvent`, also returning the checked relative residual."""
     validate_field(p.f1, g)
     validate_field(p.f2, g)
     if complex(p.lam) == 0:
@@ -310,7 +304,7 @@ def solve_resolvent(
         raise RuntimeError(
             f"linear-solver breakdown: relative residual {res:.3e} "
             f"exceeds {lin_tol:.1e}")
-    return zeta, V
+    return zeta, V, res
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +502,6 @@ def spectral_bound(
 
 def _h2_seminorms(V: np.ndarray, g: Grid) -> float:
     """Discrete H^2-type norm: L^2 norms of V and all 1st/2nd derivatives."""
-    from .grid import _ddx, _ddy
-
     def dz(f):
         return vertical_derivative(f, g)
 
@@ -559,8 +551,6 @@ def imaginary_axis_resolvent_sweep(
     if lambdas is None:
         lambdas = [0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j]
     rng = np.random.default_rng(seed)
-    from .grid import dealias
-
     draws = []
     for _ in range(n_rhs):
         f1 = dealias(rng.standard_normal((g.nx, g.ny)), g)
@@ -573,7 +563,7 @@ def imaginary_axis_resolvent_sweep(
         worst_v = 0.0
         for f1, f2 in draws:
             if complex(lam) == 0:
-                f1 = mean_free_decomposition(f1, g).f_m
+                f1 = f1 - integral(f1, g)
             prob = ResolventProblem(lam=lam, f1=f1, f2=f2)
             zeta, V = solve_resolvent(prob, g, params)
             fn = np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2)

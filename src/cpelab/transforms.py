@@ -1,4 +1,4 @@
-"""Vertical coordinate change and density reconstruction.
+"""Physical parameters, pressure laws and the vertical coordinate change.
 
 For the isothermal pressure law (model ``Gamma1``, p = rho, gravity 1) the
 hydrostatic balance gives rho = xi(x,y) * exp(-z) with xi the surface
@@ -24,14 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, validate_field
-
 __all__ = [
     "DELTA",
     "MODELS",
     "PhysicalParams",
     "make_pressure_law",
-    "density_from_surface",
 ]
 
 #: delta = 1 - e^{-1}, the constant of the vertical transform.
@@ -161,36 +158,3 @@ def make_pressure_law(name: str, **kwargs) -> dict:
             "c2": 1.0 + alpha,
         }
     raise ValueError(f"unknown pressure law {name!r}; expected 'linear' or 'tanh'")
-
-
-def density_from_surface(
-    xi: np.ndarray,
-    g: Grid,
-    params: PhysicalParams,
-    coordinate: str = "physical",
-) -> np.ndarray:
-    """Reconstruct the 3D density from the surface density.
-
-    ``Gamma1``: rho = xi * exp(-z) in the physical vertical coordinate and
-    rho = xi * (1 - delta*z') in the transformed one (select with
-    ``coordinate``); ``Gamma2``: rho = xi + z/2; ``GeneralNoGravity``:
-    rho = xi (vertically constant).
-    """
-    if validate_field(xi, g) != "scalar2d":
-        raise ValueError("density_from_surface expects a scalar surface field")
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0):
-        raise ValueError(f"nonpositive surface density: min = {xi.min()}")
-    z = g.z[None, None, :]
-    if params.model == "Gamma1":
-        if coordinate == "physical":
-            profile = np.exp(-z)
-        elif coordinate == "transformed":
-            profile = 1.0 - DELTA * z
-        else:
-            raise ValueError(f"unknown coordinate {coordinate!r}")
-        return xi[:, :, None] * profile
-    if params.model == "Gamma2":
-        return xi[:, :, None] + z / 2.0
-    return np.broadcast_to(xi[:, :, None], (g.nx, g.ny, g.nz)).copy()
-

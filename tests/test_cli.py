@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -207,14 +209,45 @@ def test_summary_reports_fixed_point_iterations(tmp_path):
     assert read_summary(out)["fp_iterations"] is None
 
 
+def test_decay_fit_only_on_completed_runs(tmp_path):
+    # 14 steps, then the flow map leaves the diffeomorphism regime
+    cfg = write_config(
+        tmp_path, mode="GeneralNoGravity", grid={"nx": 12, "ny": 12, "nz": 7},
+        params={"mu": 0.02, "mu_prime": 0.02, "M1": 0.05, "M2": 2.0},
+        dt=0.02, t_end=2.0, output_every=1, preset="fourier_perturbation",
+        amplitude=0.45, perturbation_mode=[1, 0])
+    out = tmp_path / "stopped"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 4
+    summary = read_summary(out)
+    assert summary["status"] == "map_noninvertible"
+    assert summary["rows_written"] >= 12
+    assert summary["decay_fit"] is None
+
+    cfg = write_config(tmp_path, name="completed.json", t_end=0.012)
+    out = tmp_path / "completed"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["rows_written"] == 13
+    assert set(summary["decay_fit"]) == {"eta", "r_squared", "n_tail",
+                                         "t_start"}
+
+
 def test_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(cpelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, cpelab.cli\n"
-            "for name in ('sympy', 'scipy.io', 'scipy.sparse'):\n"
+            "for name in ('sympy', 'scipy.io', 'scipy.sparse', "
+            "'cpelab.verify'):\n"
             "    assert name not in sys.modules, name\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(cpelab.__path__):
+        module = importlib.import_module(f"cpelab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"cpelab.{info.name}.{name}"
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +317,8 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"seed": 1.5}, "seed"),
     ({"params": {"mu": -1.0, "mu_prime": 0.5}}, "mu"),
     ({"params": {"mu": 1.0}}, "mu_prime"),
+    ({"mode": ["x"]}, "unknown mode"),
+    ({"mode": {}}, "unknown mode"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle):
     cfg = write_config(tmp_path, **overrides)
@@ -318,6 +353,13 @@ def test_spectrum_admissible(tmp_path):
     k1, k2, lam1, lam2 = lines[1].split(",")
     assert (int(k1), int(k2)) == (-8, -8)
     assert float(lam1) >= float(lam2) > 0.0
+
+
+@pytest.mark.parametrize("mode", (["x"], {}))
+def test_spectrum_unhashable_mode_exits_2(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path, mode=mode)
+    assert cli.main(["spectrum", cfg]) == 2
+    assert "unknown mode" in capsys.readouterr().err
 
 
 def test_spectrum_inadmissible_is_reported_not_rejected(tmp_path):
@@ -399,9 +441,9 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
     prob = write_problem(tmp_path, lam=3.0)
     assert cli.main(["resolvent", prob,
                      "--output-dir", str(tmp_path / "res")]) == 0
-    # the manufactured rhs, the residual check of solve_resolvent and the
-    # residual in the summary
-    assert len(calls) == 3
+    # the manufactured rhs and the residual check, whose value the summary
+    # reports
+    assert len(calls) == 2
 
     # one call on complex V matches the real and imaginary parts applied
     # separately
@@ -430,6 +472,9 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
     ({"lam": "big"}, "lam"),
     ({"rhs": "noise"}, "unknown rhs preset"),
     ({"extra": 1}, "extra"),
+    ({"lam": float("nan")}, "'lam' must be finite"),
+    ({"lam": float("inf")}, "'lam' must be finite"),
+    ({"lam": [0.0, float("-inf")]}, "'lam' must be finite"),
 ])
 def test_resolvent_config_errors(tmp_path, capsys, overrides, needle):
     prob = write_problem(tmp_path, **overrides)

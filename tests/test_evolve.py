@@ -23,10 +23,8 @@ from cpelab.evolve import (
     initial_state,
     nonlinearity_F1,
     nonlinearity_F2,
-    pull_back,
     reconstruct_w,
     run_simulation,
-    step,
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
 from cpelab.grid import grad_h, grad_h_vec, l2_norm, make_grid
@@ -253,12 +251,15 @@ def test_stepper_reuse_matches_throwaway_steps():
     s0 = initial_state(cfg, g)
     stepper = Stepper("LocalGamma1", g, params, 1e-3, zeta0=s0.zeta0)
     a = stepper.step(stepper.step(s0))
-    b = step(step(s0, 1e-3, g, params), 1e-3, g, params)
+
+    def throwaway(state):
+        return Stepper(state.mode, g, params, 1e-3,
+                       zeta0=state.zeta0).step(state)
+
+    b = throwaway(throwaway(s0))
     assert np.array_equal(a.zeta, b.zeta)
     assert np.array_equal(a.V, b.V)
     assert np.array_equal(a.fm.disp, b.fm.disp)
-    with pytest.raises(ValueError, match="built for dt"):
-        step(s0, 2e-3, g, params, stepper=stepper)
     glob = LagrangianState(mode="GlobalGamma1", zeta=np.zeros((g.nx, g.ny)),
                            V=np.zeros((g.nx, g.ny, g.nz, 2)),
                            fm=identity_map(g), t=0.0)
@@ -526,7 +527,7 @@ def test_positivity_guard_on_local_upper_bound():
                             V=np.zeros((g.nx, g.ny, g.nz, 2)),
                             fm=identity_map(g), t=0.0, zeta0=zeta)
     with pytest.raises(PositivityLost, match="left") as exc_info:
-        step(state, 1e-3, g, params)
+        Stepper("LocalGamma1", g, params, 1e-3, zeta0=zeta).step(state)
     assert exc_info.value.status == "positivity_lost"
     assert isinstance(exc_info.value, TerminalCondition)
 
@@ -543,7 +544,8 @@ def test_degenerate_flow_map_terminates_step():
                             V=np.zeros((g.nx, g.ny, g.nz, 2)),
                             fm=fm, t=0.0, zeta0=zeta)
     with pytest.raises(MapNonInvertible, match="diffeomorphism") as exc_info:
-        step(state, 1e-3, g, gamma1_params())
+        Stepper("LocalGamma1", g, gamma1_params(), 1e-3,
+                zeta0=zeta).step(state)
     assert exc_info.value.status == "map_noninvertible"
 
 
@@ -555,47 +557,8 @@ def test_non_finite_state_reports_blowup():
                             V=np.zeros((g.nx, g.ny, g.nz, 2)),
                             fm=identity_map(g), t=0.0)
     with pytest.raises(BlowupDetected, match="non-finite") as exc_info:
-        step(state, 1e-3, g, gamma1_params())
+        Stepper("GlobalGamma1", g, gamma1_params(), 1e-3).step(state)
     assert exc_info.value.status == "blowup"
-
-
-# ---------------------------------------------------------------------------
-# pull-back to the Eulerian frame
-# ---------------------------------------------------------------------------
-
-
-def test_pull_back_identity_map_is_a_no_op():
-    g = make_grid(12, 12, 7)
-    params = gamma1_params()
-    cfg = RunConfig(mode="LocalGamma1", nx=12, ny=12, nz=7, params=params,
-                    dt=1e-3, t_end=1e-3, preset="random_smooth",
-                    amplitude=0.05, seed=7)
-    state = initial_state(cfg, g)
-    fields = pull_back(state, g, params)
-    assert np.max(np.abs(fields.xi - state.zeta)) < 1e-12
-    assert np.max(np.abs(fields.v - state.V)) < 1e-12
-    assert np.max(np.abs(fields.w - reconstruct_w(state, g, params))) < 1e-12
-    assert fields.rho.shape == (g.nx, g.ny, g.nz)
-
-
-def test_pull_back_of_translated_state_shifts_fields():
-    g = make_grid(16, 16, 5)
-    shift = 0.25
-    disp = np.zeros((g.nx, g.ny, 2))
-    disp[:, :, 0] = shift
-    eye = np.broadcast_to(np.eye(2), (g.nx, g.ny, 2, 2)).copy()
-    fm = FlowMap(disp=disp, gradX=eye, Z=eye.copy(), detX=np.ones((g.nx, g.ny)),
-                 t=1.0)
-    zeta = 1.0 + 0.3 * np.cos(2 * np.pi * g.x)[:, None] * np.ones(g.ny)
-    state = LagrangianState(mode="LocalGamma1", zeta=zeta,
-                            V=np.zeros((g.nx, g.ny, g.nz, 2)),
-                            fm=fm, t=1.0, zeta0=zeta)
-    fields = pull_back(state, g, gamma1_params())
-    expected = 1.0 + 0.3 * np.cos(2 * np.pi * (g.x - shift))[:, None] \
-        * np.ones(g.ny)
-    assert np.max(np.abs(fields.xi - expected)) < 1e-12
-    assert np.max(np.abs(fields.v)) < 1e-12
-    assert np.max(np.abs(fields.w)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Horizontal flow map: advancement, inversion, composition, Jacobians.
+"""Horizontal flow map: advancement, inversion, point evaluation, Jacobians.
 
 The RK4 advancement is checked against an adaptive high-accuracy ODE
 integration of the same characteristics (independent integrator), and
@@ -16,7 +16,6 @@ from cpelab.flowmap import (
     advance_flow,
     advance_flow_lagrangian,
     check_invertibility,
-    compose,
     evaluate_at_points,
     identity_map,
     inverse_jacobian,
@@ -206,5 +205,3 @@ def test_advance_flow_validation_errors():
         advance_flow(fm, np.zeros((8, 8, 2)), g, 0.0)
     with pytest.raises(ValueError):
         advance_flow(fm, np.zeros((8, 8, 3)), g, 0.1)
-    with pytest.raises(ValueError):
-        compose(np.zeros((8, 8)), np.zeros((4, 4, 2)), g)

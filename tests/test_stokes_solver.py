@@ -21,7 +21,6 @@ from cpelab.stokes_solver import (
     ResolventProblem,
     imaginary_axis_resolvent_sweep,
     manufactured_resolvent_problem,
-    mean_free_decomposition,
     resolvent_residual,
     solve_resolvent,
     solve_steady_decomposed,
@@ -239,14 +238,3 @@ def test_batched_resolvent_matches_mode_loop(setup, lam):
     z_ref, V_ref = loop_solve_per_mode(problem, g, params)
     for got, ref in ((zeta, z_ref), (V, V_ref)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_mean_free_decomposition_properties():
-    g = make_grid(8, 8, 5)
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((8, 8)) + 0.7
-    dec = mean_free_decomposition(f, g)
-    assert abs(float(np.mean(dec.f_m))) < 1e-14
-    assert np.allclose(dec.f_m + dec.f_avg, f, atol=1e-14)
-    with pytest.raises(ValueError):
-        mean_free_decomposition(np.zeros((8, 8, 5)), g)

@@ -1,4 +1,4 @@
-"""Model constants, pressure laws, density reconstruction."""
+"""Model constants and pressure laws."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from cpelab.grid import make_grid
 from cpelab.transforms import (
     DELTA,
     PhysicalParams,
-    density_from_surface,
     make_pressure_law,
 )
 
@@ -72,29 +70,6 @@ def test_pressure_derivative_bounds_enforced_by_params():
     bad["c1"] = 0.9  # true P' dips to 0.7 on the sampled interval
     with pytest.raises(ValueError, match="pressure derivative"):
         PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity", **bad)
-
-
-def test_density_from_surface_profiles():
-    g = make_grid(4, 4, 9)
-    xi = np.full((4, 4), 1.3)
-    p1 = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1")
-    rho_phys = density_from_surface(xi, g, p1, coordinate="physical")
-    assert np.allclose(rho_phys[0, 0], 1.3 * np.exp(-g.z))
-    rho_tr = density_from_surface(xi, g, p1, coordinate="transformed")
-    assert np.allclose(rho_tr[0, 0], 1.3 * (1.0 - DELTA * g.z))
-    # the two profiles agree through the coordinate change 1 - delta z' = e^-z
-    # with z' = (1 - e^-z) / delta
-    assert np.allclose(np.exp(-g.z), 1.0 - DELTA * (-np.expm1(-g.z) / DELTA),
-                       atol=1e-15)
-    p2 = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma2")
-    rho2 = density_from_surface(xi, g, p2)
-    assert np.allclose(rho2[0, 0], 1.3 + g.z / 2.0)
-    png = PhysicalParams(mu=1.0, mu_prime=1.0, model="GeneralNoGravity",
-                         **make_pressure_law("linear", c=1.0))
-    rho3 = density_from_surface(xi, g, png)
-    assert np.allclose(rho3, 1.3)
-    with pytest.raises(ValueError, match="nonpositive"):
-        density_from_surface(np.zeros((4, 4)), g, p1)
 
 
 def test_gravity_switch():
