@@ -225,13 +225,11 @@ def _parse_params(obj: dict, text: str, model: str) -> PhysicalParams:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
-def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
-    """Parse and validate a simulate/spectrum configuration file.
+def parse_run_config(path: str) -> evolve.RunConfig:
+    """Parse and validate a simulate configuration file.
 
     Every violation raises :class:`ConfigError` naming the offending field
-    and, when it can be located in the raw text, its line number.  With
-    ``require_time=False`` the time-stepping keys become optional (the
-    spectrum subcommand only uses the grid and the parameters).
+    and, when it can be located in the raw text, its line number.
     """
     obj, text = _load_json(path)
     _check_unknown(obj, _RUN_KEYS, text, "run config")
@@ -240,14 +238,8 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
     g = _parse_grid(obj, text)
     params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
 
-    if require_time or "dt" in obj:
-        dt = _as_number(_require(obj, "dt", text), "dt", text)
-    else:
-        dt = 1.0
-    if require_time or "t_end" in obj:
-        t_end = _as_number(_require(obj, "t_end", text), "t_end", text)
-    else:
-        t_end = dt
+    dt = _as_number(_require(obj, "dt", text), "dt", text)
+    t_end = _as_number(_require(obj, "t_end", text), "t_end", text)
 
     kwargs = {}
     if "output_every" in obj:
@@ -255,7 +247,7 @@ def parse_run_config(path: str, require_time: bool = True) -> evolve.RunConfig:
                                          "output_every", text)
     if "preset" in obj:
         preset = obj["preset"]
-        if preset not in ("steady", "fourier_perturbation", "random_smooth"):
+        if preset not in evolve.PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}{_key_line(text, 'preset')}")
         kwargs["preset"] = preset
@@ -435,7 +427,7 @@ def _cmd_spectrum(args) -> int:
     explanation = None
     if report.ok:
         params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
-        eta0 = stokes_solver.spectral_bound(g, params, xi_bar=xi_bar)
+        eta0 = stokes_solver.spectral_bound(g, params)
     else:
         explanation = (
             f"symbol not parameter-elliptic: min eigenvalue "
@@ -469,12 +461,11 @@ def _cmd_resolvent(args) -> int:
     lam, rhs_kind, seed, g, params, cfg_out = parse_resolvent_problem(
         args.problem)
     out_dir = _resolve_output_dir(args.output_dir, cfg_out)
-    xi_bar = params.xi_bar
 
     truth_error = None
     if rhs_kind == "manufactured":
         problem, zeta_true, V_true = stokes_solver.manufactured_resolvent_problem(
-            lam, g, params, xi_bar=xi_bar)
+            lam, g, params)
     else:
         if rhs_kind == "random":
             rng = np.random.default_rng(seed)
@@ -484,7 +475,7 @@ def _cmd_resolvent(args) -> int:
         else:
             f1 = np.zeros((g.nx, g.ny))
             f2 = np.zeros((g.nx, g.ny, g.nz, 2))
-        problem = stokes_solver.ResolventProblem(lam, f1, f2, xi_bar=xi_bar)
+        problem = stokes_solver.ResolventProblem(lam, f1, f2, params.xi_bar)
 
     try:
         zeta, V, residual = stokes_solver._solve_checked(problem, g, params)
@@ -509,7 +500,7 @@ def _cmd_resolvent(args) -> int:
         "lam": [lam.real, lam.imag],
         "rhs": rhs_kind,
         "seed": seed,
-        "xi_bar": xi_bar,
+        "xi_bar": params.xi_bar,
         "residual": residual,
         "truth_error": truth_error,
         "zeta_l2": l2_norm(zeta, g),

@@ -19,6 +19,8 @@ import scipy.linalg
 
 from .grid import Grid, grad_h, grad_h_vec, integral, l2_norm, validate_field, \
     vertical_derivative
+from .operators import dense_chs
+from .stokes_solver import _mean_free_active_basis
 from .transforms import DELTA, PhysicalParams
 
 __all__ = [
@@ -327,9 +329,6 @@ def linear_envelope_series(
     the norm series; its tail decay rate is the dense spectral bound, so
     this cross-checks the decay-fit machinery against the eigensolver.
     """
-    from .operators import dense_chs
-    from .stokes_solver import _mean_free_active_basis
-
     A = dense_chs(xi_bar, g, params, bc="reduced")
     Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
     Ap = Q.T @ A @ Q

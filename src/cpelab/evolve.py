@@ -361,9 +361,11 @@ class Stepper:
     lists the fixed-point iteration count of every step that returned.
     """
 
+    fp_max_iter = 200
+
     def __init__(self, mode: str, g: Grid, params: PhysicalParams, dt: float,
                  zeta0: np.ndarray | None = None, fp_tol: float = 1e-12,
-                 fp_max_iter: int = 200, det_floor: float = 0.1):
+                 det_floor: float = 0.1):
         _check_mode_params(mode, params)
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -372,7 +374,6 @@ class Stepper:
         self.params = params
         self.dt = float(dt)
         self.fp_tol = float(fp_tol)
-        self.fp_max_iter = int(fp_max_iter)
         self.det_floor = float(det_floor)
         self.fp_iterations: list[int] = []
         if mode == "GlobalGamma1":

@@ -47,7 +47,7 @@ __all__ = [
 
 DET_FLOOR_DEFAULT = 0.1
 INV_TOL_DEFAULT = 1e-10
-MAX_ITER_DEFAULT = 50
+INV_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,6 @@ def invert_map(
     fm: FlowMap,
     g: Grid,
     inv_tol: float = INV_TOL_DEFAULT,
-    max_iter: int = MAX_ITER_DEFAULT,
 ) -> np.ndarray:
     """Inverse map Y with X(Y(x)) = x, as absolute positions (nx, ny, 2).
 
@@ -267,7 +266,7 @@ def invert_map(
     target = positions(identity_map(g), g)
     dev = fm.gradX - np.eye(2)
     y = target.copy()
-    for _ in range(max_iter):
+    for _ in range(INV_MAX_ITER):
         d = evaluate_at_points(fm.disp, y, g)
         res = _wrap(y + d - target)
         if np.abs(res).max() <= inv_tol:
@@ -277,4 +276,4 @@ def invert_map(
         y = y - step
     raise ValueError(
         f"Newton iteration for the inverse map did not reach {inv_tol} "
-        f"in {max_iter} steps (residual {np.abs(res).max()})")
+        f"in {INV_MAX_ITER} steps (residual {np.abs(res).max()})")

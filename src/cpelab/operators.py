@@ -7,8 +7,7 @@ Three related elliptic operators appear:
 
       A v = mu * a * Lap_H v + d_z(mu * b * d_z v) + mu' * a * grad_H div_H v,
 
-  with a = 1/((1-delta z) xi0) and b = (1-delta z)/(delta^2 xi0); its
-  constant-coefficient variant replaces xi0 by the reference value;
+  with a = 1/((1-delta z) xi0) and b = (1-delta z)/(delta^2 xi0);
 * the uniform-coefficient operator of the other models,
 
       B v = mu * c * Lap v + mu' * c * grad_H div_H v,
@@ -20,18 +19,20 @@ Three related elliptic operators appear:
       A_CHS (zeta, V) = ( -xi_bar * div_H avg(V),  -grad_H zeta + A_{xi_bar} V ),
 
   acting on a surface scalar and a horizontal velocity, the generator of
-  the linear evolution d/dt (zeta, V) = A_CHS (zeta, V) + forcing.
+  the linear evolution d/dt (zeta, V) = A_CHS (zeta, V) + forcing; its
+  viscous part is A at the constant density xi_bar the caller passes.
 
 Boundary conditions are V = 0 at z = 1 and d_z V = 0 at z = 0.  Three
 realizations are provided and must agree: a matrix-free applicator
 (boundary rows replaced by the boundary residuals), a dense matrix built
-from explicit DFT differentiation matrices and Kronecker products
-(``bc`` in ``raw`` / ``replace`` / ``reduced``), and per-horizontal-mode
-vertical blocks (constant coefficients are diagonal in the horizontal
-Fourier basis, so solvers and eigensolvers work mode by mode).  The
-``reduced`` realization eliminates the boundary degrees of freedom
-(Dirichlet layer dropped, Neumann layer expressed through the interior)
-and is the one whose eigenvalues are meaningful.
+from explicit DFT differentiation matrices and Kronecker products, and
+per-horizontal-mode vertical blocks (constant coefficients are diagonal
+in the horizontal Fourier basis, so solvers and eigensolvers work mode by
+mode).  The applicators and ``dense_hydrostatic_lame`` take ``bc`` in
+``raw`` / ``replace``; ``dense_chs`` also takes ``reduced``, which
+eliminates the boundary degrees of freedom (Dirichlet layer dropped,
+Neumann layer expressed through the interior) and is the realization
+whose eigenvalues are meaningful.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import scipy.linalg
 
 from .grid import (
     Grid,
+    _ddx,
+    _ddy,
     div_h,
     grad_h,
     validate_field,
@@ -132,8 +135,6 @@ def make_lame_coefficients(
 # ---------------------------------------------------------------------------
 
 def _laplacian_h(V: np.ndarray, g: Grid) -> np.ndarray:
-    from .grid import _ddx, _ddy
-
     return _ddx(_ddx(V, g), g) + _ddy(_ddy(V, g), g)
 
 
@@ -168,7 +169,6 @@ def apply_hydrostatic_lame(
     xi0,
     g: Grid,
     params: PhysicalParams,
-    constant_coefficient: bool = False,
     bc: str = "replace",
 ) -> np.ndarray:
     """Apply the viscous operator of the model to a horizontal velocity.
@@ -177,9 +177,9 @@ def apply_hydrostatic_lame(
     ----------
     V : ndarray, shape (nx, ny, nz, 2)
     xi0 : float or ndarray (nx, ny)
-        Surface density entering the coefficients; ignored when
-        ``constant_coefficient`` is set (the reference value
-        ``params.xi_bar`` is used instead).
+        Surface density entering the coefficients; a constant (such as
+        the reference density xi_bar) gives the constant-coefficient
+        operator.  ``params.xi_bar`` is not read.
     bc : {"replace", "raw"}
         ``replace`` overwrites the boundary layers with the boundary
         residuals (V at z = 1, d_z V at z = 0); ``raw`` returns the plain
@@ -189,8 +189,6 @@ def apply_hydrostatic_lame(
         raise ValueError("expected a horizontal velocity field (nx, ny, nz, 2)")
     if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
-    if constant_coefficient:
-        xi0 = params.xi_bar
     coeffs = make_lame_coefficients(xi0, g, params)
     out = _apply_viscous_raw(V, coeffs, g, params)
     if bc == "replace":
@@ -218,7 +216,7 @@ def apply_chs(
     row1 = -xi_bar * div_h(vertical_average(V, g), g)
     gz = grad_h(zeta, g)
     row2 = -gz[:, :, None, :] + apply_hydrostatic_lame(
-        V, xi_bar, g, params, constant_coefficient=True, bc="raw")
+        V, xi_bar, g, params, bc="raw")
     if bc == "replace":
         row2 = _replace_bc_rows(row2, V, g)
     elif bc != "raw":
@@ -337,13 +335,9 @@ def vertical_reduction(g: Grid) -> tuple[np.ndarray, np.ndarray]:
     interior layers; S @ R = I.  Eigenvalues of S @ A_raw @ R are the
     eigenvalues of the boundary-value operator.
     """
-    nz = g.nz
-    S = np.zeros((nz - 2, nz))
-    R = np.zeros((nz, nz - 2))
-    for j in range(1, nz - 1):
-        S[j - 1, j] = 1.0
-        R[j, j - 1] = 1.0
-        R[0, j - 1] = -g.Dz[0, j] / g.Dz[0, 0]
+    eye = np.eye(g.nz)
+    S, R = eye[1:-1], eye[:, 1:-1].copy()
+    R[0] = -g.Dz[0, 1:-1] / g.Dz[0, 0]
     return S, R
 
 
@@ -372,23 +366,19 @@ def dense_hydrostatic_lame(
     xi0,
     g: Grid,
     params: PhysicalParams,
-    constant_coefficient: bool = False,
     bc: str = "replace",
 ) -> np.ndarray:
     """Dense matrix of the viscous operator on V fields flattened C-order.
 
     Assembled from explicit DFT differentiation matrices and Kronecker
     products — an independent code path from the matrix-free FFT
-    applicator.  ``bc``: ``raw`` (no boundary handling), ``replace``
-    (boundary rows set to the boundary residuals), ``reduced``
-    (boundary degrees of freedom eliminated; see
-    :func:`vertical_reduction`).
+    applicator.  ``xi0`` as in :func:`apply_hydrostatic_lame`.  ``bc``:
+    ``raw`` (no boundary handling) or ``replace`` (boundary rows set to
+    the boundary residuals).
     """
     _check_dense_limit(g)
-    if bc not in _BC_MODES:
-        raise ValueError(f"bc must be one of {_BC_MODES}, got {bc!r}")
-    if constant_coefficient:
-        xi0 = params.xi_bar
+    if bc not in ("replace", "raw"):
+        raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
     coeffs = make_lame_coefficients(xi0, g, params)
     mu, mup = params.mu, params.mu_prime
     Dx3, Dy3, Dz3 = _lifted_derivatives(g)
@@ -410,11 +400,6 @@ def dense_hydrostatic_lame(
             A += mup * np.kron(a @ D[i] @ D[j], E)
     if bc == "replace":
         return _replace_rows_dense(A, g)
-    if bc == "reduced":
-        S, R = vertical_reduction(g)
-        lift = np.kron(np.eye(g.nx * g.ny), np.kron(R, I2))
-        sel = np.kron(np.eye(g.nx * g.ny), np.kron(S, I2))
-        return sel @ A @ lift
     return A
 
 
@@ -424,8 +409,9 @@ def dense_chs(
     """Dense matrix of the Stokes block operator on packed states.
 
     The packed vector is (zeta.ravel(), V.ravel()) — see
-    :func:`pack_state`.  ``bc`` as in :func:`dense_hydrostatic_lame`; the
-    zeta rows are never reduced or replaced.
+    :func:`pack_state`.  ``bc``: ``raw``, ``replace`` or ``reduced`` (see
+    :func:`vertical_reduction`); the zeta rows are never reduced or
+    replaced.
     """
     _check_dense_limit(g)
     if bc not in _BC_MODES:
@@ -444,8 +430,7 @@ def dense_chs(
     ones_z = np.ones((g.nz, 1))
     grad_bc = np.kron(np.kron(Dx2f, ones_z), np.array([[1.0], [0.0]])) + np.kron(
         np.kron(Dy2f, ones_z), np.array([[0.0], [1.0]]))
-    A_V = dense_hydrostatic_lame(
-        xi_bar, g, params, constant_coefficient=True, bc="raw")
+    A_V = dense_hydrostatic_lame(xi_bar, g, params, bc="raw")
     nV = A_V.shape[0]
     full = np.zeros((n2 + nV, n2 + nV))
     full[:n2, n2:] = row1_V
@@ -460,7 +445,6 @@ def dense_chs(
     sel = np.kron(np.eye(n2), np.kron(S, np.eye(2)))
     nred = sel.shape[0]
     out = np.zeros((n2 + nred, n2 + nred))
-    out[:n2, :n2] = 0.0
     out[:n2, n2:] = row1_V @ lift
     out[n2:, :n2] = -(sel @ grad_bc)
     out[n2:, n2:] = sel @ A_V @ lift
@@ -563,6 +547,25 @@ def vertical_lame_block(
     )
 
 
+def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
+              shift: complex, scale: float, xi_bar: float) -> np.ndarray:
+    """Add the zeta row and column of shift - scale * A_CHS to velocity blocks.
+
+    ``vel`` (..., 2 m, 2 m) acts on m vertical unknowns per component at
+    the wave vectors ``kt`` (..., 2), and ``weights`` (m,) is the vertical
+    average on them.  Returns shape (..., 1 + 2 m, 1 + 2 m), complex.
+    """
+    kt = np.asarray(kt, dtype=float)
+    m = len(weights)
+    B = np.zeros(vel.shape[:-2] + (1 + 2 * m, 1 + 2 * m), dtype=complex)
+    B[..., 0, 0] = shift
+    B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
+                     * weights[:, None]).reshape(kt.shape[:-1] + (2 * m,))
+    B[..., 1:, 0] = np.tile(scale * 1j * kt, m)
+    B[..., 1:, 1:] = vel
+    return B
+
+
 def mode_matrices(
     A: np.ndarray,
     kt: np.ndarray,
@@ -574,24 +577,16 @@ def mode_matrices(
     """Per-mode matrices of shift - scale * A_CHS with boundary rows replaced.
 
     ``A`` holds the viscous blocks of :func:`vertical_lame_block` at the
-    wave vectors ``kt`` (..., 2).  With ``xi_bar`` the blocks are bordered
-    by the zeta row and column of the Stokes block operator and act on
-    (zeta-hat, V-hat(z)), shape (..., 1 + 2 nz, 1 + 2 nz); without it they
-    act on V-hat(z) alone, shape (..., 2 nz, 2 nz).  The top velocity rows
-    then hold V = 0 at z = 1 and the bottom rows d_z V = 0 at z = 0.
+    wave vectors ``kt`` (..., 2).  With ``xi_bar`` they act on (zeta-hat,
+    V-hat(z)), see :func:`_bordered`; without it on V-hat(z) alone, shape
+    (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at z = 1 and the
+    bottom rows d_z V = 0 at z = 0.
     """
     nz = g.nz
     M = shift * np.eye(2 * nz) - scale * A
     off = 0
     if xi_bar is not None:
-        kt = np.asarray(kt, dtype=float)
-        vel, off = M, 1
-        M = np.zeros(vel.shape[:-2] + (1 + 2 * nz, 1 + 2 * nz), dtype=complex)
-        M[..., 0, 0] = shift
-        M[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
-                         * g.wz[:, None]).reshape(kt.shape[:-1] + (2 * nz,))
-        M[..., 1:, 0] = np.tile(scale * 1j * kt, nz)
-        M[..., 1:, 1:] = vel
+        M, off = _bordered(M, kt, g.wz, shift, scale, xi_bar), 1
     comp = np.arange(2)
     top = off + 2 * (nz - 1) + comp
     bot = off + comp

@@ -8,8 +8,8 @@ Re lambda >= 0 and data (f1, f2),
     V|_{z=1} = 0,  d_z V|_{z=0} = 0,
 
 i.e. (lambda - A_CHS) (zeta, V) = (f1, f2) with the block operator of
-:mod:`cpelab.operators` (the reference density is normalized to
-xi_bar = 1 throughout this module's default paths).  For lambda = 0 the
+:mod:`cpelab.operators` at the problem's reference density xi_bar
+(``spectral_bound`` defaults it to ``params.xi_bar``).  For lambda = 0 the
 data must satisfy the compatibility condition int_G f1 = 0 and the
 solution is unique in the mean-free class int_G zeta = 0.
 
@@ -33,7 +33,6 @@ norm along the imaginary axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -52,6 +51,8 @@ from .grid import (
     vertical_derivative,
 )
 from .operators import (
+    _bordered,
+    _replace_bc_rows,
     _replace_rows_dense,
     apply_hydrostatic_lame,
     dense_chs,
@@ -78,8 +79,15 @@ __all__ = [
 #: Compatibility tolerance on |int_G f1| / ||f1|| for lambda = 0.
 MEAN_TOL = 1e-10
 
-#: Default residual tolerance of the direct solvers (relative).
+#: Residual tolerance of the resolvent solves (relative).
 LIN_TOL = 1e-8
+
+#: Picard limit and relative update tolerance of solve_steady_decomposed.
+PICARD_MAX_ITER = 50
+PICARD_TOL = 1e-10
+
+#: Spectral parameters of the imaginary-axis resolvent sweep.
+SWEEP_LAMBDAS = (0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j)
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,9 @@ def resolvent_residual(
     the boundary residuals V|_{z=1} and d_z V|_{z=0}.
     """
     r1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g) - f1
-    AV = apply_hydrostatic_lame(V, xi_bar, g, params,
-                                constant_coefficient=True, bc="raw")
-    r2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :] - f2
-    r2[:, :, -1, :] = V[:, :, -1, :]
-    r2[:, :, 0, :] = np.einsum("j,abjc->abc", g.Dz[0, :], V)
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
+    r2 = _replace_bc_rows(
+        lam * V - AV + grad_h(zeta, g)[:, :, None, :] - f2, V, g)
     scale = max(np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2), 1e-300)
     res = np.sqrt(l2_norm(r1, g) ** 2 + l2_norm(r2, g) ** 2)
     return float(res / scale)
@@ -138,14 +144,14 @@ def manufactured_resolvent_problem(
     lam: complex,
     g: Grid,
     params: PhysicalParams,
-    xi_bar: float = 1.0,
 ) -> tuple[ResolventProblem, np.ndarray, np.ndarray]:
     """Build a resolvent problem whose exact solution is known.
 
     A smooth mean-free surface field and a velocity with polynomial
     vertical profile 1 - z^2 (zero at z = 1, zero slope at z = 0, so the
     boundary rows are satisfied exactly at the collocation points) are
-    substituted into (lambda - A_CHS) to produce the right-hand side.
+    substituted into (lambda - A_CHS), at xi_bar = ``params.xi_bar``, to
+    produce the right-hand side.
 
     Returns
     -------
@@ -163,8 +169,8 @@ def manufactured_resolvent_problem(
     if lam.imag != 0.0:
         zeta = zeta * (1.0 + 0.5j)
         V = V * (1.0 - 0.25j)
-    AV = apply_hydrostatic_lame(V, xi_bar, g, params,
-                                constant_coefficient=True, bc="raw")
+    xi_bar = params.xi_bar
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
     f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
     f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
     f2[:, :, -1, :] = 0.0
@@ -261,7 +267,6 @@ def solve_resolvent(
     g: Grid,
     params: PhysicalParams,
     method: str = "per_mode",
-    lin_tol: float = LIN_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (lambda - A_CHS)(zeta, V) = (f1, f2).
 
@@ -271,20 +276,19 @@ def solve_resolvent(
         ``per_mode`` (production) solves one bordered vertical system per
         horizontal Fourier mode; ``dense`` assembles the monolithic
         matrix (coarse grids only).
-    lin_tol : float
-        The solution's relative residual must not exceed this, else a
-        ``RuntimeError`` (linear-solver breakdown) is raised.
 
-    Returns real fields for real lambda and complex fields otherwise;
-    for lambda = 0, zeta is returned mean-free.
+    The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
+    A relative residual above :data:`LIN_TOL` raises ``RuntimeError``
+    (linear-solver breakdown).  Returns real fields for real lambda and
+    complex fields otherwise; for lambda = 0, zeta is returned mean-free.
     """
-    zeta, V, _ = _solve_checked(p, g, params, method, lin_tol)
+    zeta, V, _ = _solve_checked(p, g, params, method)
     return zeta, V
 
 
 def _solve_checked(
     p: ResolventProblem, g: Grid, params: PhysicalParams,
-    method: str = "per_mode", lin_tol: float = LIN_TOL,
+    method: str = "per_mode",
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`solve_resolvent`, also returning the checked relative residual."""
     validate_field(p.f1, g)
@@ -300,10 +304,10 @@ def _solve_checked(
     res = resolvent_residual(
         complex(p.lam), zeta, V, np.asarray(p.f1, dtype=complex),
         np.asarray(p.f2, dtype=complex), p.xi_bar, g, params)
-    if res > lin_tol:
+    if res > LIN_TOL:
         raise RuntimeError(
             f"linear-solver breakdown: relative residual {res:.3e} "
-            f"exceeds {lin_tol:.1e}")
+            f"exceeds {LIN_TOL:.1e}")
     return zeta, V, res
 
 
@@ -316,8 +320,6 @@ def solve_steady_decomposed(
     f2: np.ndarray,
     g: Grid,
     params: PhysicalParams,
-    max_iter: int = 50,
-    tol: float = 1e-10,
     init: str = "monolithic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steady solve via vertical averaging plus an elliptic recovery.
@@ -335,7 +337,7 @@ def solve_steady_decomposed(
     velocity, recovered from A V = grad_H zeta - f2; the loop is a Picard
     iteration on them, initialized from the monolithic solve
     (``init="monolithic"``) or from rest (``init="zero"``).  Model
-    ``Gamma1`` with xi_bar = 1 only.
+    ``Gamma1`` at xi_bar = 1, whatever ``params.xi_bar`` holds.
 
     One discrete correction is required on top of the continuous
     argument: the collocation solution satisfies the momentum equation at
@@ -379,12 +381,11 @@ def solve_steady_decomposed(
     k2_safe = np.where(nonzero, k2, 1.0)
 
     zeta = np.zeros((g.nx, g.ny))
-    for it in range(max_iter):
+    for it in range(PICARD_MAX_ITER):
         dzV = vertical_derivative(V, g)
         trace = trace_top * dzV[:, :, -1, :] + trace_bot * V[:, :, 0, :]
         # tau correction: residual of the raw equation at the boundary rows
-        raw = apply_hydrostatic_lame(
-            V, 1.0, g, params, constant_coefficient=True, bc="raw")
+        raw = apply_hydrostatic_lame(V, 1.0, g, params, bc="raw")
         r_all = -raw + grad_h(zeta, g)[:, :, None, :] - f2
         tau = g.wz[0] * r_all[:, :, 0, :] \
             + g.wz[-1] * (1.0 - DELTA) * r_all[:, :, -1, :]
@@ -403,12 +404,13 @@ def solve_steady_decomposed(
         V_new = np.fft.ifft2(Vh, axes=(0, 1)).real
         diff = np.abs(V_new - V).max() / max(np.abs(V_new).max(), 1e-300)
         V = V_new
-        if diff <= tol:
+        if diff <= PICARD_TOL:
             break
     else:
         raise RuntimeError(
-            f"Picard iteration on the boundary traces did not reach {tol} "
-            f"in {max_iter} iterations (last update {diff:.3e})")
+            f"Picard iteration on the boundary traces did not reach "
+            f"{PICARD_TOL} in {PICARD_MAX_ITER} iterations "
+            f"(last update {diff:.3e})")
     return zeta, V
 
 
@@ -450,17 +452,19 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
 def spectral_bound(
     g: Grid,
     params: PhysicalParams,
-    xi_bar: float = 1.0,
+    xi_bar: float | None = None,
     method: str = "per_mode",
 ) -> float:
     """Spectral bound eta0 = -max Re sigma(A_CHS) on the mean-free subspace.
 
+    A_CHS is taken at ``xi_bar``, which defaults to ``params.xi_bar``.
     ``per_mode`` takes the union of the per-mode eigenvalues over the
     active horizontal modes (the k = 0 block restricted to its velocity
     part, which is the mean-free restriction); ``dense`` projects the
     dense reduced realization onto the mean-free active subspace.  Raises
     if the computed bound is not positive.
     """
+    xi_bar = params.xi_bar if xi_bar is None else xi_bar
     if method == "per_mode":
         S, R = vertical_reduction(g)
         S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
@@ -478,13 +482,9 @@ def spectral_bound(
         max_re = np.linalg.eigvals(A0).real.max()
         for row in np.flatnonzero(keep.any(axis=1)):
             kt = K[row, keep[row]]
-            Ak = S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2
-            B = np.zeros((len(kt), 1 + Ak.shape[-1], 1 + Ak.shape[-1]),
-                         dtype=complex)
-            B[:, 1:, 1:] = Ak
-            B[:, 0, 1:] = (-xi_bar * 1j * kt[:, None, :]
-                           * avg_row[:, None]).reshape(len(kt), -1)
-            B[:, 1:, 0] = np.tile(-1j * kt, g.nz - 2)
+            # A_CHS itself: shift 0, scale -1
+            B = _bordered(S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2,
+                          kt, avg_row, 0.0, -1.0, xi_bar)
             max_re = max(max_re, np.linalg.eigvals(B).real.max())
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
@@ -533,23 +533,20 @@ class ResolventSweepReport:
 def imaginary_axis_resolvent_sweep(
     g: Grid,
     params: PhysicalParams,
-    lambdas: Sequence[complex] | None = None,
     n_rhs: int = 3,
     seed: int = 0,
 ) -> ResolventSweepReport:
     """Solve with random unit data for lambda on the imaginary axis.
 
-    For each lambda the reported ratio is the supremum over ``n_rhs``
-    random smooth right-hand sides (the same draws for every lambda) of
-    (||zeta||_2 + |lambda| ||V||_2 + ||V||_{H2,discrete}) /
-    ||(f1, f2)||_2; lambda = 0 data is made mean-free before solving.
+    For each lambda of :data:`SWEEP_LAMBDAS` the reported ratio is the
+    supremum over ``n_rhs`` random smooth right-hand sides (the same draws
+    for every lambda) of (||zeta||_2 + |lambda| ||V||_2 + ||V||_{H2,discrete})
+    / ||(f1, f2)||_2; lambda = 0 data is made mean-free before solving.
     The slope is a least-squares fit of log ||V|| against log |lambda|
     over the samples with |lambda| >= 1e4 — far above the stiffest
     discrete eigenvalue, where the 1/|lambda| decay of the velocity is
     clean (expected slope -1).
     """
-    if lambdas is None:
-        lambdas = [0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j]
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(n_rhs):
@@ -558,7 +555,7 @@ def imaginary_axis_resolvent_sweep(
         draws.append((f1, f2))
     ratios = []
     v_norms = []
-    for lam in lambdas:
+    for lam in SWEEP_LAMBDAS:
         worst = 0.0
         worst_v = 0.0
         for f1, f2 in draws:
@@ -573,7 +570,7 @@ def imaginary_axis_resolvent_sweep(
             worst_v = max(worst_v, float(l2_norm(V, g) / fn))
         ratios.append(worst)
         v_norms.append(worst_v)
-    lam_abs = np.array([abs(complex(l)) for l in lambdas])
+    lam_abs = np.array([abs(complex(l)) for l in SWEEP_LAMBDAS])
     tail = lam_abs >= 1e4
     if tail.sum() >= 2:
         slope = float(np.polyfit(np.log(lam_abs[tail]),
@@ -581,7 +578,7 @@ def imaginary_axis_resolvent_sweep(
     else:
         slope = float("nan")
     return ResolventSweepReport(
-        lambdas=tuple(lambdas),
+        lambdas=SWEEP_LAMBDAS,
         ratios=tuple(ratios),
         v_norms=tuple(v_norms),
         max_ratio=float(max(ratios)),

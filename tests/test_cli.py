@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -250,6 +251,24 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"cpelab.{info.name}.{name}"
 
 
+def test_imports_are_at_module_level():
+    # the one exception keeps sympy out of every command but verify
+    allowed = {("cli", "_cmd_verify")}
+    offenders = []
+    for info in pkgutil.iter_modules(cpelab.__path__):
+        path = os.path.join(cpelab.__path__[0], f"{info.name}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and (info.name, func.name) not in allowed):
+                    offenders.append(f"{info.name}.{func.name}:{node.lineno}")
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -453,10 +472,8 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
         problem, zeta, V = stokes_solver.manufactured_resolvent_problem(
             lam, g, params)
         lam = complex(lam)
-        AV = (apply(V.real, 1.0, g, params, constant_coefficient=True,
-                    bc="raw")
-              + 1j * apply(V.imag, 1.0, g, params, constant_coefficient=True,
-                           bc="raw"))
+        AV = (apply(V.real, 1.0, g, params, bc="raw")
+              + 1j * apply(V.imag, 1.0, g, params, bc="raw"))
         f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
         f2[:, :, -1, :] = 0.0
         f2[:, :, 0, :] = 0.0

@@ -145,7 +145,7 @@ def test_boundary_row_replacement_semantics():
     params = all_model_params()[0]
     rng = np.random.default_rng(4)
     V = rng.standard_normal((4, 4, 5, 2))
-    out = apply_hydrostatic_lame(V, 1.0, g, params, constant_coefficient=True)
+    out = apply_hydrostatic_lame(V, 1.0, g, params)
     assert np.allclose(out[:, :, -1, :], V[:, :, -1, :], atol=0)
     dzV = vertical_derivative(V, g)
     assert np.allclose(out[:, :, 0, :], dzV[:, :, 0, :], atol=1e-12)
@@ -184,15 +184,9 @@ def test_vertical_block_matches_full_operator_on_single_mode(params):
     y = g.y[None, :, None]
     wave = np.exp(1j * (kt[0] * x + kt[1] * y))
     V = wave[..., None] * phi.reshape(g.nz, 2)[None, None, :, :]
-    const_params = PhysicalParams(
-        mu=params.mu, mu_prime=params.mu_prime, model=params.model,
-        xi_bar=xi0_value, pressure=params.pressure,
-        pressure_derivative=params.pressure_derivative,
-        c1=params.c1, c2=params.c2)
-    out = (apply_hydrostatic_lame(V.real, xi0_value, g, const_params,
-                                  constant_coefficient=True, bc="raw")
-           + 1j * apply_hydrostatic_lame(V.imag, xi0_value, g, const_params,
-                                         constant_coefficient=True, bc="raw"))
+    out = (apply_hydrostatic_lame(V.real, xi0_value, g, params, bc="raw")
+           + 1j * apply_hydrostatic_lame(V.imag, xi0_value, g, params,
+                                         bc="raw"))
     ref = wave[..., None] * (blk @ phi).reshape(g.nz, 2)[None, None, :, :]
     assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
 

@@ -41,15 +41,21 @@ def setup():
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_manufactured_solution_residual_and_error(setup, lam):
     g, params = setup
-    problem, zeta_true, V_true = manufactured_resolvent_problem(lam, g, params)
-    zeta, V = solve_resolvent(problem, g, params)
-    res = resolvent_residual(lam, zeta, V, problem.f1, problem.f2,
-                             problem.xi_bar, g, params)
-    assert res <= 1e-8
-    scale = np.sqrt(l2_norm(zeta_true, g) ** 2 + l2_norm(V_true, g) ** 2)
-    err = np.sqrt(l2_norm(zeta - zeta_true, g) ** 2
-                  + l2_norm(V - V_true, g) ** 2)
-    assert err / scale <= 1e-10
+    # the second problem has xi_bar = 1.3 and is solved under params with
+    # xi_bar = 1: the solver must use the problem's reference density
+    for xi_bar in (1.0, 1.3):
+        problem, zeta_true, V_true = manufactured_resolvent_problem(
+            lam, g, PhysicalParams(mu=params.mu, mu_prime=params.mu_prime,
+                                   xi_bar=xi_bar))
+        assert problem.xi_bar == xi_bar
+        zeta, V = solve_resolvent(problem, g, params)
+        res = resolvent_residual(lam, zeta, V, problem.f1, problem.f2,
+                                 problem.xi_bar, g, params)
+        assert res <= 1e-8
+        scale = np.sqrt(l2_norm(zeta_true, g) ** 2 + l2_norm(V_true, g) ** 2)
+        err = np.sqrt(l2_norm(zeta - zeta_true, g) ** 2
+                      + l2_norm(V - V_true, g) ** 2)
+        assert err / scale <= 1e-10
 
 
 def test_zero_lambda_requires_mean_free_f1(setup):
@@ -156,10 +162,16 @@ def test_imaginary_axis_sweep_bounded_with_decaying_velocity(setup):
 def test_spectral_bound_per_mode_matches_dense():
     g = make_grid(6, 6, 7)
     params = PhysicalParams(mu=1.0, mu_prime=1.0)
-    e1 = spectral_bound(g, params, method="per_mode")
-    e2 = spectral_bound(g, params, method="dense")
-    assert e1 > 0
-    assert np.isclose(e1, e2, rtol=1e-8)
+    # an explicit xi_bar overrides params.xi_bar (= 1) in both methods
+    for kwargs in ({}, {"xi_bar": 1.3}):
+        e1 = spectral_bound(g, params, method="per_mode", **kwargs)
+        e2 = spectral_bound(g, params, method="dense", **kwargs)
+        assert e1 > 0
+        assert np.isclose(e1, e2, rtol=1e-8)
+    # without it, xi_bar is params.xi_bar
+    p13 = PhysicalParams(mu=1.0, mu_prime=1.0, xi_bar=1.3)
+    assert spectral_bound(g, p13) == spectral_bound(g, p13, xi_bar=1.3)
+    assert spectral_bound(g, p13) != spectral_bound(g, params)
 
 
 def full_spectrum_max_re(g, params, xi_bar=1.0):
