@@ -11,6 +11,7 @@ simulation output to the linear spectral bound.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,6 +94,17 @@ class DecayFit:
     t_start: float
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 48-point Gauss-Legendre rule of the pressure primitive.
+
+    Made on first use rather than at import: its eigensolve raises the
+    peak memory of every process that imports the package, while only
+    ``GeneralNoGravity`` runs need it.
+    """
+    return np.polynomial.legendre.leggauss(48)
+
+
 def potential_energy_density(xi: np.ndarray,
                              params: PhysicalParams) -> np.ndarray:
     """Potential energy density of the surface field, per model.
@@ -110,7 +122,7 @@ def potential_energy_density(xi: np.ndarray,
         return xi * np.log(xi) + 1.0 - xi
     if params.model == "Gamma2":
         return (xi - params.xi_bar) ** 2
-    nodes, weights = np.polynomial.legendre.leggauss(48)
+    nodes, weights = _gauss_legendre()
     s = 1.0 + (xi[..., None] - 1.0) * 0.5 * (nodes + 1.0)
     vals = params.pressure(s) / s**2
     prim = 0.5 * (xi - 1.0) * (vals @ weights)
@@ -181,7 +193,7 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
     else:
         kinetic = integral(0.5 * zeta_full[:, :, None] * speed2 * det3, g)
     potential = integral(potential_energy_density(zeta_full, params) * det, g)
-    GT = np.einsum("abzil,ablk->abzik", grad_h_vec(V, g), fm.Z)
+    GT = grad_h_vec(V, g) @ fm.Z[:, :, None]
     dzv = vertical_derivative(V, g)
     gradsq = np.sum(GT**2, axis=(-2, -1))
     div2 = (GT[..., 0, 0] + GT[..., 1, 1]) ** 2
@@ -317,7 +329,7 @@ def read_diagnostics_csv(path: str) -> np.ndarray:
 def linear_envelope_series(
     g: Grid,
     params: PhysicalParams,
-    xi_bar: float = 1.0,
+    xi_bar: float | None = None,
     t_end: float = 40.0,
     n_samples: int = 400,
     seed: int = 0,
@@ -328,7 +340,10 @@ def linear_envelope_series(
     the coupled surface/velocity operator (no nonlinear terms) and returns
     the norm series; its tail decay rate is the dense spectral bound, so
     this cross-checks the decay-fit machinery against the eigensolver.
+    The operator is taken at ``xi_bar``, which defaults to
+    ``params.xi_bar``.
     """
+    xi_bar = params.xi_bar if xi_bar is None else xi_bar
     A = dense_chs(xi_bar, g, params, bc="reduced")
     Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
     Ap = Q.T @ A @ Q

@@ -46,6 +46,7 @@ from .grid import (
     Grid,
     _ddx,
     _ddy,
+    _multiplier,
     dealias as dealias_field,
     div_h,
     grad_h,
@@ -275,6 +276,24 @@ def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
     return twlap, twgd, advH
 
 
+def _first_and_second_derivatives(V: np.ndarray, g: Grid):
+    """``dV[i, m] = d_m V_i`` and ``H[i, n, m] = d_n d_m V_i`` of a real V.
+
+    Both come from one ``rfft2`` of V, as products with the first-derivative
+    multipliers, and go back in one batched ``irfft2``.
+    """
+    nx, ny, nz = V.shape[:3]
+    kx = _multiplier(g.ikx, 0, 2, False)
+    ky = _multiplier(g.iky, 1, 2, True)
+    # per mode: d_x, d_y, then d_n d_m with (n, m) in C order
+    k = np.stack(np.broadcast_arrays(kx, ky, kx * kx, kx * ky, ky * kx,
+                                     ky * ky), axis=-1)[:, :, None, None]
+    spec = np.fft.rfft2(V, axes=(0, 1))[..., None] * k
+    out = np.fft.irfft2(spec.reshape(spec.shape[:3] + (12,)), s=(nx, ny),
+                        axes=(0, 1)).reshape(nx, ny, nz, 2, 6)
+    return out[..., :2], out[..., 2:].reshape(nx, ny, nz, 2, 2, 2)
+
+
 def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
                     params: PhysicalParams, dealias: bool = True,
                     mutation: str | None = None) -> np.ndarray:
@@ -297,8 +316,7 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     ZmI = Z - np.eye(2)
     zf = full_surface_density(state, params)
 
-    dV = grad_h_vec(V, g)                       # [i, m] = d_m V_i
-    H = np.stack([_ddx(dV, g), _ddy(dV, g)], axis=-2)  # [i, n, m]
+    dV, H = _first_and_second_derivatives(V, g)
     dZ = _grad2(Z, g)                           # [m, k, n] = d_n Z[m, k]
 
     # twisted-minus-flat viscous terms and the full twisted advection
@@ -411,14 +429,15 @@ class Stepper:
     # -- helpers ------------------------------------------------------------
 
     def _velocity_rhs(self, r: np.ndarray) -> np.ndarray:
-        """Half-spectrum of ``r`` after zeroing its boundary rows.
+        """Half-spectrum of ``r`` with its boundary rows zeroed.
 
-        Zeroes the rows in place; returns shape (nx, ny // 2 + 1, 2 nz).
+        The boundary rows are whole z-levels, so they are zeroed after the
+        horizontal transform; returns shape (nx, ny // 2 + 1, 2 nz).
         """
-        r[:, :, -1, :] = 0.0
-        r[:, :, 0, :] = 0.0
-        return np.fft.rfft2(r, axes=(0, 1)).reshape(
-            self._inv.shape[:2] + (2 * self.g.nz,))
+        rh = np.fft.rfft2(r, axes=(0, 1))
+        rh[:, :, -1, :] = 0.0
+        rh[:, :, 0, :] = 0.0
+        return rh.reshape(self._inv.shape[:2] + (2 * self.g.nz,))
 
     def _velocity(self, sol: np.ndarray) -> np.ndarray:
         """Real velocity field of half-spectrum coefficients."""
@@ -428,9 +447,17 @@ class Stepper:
 
     def _solve_coupled(self, zeta: np.ndarray, V: np.ndarray,
                        F1: np.ndarray, F2: np.ndarray):
+        """Coupled implicit solve with the remainders F1, F2 not dealiased.
+
+        Their 2/3 mask is applied on the half-spectrum the solve transforms
+        to anyway: ``rfft2(V + dt dealias(F2)) = rfft2(V) + dt mask
+        rfft2(F2)``.
+        """
         g, dt = self.g, self.dt
-        zh = np.fft.rfft2(zeta + dt * F1)
-        rh = self._velocity_rhs(V + dt * F2)
+        mask = g.dealias_mask[:, :g.ny // 2 + 1]
+        zh = np.fft.rfft2(zeta) + dt * mask * np.fft.rfft2(F1)
+        rh = (self._velocity_rhs(V)
+              + dt * mask[..., None] * self._velocity_rhs(F2))
         rhs = np.concatenate([zh[..., None], rh], axis=-1)
         sol = (self._inv @ rhs[..., None])[..., 0]
         zeta_new = np.fft.irfft2(sol[..., 0], s=(g.nx, g.ny))
@@ -491,12 +518,13 @@ class Stepper:
         if state.mode != self.mode:
             raise ValueError(f"stepper built for {self.mode}, got {state.mode}")
         g, params, dt = self.g, self.params, self.dt
-        F2 = nonlinearity_F2(state, state.dtV, g, params)
         if self.mode == "GlobalGamma1":
-            F1 = nonlinearity_F1(state, g, params)
+            F2 = nonlinearity_F2(state, state.dtV, g, params, dealias=False)
+            F1 = nonlinearity_F1(state, g, params, dealias=False)
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
             Vbar_new = vertical_average(V_new, g)
         else:
+            F2 = nonlinearity_F2(state, state.dtV, g, params)
             V_new, iterations = self._solve_momentum(state.V, F2)
             mid = dataclasses.replace(state, V=V_new)
             F1 = nonlinearity_F1(mid, g, params)
@@ -631,7 +659,7 @@ def _lowpass_random(rng: np.random.Generator, g: Grid, kmax: int = 2
 def _check_boundary_compatibility(V: np.ndarray, g: Grid) -> None:
     scale = max(1.0, float(np.max(np.abs(V))))
     top = float(np.max(np.abs(V[:, :, -1, :])))
-    bot = float(np.max(np.abs(np.einsum("j,abjc->abc", g.Dz[0, :], V))))
+    bot = float(np.max(np.abs(g.Dz[0] @ V)))
     if top > 1e-10 * scale or bot > 1e-8 * scale:
         raise ValueError(
             f"initial velocity violates the boundary compatibilities "

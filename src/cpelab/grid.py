@@ -21,9 +21,15 @@ Design notes
 ------------
 * Wavenumbers follow the FFT ordering ``2*pi*fftfreq(N, 1/N)``.  The Nyquist
   column (even N) is zeroed in the first-derivative multiplier (derivative
-  of the real trigonometric interpolant), and every higher operator is
-  composed from first derivatives, so spectral differentiation agrees with
-  the classical dense Fourier differentiation matrix to machine precision.
+  of the real trigonometric interpolant).  Every higher operator multiplies
+  the spectrum by products of these first-derivative multipliers, so its
+  Nyquist lines are zero exactly as for composed first derivatives, and
+  spectral differentiation agrees with the classical dense Fourier
+  differentiation matrix to machine precision.
+* Real fields are transformed with ``rfft``/``irfft`` on the half-spectrum
+  ``k >= 0`` of the last transformed axis; complex fields (resolvent
+  solutions at complex lambda) use the full ``fft``/``ifft``.  Vertical
+  products are BLAS matmuls over the node axis.
 * Vertical quadrature uses Clenshaw--Curtis weights on the CGL nodes,
   normalized so that the weights sum to 1 on [0,1].
 * Dealiasing uses the 2/3 rule: modes with ``|k| > floor(N/3)`` in either
@@ -93,18 +99,13 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
 def _integration_from_one_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix I with (I f)_j = int_{x_j}^{1} f(x) dx on CGL nodes x.
 
-    Built column by column through the Chebyshev interpolant of the unit
-    vectors (exact for polynomials of degree <= len(x)-1).
+    Column k integrates the Chebyshev interpolant of the k-th unit vector
+    (exact for polynomials of degree <= len(x)-1); all columns are fitted
+    at once.
     """
     n = len(x)
-    mat = np.zeros((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        coeffs = npcheb.chebfit(x, e, n - 1)
-        anti = npcheb.chebint(coeffs)
-        mat[:, k] = npcheb.chebval(1.0, anti) - npcheb.chebval(x, anti)
-    return mat
+    anti = npcheb.chebint(npcheb.chebfit(x, np.eye(n), n - 1))
+    return (npcheb.chebval(1.0, anti)[:, None] - npcheb.chebval(x, anti)).T
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,22 @@ def vertical_average(f: np.ndarray, g: Grid) -> np.ndarray:
     return np.tensordot(f, g.wz, axes=([2], [0]))
 
 
+def _vertical_product(M: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Apply the (nz, nz) matrix M along the node axis of a 3D field.
+
+    A vector field's trailing (nz, 2) slices already hold the node axis
+    first, so ``M @ f`` is one batched matmul; a scalar field holds it
+    last, so it is ``f @ M.T``.
+    """
+    return M @ f if f.ndim == 4 else f @ M.T
+
+
 def vertical_derivative(f: np.ndarray, g: Grid) -> np.ndarray:
     """Apply the vertical differentiation matrix along the node axis."""
     kind = validate_field(f, g)
     if not _is_3d(kind):
         raise ValueError("vertical_derivative expects a 3D field")
-    return np.einsum("ij,abj...->abi...", g.Dz, f)
+    return _vertical_product(g.Dz, f)
 
 
 def integrate_from_bottom(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -283,27 +294,57 @@ def integrate_from_bottom(f: np.ndarray, g: Grid) -> np.ndarray:
     kind = validate_field(f, g)
     if not _is_3d(kind):
         raise ValueError("integrate_from_bottom expects a 3D field")
-    return np.einsum("ij,abj...->abi...", g.Iz, f)
+    return _vertical_product(g.Iz, f)
 
 
 # ---------------------------------------------------------------------------
 # Horizontal spectral operations
 # ---------------------------------------------------------------------------
 
+def _multiplier(ik: np.ndarray, axis: int, ndim: int,
+                real: bool) -> np.ndarray:
+    """``ik`` shaped to broadcast along ``axis`` of an ndim-array spectrum.
+
+    For the half-spectrum of a real field (``real``) only the entries
+    ``k >= 0`` are kept; the Nyquist entry, zero in ``ik``, stays zero.
+    """
+    shape = [1] * ndim
+    shape[axis] = len(ik) // 2 + 1 if real else len(ik)
+    return ik[:shape[axis]].reshape(shape)
+
+
+def _derivative(f: np.ndarray, ik: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral first derivative along one horizontal axis."""
+    if np.iscomplexobj(f):
+        fh = np.fft.fft(f, axis=axis)
+        return np.fft.ifft(fh * _multiplier(ik, axis, f.ndim, False),
+                           axis=axis)
+    fh = np.fft.rfft(f, axis=axis)
+    return np.fft.irfft(fh * _multiplier(ik, axis, f.ndim, True),
+                        n=f.shape[axis], axis=axis)
+
+
 def _ddx(f: np.ndarray, g: Grid) -> np.ndarray:
-    fh = np.fft.fft(f, axis=0)
-    shape = [1] * f.ndim
-    shape[0] = g.nx
-    out = np.fft.ifft(fh * g.ikx.reshape(shape), axis=0)
-    return out if np.iscomplexobj(f) else out.real
+    return _derivative(f, g.ikx, 0)
 
 
 def _ddy(f: np.ndarray, g: Grid) -> np.ndarray:
-    fh = np.fft.fft(f, axis=1)
-    shape = [1] * f.ndim
-    shape[1] = g.ny
-    out = np.fft.ifft(fh * g.iky.reshape(shape), axis=1)
-    return out if np.iscomplexobj(f) else out.real
+    return _derivative(f, g.iky, 1)
+
+
+def _fft_h(f: np.ndarray) -> np.ndarray:
+    """Horizontal transform: the ``rfft2`` half-spectrum (ky >= 0) of a
+    real field, the full ``fft2`` of a complex one."""
+    if np.iscomplexobj(f):
+        return np.fft.fft2(f, axes=(0, 1))
+    return np.fft.rfft2(f, axes=(0, 1))
+
+
+def _ifft_h(fh: np.ndarray, g: Grid, real: bool) -> np.ndarray:
+    """Inverse of :func:`_fft_h`; ``real`` says the field was real."""
+    if real:
+        return np.fft.irfft2(fh, s=(g.nx, g.ny), axes=(0, 1))
+    return np.fft.ifft2(fh, axes=(0, 1))
 
 
 def grad_h(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -336,12 +377,11 @@ def grad_h_vec(v: np.ndarray, g: Grid) -> np.ndarray:
 def dealias(f: np.ndarray, g: Grid) -> np.ndarray:
     """Apply the 2/3-rule mask to a field (used on products)."""
     validate_field(f, g)
-    fh = np.fft.fft2(f, axes=(0, 1))
+    fh = _fft_h(f)
     shape = [1] * f.ndim
-    shape[0], shape[1] = g.nx, g.ny
-    fh *= g.dealias_mask.reshape(shape)
-    out = np.fft.ifft2(fh, axes=(0, 1))
-    return out if np.iscomplexobj(f) else out.real
+    shape[0], shape[1] = fh.shape[:2]
+    fh *= g.dealias_mask[:, :fh.shape[1]].reshape(shape)
+    return _ifft_h(fh, g, not np.iscomplexobj(f))
 
 
 # ---------------------------------------------------------------------------

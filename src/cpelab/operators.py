@@ -45,8 +45,9 @@ import scipy.linalg
 
 from .grid import (
     Grid,
-    _ddx,
-    _ddy,
+    _fft_h,
+    _ifft_h,
+    _multiplier,
     div_h,
     grad_h,
     validate_field,
@@ -134,33 +135,40 @@ def make_lame_coefficients(
 # matrix-free applications
 # ---------------------------------------------------------------------------
 
-def _laplacian_h(V: np.ndarray, g: Grid) -> np.ndarray:
-    return _ddx(_ddx(V, g), g) + _ddy(_ddy(V, g), g)
+def _lame_h(V: np.ndarray, g: Grid, params: PhysicalParams) -> np.ndarray:
+    """mu Lap_H V + mu' grad_H div_H V from one horizontal transform of V.
 
-
-def _grad_div_h(V: np.ndarray, g: Grid) -> np.ndarray:
-    d = div_h(V, g)
-    return grad_h(d, g)
+    The multipliers are products of the first-derivative ``ikx``/``iky``,
+    so their Nyquist lines are zero as for composed first derivatives.
+    """
+    real = not np.iscomplexobj(V)
+    Vh = _fft_h(V)
+    kx = _multiplier(g.ikx, 0, 3, False)
+    ky = _multiplier(g.iky, 1, 3, real)
+    lap = params.mu * (kx * kx + ky * ky)
+    div = params.mu_prime * (kx * Vh[..., 0] + ky * Vh[..., 1])
+    out = np.empty_like(Vh)
+    out[..., 0] = lap * Vh[..., 0] + kx * div
+    out[..., 1] = lap * Vh[..., 1] + ky * div
+    return _ifft_h(out, g, real)
 
 
 def _replace_bc_rows(out: np.ndarray, V: np.ndarray, g: Grid) -> np.ndarray:
     out = out.copy()
     out[:, :, -1, :] = V[:, :, -1, :]
-    out[:, :, 0, :] = np.einsum("j,abjc->abc", g.Dz[0, :], V)
+    out[:, :, 0, :] = g.Dz[0] @ V
     return out
 
 
 def _apply_viscous_raw(
     V: np.ndarray, coeffs: LameCoefficients, g: Grid, params: PhysicalParams
 ) -> np.ndarray:
-    mu, mup = params.mu, params.mu_prime
+    horiz = _lame_h(V, g, params)
     if coeffs.a is not None:
-        horiz = mu * _laplacian_h(V, g) + mup * _grad_div_h(V, g)
         dzv = vertical_derivative(V, g)
-        vert = mu * vertical_derivative(coeffs.b[..., None] * dzv, g)
+        vert = params.mu * vertical_derivative(coeffs.b[..., None] * dzv, g)
         return coeffs.a[..., None] * horiz + vert
-    horiz = mu * _laplacian_h(V, g) + mup * _grad_div_h(V, g)
-    vert = mu * vertical_derivative(vertical_derivative(V, g), g)
+    vert = params.mu * vertical_derivative(vertical_derivative(V, g), g)
     return coeffs.c[..., None] * (horiz + vert)
 
 

@@ -542,8 +542,9 @@ def imaginary_axis_resolvent_sweep(
     supremum over ``n_rhs`` random smooth right-hand sides (the same draws
     for every lambda) of (||zeta||_2 + |lambda| ||V||_2 + ||V||_{H2,discrete})
     / ||(f1, f2)||_2; lambda = 0 data is made mean-free before solving.
-    The slope is a least-squares fit of log ||V|| against log |lambda|
-    over the samples with |lambda| >= 1e4 — far above the stiffest
+    The operator is taken at ``params.xi_bar``.  The slope is a
+    least-squares fit of log ||V|| against log |lambda| over the samples
+    with |lambda| >= 1e4 — far above the stiffest
     discrete eigenvalue, where the 1/|lambda| decay of the velocity is
     clean (expected slope -1).
     """
@@ -561,7 +562,8 @@ def imaginary_axis_resolvent_sweep(
         for f1, f2 in draws:
             if complex(lam) == 0:
                 f1 = f1 - integral(f1, g)
-            prob = ResolventProblem(lam=lam, f1=f1, f2=f2)
+            prob = ResolventProblem(lam=lam, f1=f1, f2=f2,
+                                    xi_bar=params.xi_bar)
             zeta, V = solve_resolvent(prob, g, params)
             fn = np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2)
             ratio = (l2_norm(zeta, g) + abs(complex(lam)) * l2_norm(V, g)

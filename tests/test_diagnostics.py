@@ -271,3 +271,13 @@ def test_linear_envelope_decay_matches_spectral_bound():
     eta0 = spectral_bound(g, params, xi_bar=1.0)
     assert fit.eta == pytest.approx(eta0, rel=0.05)
     assert fit.r_squared > 0.999
+
+
+def test_linear_envelope_takes_reference_density_from_params():
+    g = make_grid(6, 6, 7)
+    params = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1", xi_bar=1.3)
+    times, norms = linear_envelope_series(g, params, t_end=40.0,
+                                          n_samples=400, seed=0)
+    fit = fit_decay_rate(times, norms, t_skip_fraction=0.5)
+    assert fit.eta == pytest.approx(spectral_bound(g, params), rel=0.05)
+    assert fit.r_squared > 0.999

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from cpelab.evolve import (
     run_simulation,
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
-from cpelab.grid import grad_h, grad_h_vec, l2_norm, make_grid
+from cpelab.grid import _ddx, _ddy, grad_h, grad_h_vec, l2_norm, make_grid
 from cpelab.operators import mode_wavevectors, vertical_lame_block
 from cpelab.transforms import PhysicalParams, make_pressure_law
 
@@ -318,24 +316,6 @@ def test_stepper_inverse_matches_mode_loop(mode, general_params):
         assert err <= 1e-12 * np.max(np.abs(ref))
 
 
-def grid_of_any_parity(nx, ny, nz):
-    """A grid whose horizontal sizes may be odd (make_grid takes even ones).
-
-    Only the fields the implicit solves read are set for odd sizes.
-    """
-    g = make_grid(nx + nx % 2, ny + ny % 2, nz)
-    if nx % 2 == 0 and ny % 2 == 0:
-        return g
-    fields = {"nx": nx, "ny": ny}
-    for axis, n in (("x", nx), ("y", ny)):
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-        ik = 1j * k
-        if n % 2 == 0:
-            ik[n // 2] = 0.0
-        fields.update({axis: np.arange(n) / n, "k" + axis: k, "ik" + axis: ik})
-    return dataclasses.replace(g, **fields)
-
-
 def full_spectrum_inverse(stepper):
     g = stepper.g
     K = mode_wavevectors(g)
@@ -360,10 +340,17 @@ def full_spectrum_momentum(stepper, inv, V, F2, iterations):
     return Vm
 
 
+def full_spectrum_dealias(f, g):
+    """The 2/3 rule in the two-pass form: fft2, mask, ifft2."""
+    mask = g.dealias_mask.reshape(g.dealias_mask.shape + (1,) * (f.ndim - 2))
+    return np.fft.ifft2(np.fft.fft2(f, axes=(0, 1)) * mask, axes=(0, 1)).real
+
+
 def full_spectrum_coupled(stepper, inv, zeta, V, F1, F2):
+    """The coupled solve on every mode, F1 and F2 dealiased beforehand."""
     g, dt = stepper.g, stepper.dt
-    zh = np.fft.fft2(zeta + dt * F1, axes=(0, 1))
-    r = V + dt * F2
+    zh = np.fft.fft2(zeta + dt * full_spectrum_dealias(F1, g), axes=(0, 1))
+    r = V + dt * full_spectrum_dealias(F2, g)
     r[:, :, -1, :] = 0.0
     r[:, :, 0, :] = 0.0
     rh = np.fft.fft2(r, axes=(0, 1)).reshape(g.nx, g.ny, 2 * g.nz)
@@ -378,7 +365,8 @@ def full_spectrum_coupled(stepper, inv, zeta, V, F1, F2):
 @pytest.mark.parametrize("shape", ((6, 8, 5), (7, 9, 5)))
 @pytest.mark.parametrize("mode", EVOLUTION_MODES)
 def test_half_spectrum_solves_match_full_spectrum(mode, shape,
-                                                  general_params):
+                                                  general_params,
+                                                  grid_of_any_parity):
     g = grid_of_any_parity(*shape)
     params = {"Gamma1": gamma1_params(),
               "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
@@ -438,6 +426,55 @@ def test_F2_contractions_match_three_operand_forms(
     for (s, p), F2 in zip(states, got):
         ref = nonlinearity_F2(s, s.dtV, g, p, dealias=False)
         assert np.max(np.abs(F2 - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def composed_derivatives(V, g):
+    """F2's dV and H as composed first derivatives, H by differentiating dV."""
+    dV = grad_h_vec(V, g)
+    return dV, np.stack([_ddx(dV, g), _ddy(dV, g)], axis=-2)
+
+
+def test_F2_one_transform_derivatives_match_composed_form(
+        oracle_gamma1, oracle_general, general_params, oracle_grid,
+        monkeypatch):
+    g = oracle_grid
+    rng = np.random.default_rng(15)
+    cases = []
+    for template, params, mode in (
+            (oracle_gamma1, gamma1_params(), "LocalGamma1"),
+            (oracle_general, general_params, "GeneralNoGravity")):
+        truth = template.evaluate(reference.sample_coefficients(rng, mode), g)
+        for dealias in (False, True):
+            cases.append((state_from_truth(truth), params, dealias))
+    got = [nonlinearity_F2(s, s.dtV, g, p, dealias=d) for s, p, d in cases]
+    monkeypatch.setattr(evolve, "_first_and_second_derivatives",
+                        composed_derivatives)
+    for (s, p, d), F2 in zip(cases, got):
+        ref = nonlinearity_F2(s, s.dtV, g, p, dealias=False)
+        if d:
+            ref = full_spectrum_dealias(ref, g)
+        assert np.max(np.abs(F2 - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fused_coupled_step_matches_two_pass_form(oracle_gamma1):
+    # coarse enough that the oracle remainders carry modes the mask cuts
+    g = make_grid(12, 12, 9)
+    params = gamma1_params()
+    stepper = Stepper("GlobalGamma1", g, params, 0.05)
+    inv = full_spectrum_inverse(stepper)
+    rng = np.random.default_rng(16)
+    for _ in range(2):
+        truth = oracle_gamma1.evaluate(
+            reference.sample_coefficients(rng, "LocalGamma1"), g)
+        state = LagrangianState(
+            mode="GlobalGamma1", zeta=truth.zeta - params.xi_bar, V=truth.V,
+            fm=truth.fm, t=0.0, dtV=truth.dtV)
+        new = stepper.step(state)
+        F1 = nonlinearity_F1(state, g, params, dealias=False)
+        F2 = nonlinearity_F2(state, state.dtV, g, params, dealias=False)
+        refs = full_spectrum_coupled(stepper, inv, state.zeta, state.V, F1, F2)
+        for got, ref in zip((new.zeta, new.V), refs):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_energy_is_evaluated_once_per_state(monkeypatch):

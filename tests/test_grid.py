@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from cpelab.grid import (
+    _ddx,
+    _ddy,
     dealias,
     div_h,
     grad_h,
@@ -176,3 +178,59 @@ def test_validate_field_classification_and_errors():
     with pytest.raises(ValueError):
         vertical_average(np.zeros((6, 4)), g)
 
+
+
+# ---------------------------------------------------------------------------
+# kernels against the forms they replaced
+# ---------------------------------------------------------------------------
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def fft_derivative(f, ik, axis):
+    """First derivative through the full complex fft along one axis."""
+    shape = [1] * f.ndim
+    shape[axis] = len(ik)
+    out = np.fft.ifft(np.fft.fft(f, axis=axis) * ik.reshape(shape), axis=axis)
+    return out if np.iscomplexobj(f) else out.real
+
+
+def fft_dealias(f, g):
+    """The 2/3 rule through the full complex fft2."""
+    mask = g.dealias_mask.reshape(g.dealias_mask.shape + (1,) * (f.ndim - 2))
+    out = np.fft.ifft2(np.fft.fft2(f, axes=(0, 1)) * mask, axes=(0, 1))
+    return out if np.iscomplexobj(f) else out.real
+
+
+def real_and_complex(rng, shape):
+    f = rng.standard_normal(shape)
+    return f, f + 1j * rng.standard_normal(shape)
+
+
+def test_vertical_products_match_einsum():
+    g = make_grid(8, 6, 7)
+    rng = np.random.default_rng(30)
+    for shape in ((8, 6, 7), (8, 6, 7, 2)):
+        for f in real_and_complex(rng, shape):
+            for op, M in ((vertical_derivative, g.Dz),
+                          (integrate_from_bottom, g.Iz)):
+                got = op(f, g)
+                ref = np.einsum("ij,abj...->abi...", M, f)
+                assert got.dtype == f.dtype and got.shape == f.shape
+                assert rel_diff(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ((8, 6, 5), (7, 9, 5)))
+def test_real_input_transforms_match_complex_path(shape, grid_of_any_parity):
+    g = grid_of_any_parity(*shape)
+    nx, ny, nz = shape
+    rng = np.random.default_rng(31)
+    for fshape in ((nx, ny), (nx, ny, 2), (nx, ny, nz), (nx, ny, nz, 2)):
+        for f in real_and_complex(rng, fshape):
+            for got, ref in ((_ddx(f, g), fft_derivative(f, g.ikx, 0)),
+                             (_ddy(f, g), fft_derivative(f, g.iky, 1)),
+                             (dealias(f, g), fft_dealias(f, g))):
+                # float64 stays float64, complex stays complex
+                assert got.dtype == f.dtype and got.shape == f.shape
+                assert rel_diff(got, ref) <= 1e-12

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cpelab import stokes_solver
 from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     mode_wavevectors,
@@ -157,6 +158,21 @@ def test_imaginary_axis_sweep_bounded_with_decaying_velocity(setup):
     assert report.slope == pytest.approx(-1.0, abs=0.1)
     # ratios show no growth trend: the largest |lambda| does not dominate
     assert report.ratios[-1] <= 2.0 * max(report.ratios[:3])
+
+
+def test_imaginary_axis_sweep_takes_reference_density_from_params(
+        monkeypatch):
+    g = make_grid(6, 6, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5, xi_bar=1.3)
+    seen = []
+
+    def record(prob, g, params):
+        seen.append(prob.xi_bar)
+        return np.ones((g.nx, g.ny)), np.ones((g.nx, g.ny, g.nz, 2))
+
+    monkeypatch.setattr(stokes_solver, "solve_resolvent", record)
+    imaginary_axis_resolvent_sweep(g, params, n_rhs=1)
+    assert seen and set(seen) == {1.3}
 
 
 def test_spectral_bound_per_mode_matches_dense():
