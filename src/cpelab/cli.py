@@ -7,8 +7,10 @@ Subcommands
     diagnostics CSV and a summary JSON.
 ``spectrum``
     Compute the symbol-ellipticity report and the spectral bound eta0 for
-    the linear operator of a configuration; write a per-mode symbol CSV
-    and a summary JSON.
+    the linear operator of a run configuration; write a per-mode symbol
+    CSV and a summary JSON.  Every field it reads is checked as
+    ``simulate`` checks it (the time keys are optional), except that an
+    inadmissible viscosity pair is reported rather than rejected.
 ``resolvent``
     Solve one resolvent problem described by a JSON problem file; write
     the solution fields and a summary JSON.
@@ -16,16 +18,9 @@ Subcommands
     Run a curated battery of the package's correctness properties and
     print a pass/fail table.
 
-Exit codes
-----------
-0   success (simulate: run completed; verify: all checks passed)
-2   configuration error (unreadable file, schema violation, bad value)
-3   run stopped: positivity lost
-4   run stopped: flow map left the diffeomorphism regime
-5   run stopped: blowup detected
-6   compatibility violation in a steady (lambda = 0) resolvent problem
-7   verification failed (one or more checks did not pass)
-8   run stopped: the implicit fixed point did not converge
+A configuration error exits with ``EXIT_CONFIG`` and a message naming the
+field and, where it can be found in the file, its line.  The exit codes
+are the ``EXIT_*`` constants below; README.md tabulates their meanings.
 
 Determinism: identical configuration and seed produce bitwise-identical
 diagnostics CSV files and summary JSONs; no timestamps or host details
@@ -35,6 +30,8 @@ are written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -67,7 +64,15 @@ STATUS_EXIT = {
 
 
 class ConfigError(Exception):
-    """A configuration file failed validation; message names the field."""
+    """A configuration file failed validation; the message names the field.
+
+    ``key`` names the offending key when its line in the file belongs in
+    the message; :func:`_config_file` appends that line.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -96,34 +101,9 @@ def _key_line(text: str, key: str) -> str:
     return f" (line {text.count(chr(10), 0, idx) + 1})"
 
 
-def _require(obj: dict, key: str, text: str):
-    if key not in obj:
-        raise ConfigError(f"missing required key '{key}'")
-    return obj[key]
-
-
-def _check_unknown(obj: dict, allowed: set, text: str, where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key '{key}' in {where}{_key_line(text, key)}")
-
-
-def _as_number(value, key: str, text: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(
-            f"'{key}' must be a number, got {value!r}{_key_line(text, key)}")
-    return float(value)
-
-
-def _as_int(value, key: str, text: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(
-            f"'{key}' must be an integer, got {value!r}{_key_line(text, key)}")
-    return value
-
-
-def _load_json(path: str) -> tuple[dict, str]:
+@contextlib.contextmanager
+def _config_file(path: str):
+    """Load a JSON object; a keyed error in the block gets the key's line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -137,86 +117,92 @@ def _load_json(path: str) -> tuple[dict, str]:
             f"column {exc.colno})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config root in {path!r} must be a JSON object")
-    return obj, text
+    try:
+        yield obj
+    except ConfigError as exc:
+        if exc.key is None:
+            raise
+        raise ConfigError(f"{exc}{_key_line(text, exc.key)}") from exc
 
 
-def _check_schema_version(obj: dict, text: str) -> None:
-    version = _require(obj, "schema_version", text)
+def _require(obj: dict, key: str):
+    if key not in obj:
+        raise ConfigError(f"missing required key '{key}'")
+    return obj[key]
+
+
+def _check_unknown(obj: dict, allowed: set, where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{key}' in {where}", key)
+
+
+def _as_number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}", key)
+    return float(value)
+
+
+def _as_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}", key)
+    return value
+
+
+def _check_schema_version(obj: dict) -> None:
+    version = _require(obj, "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {version!r}; this build reads "
-            f"version {SCHEMA_VERSION}{_key_line(text, 'schema_version')}")
+            f"version {SCHEMA_VERSION}", "schema_version")
 
 
-def _parse_mode(obj: dict, text: str) -> str:
-    mode = _require(obj, "mode", text)
-    if not isinstance(mode, str) or mode not in evolve.MODE_MODEL:
-        raise ConfigError(
-            f"unknown mode {mode!r}; expected one of "
-            f"{sorted(evolve.MODE_MODEL)}{_key_line(text, 'mode')}")
-    return mode
-
-
-def _parse_grid(obj: dict, text: str) -> Grid:
-    grid = _require(obj, "grid", text)
+def _parse_grid(obj: dict) -> Grid:
+    grid = _require(obj, "grid")
     if not isinstance(grid, dict):
-        raise ConfigError(f"'grid' must be an object{_key_line(text, 'grid')}")
-    _check_unknown(grid, _GRID_KEYS, text, "'grid'")
-    nx, ny, nz = (_as_int(_require(grid, k, text), k, text)
-                  for k in ("nx", "ny", "nz"))
+        raise ConfigError("'grid' must be an object", "grid")
+    _check_unknown(grid, _GRID_KEYS, "'grid'")
+    nx, ny, nz = (_as_int(_require(grid, k), k) for k in ("nx", "ny", "nz"))
     try:
         return make_grid(nx, ny, nz)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _parse_output_dir(obj: dict, text: str) -> str | None:
+def _parse_output_dir(obj: dict) -> str | None:
     output_dir = obj.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(
-            f"'output_dir' must be a string{_key_line(text, 'output_dir')}")
+        raise ConfigError("'output_dir' must be a string", "output_dir")
     return output_dir
 
 
-def _params_object(obj: dict, text: str) -> dict:
-    """The raw ``params`` object, checked for its type and unknown keys."""
-    raw = _require(obj, "params", text)
+def _parse_params(obj: dict, model: str) -> PhysicalParams:
+    raw = _require(obj, "params")
     if not isinstance(raw, dict):
-        raise ConfigError(
-            f"'params' must be an object{_key_line(text, 'params')}")
-    _check_unknown(raw, _PARAM_KEYS, text, "'params'")
-    return raw
-
-
-def _parse_params(obj: dict, text: str, model: str) -> PhysicalParams:
-    raw = _params_object(obj, text)
-    kwargs = {
-        "mu": _as_number(_require(raw, "mu", text), "mu", text),
-        "mu_prime": _as_number(_require(raw, "mu_prime", text),
-                               "mu_prime", text),
-        "model": model,
-    }
+        raise ConfigError("'params' must be an object", "params")
+    _check_unknown(raw, _PARAM_KEYS, "'params'")
+    kwargs = {"model": model}
+    for key in ("mu", "mu_prime"):
+        kwargs[key] = _as_number(_require(raw, key), key)
     for key in ("xi_bar", "M1", "M2"):
         if key in raw:
-            kwargs[key] = _as_number(raw[key], key, text)
+            kwargs[key] = _as_number(raw[key], key)
     if "pressure" in raw:
         if model != "GeneralNoGravity":
             raise ConfigError(
                 "'pressure' is only meaningful for the GeneralNoGravity "
-                f"mode{_key_line(text, 'pressure')}")
+                "mode", "pressure")
         pres = raw["pressure"]
         if not isinstance(pres, dict):
-            raise ConfigError(
-                f"'pressure' must be an object{_key_line(text, 'pressure')}")
-        _check_unknown(pres, _PRESSURE_KEYS, text, "'pressure'")
-        law = _require(pres, "law", text)
-        law_kwargs = {k: _as_number(pres[k], k, text)
+            raise ConfigError("'pressure' must be an object", "pressure")
+        _check_unknown(pres, _PRESSURE_KEYS, "'pressure'")
+        law = _require(pres, "law")
+        law_kwargs = {k: _as_number(pres[k], k)
                       for k in ("c", "alpha") if k in pres}
         try:
             kwargs.update(make_pressure_law(law, **law_kwargs))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid pressure law: {exc}"
-                              f"{_key_line(text, 'law')}") from exc
+            raise ConfigError(f"invalid pressure law: {exc}", "law") from exc
     elif model == "GeneralNoGravity":
         kwargs.update(make_pressure_law("linear", c=1.0))
     try:
@@ -225,63 +211,75 @@ def _parse_params(obj: dict, text: str, model: str) -> PhysicalParams:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
+def _parse_mode_grid_params(obj: dict) -> tuple[str, Grid, PhysicalParams]:
+    """Schema version, mode, grid and params of a run config."""
+    _check_schema_version(obj)
+    mode = _require(obj, "mode")
+    if not isinstance(mode, str) or mode not in evolve.MODE_MODEL:
+        raise ConfigError(
+            f"unknown mode {mode!r}; expected one of "
+            f"{sorted(evolve.MODE_MODEL)}", "mode")
+    g = _parse_grid(obj)
+    params = _parse_params(obj, evolve.MODE_MODEL[mode])
+    try:
+        evolve._check_mode_params(mode, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return mode, g, params
+
+
+def _parse_run_keys(obj: dict) -> dict:
+    """:class:`evolve.RunConfig` keyword arguments of the run keys present."""
+    kwargs = {}
+    for key in ("dt", "t_end", "amplitude"):
+        if key in obj:
+            kwargs[key] = _as_number(obj[key], key)
+    for key in ("output_every", "seed"):
+        if key in obj:
+            kwargs[key] = _as_int(obj[key], key)
+    if "preset" in obj:
+        preset = obj["preset"]
+        if preset not in evolve.PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}", "preset")
+        kwargs["preset"] = preset
+    if "perturbation_mode" in obj:
+        pm = obj["perturbation_mode"]
+        if (not isinstance(pm, list) or len(pm) != 2
+                or any(type(k) is not int for k in pm)):
+            raise ConfigError("'perturbation_mode' must be a pair of integers",
+                              "perturbation_mode")
+        kwargs["perturbation_mode"] = tuple(pm)
+    if "tolerances" in obj:
+        tol = obj["tolerances"]
+        if not isinstance(tol, dict):
+            raise ConfigError("'tolerances' must be an object", "tolerances")
+        _check_unknown(tol, _TOLERANCE_KEYS, "'tolerances'")
+        for key, value in tol.items():
+            kwargs[key] = _as_number(value, key)
+    kwargs["output_dir"] = _parse_output_dir(obj)
+    return kwargs
+
+
 def parse_run_config(path: str) -> evolve.RunConfig:
     """Parse and validate a simulate configuration file.
 
     Every violation raises :class:`ConfigError` naming the offending field
     and, when it can be located in the raw text, its line number.
     """
-    obj, text = _load_json(path)
-    _check_unknown(obj, _RUN_KEYS, text, "run config")
-    _check_schema_version(obj, text)
-    mode = _parse_mode(obj, text)
-    g = _parse_grid(obj, text)
-    params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
-
-    dt = _as_number(_require(obj, "dt", text), "dt", text)
-    t_end = _as_number(_require(obj, "t_end", text), "t_end", text)
-
-    kwargs = {}
-    if "output_every" in obj:
-        kwargs["output_every"] = _as_int(obj["output_every"],
-                                         "output_every", text)
-    if "preset" in obj:
-        preset = obj["preset"]
-        if preset not in evolve.PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}{_key_line(text, 'preset')}")
-        kwargs["preset"] = preset
-    if "amplitude" in obj:
-        kwargs["amplitude"] = _as_number(obj["amplitude"], "amplitude", text)
-    if "perturbation_mode" in obj:
-        pm = obj["perturbation_mode"]
-        if (not isinstance(pm, list) or len(pm) != 2
-                or not all(isinstance(k, int) and not isinstance(k, bool)
-                           for k in pm)):
-            raise ConfigError(
-                "'perturbation_mode' must be a pair of integers"
-                f"{_key_line(text, 'perturbation_mode')}")
-        kwargs["perturbation_mode"] = (pm[0], pm[1])
-    if "seed" in obj:
-        kwargs["seed"] = _as_int(obj["seed"], "seed", text)
-    if "tolerances" in obj:
-        tol = obj["tolerances"]
-        if not isinstance(tol, dict):
-            raise ConfigError(
-                f"'tolerances' must be an object{_key_line(text, 'tolerances')}")
-        _check_unknown(tol, _TOLERANCE_KEYS, text, "'tolerances'")
-        for key, value in tol.items():
-            kwargs[key] = _as_number(value, key, text)
-    kwargs["output_dir"] = _parse_output_dir(obj, text)
-
-    try:
-        cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
-                               params=params, dt=dt, t_end=t_end, **kwargs)
-        # the preset's initial density must be positive, and in the local
-        # modes lie in [M1, M2]
-        evolve.initial_state(cfg, g)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_file(path) as obj:
+        _check_unknown(obj, _RUN_KEYS, "run config")
+        mode, g, params = _parse_mode_grid_params(obj)
+        for key in ("dt", "t_end"):
+            _require(obj, key)
+        kwargs = _parse_run_keys(obj)
+        try:
+            cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
+                                   params=params, **kwargs)
+            # the preset's initial density must be positive, and in the
+            # local modes lie in [M1, M2]
+            evolve.initial_state(cfg, g)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -291,35 +289,32 @@ def parse_resolvent_problem(path: str):
     Returns ``(lam, rhs_kind, seed, grid, params, output_dir)`` where
     ``rhs_kind`` is one of ``manufactured``, ``random``, ``zero``.
     """
-    obj, text = _load_json(path)
-    _check_unknown(obj, _RESOLVENT_KEYS, text, "resolvent problem")
-    _check_schema_version(obj, text)
-    g = _parse_grid(obj, text)
-    params = _parse_params(obj, text, "Gamma1")
-    raw_lam = _require(obj, "lam", text)
-    if isinstance(raw_lam, list) and len(raw_lam) == 2:
-        lam = complex(_as_number(raw_lam[0], "lam", text),
-                      _as_number(raw_lam[1], "lam", text))
-    elif isinstance(raw_lam, (int, float)) and not isinstance(raw_lam, bool):
-        lam = complex(raw_lam)
-    else:
-        raise ConfigError(
-            "'lam' must be a number or a [real, imag] pair"
-            f"{_key_line(text, 'lam')}")
-    if not np.isfinite(lam):
-        raise ConfigError(
-            f"'lam' must be finite, got {lam}{_key_line(text, 'lam')}")
-    if lam.real < 0:
-        raise ConfigError(
-            f"'lam' must satisfy Re lambda >= 0, got {lam}"
-            f"{_key_line(text, 'lam')}")
-    rhs = obj.get("rhs", "manufactured")
-    if rhs not in ("manufactured", "random", "zero"):
-        raise ConfigError(
-            f"unknown rhs preset {rhs!r}; expected manufactured, random or "
-            f"zero{_key_line(text, 'rhs')}")
-    seed = _as_int(obj.get("seed", 0), "seed", text)
-    return lam, rhs, seed, g, params, _parse_output_dir(obj, text)
+    with _config_file(path) as obj:
+        _check_unknown(obj, _RESOLVENT_KEYS, "resolvent problem")
+        _check_schema_version(obj)
+        g = _parse_grid(obj)
+        params = _parse_params(obj, "Gamma1")
+        raw_lam = _require(obj, "lam")
+        if isinstance(raw_lam, list) and len(raw_lam) == 2:
+            lam = complex(*(_as_number(v, "lam") for v in raw_lam))
+        elif (isinstance(raw_lam, (int, float))
+              and not isinstance(raw_lam, bool)):
+            lam = complex(raw_lam)
+        else:
+            raise ConfigError(
+                "'lam' must be a number or a [real, imag] pair", "lam")
+        if not np.isfinite(lam):
+            raise ConfigError(f"'lam' must be finite, got {lam}", "lam")
+        if lam.real < 0:
+            raise ConfigError(
+                f"'lam' must satisfy Re lambda >= 0, got {lam}", "lam")
+        rhs = obj.get("rhs", "manufactured")
+        if rhs not in ("manufactured", "random", "zero"):
+            raise ConfigError(
+                f"unknown rhs preset {rhs!r}; expected manufactured, random "
+                "or zero", "rhs")
+        seed = _as_int(obj.get("seed", 0), "seed")
+        return lam, rhs, seed, g, params, _parse_output_dir(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +393,34 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    # Parse leniently: an inadmissible viscosity pair must be *reported*
-    # (ok = false with an explanation), not rejected at parse time.
-    obj, text = _load_json(args.config)
-    _check_unknown(obj, _RUN_KEYS, text, "run config")
-    _check_schema_version(obj, text)
-    mode = _parse_mode(obj, text)
-    g = _parse_grid(obj, text)
-    raw = _params_object(obj, text)
-    mu = _as_number(_require(raw, "mu", text), "mu", text)
-    mu_prime = _as_number(_require(raw, "mu_prime", text), "mu_prime", text)
-    xi_bar = _as_number(raw.get("xi_bar", 1.0), "xi_bar", text)
-    out_dir = _resolve_output_dir(args.output_dir, _parse_output_dir(obj, text))
+    with _config_file(args.config) as obj:
+        _check_unknown(obj, _RUN_KEYS, "run config")
+        # An inadmissible viscosity pair is reported (ok = false with an
+        # explanation), not rejected: the shared parse checks every other
+        # field against an admissible stand-in pair.
+        raw = obj.get("params")
+        stand_in = ({**obj, "params": {**raw, "mu": 1.0, "mu_prime": 0.0}}
+                    if isinstance(raw, dict) else obj)
+        _, g, params = _parse_mode_grid_params(stand_in)
+        mu, mu_prime = (_as_number(_require(raw, k), k)
+                        for k in ("mu", "mu_prime"))
+        run = _parse_run_keys(obj)
+    out_dir = _resolve_output_dir(args.output_dir, run["output_dir"])
     report = operators.symbol_ellipticity_report(mu, mu_prime, kmax=8)
 
     csv_path = os.path.join(out_dir, "symbol_eigs.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k1,k2,lam1,lam2\n")
-        for k1 in range(-8, 9):
-            for k2 in range(-8, 9):
-                if k1 == 0 and k2 == 0:
-                    continue
-                eigs = operators.lame_symbol_eigs((k1, k2), mu, mu_prime)
-                fh.write(f"{k1},{k2},{eigs.lam1:.17g},{eigs.lam2:.17g}\n")
+        for (k1, k2), lam1, lam2 in zip(report.k.tolist(),
+                                        report.lam1.tolist(),
+                                        report.lam2.tolist()):
+            fh.write(f"{k1},{k2},{lam1:.17g},{lam2:.17g}\n")
 
     min_symbol_eig = min(report.min_lam1, report.min_lam2)
-    eta0 = None
-    explanation = None
+    eta0 = explanation = None
     if report.ok:
-        params = _parse_params(obj, text, evolve.MODE_MODEL[mode])
-        eta0 = stokes_solver.spectral_bound(g, params)
+        eta0 = stokes_solver.spectral_bound(
+            g, dataclasses.replace(params, mu=mu, mu_prime=mu_prime))
     else:
         explanation = (
             f"symbol not parameter-elliptic: min eigenvalue "
@@ -439,8 +432,8 @@ def _cmd_spectrum(args) -> int:
         "grid": [g.nx, g.ny, g.nz],
         "mu": mu,
         "mu_prime": mu_prime,
-        "xi_bar": xi_bar,
-        "ok": bool(report.ok),
+        "xi_bar": params.xi_bar,
+        "ok": report.ok,
         "eta0": eta0,
         "min_symbol_eig": min_symbol_eig,
         "b1_min": report.b1_min,
@@ -542,24 +535,25 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Simulator and operator laboratory for the compressible "
                      "primitive equations on the periodic cylinder."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-dir", default=None,
+                        help=f"output directory (overrides {OUTPUT_DIR_ENV} "
+                             "and the config)")
 
-    p_sim = sub.add_parser("simulate", help="run a time integration")
+    p_sim = sub.add_parser("simulate", parents=[output],
+                           help="run a time integration")
     p_sim.add_argument("config", help="JSON run configuration")
-    p_sim.add_argument("--output-dir", default=None,
-                       help=f"output directory (overrides {OUTPUT_DIR_ENV} "
-                            "and the config)")
     p_sim.set_defaults(fn=_cmd_simulate)
 
-    p_spec = sub.add_parser("spectrum",
+    p_spec = sub.add_parser("spectrum", parents=[output],
                             help="symbol ellipticity report and spectral bound")
     p_spec.add_argument("config", help="JSON run configuration "
                                        "(time-stepping keys optional)")
-    p_spec.add_argument("--output-dir", default=None)
     p_spec.set_defaults(fn=_cmd_spectrum)
 
-    p_res = sub.add_parser("resolvent", help="solve one resolvent problem")
+    p_res = sub.add_parser("resolvent", parents=[output],
+                           help="solve one resolvent problem")
     p_res.add_argument("problem", help="JSON problem file")
-    p_res.add_argument("--output-dir", default=None)
     p_res.set_defaults(fn=_cmd_resolvent)
 
     p_ver = sub.add_parser("verify",

@@ -173,7 +173,7 @@ def energy(xi: np.ndarray, v: np.ndarray, g: Grid,
 
 
 def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
-                      params: PhysicalParams, mode: str) -> EnergyEntry:
+                      params: PhysicalParams) -> EnergyEntry:
     """Energy and dissipation evaluated on Lagrangian fields.
 
     Same functionals as :func:`energy` after the change of variables: the
@@ -187,7 +187,7 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
     det = fm.detX
     det3 = det[:, :, None]
     speed2 = np.sum(V**2, axis=-1)
-    if mode == "LocalGamma2":
+    if params.model == "Gamma2":
         rho3 = zeta_full[:, :, None] + 0.5 * g.z[None, None, :]
         kinetic = integral(0.5 * rho3 * speed2 * det3, g)
     else:
@@ -210,7 +210,7 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
 
 
 def lagrangian_mass(zeta_full: np.ndarray, fm, g: Grid,
-                    params: PhysicalParams, mode: str) -> float:
+                    params: PhysicalParams) -> float:
     """Total mass of the state, evaluated on the label grid.
 
     In the stretched Gamma1 coordinates a fluid column of surface density

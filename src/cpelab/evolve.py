@@ -710,7 +710,7 @@ def _diagnostics_row(state: LagrangianState, g: Grid, params: PhysicalParams,
                      energy: float, diss_integral: float) -> tuple:
     zf = full_surface_density(state, params)
     zeta_m = state.zeta - float(np.mean(state.zeta))
-    mass = diagnostics.lagrangian_mass(zf, state.fm, g, params, state.mode)
+    mass = diagnostics.lagrangian_mass(zf, state.fm, g, params)
     return (
         float(state.t), mass, energy, float(diss_integral),
         diagnostics.surface_h1_norm(zeta_m, g), l2_norm(state.V, g),
@@ -735,7 +735,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     def energy(state: LagrangianState) -> diagnostics.EnergyEntry:
         return diagnostics.lagrangian_energy(
             full_surface_density(state, params), state.V, state.fm, g,
-            params, state.mode)
+            params)
 
     entry = energy(state)
     rows = [_diagnostics_row(state, g, params, entry.E, 0.0)]

@@ -65,15 +65,12 @@ class FlowMap:
         Pointwise inverse of gradX (2x2 cofactor formula).
     detX : ndarray, shape (nx, ny)
         Pointwise determinant of gradX.
-    t : float
-        Time of this slice.
     """
 
     disp: np.ndarray
     gradX: np.ndarray
     Z: np.ndarray
     detX: np.ndarray
-    t: float
 
 
 class InvertibilityReport(NamedTuple):
@@ -84,12 +81,12 @@ class InvertibilityReport(NamedTuple):
     ok: bool
 
 
-def identity_map(g: Grid, t: float = 0.0) -> FlowMap:
+def identity_map(g: Grid) -> FlowMap:
     """Flow map at time zero: X = y_H, gradX = Z = I, detX = 1."""
     disp = np.zeros((g.nx, g.ny, 2))
     eye = np.broadcast_to(np.eye(2), (g.nx, g.ny, 2, 2)).copy()
     det = np.ones((g.nx, g.ny))
-    return FlowMap(disp=disp, gradX=eye, Z=eye.copy(), detX=det, t=t)
+    return FlowMap(disp=disp, gradX=eye, Z=eye.copy(), detX=det)
 
 
 def positions(fm: FlowMap, g: Grid) -> np.ndarray:
@@ -214,7 +211,7 @@ def advance_flow(fm: FlowMap, vbar: np.ndarray, g: Grid, dt: float) -> FlowMap:
     disp = fm.disp + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     gradX = G0 + (dt / 6.0) * (k1G + 2.0 * k2G + 2.0 * k3G + k4G)
     Z, det = inverse_jacobian(gradX)
-    return FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det, t=fm.t + dt)
+    return FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det)
 
 
 def advance_flow_lagrangian(
@@ -237,7 +234,7 @@ def advance_flow_lagrangian(
     gvZ = np.einsum("...ik,...kj->...ij", grad_h_vec(Vbar, g), fm.Z)
     gradX = fm.gradX + dt * np.einsum("...ik,...kj->...ij", gvZ, fm.gradX)
     Z, det = inverse_jacobian(gradX)
-    return FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det, t=fm.t + dt)
+    return FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det)
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:

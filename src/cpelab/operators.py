@@ -263,7 +263,11 @@ def lame_symbol_eigs(k_H, mu: float, mu_prime: float) -> SymbolEigs:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Scan of the horizontal symbol eigenvalues and the vertical coefficient."""
+    """Scan of the horizontal symbol eigenvalues and the vertical coefficient.
+
+    ``k`` holds the integer modes with 0 < |k_H|_inf <= kmax in row-major
+    order, and ``lam1``, ``lam2`` the symbol eigenvalues at each.
+    """
 
     min_lam1: float
     min_lam2: float
@@ -271,6 +275,9 @@ class EllipticityReport:
     b1_min: float
     b1_lower_bound: float
     ok: bool
+    k: np.ndarray
+    lam1: np.ndarray
+    lam2: np.ndarray
 
 
 def symbol_ellipticity_report(
@@ -282,29 +289,28 @@ def symbol_ellipticity_report(
     on a z-sample together with its lower bound exp(-2)/delta^2; ``ok``
     requires every scanned eigenvalue and b1 to be positive.  Accepts
     inadmissible viscosities on purpose so that failures are reported
-    rather than raised.
+    rather than raised.  The eigenvalues are those of
+    :func:`lame_symbol_eigs`, bit for bit.
     """
-    best = (np.inf, np.inf, (0, 0))
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if k1 == k2 == 0 or k1 * k1 + k2 * k2 > kmax * kmax:
-                continue
-            eig = lame_symbol_eigs((k1, k2), mu, mu_prime)
-            if min(eig.lam1, eig.lam2) < min(best[0], best[1]):
-                best = (eig.lam1, eig.lam2, (k1, k2))
+    axis = np.arange(-kmax, kmax + 1)
+    k = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = k[np.any(k != 0, axis=1)]
+    k2 = _symbol_parts(2.0 * np.pi * k)[0][:, 0, 0]
+    lam1 = (mu + mu_prime) * k2
+    lam2 = mu * k2
+    # the first mode of the disk, in row-major order, with the least of
+    # the two eigenvalues
+    disk = np.flatnonzero(np.sum(k * k, axis=1) <= kmax * kmax)
+    i = disk[np.argmin(np.minimum(lam1, lam2)[disk])]
     zs = np.linspace(0.0, 1.0, 101)
     b1 = (1.0 - DELTA * zs) ** 2 / DELTA**2
     b1_min = float(b1.min())
     bound = float(np.exp(-2.0) / DELTA**2)
-    ok = bool(min(best[0], best[1]) > 0 and b1_min >= bound > 0)
+    ok = bool(min(lam1[i], lam2[i]) > 0 and b1_min >= bound > 0)
     return EllipticityReport(
-        min_lam1=float(best[0]),
-        min_lam2=float(best[1]),
-        argmin_k=best[2],
-        b1_min=b1_min,
-        b1_lower_bound=bound,
-        ok=ok,
-    )
+        min_lam1=float(lam1[i]), min_lam2=float(lam2[i]),
+        argmin_k=tuple(k[i].tolist()), b1_min=b1_min, b1_lower_bound=bound,
+        ok=ok, k=k, lam1=lam1, lam2=lam2)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class OracleTemplate:
         gradX[:, :, 1, 0] = f2(a21)
         gradX[:, :, 1, 1] = f2(a22)
         Z, detX = inverse_jacobian(gradX)
-        fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX, t=0.0)
+        fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX)
         return ManufacturedTruth(
             mode=self.mode, zeta=f2(zeta), zeta0=f2(zeta0), V=V, W=f3(w),
             dtV=dtV, dtzeta=f2(dtz), F1=f2(f1), F2=F2, fm=fm)

@@ -434,12 +434,9 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     mask_zeta[0, 0] = 0.0
 
     def filt(mask):
-        M = np.zeros((n2, n2))
-        for j in range(n2):
-            e = np.zeros((g.nx, g.ny))
-            e.flat[j] = 1.0
-            M[:, j] = np.fft.ifft2(np.fft.fft2(e) * mask).real.ravel()
-        return M
+        # column j filters the j-th unit field; one batched transform pair
+        units = np.eye(n2).reshape(n2, g.nx, g.ny)
+        return np.fft.ifft2(np.fft.fft2(units) * mask).real.reshape(n2, n2).T
 
     P = scipy.linalg.block_diag(
         filt(mask_zeta), np.kron(filt(g.active_mask.astype(float)),

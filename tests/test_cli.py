@@ -63,6 +63,23 @@ def read_summary(dirpath):
         return json.load(fh)
 
 
+def located(cases):
+    """Parametrize ``(overrides, needle, line)``; ``line`` is the line the
+    message names, or None for a message that names none."""
+    return [pytest.param(overrides, needle, line, id=f"overrides{i}-{needle}")
+            for i, (overrides, needle, line) in enumerate(cases)]
+
+
+def assert_config_error(capsys, needle, line):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
+    if line is None:
+        assert "(line" not in err
+    else:
+        assert err.endswith(f" (line {line})\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -291,15 +308,13 @@ def test_missing_file_is_config_error(tmp_path, capsys):
 def test_unknown_key_is_located(tmp_path, capsys):
     cfg = write_config(tmp_path, vlscosity=2.0)
     assert cli.main(["simulate", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "vlscosity" in err
-    assert "line" in err
+    assert_config_error(capsys, "unknown key 'vlscosity' in run config", 19)
 
 
 def test_tolerance_typo_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"fp_tol": 1e-12, "fp_toll": 1.0})
     assert cli.main(["simulate", cfg]) == 2
-    assert "fp_toll" in capsys.readouterr().err
+    assert_config_error(capsys, "unknown key 'fp_toll' in 'tolerances'", 21)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -314,41 +329,49 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, tolerances={key: value})
     out = tmp_path / "out"
     assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert f"'{key}'" in err
+    assert_config_error(capsys, f"tolerance '{key}' must be finite", None)
     assert not (out / "summary.json").exists()
 
 
 def test_schema_version_mismatch(tmp_path, capsys):
     cfg = write_config(tmp_path, schema_version=2)
     assert cli.main(["simulate", cfg]) == 2
-    assert "schema_version" in capsys.readouterr().err
+    assert_config_error(capsys, "unsupported schema_version 2", 2)
 
 
-@pytest.mark.parametrize("overrides,needle", [
-    ({"mode": "Gamma7"}, "unknown mode"),
-    ({"preset": "warp"}, "unknown preset"),
-    ({"grid": {"nx": 7, "ny": 8, "nz": 5}}, "invalid grid"),
-    ({"grid": {"nx": 8, "ny": 8}}, "nz"),
-    ({"dt": True}, "dt"),
-    ({"dt": -1e-3}, "dt must be positive"),
-    ({"seed": 1.5}, "seed"),
-    ({"params": {"mu": -1.0, "mu_prime": 0.5}}, "mu"),
-    ({"params": {"mu": 1.0}}, "mu_prime"),
-    ({"mode": ["x"]}, "unknown mode"),
-    ({"mode": {}}, "unknown mode"),
-])
-def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle):
+@pytest.mark.parametrize("overrides,needle,line", located([
+    ({"mode": "Gamma7"}, "unknown mode", 3),
+    ({"preset": "warp"}, "unknown preset", 16),
+    ({"grid": {"nx": 7, "ny": 8, "nz": 5}}, "invalid grid", None),
+    ({"grid": {"nx": 8, "ny": 8}}, "nz", None),
+    ({"dt": True}, "dt", 14),
+    ({"dt": -1e-3}, "dt must be positive", None),
+    ({"seed": 1.5}, "seed", 18),
+    ({"params": {"mu": -1.0, "mu_prime": 0.5}}, "mu", None),
+    ({"params": {"mu": 1.0}}, "mu_prime", None),
+    ({"mode": ["x"]}, "unknown mode", 3),
+    ({"mode": {}}, "unknown mode", 3),
+]))
+def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", cfg]) == 2
-    assert needle in capsys.readouterr().err
+    assert_config_error(capsys, needle, line)
 
 
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         cli.main([])
     assert exc_info.value.code == 2
+
+
+def test_readme_exit_code_table_matches_cli():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text[text.index("Exit codes:"):].split("\n\n")[1]
+    codes = {int(row.split("|")[1]) for row in table.splitlines()[2:]}
+    assert codes == {value for name, value in vars(cli).items()
+                     if name.startswith("EXIT_")}
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +401,53 @@ def test_spectrum_admissible(tmp_path):
 def test_spectrum_unhashable_mode_exits_2(tmp_path, capsys, mode):
     cfg = write_config(tmp_path, mode=mode)
     assert cli.main(["spectrum", cfg]) == 2
-    assert "unknown mode" in capsys.readouterr().err
+    assert_config_error(capsys, "unknown mode", 3)
 
 
 def test_spectrum_inadmissible_is_reported_not_rejected(tmp_path):
-    cfg = write_config(
-        tmp_path, params={"mu": 1.0, "mu_prime": -1.5},
-        grid={"nx": 6, "ny": 6, "nz": 7})
+    # every other field, time keys included, is valid
+    for mu, mu_prime in ((1.0, -1.5), (-1.0, 0.5)):
+        cfg = write_config(
+            tmp_path, params={"mu": mu, "mu_prime": mu_prime, "xi_bar": 0.8,
+                              "M1": 0.4, "M2": 3.0},
+            grid={"nx": 6, "ny": 6, "nz": 7}, output_every=2,
+            perturbation_mode=[1, 1], tolerances={"fp_tol": 1e-10})
+        out = tmp_path / f"spectrum_out_{mu}"
+        assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["ok"] is False
+        assert summary["eta0"] is None
+        assert summary["min_symbol_eig"] < 0.0
+        assert summary["xi_bar"] == 0.8
+        assert "mu + mu_prime" in summary["explanation"]
+        assert (out / "symbol_eigs.csv").exists()
+
+
+INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
+
+
+@pytest.mark.parametrize("overrides,needle,line", [
+    ({"params": {**INADMISSIBLE, "xi_bar": -1.0}},
+     "invalid params: xi_bar must be positive, got -1.0", None),
+    ({"params": {**INADMISSIBLE, "M1": "x"}},
+     "'M1' must be a number, got 'x'", 12),
+    ({"params": {**INADMISSIBLE, "pressure": {"law": "linear"}}},
+     "'pressure' is only meaningful for the GeneralNoGravity mode", 12),
+    ({"mode": "GlobalGamma1",
+      "params": {"mu": 1.0, "mu_prime": 0.5, "xi_bar": 2.0}},
+     "set xi_bar=1, got 2.0", None),
+    ({"dt": True}, "'dt' must be a number, got True", 14),
+], ids=("inadmissible-xi_bar", "inadmissible-M1", "inadmissible-pressure",
+        "global-xi_bar", "dt"))
+def test_spectrum_checks_fields_as_simulate_does(tmp_path, capsys, overrides,
+                                                 needle, line):
+    # only the viscosity pair's admissibility is reported rather than
+    # rejected; every other field is checked by the parsers of simulate
+    cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "spectrum_out"
-    assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 0
-    summary = read_summary(out)
-    assert summary["ok"] is False
-    assert summary["eta0"] is None
-    assert summary["min_symbol_eig"] < 0.0
-    assert "mu + mu_prime" in summary["explanation"]
-    assert (out / "symbol_eigs.csv").exists()
+    assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 2
+    assert_config_error(capsys, needle, line)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +539,19 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
             assert err <= 1e-13
 
 
-@pytest.mark.parametrize("overrides,needle", [
-    ({"lam": -1.0}, "Re lambda"),
-    ({"lam": "big"}, "lam"),
-    ({"rhs": "noise"}, "unknown rhs preset"),
-    ({"extra": 1}, "extra"),
-    ({"lam": float("nan")}, "'lam' must be finite"),
-    ({"lam": float("inf")}, "'lam' must be finite"),
-    ({"lam": [0.0, float("-inf")]}, "'lam' must be finite"),
-])
-def test_resolvent_config_errors(tmp_path, capsys, overrides, needle):
+@pytest.mark.parametrize("overrides,needle,line", located([
+    ({"lam": -1.0}, "Re lambda", 12),
+    ({"lam": "big"}, "lam", 12),
+    ({"rhs": "noise"}, "unknown rhs preset", 13),
+    ({"extra": 1}, "extra", 14),
+    ({"lam": float("nan")}, "'lam' must be finite", 12),
+    ({"lam": float("inf")}, "'lam' must be finite", 12),
+    ({"lam": [0.0, float("-inf")]}, "'lam' must be finite", 12),
+]))
+def test_resolvent_config_errors(tmp_path, capsys, overrides, needle, line):
     prob = write_problem(tmp_path, **overrides)
     assert cli.main(["resolvent", prob]) == 2
-    assert needle in capsys.readouterr().err
+    assert_config_error(capsys, needle, line)
 
 
 # ---------------------------------------------------------------------------

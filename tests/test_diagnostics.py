@@ -46,14 +46,14 @@ def test_lagrangian_mass_per_model():
     pg = PhysicalParams(mu=1.0, mu_prime=0.5, model="GeneralNoGravity",
                         **make_pressure_law("linear"))
     # a stretched-coordinate column of surface density 1 carries mass delta
-    assert lagrangian_mass(ones, fm, g, p1, "LocalGamma1") == \
+    assert lagrangian_mass(ones, fm, g, p1) == \
         pytest.approx(DELTA, abs=1e-14)
     # the affine profile zeta + z/2 integrates to zeta + 1/4
-    assert lagrangian_mass(ones, fm, g, p2, "LocalGamma2") == \
+    assert lagrangian_mass(ones, fm, g, p2) == \
         pytest.approx(1.25, abs=1e-14)
     rho3 = ones[:, :, None] + 0.5 * g.z[None, None, :]
     assert integral(rho3, g) == pytest.approx(1.25, abs=1e-14)
-    assert lagrangian_mass(2.0 * ones, fm, g, pg, "GeneralNoGravity") == \
+    assert lagrangian_mass(2.0 * ones, fm, g, pg) == \
         pytest.approx(2.0, abs=1e-14)
 
 
@@ -135,22 +135,21 @@ def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
     disp[:, :, 0] = a * np.sin(2 * np.pi * y2)
     gradX = np.broadcast_to(np.eye(2), (g.nx, g.ny, 2, 2)) + grad_h_vec(disp, g)
     Z, detX = inverse_jacobian(gradX)
-    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX, t=0.0)
+    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX)
     zeta = xi_of(X1, y2) * np.ones((g.nx, g.ny))
     V = v_of(X1, y2 * np.ones_like(X1))
 
-    for model, mode in (("Gamma1", "LocalGamma1"),
-                        ("GeneralNoGravity", "GeneralNoGravity")):
+    for model in ("Gamma1", "Gamma2", "GeneralNoGravity"):
         kw = make_pressure_law("linear") if model == "GeneralNoGravity" else {}
         params = PhysicalParams(mu=1.0, mu_prime=0.5, model=model, **kw)
         eul = energy(xi, v, g, params)
-        lag = lagrangian_energy(zeta, V, fm, g, params, mode)
+        lag = lagrangian_energy(zeta, V, fm, g, params)
         assert lag.E == pytest.approx(eul.E, rel=1e-9)
         assert lag.D == pytest.approx(eul.D, rel=1e-9)
 
     with pytest.raises(ValueError, match="nonpositive density"):
         lagrangian_energy(-zeta, V, fm, g,
-                          PhysicalParams(mu=1.0, mu_prime=0.5), "LocalGamma1")
+                          PhysicalParams(mu=1.0, mu_prime=0.5))
 
 
 def test_surface_h1_norm_of_plane_wave():

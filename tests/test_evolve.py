@@ -506,7 +506,7 @@ def test_diagnostics_match_separate_energy_evaluations(tmp_path):
 
     def entry(s):
         return diagnostics.lagrangian_energy(
-            full_surface_density(s, params), s.V, s.fm, g, params, s.mode)
+            full_surface_density(s, params), s.V, s.fm, g, params)
 
     state = initial_state(cfg, g)
     stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0)
@@ -575,7 +575,7 @@ def test_degenerate_flow_map_terminates_step():
     disp[:, :, 0] = 0.1 * np.sin(2 * np.pi * g.x)[:, None]
     gradX = np.broadcast_to(np.eye(2), (g.nx, g.ny, 2, 2)) + grad_h_vec(disp, g)
     Z, detX = inverse_jacobian(gradX)
-    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX, t=0.0)
+    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=detX)
     zeta = np.ones((g.nx, g.ny))
     state = LagrangianState(mode="LocalGamma1", zeta=zeta,
                             V=np.zeros((g.nx, g.ny, g.nz, 2)),

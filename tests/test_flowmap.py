@@ -124,7 +124,7 @@ def test_invert_map_matches_analytic_shear_inverse():
     gradX = np.tile(np.eye(2), (32, 32, 1, 1))
     gradX[:, :, 0, 1] = a * 2 * np.pi * np.cos(2 * np.pi * y2)
     Z, det = inverse_jacobian(gradX)
-    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det, t=0.0)
+    fm = FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det)
     Y = invert_map(fm, g, inv_tol=1e-14)
     ident = identity_positions(g)
     Y_exact = ident.copy()
@@ -193,7 +193,7 @@ def test_check_invertibility_report():
     gradX = np.tile(np.eye(2), (8, 8, 1, 1))
     gradX[:, :, 0, 1] = 0.8  # infinity-norm deviation 0.8 > 1/2
     Z, det = inverse_jacobian(gradX)
-    fm = FlowMap(disp=np.zeros((8, 8, 2)), gradX=gradX, Z=Z, detX=det, t=0.0)
+    fm = FlowMap(disp=np.zeros((8, 8, 2)), gradX=gradX, Z=Z, detX=det)
     rep2 = check_invertibility(fm)
     assert not rep2.ok and rep2.supnorm_dev == pytest.approx(0.8)
 

@@ -190,6 +190,27 @@ def test_spectral_bound_per_mode_matches_dense():
     assert spectral_bound(g, p13) != spectral_bound(g, params)
 
 
+def test_mean_free_active_basis_projects_onto_filtered_fields():
+    g = make_grid(4, 6, 5)  # nx != ny: the unit fields keep their shape
+    nvert = 2
+    Q = stokes_solver._mean_free_active_basis(g, nvert)
+    assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    rng = np.random.default_rng(4)
+    zeta = rng.standard_normal((g.nx, g.ny))
+    V = rng.standard_normal((g.nx, g.ny, nvert))
+    mask_zeta = g.active_mask.astype(float)
+    mask_zeta[0, 0] = 0.0
+
+    def filt(f, mask):
+        return np.fft.ifft2(np.fft.fft2(f, axes=(0, 1)) * mask,
+                            axes=(0, 1)).real
+
+    want = np.concatenate([filt(zeta, mask_zeta).ravel(),
+                           filt(V, g.active_mask[:, :, None]).ravel()])
+    u = np.concatenate([zeta.ravel(), V.ravel()])
+    assert np.allclose(Q @ (Q.T @ u), want, atol=1e-12)
+
+
 def full_spectrum_max_re(g, params, xi_bar=1.0):
     """Largest real part over every active mode, one mode at a time."""
     S, R = vertical_reduction(g)
