@@ -9,8 +9,9 @@ Subcommands
     Compute the symbol-ellipticity report and the spectral bound eta0 for
     the linear operator of a run configuration; write a per-mode symbol
     CSV and a summary JSON.  Every field it reads is checked as
-    ``simulate`` checks it (the time keys are optional), except that an
-    inadmissible viscosity pair is reported rather than rejected.
+    ``simulate`` checks it (the time keys are optional), except that a
+    finite but inadmissible viscosity pair is reported rather than
+    rejected.
 ``resolvent``
     Solve one resolvent problem described by a JSON problem file; write
     the solution fields and a summary JSON.
@@ -40,7 +41,11 @@ import numpy as np
 
 from . import diagnostics, evolve, operators, stokes_solver
 from .grid import Grid, dealias, l2_norm, make_grid
-from .transforms import PhysicalParams, make_pressure_law
+from .transforms import (
+    PhysicalParams,
+    check_viscosities_finite,
+    make_pressure_law,
+)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "CPELAB_OUTPUT_DIR"
@@ -395,15 +400,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_spectrum(args) -> int:
     with _config_file(args.config) as obj:
         _check_unknown(obj, _RUN_KEYS, "run config")
-        # An inadmissible viscosity pair is reported (ok = false with an
-        # explanation), not rejected: the shared parse checks every other
-        # field against an admissible stand-in pair.
+        # A finite but inadmissible viscosity pair is reported (ok = false
+        # with an explanation), not rejected: the shared parse checks every
+        # other field against an admissible stand-in pair.
         raw = obj.get("params")
         stand_in = ({**obj, "params": {**raw, "mu": 1.0, "mu_prime": 0.0}}
                     if isinstance(raw, dict) else obj)
         _, g, params = _parse_mode_grid_params(stand_in)
         mu, mu_prime = (_as_number(_require(raw, k), k)
                         for k in ("mu", "mu_prime"))
+        try:
+            check_viscosities_finite(mu, mu_prime)
+        except ValueError as exc:
+            raise ConfigError(f"invalid params: {exc}") from exc
         run = _parse_run_keys(obj)
     out_dir = _resolve_output_dir(args.output_dir, run["output_dir"])
     report = operators.symbol_ellipticity_report(mu, mu_prime, kmax=8)

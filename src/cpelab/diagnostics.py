@@ -18,11 +18,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .flowmap import identity_map
 from .grid import Grid, grad_h, grad_h_vec, integral, l2_norm, validate_field, \
     vertical_derivative
 from .operators import dense_chs
 from .stokes_solver import _mean_free_active_basis
-from .transforms import DELTA, PhysicalParams
+from .transforms import DELTA, PhysicalParams, column_density, lame_weights
 
 __all__ = [
     "COLUMNS",
@@ -129,83 +130,54 @@ def potential_energy_density(xi: np.ndarray,
     return xi * prim - float(params.pressure(1.0)) * (xi - 1.0)
 
 
-def _gamma1_dissipation_weights(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    wH = 1.0 / (1.0 - DELTA * g.z)
-    wZ = (1.0 - DELTA * g.z) / DELTA**2
-    return wH[None, None, :], wZ[None, None, :]
-
-
 def energy(xi: np.ndarray, v: np.ndarray, g: Grid,
            params: PhysicalParams) -> EnergyEntry:
     """Energy and instantaneous dissipation of Eulerian fields.
 
     ``xi`` is the surface density (2D, positive), ``v`` the horizontal
     velocity (3D 2-vector).  Gamma1 fields are understood in the stretched
-    vertical coordinate, which is where its energy identity lives.
+    vertical coordinate, which is where its energy identity lives.  This is
+    :func:`lagrangian_energy` at the identity map.
     """
     kind = validate_field(xi, g)
     if kind != "scalar2d":
         raise ValueError(f"energy expects a 2D surface density, got {kind}")
     validate_field(v, g)
-    if np.min(xi) <= 0:
-        raise ValueError(f"nonpositive density (min {np.min(xi):.3e})")
-    speed2 = np.sum(v**2, axis=-1)
-    if params.model == "Gamma2":
-        rho3 = xi[:, :, None] + 0.5 * g.z[None, None, :]
-        kinetic = integral(0.5 * rho3 * speed2, g)
-    else:
-        kinetic = integral(0.5 * xi[:, :, None] * speed2, g)
-    potential = integral(potential_energy_density(xi, params), g)
-    dv = grad_h_vec(v, g)
-    dzv = vertical_derivative(v, g)
-    div2 = (dv[..., 0, 0] + dv[..., 1, 1]) ** 2
-    gradsq = np.sum(dv**2, axis=(-2, -1))
-    dzsq = np.sum(dzv**2, axis=-1)
-    if params.model == "Gamma1":
-        wH, wZ = _gamma1_dissipation_weights(g)
-        D = (params.mu * integral(wH * gradsq, g)
-             + params.mu * integral(wZ * dzsq, g)
-             + params.mu_prime * integral(wH * div2, g))
-    else:
-        D = (params.mu * integral(gradsq + dzsq, g)
-             + params.mu_prime * integral(div2, g))
-    return EnergyEntry(E=float(kinetic + potential), D=float(D))
+    return lagrangian_energy(xi, v, identity_map(g), g, params)
 
 
 def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
                       params: PhysicalParams) -> EnergyEntry:
     """Energy and dissipation evaluated on Lagrangian fields.
 
-    Same functionals as :func:`energy` after the change of variables: the
-    Eulerian gradient becomes the label gradient contracted with the
-    inverse flow-map Jacobian, and the area element contributes the
-    Jacobian determinant.
+    The kinetic energy weighs the speed with the column density rho, and
+    the dissipation is the energy form of the Lame operator L,
+
+        int w_H (mu |grad V|^2 + mu' (div V)^2) + mu w_Z |d_z V|^2,
+
+    with the weights of :func:`cpelab.transforms.lame_weights`.  After the
+    change of variables the Eulerian gradient is the label gradient
+    contracted with the inverse flow-map Jacobian, and the area element
+    contributes the Jacobian determinant.
     """
     if np.min(zeta_full) <= 0:
         raise ValueError(
             f"nonpositive density (min {np.min(zeta_full):.3e})")
     det = fm.detX
     det3 = det[:, :, None]
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = column_density(params.model, zeta_full, g.z)
     speed2 = np.sum(V**2, axis=-1)
-    if params.model == "Gamma2":
-        rho3 = zeta_full[:, :, None] + 0.5 * g.z[None, None, :]
-        kinetic = integral(0.5 * rho3 * speed2 * det3, g)
-    else:
-        kinetic = integral(0.5 * zeta_full[:, :, None] * speed2 * det3, g)
+    kinetic = integral(0.5 * rho * speed2 * det3, g)
     potential = integral(potential_energy_density(zeta_full, params) * det, g)
     GT = grad_h_vec(V, g) @ fm.Z[:, :, None]
     dzv = vertical_derivative(V, g)
     gradsq = np.sum(GT**2, axis=(-2, -1))
     div2 = (GT[..., 0, 0] + GT[..., 1, 1]) ** 2
     dzsq = np.sum(dzv**2, axis=-1)
-    if params.model == "Gamma1":
-        wH, wZ = _gamma1_dissipation_weights(g)
-        D = (params.mu * integral(wH * gradsq * det3, g)
-             + params.mu * integral(wZ * dzsq * det3, g)
-             + params.mu_prime * integral(wH * div2 * det3, g))
-    else:
-        D = (params.mu * integral((gradsq + dzsq) * det3, g)
-             + params.mu_prime * integral(div2 * det3, g))
+    D = (params.mu * integral(wH * gradsq * det3, g)
+         + params.mu * integral(wZ * dzsq * det3, g)
+         + params.mu_prime * integral(wH * div2 * det3, g))
     return EnergyEntry(E=float(kinetic + potential), D=float(D))
 
 

@@ -4,9 +4,9 @@ The evolved unknowns are the surface density ``zeta`` (or its perturbation
 from the constant state), the horizontal velocity ``V`` and the horizontal
 flow map, all sampled on the Lagrangian label grid.  One IMEX step treats
 the stiff linear block implicitly -- the full surface/velocity coupling for
-``GlobalGamma1``, the constant-coefficient part of the viscous operator for
-the local modes -- and the nonlinear remainders ``F1``/``F2`` explicitly
-with 2/3-rule dealiasing.
+``GlobalGamma1``, the Lame operator L without its density for the local
+modes -- and the nonlinear remainders ``F1``/``F2`` explicitly with
+2/3-rule dealiasing.
 
 Evolution modes
 ---------------
@@ -58,13 +58,8 @@ from .grid import (
     vertical_average,
     vertical_derivative,
 )
-from .operators import (
-    mode_matrices,
-    mode_wavevectors,
-    uniform_lame_block,
-    vertical_lame_block,
-)
-from .transforms import DELTA, PhysicalParams
+from .operators import lame_block, mode_matrices, mode_wavevectors
+from .transforms import PhysicalParams, column_density, lame_weights
 
 __all__ = [
     "EVOLUTION_MODES",
@@ -191,6 +186,11 @@ def _twisted_divergence(U: np.ndarray, Z: np.ndarray, g: Grid) -> np.ndarray:
     return np.einsum("abki,abik->ab", Z, dU)
 
 
+def _depth_moment(f: np.ndarray, g: Grid) -> np.ndarray:
+    """Half the first vertical moment, 1/2 int_0^1 z f dz, of a 3D scalar."""
+    return 0.5 * ((f * g.z) @ g.wz)
+
+
 def reconstruct_w(state: LagrangianState, g: Grid,
                   params: PhysicalParams) -> np.ndarray:
     """Vertical velocity implied by the continuity equation, on labels.
@@ -208,19 +208,22 @@ def reconstruct_w(state: LagrangianState, g: Grid,
     flux = _twisted_divergence(zf[:, :, None, None] * Vt, Z, g)
     if state.mode == "LocalGamma2":
         twdiv3 = _twisted_divergence(state.V, Z, g)
-        baro = (twdiv3 * g.z[None, None, :]) @ g.wz
-        flux = flux + 0.5 * (g.z[None, None, :] * twdiv3 - baro[:, :, None])
-        rho = zf[:, :, None] + 0.5 * g.z[None, None, :]
-    else:
-        rho = zf[:, :, None]
-    return -integrate_from_bottom(flux, g) / rho
+        flux = flux + (0.5 * g.z * twdiv3
+                       - _depth_moment(twdiv3, g)[:, :, None])
+    return (-integrate_from_bottom(flux, g)
+            / column_density(params.model, zf, g.z))
 
 
-def _baseline(state: LagrangianState, params: PhysicalParams) -> np.ndarray:
-    if state.mode == "GlobalGamma1":
-        return np.full((state.zeta.shape[0], state.zeta.shape[1]),
-                       params.xi_bar)
-    return state.zeta0
+def _baseline_density(mode: str, zeta0: np.ndarray | None, g: Grid,
+                      params: PhysicalParams) -> np.ndarray:
+    """Column density rho0 of the linearization point, shape (nx, ny, nz).
+
+    The local modes linearize at their frozen ``zeta0``, ``GlobalGamma1``
+    at the constant state ``xi_bar``.
+    """
+    if mode == "GlobalGamma1":
+        zeta0 = np.full((g.nx, g.ny), params.xi_bar)
+    return column_density(params.model, zeta0, g.z)
 
 
 def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
@@ -247,7 +250,7 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
     if state.mode == "LocalGamma2":
         dV = grad_h_vec(state.V, g)
         colon3 = np.einsum("abzik,abki->abz", dV, ZmI)
-        out = out - 0.5 * ((colon3 * g.z[None, None, :]) @ g.wz)
+        out = out - _depth_moment(colon3, g)
     return dealias_field(out, g) if dealias else out
 
 
@@ -329,28 +332,20 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     press_full = np.einsum("abji,abj->abi", Z, dzeta)[:, :, None, :]
     press_rem = np.einsum("abji,abj->abi", ZmI, dzeta)[:, :, None, :]
 
-    if state.mode in ("LocalGamma1", "GlobalGamma1"):
-        base = _baseline(state, params)[:, :, None, None]
-        weight = 1.0 / (1.0 - DELTA * g.z[None, None, :, None])
-        pref = weight / base
-        out = params.mu * pref * twlap + params.mu_prime * pref * twgd
-        ratio = (zf[:, :, None, None] / base)
-        if state.mode == "GlobalGamma1":
-            out = out - press_rem / params.xi_bar
-        else:
-            out = out - press_full / base
+    # the viscous remainder is that of L, divided by the baseline density
+    rho = _baseline_density(state.mode, state.zeta0, g, params)[..., None]
+    ratio = column_density(params.model, zf, g.z)[..., None] / rho
+    wH = lame_weights(params.model, g.z)[0][:, None]
+    out = (wH / rho) * (params.mu * twlap + params.mu_prime * twgd)
+    if state.mode == "GlobalGamma1":
+        out = out - press_rem / params.xi_bar
+    elif state.mode == "LocalGamma1":
+        out = out - press_full / rho
     elif state.mode == "LocalGamma2":
-        rho0 = state.zeta0[:, :, None, None] + 0.5 * g.z[None, None, :, None]
-        rhoL = zf[:, :, None, None] + 0.5 * g.z[None, None, :, None]
-        out = (params.mu * twlap + params.mu_prime * twgd) / rho0
-        out = out - 2.0 * (rhoL / rho0) * press_full
-        ratio = rhoL / rho0
+        out = out - 2.0 * ratio * press_full
     else:  # GeneralNoGravity
-        base = state.zeta0[:, :, None, None]
-        out = (params.mu * twlap + params.mu_prime * twgd) / base
         pp = params.pressure_derivative(zf)[:, :, None, None]
-        out = out - (pp / base) * press_full
-        ratio = zf[:, :, None, None] / base
+        out = out - (pp / rho) * press_full
     out = out + (1.0 - ratio) * dtV - ratio * (advH + advZ)
     if mutation == "flip_w_advection":
         out = out + 2.0 * ratio * advZ
@@ -365,12 +360,14 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
 class Stepper:
     """Precomputed implicit solves for repeated IMEX steps at fixed ``dt``.
 
-    For ``GlobalGamma1`` the implicit block is the full coupled
-    surface/velocity operator, solved mode by mode with boundary rows
-    replaced.  For the local modes it is the constant-coefficient part of
-    the viscous operator; the variable density multiplying the time
-    derivative is handled by a contractive fixed-point iteration
-    preconditioned with the midpoint density.
+    Every mode inverts the Lame operator L = rho A without its density
+    (:func:`cpelab.operators.lame_block`).  For ``GlobalGamma1`` the
+    implicit block is the full coupled surface/velocity operator at the
+    unit state, solved mode by mode with boundary rows replaced.  For the
+    local modes it is rho_star - dt L; the baseline density rho0
+    multiplying the time derivative is handled by a contractive
+    fixed-point iteration preconditioned with the midpoint density
+    rho_star.
 
     The fields are real, so only the ``rfft2`` half-spectrum ``ky >= 0`` is
     stored and solved: the block at -k equals the block at k in the local
@@ -394,37 +391,27 @@ class Stepper:
         self.fp_tol = float(fp_tol)
         self.det_floor = float(det_floor)
         self.fp_iterations: list[int] = []
-        if mode == "GlobalGamma1":
-            shift, xi_bar = 1.0, params.xi_bar
-            self.rho0 = None
-            self.rho_star = None
-        else:
-            if zeta0 is None:
-                raise ValueError(f"mode {mode} requires the zeta0 baseline")
-            if mode == "LocalGamma2":
-                rho0 = zeta0[:, :, None] + 0.5 * g.z[None, None, :]
-            else:
-                rho0 = np.broadcast_to(zeta0[:, :, None],
-                                       (g.nx, g.ny, g.nz)).copy()
-            if np.min(rho0) <= 0:
-                raise ValueError("baseline density must be positive")
-            self.rho0 = rho0[..., None]
-            self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
-            shift, xi_bar = self.rho_star, None
-        # the implicit operator on the half-spectrum, inverted one kx row of
-        # modes at a time
+        # GlobalGamma1 solves the coupled block at its constant state, where
+        # rho0 = xi_bar = 1; the local modes solve for V alone at zeta0
+        coupled = mode == "GlobalGamma1"
+        if zeta0 is None and not coupled:
+            raise ValueError(f"mode {mode} requires the zeta0 baseline")
+        rho0 = _baseline_density(mode, zeta0, g, params)
+        if np.min(rho0) <= 0:
+            raise ValueError("baseline density must be positive")
+        self.rho0 = rho0[..., None]
+        self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
+        xi_bar = params.xi_bar if coupled else None
+        # the implicit operator rho_star - dt L on the half-spectrum,
+        # inverted one kx row of modes at a time
         K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
-        n = 2 * g.nz + (xi_bar is not None)
+        n = 2 * g.nz + coupled
         self._inv = np.empty(K.shape[:2] + (n, n),
-                             dtype=float if xi_bar is None else complex)
+                             dtype=complex if coupled else float)
         for ix in range(g.nx):
-            if MODE_MODEL[mode] == "Gamma1":
-                # at the unit state (GlobalGamma1 requires xi_bar = 1)
-                A = vertical_lame_block(K[ix], 1.0, g, params)
-            else:  # the flat part mu Lap + mu' grad_H div_H, c = 1
-                A = uniform_lame_block(K[ix], np.ones(g.nz), g, params)
-            self._inv[ix] = np.linalg.inv(
-                mode_matrices(A, K[ix], g, shift, dt, xi_bar))
+            self._inv[ix] = np.linalg.inv(mode_matrices(
+                lame_block(K[ix], 1.0, g, params), K[ix], g, self.rho_star,
+                dt, xi_bar))
 
     # -- helpers ------------------------------------------------------------
 
@@ -531,8 +518,7 @@ class Stepper:
             Vbar_new = vertical_average(V_new, g)
             lin = state.zeta0 * div_h(Vbar_new, g)
             if self.mode == "LocalGamma2":
-                div3 = div_h(V_new, g)
-                lin = lin + 0.5 * ((div3 * g.z[None, None, :]) @ g.wz)
+                lin = lin + _depth_moment(div_h(V_new, g), g)
             zeta_new = state.zeta + dt * (F1 - lin)
         try:
             fm_new = advance_flow_lagrangian(state.fm, Vbar_new, g, dt)

@@ -1,26 +1,21 @@
 """Viscous operators of the linearized system and their realizations.
 
-Three related elliptic operators appear:
+One viscous operator serves every model: the compressible hydrostatic
+Lame operator
 
-* the hydrostatic Lame operator (model ``Gamma1``, transformed vertical
-  coordinate)
+    A(xi0) V = L V / rho(xi0, z),
+    L V = w_H (mu Lap_H V + mu' grad_H div_H V) + mu d_z(w_Z d_z V),
 
-      A v = mu * a * Lap_H v + d_z(mu * b * d_z v) + mu' * a * grad_H div_H v,
+with the vertical weights (w_H, w_Z) and the column density rho of the
+model (:func:`cpelab.transforms.lame_weights`,
+:func:`cpelab.transforms.column_density`); ``Gamma1`` lives in the
+transformed vertical coordinate.  The compressible hydrostatic Stokes
+block operator
 
-  with a = 1/((1-delta z) xi0) and b = (1-delta z)/(delta^2 xi0);
-* the uniform-coefficient operator of the other models,
+    A_CHS (zeta, V) = ( -xi_bar * div_H avg(V),  -grad_H zeta + A(xi_bar) V )
 
-      B v = mu * c * Lap v + mu' * c * grad_H div_H v,
-
-  with the full 3D Laplacian and c = 1/(xi0 + z/2) (``Gamma2``) or
-  c = 1/xi0 (``GeneralNoGravity``);
-* the compressible hydrostatic Stokes block operator
-
-      A_CHS (zeta, V) = ( -xi_bar * div_H avg(V),  -grad_H zeta + A_{xi_bar} V ),
-
-  acting on a surface scalar and a horizontal velocity, the generator of
-  the linear evolution d/dt (zeta, V) = A_CHS (zeta, V) + forcing; its
-  viscous part is A at the constant density xi_bar the caller passes.
+acts on a surface scalar and a horizontal velocity; it generates the
+linear evolution d/dt (zeta, V) = A_CHS (zeta, V) + forcing.
 
 Boundary conditions are V = 0 at z = 1 and d_z V = 0 at z = 0.  Three
 realizations are provided and must agree: a matrix-free applicator
@@ -54,13 +49,11 @@ from .grid import (
     vertical_average,
     vertical_derivative,
 )
-from .transforms import DELTA, PhysicalParams
+from .transforms import DELTA, PhysicalParams, column_density, lame_weights
 
 __all__ = [
-    "LameCoefficients",
     "SymbolEigs",
     "EllipticityReport",
-    "make_lame_coefficients",
     "apply_hydrostatic_lame",
     "apply_chs",
     "lame_symbol_eigs",
@@ -68,7 +61,7 @@ __all__ = [
     "dense_hydrostatic_lame",
     "dense_chs",
     "mode_wavevectors",
-    "uniform_lame_block",
+    "lame_block",
     "vertical_lame_block",
     "mode_matrices",
     "vertical_reduction",
@@ -84,23 +77,11 @@ _BC_MODES = ("raw", "replace", "reduced")
 
 
 # ---------------------------------------------------------------------------
-# coefficients
+# column density
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LameCoefficients:
-    """Coefficient fields of the viscous operator, shaped (nx, ny, nz).
-
-    For ``Gamma1``: a and b (c is None).  For the uniform-coefficient
-    models: c (a, b None).
-    """
-
-    a: np.ndarray | None
-    b: np.ndarray | None
-    c: np.ndarray | None
-
-
-def _surface_array(xi0, g: Grid) -> np.ndarray:
+def _column_density(xi0, g: Grid, params: PhysicalParams) -> np.ndarray:
+    """rho(xi0, z) shaped (nx, ny, nz) of a scalar or (nx, ny) xi0."""
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.ndim == 0:
         xi0 = np.full((g.nx, g.ny), float(xi0))
@@ -110,25 +91,7 @@ def _surface_array(xi0, g: Grid) -> np.ndarray:
             f"got {xi0.shape}")
     if np.any(xi0 <= 0):
         raise ValueError(f"nonpositive surface density: min = {xi0.min()}")
-    return xi0
-
-
-def make_lame_coefficients(
-    xi0, g: Grid, params: PhysicalParams
-) -> LameCoefficients:
-    """Coefficient fields for the viscous operator of the given model."""
-    xi0 = _surface_array(xi0, g)
-    z = g.z[None, None, :]
-    if params.model == "Gamma1":
-        one_minus = 1.0 - DELTA * z
-        a = 1.0 / (one_minus * xi0[:, :, None])
-        b = one_minus / (DELTA**2 * xi0[:, :, None])
-        return LameCoefficients(a=a, b=b, c=None)
-    if params.model == "Gamma2":
-        c = 1.0 / (xi0[:, :, None] + z / 2.0)
-    else:
-        c = np.broadcast_to(1.0 / xi0[:, :, None], (g.nx, g.ny, g.nz)).copy()
-    return LameCoefficients(a=None, b=None, c=c)
+    return column_density(params.model, xi0, g.z)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +123,6 @@ def _replace_bc_rows(out: np.ndarray, V: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
-def _apply_viscous_raw(
-    V: np.ndarray, coeffs: LameCoefficients, g: Grid, params: PhysicalParams
-) -> np.ndarray:
-    horiz = _lame_h(V, g, params)
-    if coeffs.a is not None:
-        dzv = vertical_derivative(V, g)
-        vert = params.mu * vertical_derivative(coeffs.b[..., None] * dzv, g)
-        return coeffs.a[..., None] * horiz + vert
-    vert = params.mu * vertical_derivative(vertical_derivative(V, g), g)
-    return coeffs.c[..., None] * (horiz + vert)
-
-
 def apply_hydrostatic_lame(
     V: np.ndarray,
     xi0,
@@ -179,13 +130,13 @@ def apply_hydrostatic_lame(
     params: PhysicalParams,
     bc: str = "replace",
 ) -> np.ndarray:
-    """Apply the viscous operator of the model to a horizontal velocity.
+    """Apply the viscous operator A(xi0) = L / rho(xi0, z) to a velocity.
 
     Parameters
     ----------
     V : ndarray, shape (nx, ny, nz, 2)
     xi0 : float or ndarray (nx, ny)
-        Surface density entering the coefficients; a constant (such as
+        Surface density of the column density rho; a constant (such as
         the reference density xi_bar) gives the constant-coefficient
         operator.  ``params.xi_bar`` is not read.
     bc : {"replace", "raw"}
@@ -197,8 +148,11 @@ def apply_hydrostatic_lame(
         raise ValueError("expected a horizontal velocity field (nx, ny, nz, 2)")
     if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
-    coeffs = make_lame_coefficients(xi0, g, params)
-    out = _apply_viscous_raw(V, coeffs, g, params)
+    rho = _column_density(xi0, g, params)[..., None]
+    wH, wZ = lame_weights(params.model, g.z)
+    vert = vertical_derivative(wZ[:, None] * vertical_derivative(V, g), g)
+    out = ((wH[:, None] / rho) * _lame_h(V, g, params)
+           + (params.mu / rho) * vert)
     if bc == "replace":
         out = _replace_bc_rows(out, V, g)
     return out
@@ -393,25 +347,19 @@ def dense_hydrostatic_lame(
     _check_dense_limit(g)
     if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
-    coeffs = make_lame_coefficients(xi0, g, params)
+    rho = np.repeat(_column_density(xi0, g, params).ravel(), 2)
+    wH, wZ = (np.diag(np.tile(w, g.nx * g.ny))
+              for w in lame_weights(params.model, g.z))
     mu, mup = params.mu, params.mu_prime
     Dx3, Dy3, Dz3 = _lifted_derivatives(g)
     D = (Dx3, Dy3)
-    LH = Dx3 @ Dx3 + Dy3 @ Dy3
-    I2 = np.eye(2)
-    if coeffs.a is not None:
-        a = np.diag(coeffs.a.ravel())
-        b = np.diag(coeffs.b.ravel())
-        A = mu * np.kron(a @ LH + Dz3 @ b @ Dz3, I2)
-    else:
-        c = np.diag(coeffs.c.ravel())
-        A = mu * np.kron(c @ (LH + Dz3 @ Dz3), I2)
-        a = c
+    A = mu * np.kron(wH @ (Dx3 @ Dx3 + Dy3 @ Dy3) + Dz3 @ wZ @ Dz3, np.eye(2))
     for i in range(2):
         for j in range(2):
             E = np.zeros((2, 2))
             E[i, j] = 1.0
-            A += mup * np.kron(a @ D[i] @ D[j], E)
+            A += mup * np.kron(wH @ D[i] @ D[j], E)
+    A /= rho[:, None]
     if bc == "replace":
         return _replace_rows_dense(A, g)
     return A
@@ -513,26 +461,32 @@ def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k2, kt[..., :, None] * kt[..., None, :]
 
 
-def uniform_lame_block(
-    kt: np.ndarray, c: np.ndarray, g: Grid, params: PhysicalParams
-) -> np.ndarray:
-    """Vertical blocks of c (mu Lap + mu' grad_H div_H) at modes ``kt``.
+def lame_block(kt: np.ndarray, rho, g: Grid,
+               params: PhysicalParams) -> np.ndarray:
+    """Vertical blocks of L / rho at horizontal modes ``kt``.
 
-    ``c`` is the coefficient profile in z; see :func:`vertical_lame_block`
-    for the shapes.
+    ``rho`` is the column density at the vertical nodes, shape (nz,) or a
+    scalar; rho = 1 gives the blocks of L itself, which the implicit step
+    of the time integrator inverts with the density kept apart.  Shapes as
+    in :func:`vertical_lame_block`.
     """
     k2, kk = _symbol_parts(kt)
-    dzz = g.Dz @ g.Dz
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = np.broadcast_to(rho, g.z.shape)
+    a = np.diag(wH / rho)
+    vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
+    I2 = np.eye(2)
     return (
-        params.mu * _kron(c[:, None] * (dzz - k2 * np.eye(g.nz)), np.eye(2))
-        - params.mu_prime * _kron(np.diag(c), kk)
+        -params.mu * k2 * _kron(a, I2)
+        + params.mu * _kron(vert, I2)
+        - params.mu_prime * _kron(a, kk)
     )
 
 
 def vertical_lame_block(
     kt: np.ndarray, xi0_value: float, g: Grid, params: PhysicalParams
 ) -> np.ndarray:
-    """Vertical blocks of the viscous operator at horizontal modes.
+    """Vertical blocks of the viscous operator A(xi0) at horizontal modes.
 
     ``kt`` holds angular wave vectors (2 pi k_H) along its last axis,
     shape (..., 2).  Returns the real blocks, shape (..., 2 nz, 2 nz), each
@@ -541,24 +495,8 @@ def vertical_lame_block(
     with :func:`mode_matrices` for solves).  A single (2,) wave vector
     gives a single block.
     """
-    if params.model != "Gamma1":
-        if params.model == "Gamma2":
-            c = 1.0 / (xi0_value + g.z / 2.0)
-        else:
-            c = np.full(g.nz, 1.0 / xi0_value)
-        return uniform_lame_block(kt, c, g, params)
-    k2, kk = _symbol_parts(kt)
-    mu, mup = params.mu, params.mu_prime
-    I2 = np.eye(2)
-    one_minus = 1.0 - DELTA * g.z
-    a = np.diag(1.0 / (one_minus * xi0_value))
-    b = one_minus / (DELTA**2 * xi0_value)
-    vert = g.Dz @ np.diag(b) @ g.Dz
-    return (
-        -mu * k2 * _kron(a, I2)
-        + mu * _kron(vert, I2)
-        - mup * _kron(a, kk)
-    )
+    return lame_block(kt, column_density(params.model, xi0_value, g.z), g,
+                      params)
 
 
 def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,

@@ -1,4 +1,5 @@
-"""Physical parameters, pressure laws and the vertical coordinate change.
+"""Physical parameters, pressure laws, the vertical coordinate change and
+the vertical profiles of the viscous operator.
 
 For the isothermal pressure law (model ``Gamma1``, p = rho, gravity 1) the
 hydrostatic balance gives rho = xi(x,y) * exp(-z) with xi the surface
@@ -11,6 +12,23 @@ this model run entirely in the transformed coordinate.  The models
 ``Gamma2`` (p = rho^2, gravity 1, rho = xi + z/2) and ``GeneralNoGravity``
 (p = P(rho), gravity 0, rho = xi) use the untransformed vertical
 coordinate.
+
+The viscous operator of every model is the compressible hydrostatic Lame
+operator A = L / rho with
+
+    L V = w_H(z) (mu Lap_H + mu' grad_H div_H) V + mu d_z(w_Z(z) d_z V),
+
+and the model enters only through three profiles, defined here once:
+
+* the vertical weights (w_H, w_Z) = (1/(1 - delta z), (1 - delta z)/delta^2)
+  for ``Gamma1`` (the stretched coordinate) and (1, 1) for ``Gamma2`` and
+  ``GeneralNoGravity`` (:func:`lame_weights`);
+* the column density rho(xi, z) = xi + z/2 for ``Gamma2`` and rho = xi for
+  ``Gamma1`` (in the stretched coordinate) and ``GeneralNoGravity``
+  (:func:`column_density`).
+
+The energy form of L is the viscous dissipation
+int w_H (mu |grad_H V|^2 + mu' (div_H V)^2) + mu w_Z |d_z V|^2.
 
 The sound-speed constant c and the gravity g are hard-coded to the
 normalized values (c = 1; g = 1 with gravity, g = 0 without).
@@ -28,6 +46,9 @@ __all__ = [
     "DELTA",
     "MODELS",
     "PhysicalParams",
+    "check_viscosities_finite",
+    "column_density",
+    "lame_weights",
     "make_pressure_law",
 ]
 
@@ -40,6 +61,43 @@ MODELS = ("Gamma1", "Gamma2", "GeneralNoGravity")
 _PPRIME_SAMPLES = 257
 
 
+def lame_weights(model: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertical weights (w_H, w_Z) of the Lame operator L at the nodes z."""
+    if model == "Gamma1":
+        one_minus = 1.0 - DELTA * z
+        return 1.0 / one_minus, one_minus / DELTA**2
+    ones = np.ones_like(z)
+    return ones, ones
+
+
+def column_density(model: str, xi, z: np.ndarray) -> np.ndarray:
+    """Density rho(xi, z) of the columns of surface density ``xi``.
+
+    Returns shape ``xi.shape + z.shape``; where rho does not depend on z
+    the result is a read-only broadcast of ``xi``.
+    """
+    xi = np.asarray(xi, dtype=float)[..., None]
+    if model == "Gamma2":
+        return xi + 0.5 * z
+    return np.broadcast_to(xi, xi.shape[:-1] + z.shape)
+
+
+def _require_finite(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_viscosities_finite(mu: float, mu_prime: float) -> None:
+    """Raise ``ValueError`` unless mu, mu_prime and mu + mu_prime are finite.
+
+    Unlike :class:`PhysicalParams` it accepts an inadmissible pair, which
+    the ``spectrum`` command reports rather than rejects.
+    """
+    _require_finite(("mu", mu), ("mu_prime", mu_prime),
+                    ("mu + mu_prime", mu + mu_prime))
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Model constants.
@@ -47,13 +105,14 @@ class PhysicalParams:
     Parameters
     ----------
     mu, mu_prime : float
-        Viscosities with mu > 0 and mu + mu_prime > 0.
+        Finite viscosities with mu > 0 and a finite mu + mu_prime > 0.
     model : str
         One of ``Gamma1``, ``Gamma2``, ``GeneralNoGravity``.
     xi_bar : float
-        Reference mean surface density (> 0).
+        Reference mean surface density (finite, > 0).
     M1, M2 : float
-        Positivity bounds 0 < M1 <= M2 for the initial surface density.
+        Finite positivity bounds 0 < M1 <= M2 for the initial surface
+        density.
     pressure, pressure_derivative : callable, optional
         The pressure law P and its derivative P' (``GeneralNoGravity``
         only); P' must satisfy c1 <= P' <= c2 on [M1/2, 2*M2].
@@ -79,6 +138,9 @@ class PhysicalParams:
         return 0.0 if self.model == "GeneralNoGravity" else 1.0
 
     def __post_init__(self) -> None:
+        check_viscosities_finite(self.mu, self.mu_prime)
+        _require_finite(("xi_bar", self.xi_bar), ("M1", self.M1),
+                        ("M2", self.M2))
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.mu + self.mu_prime > 0:

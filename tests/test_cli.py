@@ -70,6 +70,26 @@ def located(cases):
             for i, (overrides, needle, line) in enumerate(cases)]
 
 
+# params with a value that is not finite, and the message each exits 2 with
+NONFINITE_PARAMS = [
+    ({"mu": float("inf"), "mu_prime": 0.5}, "mu must be finite, got inf"),
+    ({"mu": 1.0, "mu_prime": float("-inf")},
+     "mu_prime must be finite, got -inf"),
+    ({"mu": 1e308, "mu_prime": 1e308},
+     "mu + mu_prime must be finite, got inf"),
+    ({"mu": 1.0, "mu_prime": 0.5, "xi_bar": float("inf")},
+     "xi_bar must be finite, got inf"),
+    ({"mu": 1.0, "mu_prime": 0.5, "M1": float("nan")},
+     "M1 must be finite, got nan"),
+    ({"mu": 1.0, "mu_prime": 0.5, "M2": float("inf")},
+     "M2 must be finite, got inf"),
+]
+NONFINITE_CASES = [({"params": params}, f"invalid params: {message}", None)
+                   for params, message in NONFINITE_PARAMS]
+NONFINITE_IDS = ("nonfinite-mu", "nonfinite-mu_prime", "overflowing-sum",
+                 "nonfinite-xi_bar", "nonfinite-M1", "nonfinite-M2")
+
+
 def assert_config_error(capsys, needle, line):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -351,6 +371,7 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"params": {"mu": 1.0}}, "mu_prime", None),
     ({"mode": ["x"]}, "unknown mode", 3),
     ({"mode": {}}, "unknown mode", 3),
+    *NONFINITE_CASES,
 ]))
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
@@ -437,8 +458,9 @@ INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
       "params": {"mu": 1.0, "mu_prime": 0.5, "xi_bar": 2.0}},
      "set xi_bar=1, got 2.0", None),
     ({"dt": True}, "'dt' must be a number, got True", 14),
+    *NONFINITE_CASES,
 ], ids=("inadmissible-xi_bar", "inadmissible-M1", "inadmissible-pressure",
-        "global-xi_bar", "dt"))
+        "global-xi_bar", "dt") + NONFINITE_IDS)
 def test_spectrum_checks_fields_as_simulate_does(tmp_path, capsys, overrides,
                                                  needle, line):
     # only the viscosity pair's admissibility is reported rather than
@@ -547,6 +569,7 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
     ({"lam": float("nan")}, "'lam' must be finite", 12),
     ({"lam": float("inf")}, "'lam' must be finite", 12),
     ({"lam": [0.0, float("-inf")]}, "'lam' must be finite", 12),
+    *NONFINITE_CASES,
 ]))
 def test_resolvent_config_errors(tmp_path, capsys, overrides, needle, line):
     prob = write_problem(tmp_path, **overrides)

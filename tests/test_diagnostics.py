@@ -152,6 +152,18 @@ def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
                           PhysicalParams(mu=1.0, mu_prime=0.5))
 
 
+@pytest.mark.parametrize("model", ("Gamma1", "Gamma2", "GeneralNoGravity"))
+def test_energy_is_lagrangian_energy_at_identity_map(model):
+    g = make_grid(8, 8, 7)
+    rng = np.random.default_rng(8)
+    xi = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, (g.nx, g.ny))
+    v = rng.standard_normal((g.nx, g.ny, g.nz, 2))
+    kw = make_pressure_law("tanh") if model == "GeneralNoGravity" else {}
+    params = PhysicalParams(mu=0.7, mu_prime=0.4, model=model, **kw)
+    assert energy(xi, v, g, params) == lagrangian_energy(
+        xi, v, identity_map(g), g, params)
+
+
 def test_surface_h1_norm_of_plane_wave():
     g = make_grid(16, 16, 5)
     f = np.cos(2 * np.pi * g.x)[:, None] * np.ones(g.ny)

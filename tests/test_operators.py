@@ -26,7 +26,6 @@ from cpelab.operators import (
     dense_chs,
     dense_hydrostatic_lame,
     lame_symbol_eigs,
-    make_lame_coefficients,
     mode_matrices,
     mode_wavevectors,
     pack_state,
@@ -35,7 +34,13 @@ from cpelab.operators import (
     vertical_lame_block,
     vertical_reduction,
 )
-from cpelab.transforms import DELTA, PhysicalParams, make_pressure_law
+from cpelab.transforms import (
+    DELTA,
+    PhysicalParams,
+    column_density,
+    lame_weights,
+    make_pressure_law,
+)
 
 
 def smooth_xi0(g, base=1.0, amp=0.2):
@@ -119,19 +124,31 @@ def test_ellipticity_report_table_matches_scalar_symbol(mu, mup):
 # ---------------------------------------------------------------------------
 
 def test_lame_coefficients_values():
+    # the coefficients w_H / rho and w_Z / rho of A = L / rho, per model
     g = make_grid(4, 4, 5)
     xi0 = smooth_xi0(g)
-    c1 = make_lame_coefficients(xi0, g, all_model_params()[0])
+
+    def coefficients(params):
+        wH, wZ = lame_weights(params.model, g.z)
+        rho = column_density(params.model, xi0, g.z)
+        assert rho.shape == (g.nx, g.ny, g.nz)
+        return wH / rho, wZ / rho
+
+    a, b = coefficients(all_model_params()[0])
     one_minus = 1.0 - DELTA * g.z
-    assert np.allclose(c1.a[2, 3], 1.0 / (one_minus * xi0[2, 3]), atol=1e-15)
-    assert np.allclose(c1.b[2, 3], one_minus / (DELTA**2 * xi0[2, 3]),
+    assert np.allclose(a[2, 3], 1.0 / (one_minus * xi0[2, 3]), atol=1e-15)
+    assert np.allclose(b[2, 3], one_minus / (DELTA**2 * xi0[2, 3]),
                        atol=1e-15)
-    c2 = make_lame_coefficients(xi0, g, all_model_params()[1])
-    assert np.allclose(c2.c[1, 2], 1.0 / (xi0[1, 2] + g.z / 2.0), atol=1e-15)
-    c3 = make_lame_coefficients(xi0, g, all_model_params()[2])
-    assert np.allclose(c3.c[1, 2], 1.0 / xi0[1, 2], atol=1e-15)
+    for params, c in ((all_model_params()[1], 1.0 / (xi0[1, 2] + g.z / 2.0)),
+                      (all_model_params()[2], 1.0 / xi0[1, 2])):
+        a, b = coefficients(params)
+        assert np.allclose(a[1, 2], c, atol=1e-15)
+        assert np.allclose(b[1, 2], c, atol=1e-15)
+    V = np.zeros((g.nx, g.ny, g.nz, 2))
     with pytest.raises(ValueError, match="nonpositive"):
-        make_lame_coefficients(-1.0, g, all_model_params()[0])
+        apply_hydrostatic_lame(V, -1.0, g, all_model_params()[0])
+    with pytest.raises(ValueError, match="nonpositive"):
+        dense_hydrostatic_lame(-xi0, g, all_model_params()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +170,25 @@ def test_dense_matches_matrix_free_lame(params):
 
 
 def composed_lame(V, xi0, g, params):
-    """The viscous operator composed from first derivatives, one at a time."""
-    coeffs = make_lame_coefficients(xi0, g, params)
+    """The viscous operator composed from first derivatives, one at a time,
+    with the coefficients of each model written out."""
     horiz = (params.mu * (_ddx(_ddx(V, g), g) + _ddy(_ddy(V, g), g))
              + params.mu_prime * grad_h(div_h(V, g), g))
 
     def dz(f):
         return vertical_derivative(f, g)
 
-    if coeffs.a is not None:
-        return (coeffs.a[..., None] * horiz
-                + params.mu * dz(coeffs.b[..., None] * dz(V)))
-    return coeffs.c[..., None] * (horiz + params.mu * dz(dz(V)))
+    xi = xi0[:, :, None]
+    if params.model == "Gamma1":
+        one_minus = 1.0 - DELTA * g.z
+        a = 1.0 / (one_minus * xi)
+        b = one_minus / (DELTA**2 * xi)
+        return a[..., None] * horiz + params.mu * dz(b[..., None] * dz(V))
+    if params.model == "Gamma2":
+        c = 1.0 / (xi + g.z / 2.0)
+    else:
+        c = np.broadcast_to(1.0 / xi, xi0.shape + g.z.shape)
+    return c[..., None] * (horiz + params.mu * dz(dz(V)))
 
 
 @pytest.mark.parametrize("shape", ((8, 8, 5), (32, 32, 17)))
@@ -285,10 +309,12 @@ def test_stacked_blocks_equal_single_mode_blocks(params):
         blocks = vertical_lame_block(kt, 1.3, g, params)
         assert blocks.shape == kt.shape[:-1] + (2 * g.nz, 2 * g.nz)
         for idx in np.ndindex(kt.shape[:-1]):
+            single = vertical_lame_block(kt[idx], 1.3, g, params)
+            assert np.array_equal(blocks[idx], single)
+            # the reference folds 1/rho into each coefficient first
             ref = loop_lame_block(kt[idx], 1.3, g, params)
-            assert np.array_equal(blocks[idx], ref)
-            assert np.array_equal(
-                vertical_lame_block(kt[idx], 1.3, g, params), ref)
+            assert (np.max(np.abs(single - ref))
+                    <= 1e-14 * np.max(np.abs(ref)))
 
 
 def test_mode_matrices_border_and_boundary_rows():
