@@ -154,6 +154,13 @@ def _as_int(value, key: str) -> int:
     return value
 
 
+def _as_seed(value) -> int:
+    seed = _as_int(value, "seed")
+    if seed < 0:
+        raise ConfigError(f"'seed' must be non-negative, got {seed}", "seed")
+    return seed
+
+
 def _check_schema_version(obj: dict) -> None:
     version = _require(obj, "schema_version")
     if version != SCHEMA_VERSION:
@@ -239,9 +246,10 @@ def _parse_run_keys(obj: dict) -> dict:
     for key in ("dt", "t_end", "amplitude"):
         if key in obj:
             kwargs[key] = _as_number(obj[key], key)
-    for key in ("output_every", "seed"):
-        if key in obj:
-            kwargs[key] = _as_int(obj[key], key)
+    if "output_every" in obj:
+        kwargs["output_every"] = _as_int(obj["output_every"], "output_every")
+    if "seed" in obj:
+        kwargs["seed"] = _as_seed(obj["seed"])
     if "preset" in obj:
         preset = obj["preset"]
         if preset not in evolve.PRESETS:
@@ -318,7 +326,7 @@ def parse_resolvent_problem(path: str):
             raise ConfigError(
                 f"unknown rhs preset {rhs!r}; expected manufactured, random "
                 "or zero", "rhs")
-        seed = _as_int(obj.get("seed", 0), "seed")
+        seed = _as_seed(obj.get("seed", 0))
         return lam, rhs, seed, g, params, _parse_output_dir(obj)
 
 

@@ -3,9 +3,9 @@
 Mass, energy and dissipation functionals are provided in two equivalent
 forms: plain quadrature of Eulerian fields, and Lagrangian-frame versions
 weighted by the flow-map Jacobian (the exact change of variables, so both
-evaluate the same continuum functional).  Decay-rate fits, envelope
-monotonicity checks and a dense matrix-exponential cross-check connect the
-simulation output to the linear spectral bound.
+evaluate the same continuum functional).  Decay-rate fits and envelope
+monotonicity checks connect the simulation output to the linear spectral
+bound.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .flowmap import identity_map
 from .grid import Grid, grad_h, grad_h_vec, integral, l2_norm, validate_field, \
     vertical_derivative
-from .operators import dense_chs
-from .stokes_solver import _mean_free_active_basis
 from .transforms import DELTA, PhysicalParams, column_density, lame_weights
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "envelope_is_decreasing",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
-    "linear_envelope_series",
 ]
 
 #: Column order of the diagnostics CSV emitted by the simulation driver.
@@ -297,36 +293,3 @@ def read_diagnostics_csv(path: str) -> np.ndarray:
             f"{path}: expected {len(COLUMNS)} columns, got {data.shape[1]}")
     return data
 
-
-def linear_envelope_series(
-    g: Grid,
-    params: PhysicalParams,
-    xi_bar: float | None = None,
-    t_end: float = 40.0,
-    n_samples: int = 400,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Norm history of the linear evolution on the mean-free subspace.
-
-    Evolves a random mean-free state with the dense matrix exponential of
-    the coupled surface/velocity operator (no nonlinear terms) and returns
-    the norm series; its tail decay rate is the dense spectral bound, so
-    this cross-checks the decay-fit machinery against the eigensolver.
-    The operator is taken at ``xi_bar``, which defaults to
-    ``params.xi_bar``.
-    """
-    xi_bar = params.xi_bar if xi_bar is None else xi_bar
-    A = dense_chs(xi_bar, g, params, bc="reduced")
-    Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
-    Ap = Q.T @ A @ Q
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(Ap.shape[0])
-    u /= np.linalg.norm(u)
-    times = np.linspace(0.0, t_end, n_samples)
-    prop = scipy.linalg.expm(Ap * (times[1] - times[0]))
-    norms = np.empty(n_samples)
-    norms[0] = np.linalg.norm(u)
-    for i in range(1, n_samples):
-        u = prop @ u
-        norms[i] = np.linalg.norm(u)
-    return times, norms

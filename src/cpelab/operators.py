@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .grid import (
     Grid,
@@ -239,8 +238,9 @@ def symbol_ellipticity_report(
 ) -> EllipticityReport:
     """Scan both symbol eigenvalues over 0 < |k_H| <= kmax.
 
-    Reports the minima and the minimum of b1(z) = (1-delta z)^2/delta^2
-    on a z-sample together with its lower bound exp(-2)/delta^2; ``ok``
+    Reports the minima and the minimum of b1(z) = w_Z/w_H =
+    (1-delta z)^2/delta^2, the ratio of the Gamma1 weights of L, on a
+    z-sample together with its lower bound exp(-2)/delta^2; ``ok``
     requires every scanned eigenvalue and b1 to be positive.  Accepts
     inadmissible viscosities on purpose so that failures are reported
     rather than raised.  The eigenvalues are those of
@@ -257,7 +257,8 @@ def symbol_ellipticity_report(
     disk = np.flatnonzero(np.sum(k * k, axis=1) <= kmax * kmax)
     i = disk[np.argmin(np.minimum(lam1, lam2)[disk])]
     zs = np.linspace(0.0, 1.0, 101)
-    b1 = (1.0 - DELTA * zs) ** 2 / DELTA**2
+    w_h, w_z = lame_weights("Gamma1", zs)
+    b1 = w_z / w_h
     b1_min = float(b1.min())
     bound = float(np.exp(-2.0) / DELTA**2)
     ok = bool(min(lam1[i], lam2[i]) > 0 and b1_min >= bound > 0)
@@ -280,7 +281,7 @@ def _check_dense_limit(g: Grid) -> None:
 
 def _dft_derivative_matrix(n: int, ik: np.ndarray) -> np.ndarray:
     """Real dense matrix of the spectral first derivative on n nodes."""
-    F = scipy.linalg.dft(n)
+    F = np.fft.fft(np.eye(n))
     return ((F.conj().T / n) @ (ik[:, None] * F)).real
 
 

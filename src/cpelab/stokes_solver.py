@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import (
     Grid,
@@ -438,12 +437,13 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
         units = np.eye(n2).reshape(n2, g.nx, g.ny)
         return np.fft.ifft2(np.fft.fft2(units) * mask).real.reshape(n2, n2).T
 
-    P = scipy.linalg.block_diag(
-        filt(mask_zeta), np.kron(filt(g.active_mask.astype(float)),
-                                 np.eye(nvert)))
+    P = np.zeros((n2 * (1 + nvert),) * 2)
+    P[:n2, :n2] = filt(mask_zeta)
+    P[n2:, n2:] = np.kron(filt(g.active_mask.astype(float)), np.eye(nvert))
     # P is an orthogonal projector: its range is spanned by the singular
-    # vectors with singular value 1.
-    return scipy.linalg.orth(P, rcond=0.5)
+    # vectors with singular value 1 (the others are 0).
+    U, s, _ = np.linalg.svd(P)
+    return U[:, s > 0.5 * s[0]]
 
 
 def spectral_bound(

@@ -270,13 +270,15 @@ def test_decay_fit_only_on_completed_runs(tmp_path):
                                          "t_start"}
 
 
-def test_import_does_not_load_sympy():
+def test_import_loads_neither_sympy_nor_scipy():
+    # sympy is for verify alone, and scipy for the tests alone
     src = os.path.dirname(os.path.dirname(cpelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, cpelab.cli\n"
-            "for name in ('sympy', 'scipy.io', 'scipy.sparse', "
-            "'cpelab.verify'):\n"
-            "    assert name not in sys.modules, name\n")
+            "for name in ('sympy', 'cpelab.verify'):\n"
+            "    assert name not in sys.modules, name\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
 
@@ -372,6 +374,7 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"mode": ["x"]}, "unknown mode", 3),
     ({"mode": {}}, "unknown mode", 3),
     *NONFINITE_CASES,
+    ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
 ]))
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
@@ -459,8 +462,9 @@ INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
      "set xi_bar=1, got 2.0", None),
     ({"dt": True}, "'dt' must be a number, got True", 14),
     *NONFINITE_CASES,
+    ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
 ], ids=("inadmissible-xi_bar", "inadmissible-M1", "inadmissible-pressure",
-        "global-xi_bar", "dt") + NONFINITE_IDS)
+        "global-xi_bar", "dt") + NONFINITE_IDS + ("seed",))
 def test_spectrum_checks_fields_as_simulate_does(tmp_path, capsys, overrides,
                                                  needle, line):
     # only the viscosity pair's admissibility is reported rather than
@@ -570,6 +574,8 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
     ({"lam": float("inf")}, "'lam' must be finite", 12),
     ({"lam": [0.0, float("-inf")]}, "'lam' must be finite", 12),
     *NONFINITE_CASES,
+    ({"rhs": "random", "seed": -1}, "'seed' must be non-negative, got -1",
+     14),
 ]))
 def test_resolvent_config_errors(tmp_path, capsys, overrides, needle, line):
     prob = write_problem(tmp_path, **overrides)

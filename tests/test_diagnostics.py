@@ -15,7 +15,6 @@ from cpelab.diagnostics import (
     fit_decay_rate,
     lagrangian_energy,
     lagrangian_mass,
-    linear_envelope_series,
     potential_energy_density,
     read_diagnostics_csv,
     surface_h1_norm,
@@ -23,7 +22,6 @@ from cpelab.diagnostics import (
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
 from cpelab.grid import grad_h_vec, integral, make_grid
-from cpelab.stokes_solver import spectral_bound
 from cpelab.transforms import DELTA, PhysicalParams, make_pressure_law
 
 
@@ -271,24 +269,3 @@ def test_diagnostics_csv_roundtrip_is_exact(tmp_path):
     with pytest.raises(ValueError, match="columns"):
         read_diagnostics_csv(str(tmp_path / "narrow.csv"))
 
-
-def test_linear_envelope_decay_matches_spectral_bound():
-    g = make_grid(6, 6, 7)
-    params = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1", xi_bar=1.0)
-    times, norms = linear_envelope_series(g, params, xi_bar=1.0,
-                                          t_end=40.0, n_samples=400, seed=0)
-    assert norms[0] == pytest.approx(1.0)
-    fit = fit_decay_rate(times, norms, t_skip_fraction=0.5)
-    eta0 = spectral_bound(g, params, xi_bar=1.0)
-    assert fit.eta == pytest.approx(eta0, rel=0.05)
-    assert fit.r_squared > 0.999
-
-
-def test_linear_envelope_takes_reference_density_from_params():
-    g = make_grid(6, 6, 7)
-    params = PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1", xi_bar=1.3)
-    times, norms = linear_envelope_series(g, params, t_end=40.0,
-                                          n_samples=400, seed=0)
-    fit = fit_decay_rate(times, norms, t_skip_fraction=0.5)
-    assert fit.eta == pytest.approx(spectral_bound(g, params), rel=0.05)
-    assert fit.r_squared > 0.999

@@ -21,6 +21,7 @@ from cpelab.grid import (
 )
 from cpelab.operators import (
     DENSE_LIMIT,
+    _dft_derivative_matrix,
     apply_chs,
     apply_hydrostatic_lame,
     dense_chs,
@@ -238,6 +239,19 @@ def test_chs_null_vector_constant_zeta():
     null = np.zeros(B.shape[0])
     null[: 16] = 2.7
     assert np.max(np.abs(B @ null)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_dft_derivative_matrix_differentiates_trig_exactly(n):
+    g = make_grid(n, n, 5)
+    D = _dft_derivative_matrix(n, g.ikx)
+    assert D.dtype == np.float64
+    assert np.max(np.abs(D @ np.ones(n))) <= 1e-12
+    for k in range(1, n // 2):  # the Nyquist line has no derivative
+        w = 2 * np.pi * k
+        s, c = np.sin(w * g.x), np.cos(w * g.x)
+        assert np.max(np.abs(D @ s - w * c)) <= 1e-12 * w
+        assert np.max(np.abs(D @ c + w * s)) <= 1e-12 * w
 
 
 def test_dense_limit_enforced():

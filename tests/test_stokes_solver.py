@@ -211,6 +211,26 @@ def test_mean_free_active_basis_projects_onto_filtered_fields():
     assert np.allclose(Q @ (Q.T @ u), want, atol=1e-12)
 
 
+def test_mean_free_active_basis_spans_the_filter_projector():
+    g = make_grid(4, 6, 5)
+    nvert = 2
+    Q = stokes_solver._mean_free_active_basis(g, nvert)
+    n2 = g.nx * g.ny
+    mask_zeta = g.active_mask.astype(float)
+    mask_zeta[0, 0] = 0.0
+    # column j of P is the filtered j-th unit state
+    units = np.eye(n2 * (1 + nvert))
+    zeta = units[:, :n2].reshape(-1, g.nx, g.ny)
+    V = units[:, n2:].reshape(-1, g.nx, g.ny, nvert)
+    fz = np.fft.ifft2(np.fft.fft2(zeta) * mask_zeta).real
+    fV = np.fft.ifft2(np.fft.fft2(V, axes=(1, 2))
+                      * g.active_mask[:, :, None], axes=(1, 2)).real
+    P = np.concatenate([fz.reshape(len(units), -1),
+                        fV.reshape(len(units), -1)], axis=1).T
+    assert Q.shape[1] == mask_zeta.sum() + nvert * g.active_mask.sum()
+    assert np.max(np.abs(Q @ Q.T - P)) <= 1e-12
+
+
 def full_spectrum_max_re(g, params, xi_bar=1.0):
     """Largest real part over every active mode, one mode at a time."""
     S, R = vertical_reduction(g)
