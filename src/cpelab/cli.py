@@ -87,7 +87,9 @@ class ConfigError(Exception):
 _GRID_KEYS = {"nx", "ny", "nz"}
 _PARAM_KEYS = {"mu", "mu_prime", "xi_bar", "M1", "M2", "pressure"}
 _PRESSURE_KEYS = {"law", "c", "alpha"}
-_TOLERANCE_KEYS = set(evolve.TOLERANCES)
+#: Tolerance keys of the schema that no run reads; they are still checked.
+_UNREAD_TOLERANCES = ("inv_tol", "lin_tol", "mean_tol")
+_TOLERANCE_KEYS = set(evolve.TOLERANCES + _UNREAD_TOLERANCES)
 _RUN_KEYS = {
     "schema_version", "mode", "grid", "params", "dt", "t_end",
     "output_every", "preset", "amplitude", "perturbation_mode", "seed",
@@ -286,6 +288,9 @@ def parse_run_config(path: str) -> evolve.RunConfig:
             _require(obj, key)
         kwargs = _parse_run_keys(obj)
         try:
+            for key in _UNREAD_TOLERANCES:
+                if key in kwargs:
+                    evolve._check_tolerance(key, kwargs.pop(key))
             cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
                                    params=params, **kwargs)
             # the preset's initial density must be positive, and in the

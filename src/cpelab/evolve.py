@@ -58,7 +58,13 @@ from .grid import (
     vertical_average,
     vertical_derivative,
 )
-from .operators import lame_block, mode_matrices, mode_wavevectors
+from .operators import (
+    _pack_modes,
+    _unpack_modes,
+    lame_block,
+    mode_matrices,
+    mode_wavevectors,
+)
 from .transforms import PhysicalParams, column_density, lame_weights
 
 __all__ = [
@@ -415,23 +421,6 @@ class Stepper:
 
     # -- helpers ------------------------------------------------------------
 
-    def _velocity_rhs(self, r: np.ndarray) -> np.ndarray:
-        """Half-spectrum of ``r`` with its boundary rows zeroed.
-
-        The boundary rows are whole z-levels, so they are zeroed after the
-        horizontal transform; returns shape (nx, ny // 2 + 1, 2 nz).
-        """
-        rh = np.fft.rfft2(r, axes=(0, 1))
-        rh[:, :, -1, :] = 0.0
-        rh[:, :, 0, :] = 0.0
-        return rh.reshape(self._inv.shape[:2] + (2 * self.g.nz,))
-
-    def _velocity(self, sol: np.ndarray) -> np.ndarray:
-        """Real velocity field of half-spectrum coefficients."""
-        g = self.g
-        return np.fft.irfft2(sol.reshape(sol.shape[:2] + (g.nz, 2)),
-                             s=(g.nx, g.ny), axes=(0, 1))
-
     def _solve_coupled(self, zeta: np.ndarray, V: np.ndarray,
                        F1: np.ndarray, F2: np.ndarray):
         """Coupled implicit solve with the remainders F1, F2 not dealiased.
@@ -441,14 +430,10 @@ class Stepper:
         rfft2(F2)``.
         """
         g, dt = self.g, self.dt
-        mask = g.dealias_mask[:, :g.ny // 2 + 1]
-        zh = np.fft.rfft2(zeta) + dt * mask * np.fft.rfft2(F1)
-        rh = (self._velocity_rhs(V)
-              + dt * mask[..., None] * self._velocity_rhs(F2))
-        rhs = np.concatenate([zh[..., None], rh], axis=-1)
+        mask = g.dealias_mask[:, :g.ny // 2 + 1, None]
+        rhs = _pack_modes(V, zeta) + dt * mask * _pack_modes(F2, F1)
         sol = (self._inv @ rhs[..., None])[..., 0]
-        zeta_new = np.fft.irfft2(sol[..., 0], s=(g.nx, g.ny))
-        return zeta_new, self._velocity(sol[..., 1:])
+        return _unpack_modes(sol, g, True)
 
     def _solve_momentum(self, V: np.ndarray,
                         F2: np.ndarray) -> tuple[np.ndarray, int]:
@@ -462,10 +447,10 @@ class Stepper:
         Vm = V
         scale = max(1.0, float(np.max(np.abs(V))))
         for it in range(1, self.fp_max_iter + 1):
-            rh = self._velocity_rhs(base + drho * Vm)
+            rh = _pack_modes(base + drho * Vm)
             # the real inverse acts on the real and imaginary parts at once
             sol = self._inv @ rh.view(float).reshape(shape)
-            V_new = self._velocity(sol.view(complex))
+            V_new = _unpack_modes(sol.view(complex)[..., 0], self.g, True)
             change = float(np.max(np.abs(V_new - Vm)))
             Vm = V_new
             if change <= self.fp_tol * scale:
@@ -537,7 +522,14 @@ class Stepper:
 # ---------------------------------------------------------------------------
 
 PRESETS = ("steady", "fourier_perturbation", "random_smooth")
-TOLERANCES = ("fp_tol", "inv_tol", "det_floor", "lin_tol", "mean_tol")
+#: The tolerances a run reads.
+TOLERANCES = ("fp_tol", "det_floor")
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(
+            f"tolerance '{name}' must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -547,9 +539,7 @@ class RunConfig:
     ``perturbation_mode`` is the horizontal integer wavevector of the
     ``fourier_perturbation`` preset.  The time stepper uses ``fp_tol``
     (implicit fixed point) and ``det_floor`` (Jacobian floor of the
-    invertibility check).  ``inv_tol``, ``lin_tol`` and ``mean_tol`` are
-    accepted for schema compatibility and have no effect on a simulation.
-    Every tolerance must be finite and positive.
+    invertibility check); both must be finite and positive.
     """
 
     mode: str
@@ -565,10 +555,7 @@ class RunConfig:
     perturbation_mode: tuple[int, int] = (1, 0)
     seed: int = 0
     fp_tol: float = 1e-12
-    inv_tol: float = 1e-10
     det_floor: float = 0.1
-    lin_tol: float = 1e-8
-    mean_tol: float = 1e-10
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -584,11 +571,7 @@ class RunConfig:
             raise ValueError(
                 f"t_end={self.t_end} is shorter than one step dt={self.dt}")
         for name in TOLERANCES:
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"tolerance '{name}' must be finite and positive, "
-                    f"got {value}")
+            _check_tolerance(name, getattr(self, name))
         if self.output_every < 1:
             raise ValueError(
                 f"output_every must be >= 1, got {self.output_every}")
@@ -632,8 +615,8 @@ def _lowpass_random(rng: np.random.Generator, g: Grid, kmax: int = 2
     """Random real surface field with spectrum confined to |k|_inf <= kmax."""
     f = rng.standard_normal((g.nx, g.ny))
     fh = np.fft.fft2(f)
-    kx = np.rint(g.ikx.imag / (2 * np.pi)).astype(int)
-    ky = np.rint(g.iky.imag / (2 * np.pi)).astype(int)
+    kx = np.rint(g.kx / (2 * np.pi)).astype(int)
+    ky = np.rint(g.ky / (2 * np.pi)).astype(int)
     mask = (np.abs(kx)[:, None] <= kmax) & (np.abs(ky)[None, :] <= kmax)
     fh *= mask
     fh[0, 0] = 0.0

@@ -549,3 +549,31 @@ def mode_matrices(
     M[..., bot[:, None], off + 2 * np.arange(nz) + comp[:, None]] = g.Dz[0]
     return M
 
+
+
+def _pack_modes(V: np.ndarray, zeta: np.ndarray | None = None) -> np.ndarray:
+    """Per-mode right-hand sides of the blocks of :func:`mode_matrices`.
+
+    The :func:`cpelab.grid._fft_h` spectrum (half for real fields) of V,
+    with the boundary levels zeroed, shape (nx, nk, 2 nz), or of (zeta, V)
+    with zeta-hat first; the modes are ``mode_wavevectors(g)[:, :nk]``.
+    """
+    Vh = _fft_h(V)
+    Vh[:, :, -1, :] = 0.0
+    Vh[:, :, 0, :] = 0.0
+    Vh = Vh.reshape(Vh.shape[:2] + (-1,))
+    if zeta is None:
+        return Vh
+    return np.concatenate([_fft_h(zeta)[..., None], Vh], axis=-1)
+
+
+def _unpack_modes(sol: np.ndarray, g: Grid, real: bool):
+    """Inverse of :func:`_pack_modes`; ``real`` says the fields are real.
+
+    Returns V, or (zeta, V) when ``sol`` holds 1 + 2 nz entries per mode.
+    """
+    V = _ifft_h(sol[..., -2 * g.nz:].reshape(sol.shape[:2] + (g.nz, 2)),
+                g, real)
+    if sol.shape[-1] == 2 * g.nz:
+        return V
+    return _ifft_h(sol[..., 0], g, real), V

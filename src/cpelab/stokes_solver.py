@@ -40,6 +40,8 @@ from .grid import (
     Grid,
     _ddx,
     _ddy,
+    _fft_h,
+    _ifft_h,
     dealias,
     div_h,
     grad_h,
@@ -51,6 +53,8 @@ from .grid import (
 )
 from .operators import (
     _bordered,
+    _pack_modes,
+    _unpack_modes,
     _replace_bc_rows,
     _replace_rows_dense,
     apply_hydrostatic_lame,
@@ -62,7 +66,7 @@ from .operators import (
     vertical_lame_block,
     vertical_reduction,
 )
-from .transforms import DELTA, PhysicalParams
+from .transforms import PhysicalParams, lame_weights
 
 __all__ = [
     "MEAN_TOL",
@@ -182,14 +186,10 @@ def manufactured_resolvent_problem(
     return ResolventProblem(lam, f1, f2, xi_bar=xi_bar), zeta, V
 
 
-def _interior_rhs(f2: np.ndarray) -> np.ndarray:
-    """Complex copy of f2 with its boundary layers set to zero.
-
-    Their rows hold the boundary conditions V = 0 and d_z V = 0.
-    """
-    f2 = np.array(f2, dtype=complex)
-    f2[:, :, [0, -1], :] = 0.0
-    return f2
+def _is_real(p: ResolventProblem) -> bool:
+    """Whether the solution is real: real data at real lambda."""
+    return (complex(p.lam).imag == 0 and not np.iscomplexobj(p.f1)
+            and not np.iscomplexobj(p.f2))
 
 
 def _solve_per_mode(
@@ -197,25 +197,26 @@ def _solve_per_mode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mode-by-mode bordered solve of (lambda - A_CHS) U = F.
 
-    The modes are solved one kx row at a time, so only one row of the
-    bordered blocks is held at once.
+    Real data at real lambda is solved on the half-spectrum ky >= 0, any
+    other problem on every mode.  The modes are solved one kx row at a
+    time, so only one row of the bordered blocks is held at once.
     """
     lam = complex(p.lam)
-    nx, ny, nz = g.nx, g.ny, g.nz
-    K = mode_wavevectors(g)
-    f1h = np.fft.fft2(np.asarray(p.f1, dtype=complex), axes=(0, 1))
-    f2h = np.fft.fft2(_interior_rhs(p.f2), axes=(0, 1))
-    rhs = np.concatenate(
-        [f1h[..., None], f2h.reshape(nx, ny, 2 * nz)], axis=-1)[..., None]
-    pin = np.zeros((nx, ny), dtype=bool)
+    real = _is_real(p)
+    dtype = float if real else complex
+    rhs = _pack_modes(np.asarray(p.f2, dtype=dtype),
+                      np.asarray(p.f1, dtype=dtype))[..., None]
+    nk = rhs.shape[1]
+    K = mode_wavevectors(g)[:, :nk]
+    pin = np.zeros((g.nx, nk), dtype=bool)
     if lam == 0:
         # zeta is the normalized mean (or a Nyquist artifact): pin it to
         # zero and drop the continuity row.
-        pin = ~g.active_mask
+        pin = ~g.active_mask[:, :nk]
         pin[0, 0] = True
         rhs[pin, 0] = 0.0
     sol = np.empty_like(rhs)
-    for ix in range(nx):
+    for ix in range(g.nx):
         M = mode_matrices(vertical_lame_block(K[ix], p.xi_bar, g, params),
                           K[ix], g, lam, 1.0, xi_bar=p.xi_bar)
         M[pin[ix], 0, :] = 0.0
@@ -225,11 +226,7 @@ def _solve_per_mode(
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"linear-solver breakdown in mode row {ix}: {exc}") from exc
-    zeta = np.fft.ifft2(sol[..., 0, 0], axes=(0, 1))
-    V = np.fft.ifft2(sol[..., 1:, 0].reshape(nx, ny, nz, 2), axes=(0, 1))
-    if abs(lam.imag) == 0.0:
-        return zeta.real, V.real
-    return zeta, V
+    return _unpack_modes(sol[..., 0], g, real)
 
 
 def _solve_dense(
@@ -241,7 +238,9 @@ def _solve_dense(
     A = dense_chs(p.xi_bar, g, params, bc="raw")
     n = A.shape[0]
     M = _replace_rows_dense(lam * np.eye(n) - A, g, offset=n2)
-    rhs = pack_state(np.asarray(p.f1, dtype=complex), _interior_rhs(p.f2))
+    f2 = np.array(p.f2, dtype=complex)
+    f2[:, :, [0, -1], :] = 0.0  # their rows hold the boundary conditions
+    rhs = pack_state(np.asarray(p.f1, dtype=complex), f2)
     if lam == 0:
         # deflate the one-dimensional kernel (zeta = const, V = 0); the
         # left kernel is the zeta-row mean, so the deflated solve returns
@@ -255,10 +254,7 @@ def _solve_dense(
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"linear-solver breakdown: {exc}") from exc
-    zeta, V = unpack_state(sol, g)
-    if abs(lam.imag) == 0.0:
-        return zeta.real, V.real
-    return zeta, V
+    return unpack_state(sol.real if _is_real(p) else sol, g)
 
 
 def solve_resolvent(
@@ -278,8 +274,9 @@ def solve_resolvent(
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
     A relative residual above :data:`LIN_TOL` raises ``RuntimeError``
-    (linear-solver breakdown).  Returns real fields for real lambda and
-    complex fields otherwise; for lambda = 0, zeta is returned mean-free.
+    (linear-solver breakdown).  Returns real fields for real data at real
+    lambda and complex fields otherwise; for lambda = 0, zeta is returned
+    mean-free.
     """
     zeta, V, _ = _solve_checked(p, g, params, method)
     return zeta, V
@@ -300,9 +297,8 @@ def _solve_checked(
         zeta, V = _solve_dense(p, g, params)
     else:
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
-    res = resolvent_residual(
-        complex(p.lam), zeta, V, np.asarray(p.f1, dtype=complex),
-        np.asarray(p.f2, dtype=complex), p.xi_bar, g, params)
+    res = resolvent_residual(complex(p.lam), zeta, V, p.f1, p.f2, p.xi_bar,
+                             g, params)
     if res > LIN_TOL:
         raise RuntimeError(
             f"linear-solver breakdown: relative residual {res:.3e} "
@@ -319,7 +315,6 @@ def solve_steady_decomposed(
     f2: np.ndarray,
     g: Grid,
     params: PhysicalParams,
-    init: str = "monolithic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steady solve via vertical averaging plus an elliptic recovery.
 
@@ -333,10 +328,10 @@ def solve_steady_decomposed(
     and the boundary traces mu ((1-delta)^2/delta^2) d_z V|_{z=1}
     - (mu/delta) V|_{z=0} of the full velocity (the term mu avg(V) is
     folded into the left side).  The traces couple back to the 3D
-    velocity, recovered from A V = grad_H zeta - f2; the loop is a Picard
-    iteration on them, initialized from the monolithic solve
-    (``init="monolithic"``) or from rest (``init="zero"``).  Model
-    ``Gamma1`` at xi_bar = 1, whatever ``params.xi_bar`` holds.
+    velocity, recovered per mode from A V = grad_H zeta - f2 on the
+    half-spectrum; the loop is a Picard iteration on them, started from
+    rest.  Complex data is solved for its real part.  Model ``Gamma1`` at
+    xi_bar = 1, whatever ``params.xi_bar`` holds.
 
     One discrete correction is required on top of the continuous
     argument: the collocation solution satisfies the momentum equation at
@@ -352,55 +347,43 @@ def solve_steady_decomposed(
     validate_field(f1, g)
     validate_field(f2, g)
     _check_compatibility(f1, g)
+    f1, f2 = np.real(f1), np.real(f2)  # the operator is real
     mu, mup = params.mu, params.mu_prime
-    K = mode_wavevectors(g)
-    kx, ky = K[..., 0], K[..., 1]
-    k2 = kx * kx + ky * ky
-    f1h = np.fft.fft2(f1, axes=(0, 1))
-    f2h = np.fft.fft2(np.asarray(f2, dtype=complex), axes=(0, 1))
-    one_minus = 1.0 - DELTA * g.z
+    wH, wZ = lame_weights("Gamma1", g.z)
+    one_minus = 1.0 / wH  # 1 - delta z
+    delta = one_minus[0] - one_minus[-1]
+    trace_top = mu * wZ[-1] * one_minus[-1]  # mu (1 - delta)^2 / delta^2
+    trace_bot = -mu / delta
+    # quadrature weights of the weighted equation at the boundary layers
+    tau_bot, tau_top = g.wz[[0, -1]] * one_minus[[0, -1]]
     base = vertical_average(one_minus[None, None, :, None] * f2, g) \
         + mup * grad_h(f1, g)
-    baseh = np.fft.fft2(np.asarray(base, dtype=complex), axes=(0, 1))
-    trace_top = mu * (1.0 - DELTA) ** 2 / DELTA**2
-    trace_bot = -mu / DELTA
-
-    if init == "monolithic":
-        prob = ResolventProblem(lam=0.0, f1=f1, f2=f2, xi_bar=1.0)
-        _, V = solve_resolvent(prob, g, params, method="per_mode")
-    elif init == "zero":
-        V = np.zeros((g.nx, g.ny, g.nz, 2))
-    else:
-        raise ValueError(f"init must be 'monolithic' or 'zero', got {init!r}")
-
+    f1h = _fft_h(f1)
+    K = mode_wavevectors(g)[:, :f1h.shape[1]]
+    kx, ky = K[..., 0], K[..., 1]
+    k2 = kx * kx + ky * ky
+    nonzero = k2 != 0.0
+    k2_safe = np.where(nonzero, k2, 1.0)
     # per-mode elliptic blocks A_k with boundary rows, inverted once
     inv = np.linalg.inv(mode_matrices(
         vertical_lame_block(K, 1.0, g, params), K, g, 0.0, -1.0))
-    nonzero = k2 != 0.0
-    k2_safe = np.where(nonzero, k2, 1.0)
 
-    zeta = np.zeros((g.nx, g.ny))
+    V, gz = np.zeros(f2.shape), 0.0  # from rest
     for it in range(PICARD_MAX_ITER):
         dzV = vertical_derivative(V, g)
         trace = trace_top * dzV[:, :, -1, :] + trace_bot * V[:, :, 0, :]
         # tau correction: residual of the raw equation at the boundary rows
-        raw = apply_hydrostatic_lame(V, 1.0, g, params, bc="raw")
-        r_all = -raw + grad_h(zeta, g)[:, :, None, :] - f2
-        tau = g.wz[0] * r_all[:, :, 0, :] \
-            + g.wz[-1] * (1.0 - DELTA) * r_all[:, :, -1, :]
-        Rh = baseh + np.fft.fft2(
-            np.asarray(trace + tau, dtype=complex), axes=(0, 1))
+        r_all = gz - f2 - apply_hydrostatic_lame(V, 1.0, g, params, bc="raw")
+        tau = tau_bot * r_all[:, :, 0, :] + tau_top * r_all[:, :, -1, :]
+        Rh = _fft_h(base + trace + tau)
         # saddle elimination: ztilde = (mu(k2-1) f1 - i kt . R)/k2
         zt = (mu * (k2 - 1.0) * f1h
               - 1j * (kx * Rh[..., 0] + ky * Rh[..., 1])) / k2_safe
-        zetah = np.where(nonzero, zt / (1.0 - DELTA / 2.0), 0.0)
-        zeta = np.fft.ifft2(zetah, axes=(0, 1)).real
-        gzh = 1j * K * zetah[..., None]
-        rhs = gzh[:, :, None, :] - f2h
-        rhs[:, :, [0, -1], :] = 0.0
-        Vh = np.einsum("abij,abj->abi", inv,
-                       rhs.reshape(g.nx, g.ny, 2 * g.nz)).reshape(rhs.shape)
-        V_new = np.fft.ifft2(Vh, axes=(0, 1)).real
+        zetah = np.where(nonzero, zt / (g.wz @ one_minus), 0.0)
+        zeta = _ifft_h(zetah, g, True)
+        gz = grad_h(zeta, g)[:, :, None, :]
+        sol = inv @ _pack_modes(gz - f2)[..., None]
+        V_new = _unpack_modes(sol[..., 0], g, True)
         diff = np.abs(V_new - V).max() / max(np.abs(V_new).max(), 1e-300)
         V = V_new
         if diff <= PICARD_TOL:

@@ -344,6 +344,10 @@ def test_tolerance_typo_is_named(tmp_path, capsys):
     ("fp_tol", -1.0),
     ("fp_tol", float("nan")),
     ("det_floor", -1.0),
+    # read by no run, but checked the same way
+    ("inv_tol", 0.0),
+    ("lin_tol", float("inf")),
+    ("mean_tol", -1.0),
 ])
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
     # the fixed point can never meet fp_tol = 0, and a negative det_floor

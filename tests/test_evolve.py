@@ -27,6 +27,7 @@ from cpelab.evolve import (
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
 from cpelab.grid import _ddx, _ddy, grad_h, grad_h_vec, l2_norm, make_grid
 from cpelab.operators import mode_wavevectors, vertical_lame_block
+from cpelab.stokes_solver import ResolventProblem, solve_resolvent
 from cpelab.transforms import PhysicalParams, make_pressure_law
 
 
@@ -393,6 +394,33 @@ def test_half_spectrum_solves_match_full_spectrum(mode, shape,
         assert 1 <= iterations <= stepper.fp_max_iter
         ref = full_spectrum_momentum(stepper, inv, V, F2, iterations)
         assert rel(got, ref) <= 1e-12
+
+
+def test_coupled_step_is_the_resolvent_at_inverse_dt():
+    # (1 - dt A_CHS)^-1 = (1/dt) (1/dt - A_CHS)^-1: the GlobalGamma1 step
+    # and the resolvent solve share the per-mode blocks and their packing
+    g = make_grid(12, 12, 9)
+    params = gamma1_params()
+    dt = 0.05
+    rng = np.random.default_rng(8)
+    zeta = rng.standard_normal((g.nx, g.ny))
+    V = rng.standard_normal((g.nx, g.ny, g.nz, 2))
+    stepper = Stepper("GlobalGamma1", g, params, dt)
+    got = stepper._solve_coupled(zeta, V, np.zeros_like(zeta),
+                                 np.zeros_like(V))
+    ref = solve_resolvent(ResolventProblem(1.0 / dt, zeta / dt, V / dt), g,
+                          params)
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_random_smooth_spectrum_is_band_limited():
+    g = make_grid(12, 12, 5)
+    f = evolve._lowpass_random(np.random.default_rng(0), g)
+    fh = np.fft.fft2(f)
+    k = np.abs(np.fft.fftfreq(g.nx, d=1.0 / g.nx))
+    outside = (k[:, None] > 2) | (k[None, :] > 2)
+    assert np.max(np.abs(fh[outside])) <= 1e-12 * np.max(np.abs(fh))
 
 
 def three_operand_twisted_terms(Z, dZ, dV, H, Vt):

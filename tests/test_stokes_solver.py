@@ -138,16 +138,16 @@ def test_decomposed_steady_matches_monolithic(setup):
     assert err / scale <= 1e-7
 
 
-def test_decomposed_steady_from_rest_converges(setup):
-    g, params = setup
+def test_decomposed_steady_solves_the_real_part_of_complex_data():
+    g = make_grid(8, 8, 7)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
     problem, _, _ = manufactured_resolvent_problem(0.0, g, params)
-    z_mono, V_mono = solve_resolvent(problem, g, params)
-    z_dec, V_dec = solve_steady_decomposed(problem.f1, problem.f2, g, params,
-                                           init="zero")
-    scale = np.sqrt(l2_norm(z_mono, g) ** 2 + l2_norm(V_mono, g) ** 2)
-    err = np.sqrt(l2_norm(z_dec - z_mono, g) ** 2
-                  + l2_norm(V_dec - V_mono, g) ** 2)
-    assert err / scale <= 1e-7
+    want = solve_steady_decomposed(problem.f1, problem.f2, g, params)
+    for f1, f2 in ((problem.f1 * (1 + 0.5j), problem.f2),
+                   (problem.f1, problem.f2 * (1 - 2j))):
+        got = solve_steady_decomposed(f1, f2, g, params)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_imaginary_axis_sweep_bounded_with_decaying_velocity(setup):
@@ -299,11 +299,35 @@ def loop_solve_per_mode(problem, g, params):
             np.fft.ifft2(Vh, axes=(0, 1)))
 
 
-@pytest.mark.parametrize("lam", (0.0, 3.0, 40j), ids=str)
-def test_batched_resolvent_matches_mode_loop(setup, lam):
+@pytest.mark.parametrize("lam,factor", (
+    pytest.param(0.0, 1.0, id="0.0"),
+    pytest.param(3.0, 1.0, id="3.0"),
+    pytest.param(40j, 1.0, id="40j"),
+    # complex data at real lambda is solved on every mode
+    pytest.param(2.0, 1.0 + 1.0j, id="2.0-complex-data"),
+))
+def test_batched_resolvent_matches_mode_loop(setup, lam, factor):
     g, params = setup
     problem, _, _ = manufactured_resolvent_problem(lam, g, params)
+    problem = ResolventProblem(lam, factor * problem.f1, factor * problem.f2,
+                               xi_bar=problem.xi_bar)
     zeta, V = solve_resolvent(problem, g, params)
+    assert np.iscomplexobj(V) == (np.iscomplexobj(factor) or lam.imag != 0)
     z_ref, V_ref = loop_solve_per_mode(problem, g, params)
     for got, ref in ((zeta, z_ref), (V, V_ref)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_dense_solve_keeps_complex_data_at_real_lambda():
+    g = make_grid(8, 8, 7)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    problem, zeta_true, V_true = manufactured_resolvent_problem(2.0, g, params)
+    c = 1.0 + 1.0j
+    zeta, V = solve_resolvent(
+        ResolventProblem(2.0, c * problem.f1, c * problem.f2), g, params,
+        method="dense")
+    assert np.iscomplexobj(zeta) and np.iscomplexobj(V)
+    scale = np.sqrt(l2_norm(zeta_true, g) ** 2 + l2_norm(V_true, g) ** 2)
+    err = np.sqrt(l2_norm(zeta - c * zeta_true, g) ** 2
+                  + l2_norm(V - c * V_true, g) ** 2)
+    assert err / (abs(c) * scale) <= 1e-10
