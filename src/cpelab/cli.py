@@ -58,6 +58,7 @@ EXIT_BLOWUP = 5
 EXIT_COMPATIBILITY = 6
 EXIT_VERIFY_FAILED = 7
 EXIT_IMPLICIT_FAILED = 8
+EXIT_BREAKDOWN = 9
 
 STATUS_EXIT = {
     "completed": EXIT_OK,
@@ -492,14 +493,7 @@ def _cmd_resolvent(args) -> int:
             f2 = np.zeros((g.nx, g.ny, g.nz, 2))
         problem = stokes_solver.ResolventProblem(lam, f1, f2, params.xi_bar)
 
-    try:
-        zeta, V, residual = stokes_solver._solve_checked(problem, g, params)
-    except ValueError as exc:
-        if "compatibility" in str(exc):
-            print(str(exc), file=sys.stderr)
-            return EXIT_COMPATIBILITY
-        raise
-
+    zeta, V, residual = stokes_solver._solve_checked(problem, g, params)
     if rhs_kind == "manufactured":
         scale = max(np.sqrt(l2_norm(zeta_true, g) ** 2
                             + l2_norm(V_true, g) ** 2), 1e-300)
@@ -533,17 +527,13 @@ def _cmd_resolvent(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    tol_scale = args.tol_scale
-    if tol_scale < 1.0:
-        print("config error: --tol-scale must be >= 1 (tolerances only relax)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    if args.tol_scale < 1.0:
+        raise ConfigError("--tol-scale must be >= 1 (tolerances only relax)")
     if args.mutation is not None and args.mutation not in evolve.F2_MUTATIONS:
-        print(f"config error: unknown mutation {args.mutation!r}; expected "
-              f"one of {sorted(evolve.F2_MUTATIONS)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown mutation {args.mutation!r}; expected "
+                          f"one of {sorted(evolve.F2_MUTATIONS)}")
     from . import verify  # imports sympy, which only this command needs
-    ok = verify.run(tol_scale, args.mutation)
+    ok = verify.run(args.tol_scale, args.mutation)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -598,6 +588,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except stokes_solver.CompatibilityError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_COMPATIBILITY
+    except operators.SolverBreakdown as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BREAKDOWN
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """Scalar functionals and fits that turn analytic statements into checks.
 
-Mass, energy and dissipation functionals are provided in two equivalent
-forms: plain quadrature of Eulerian fields, and Lagrangian-frame versions
-weighted by the flow-map Jacobian (the exact change of variables, so both
-evaluate the same continuum functional).  Decay-rate fits and envelope
-monotonicity checks connect the simulation output to the linear spectral
-bound.
+Mass, energy and dissipation functionals are evaluated on Lagrangian
+fields, weighted by the flow-map Jacobian: the exact change of variables
+of the Eulerian functionals, which they equal at the identity map.
+Decay-rate fits and envelope monotonicity checks connect the simulation
+output to the linear spectral bound.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flowmap import identity_map
 from .grid import Grid, grad_h, grad_h_vec, integral, l2_norm, validate_field, \
     vertical_derivative
 from .transforms import DELTA, PhysicalParams, column_density, lame_weights
@@ -28,7 +26,6 @@ __all__ = [
     "EnergyReport",
     "DecayFit",
     "potential_energy_density",
-    "energy",
     "lagrangian_energy",
     "lagrangian_mass",
     "surface_h1_norm",
@@ -76,10 +73,6 @@ class EnergyReport:
         return cls(t=t, E=E, dissipation_integral=diss,
                    residual=E + diss - E[0], mass=mass)
 
-    @property
-    def dissipation_nondecreasing(self) -> bool:
-        return bool(np.all(np.diff(self.dissipation_integral) >= -1e-15))
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -126,22 +119,6 @@ def potential_energy_density(xi: np.ndarray,
     return xi * prim - float(params.pressure(1.0)) * (xi - 1.0)
 
 
-def energy(xi: np.ndarray, v: np.ndarray, g: Grid,
-           params: PhysicalParams) -> EnergyEntry:
-    """Energy and instantaneous dissipation of Eulerian fields.
-
-    ``xi`` is the surface density (2D, positive), ``v`` the horizontal
-    velocity (3D 2-vector).  Gamma1 fields are understood in the stretched
-    vertical coordinate, which is where its energy identity lives.  This is
-    :func:`lagrangian_energy` at the identity map.
-    """
-    kind = validate_field(xi, g)
-    if kind != "scalar2d":
-        raise ValueError(f"energy expects a 2D surface density, got {kind}")
-    validate_field(v, g)
-    return lagrangian_energy(xi, v, identity_map(g), g, params)
-
-
 def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
                       params: PhysicalParams) -> EnergyEntry:
     """Energy and dissipation evaluated on Lagrangian fields.
@@ -154,7 +131,8 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
     with the weights of :func:`cpelab.transforms.lame_weights`.  After the
     change of variables the Eulerian gradient is the label gradient
     contracted with the inverse flow-map Jacobian, and the area element
-    contributes the Jacobian determinant.
+    contributes the Jacobian determinant.  Gamma1 fields live in the
+    stretched vertical coordinate, where its energy identity holds.
     """
     if np.min(zeta_full) <= 0:
         raise ValueError(

@@ -59,6 +59,7 @@ from .grid import (
     vertical_derivative,
 )
 from .operators import (
+    SolverBreakdown,
     _pack_modes,
     _unpack_modes,
     lame_block,
@@ -185,11 +186,8 @@ def _grad2(f: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _twisted_divergence(U: np.ndarray, Z: np.ndarray, g: Grid) -> np.ndarray:
-    """Eulerian divergence of a composed 2-vector field: sum_k,i Z[k,i] d_k U_i."""
-    dU = grad_h_vec(U, g)
-    if U.ndim == 4:
-        return np.einsum("abki,abzik->abz", Z, dU)
-    return np.einsum("abki,abik->ab", Z, dU)
+    """Eulerian divergence of a composed 3D 2-vector: sum Z[k,i] d_k U_i."""
+    return np.einsum("abki,abzik->abz", Z, grad_h_vec(U, g))
 
 
 def _depth_moment(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -378,7 +376,8 @@ class Stepper:
     The fields are real, so only the ``rfft2`` half-spectrum ``ky >= 0`` is
     stored and solved: the block at -k equals the block at k in the local
     modes and is its complex conjugate in ``GlobalGamma1``.  ``_inv`` holds
-    the inverses, shape ``(nx, ny // 2 + 1, n, n)``.  ``fp_iterations``
+    the inverses, shape ``(nx, ny // 2 + 1, n, n)``; a singular block
+    raises :class:`cpelab.operators.SolverBreakdown`.  ``fp_iterations``
     lists the fixed-point iteration count of every step that returned.
     """
 
@@ -415,9 +414,13 @@ class Stepper:
         self._inv = np.empty(K.shape[:2] + (n, n),
                              dtype=complex if coupled else float)
         for ix in range(g.nx):
-            self._inv[ix] = np.linalg.inv(mode_matrices(
-                lame_block(K[ix], 1.0, g, params), K[ix], g, self.rho_star,
-                dt, xi_bar))
+            M = mode_matrices(lame_block(K[ix], 1.0, g, params), K[ix], g,
+                              self.rho_star, dt, xi_bar)
+            try:
+                self._inv[ix] = np.linalg.inv(M)
+            except np.linalg.LinAlgError as exc:
+                raise SolverBreakdown(f"linear-solver breakdown in mode row "
+                                      f"{ix}: {exc}") from exc
 
     # -- helpers ------------------------------------------------------------
 
@@ -610,14 +613,13 @@ class RunResult:
     fp_iterations: tuple[int, ...] = ()
 
 
-def _lowpass_random(rng: np.random.Generator, g: Grid, kmax: int = 2
-                    ) -> np.ndarray:
-    """Random real surface field with spectrum confined to |k|_inf <= kmax."""
+def _lowpass_random(rng: np.random.Generator, g: Grid) -> np.ndarray:
+    """Random real surface field with spectrum confined to |k|_inf <= 2."""
     f = rng.standard_normal((g.nx, g.ny))
     fh = np.fft.fft2(f)
     kx = np.rint(g.kx / (2 * np.pi)).astype(int)
     ky = np.rint(g.ky / (2 * np.pi)).astype(int)
-    mask = (np.abs(kx)[:, None] <= kmax) & (np.abs(ky)[None, :] <= kmax)
+    mask = (np.abs(kx)[:, None] <= 2) & (np.abs(ky)[None, :] <= 2)
     fh *= mask
     fh[0, 0] = 0.0
     out = np.fft.ifft2(fh).real

@@ -59,14 +59,17 @@ __all__ = [
 ]
 
 
+#: Resolution ceiling: the most entries nx (ny//2 + 1) (2 nz + 1)^2 that the
+#: implicit step's per-mode inverses may hold (1 GiB as complex numbers).
+MAX_BLOCK_ENTRIES = 2**26
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev building blocks (Gauss--Lobatto nodes on [-1,1], descending)
 # ---------------------------------------------------------------------------
 
 def _cheb_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev differentiation matrix on n+1 CGL nodes x_j = cos(j*pi/n)."""
-    if n == 0:
-        return np.zeros((1, 1)), np.ones(1)
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
     dx = x[:, None] - x[None, :]
@@ -77,8 +80,6 @@ def _cheb_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Clenshaw--Curtis quadrature weights on n+1 CGL nodes, sum = 2."""
-    if n == 0:
-        return np.array([2.0])
     theta = np.pi * np.arange(n + 1) / n
     w = np.zeros(n + 1)
     ii = np.arange(1, n)
@@ -174,7 +175,8 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     Raises
     ------
     ValueError
-        If the resolution is too small or the horizontal sizes are odd.
+        If the resolution is too small or above :data:`MAX_BLOCK_ENTRIES`,
+        or a horizontal size is odd; checked before anything is allocated.
     """
     for name, n in (("nx", nx), ("ny", ny)):
         if n < 4 or n % 2 != 0:
@@ -183,6 +185,10 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
             )
     if nz < 3:
         raise ValueError(f"resolution too small: nz={nz} must be >= 3")
+    entries = nx * (ny // 2 + 1) * (2 * nz + 1) ** 2
+    if entries > MAX_BLOCK_ENTRIES:
+        raise ValueError(f"resolution too large: nx*(ny//2+1)*(2*nz+1)^2 = "
+                         f"{entries} exceeds {MAX_BLOCK_ENTRIES}")
 
     x = np.arange(nx) / nx
     y = np.arange(ny) / ny
@@ -240,7 +246,7 @@ def validate_field(f: np.ndarray, g: Grid) -> str:
     shape = tuple(np.shape(f))
     if shape == (g.nx, g.ny):
         return "scalar2d"
-    if shape == (g.nx, g.ny, 2) and g.nz != 2:
+    if shape == (g.nx, g.ny, 2):  # nz >= 3, so never a 3D scalar
         return "vector2d"
     if shape == (g.nx, g.ny, g.nz):
         return "scalar3d"

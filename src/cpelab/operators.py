@@ -67,12 +67,17 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "DENSE_LIMIT",
+    "SolverBreakdown",
 ]
 
 #: Largest resolution at which dense realizations are assembled.
 DENSE_LIMIT = (8, 8, 9)
 
 _BC_MODES = ("raw", "replace", "reduced")
+
+
+class SolverBreakdown(RuntimeError):
+    """A solve or eigensolve of these operators broke down on finite input."""
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ class OracleTemplate:
     mode: str
     mu: float
     mu_prime: float
-    base: float
     pressure: str
     _fn: object
 
@@ -154,10 +153,10 @@ def sample_coefficients(
     return c
 
 
-def _pressure_expr(name: str, s, coefficient: float, alpha: float):
-    """Symbolic pressure law P(s) matching :func:`transforms.make_pressure_law`."""
+def _pressure_expr(name: str, s, alpha: float):
+    """Symbolic P(s) of :func:`transforms.make_pressure_law` (c = 1)."""
     if name == "linear":
-        return coefficient * s
+        return s
     if name == "tanh":
         return s + alpha * sp.log(sp.cosh(s - 1))
     raise ValueError(f"unknown pressure law {name!r}; expected 'linear' or 'tanh'")
@@ -167,9 +166,7 @@ def build_oracle_template(
     mode: str,
     mu: float = 1.0,
     mu_prime: float = 0.5,
-    base: float = 1.0,
     pressure: str = "linear",
-    pressure_c: float = 1.0,
     pressure_alpha: float = 0.5,
 ) -> OracleTemplate:
     """Derive the exact nonlinearities symbolically and lambdify them.
@@ -184,14 +181,14 @@ def build_oracle_template(
     variables.  Building a template takes a few seconds of symbolic work;
     evaluating it is pure numpy.
 
-    ``pressure`` only matters for ``GeneralNoGravity`` and must match the
-    numeric law used to build the corresponding ``PhysicalParams``.
+    The surface density varies about 1.  ``pressure`` only matters for
+    ``GeneralNoGravity`` and must match the numeric law of its params.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     mu = float(mu)
     mu_prime = float(mu_prime)
-    base_v = sp.Float(float(base))
+    base_v = sp.Float(1.0)
     y1, y2, zz = sp.symbols("y1 y2 z", real=True)
     x1, x2, s = sp.symbols("x1 x2 s", real=True)
     c = sp.symbols(f"c0:{N_COEFFS}", real=True)
@@ -266,7 +263,7 @@ def build_oracle_template(
                 press = 2 * rho * ddx(xi, i)
             else:
                 p_of = _pressure_expr(pressure, sp.Symbol("s_p", real=True),
-                                      pressure_c, pressure_alpha)
+                                      pressure_alpha)
                 dp = sp.diff(p_of, sp.Symbol("s_p", real=True)).subs(
                     sp.Symbol("s_p", real=True), xi)
                 press = dp * ddx(xi, i)
@@ -332,5 +329,5 @@ def build_oracle_template(
         dtzeta,
     ]
     fn = sp.lambdify(list(c) + [y1, y2, zz], exprs, modules="numpy", cse=True)
-    return OracleTemplate(mode=mode, mu=mu, mu_prime=mu_prime, base=float(base),
+    return OracleTemplate(mode=mode, mu=mu, mu_prime=mu_prime,
                           pressure=pressure, _fn=fn)

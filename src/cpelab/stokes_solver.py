@@ -16,9 +16,9 @@ solution is unique in the mean-free class int_G zeta = 0.
 Because the coefficients are constant, the system block-diagonalizes
 over horizontal Fourier modes; the production path solves one small
 bordered vertical system per mode (boundary rows replaced by the
-boundary conditions).  A dense monolithic solve — with the single
-compatibility direction removed by a rank-one deflation — serves as
-ground truth, and a decomposed solver mirrors the continuous existence
+boundary conditions).  A dense monolithic solve — at lambda = 0 with
+its kernel, zeta in the mean and on the Nyquist lines, deflated — serves
+as ground truth, and a decomposed solver mirrors the continuous existence
 argument: vertical averaging reduces lambda = 0 to a 2D Stokes-type
 saddle problem for (avg V, zeta-tilde) with zeta-tilde = (1 - delta/2)
 zeta, whose right side carries boundary-trace terms of the full
@@ -52,6 +52,7 @@ from .grid import (
     vertical_derivative,
 )
 from .operators import (
+    SolverBreakdown,
     _bordered,
     _pack_modes,
     _unpack_modes,
@@ -70,6 +71,7 @@ from .transforms import PhysicalParams, lame_weights
 
 __all__ = [
     "MEAN_TOL",
+    "CompatibilityError",
     "ResolventProblem",
     "solve_resolvent",
     "solve_steady_decomposed",
@@ -110,11 +112,15 @@ class ResolventProblem:
             raise ValueError(f"xi_bar must be positive, got {self.xi_bar}")
 
 
+class CompatibilityError(ValueError):
+    """Data of a lambda = 0 problem that is not mean-free."""
+
+
 def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
     mean = abs(integral(np.real(f1), g)) + abs(integral(np.imag(f1), g))
     scale = max(l2_norm(f1, g), 1e-300)
     if mean > MEAN_TOL * max(scale, 1.0):
-        raise ValueError(
+        raise CompatibilityError(
             "compatibility violation: lambda = 0 requires a mean-free f1 "
             f"(|int f1| = {mean:.3e}, ||f1|| = {scale:.3e})")
 
@@ -224,7 +230,7 @@ def _solve_per_mode(
         try:
             sol[ix] = np.linalg.solve(M, rhs[ix])
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
+            raise SolverBreakdown(
                 f"linear-solver breakdown in mode row {ix}: {exc}") from exc
     return _unpack_modes(sol[..., 0], g, real)
 
@@ -232,7 +238,7 @@ def _solve_per_mode(
 def _solve_dense(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monolithic dense solve; lambda = 0 uses a rank-one deflation."""
+    """Monolithic dense solve; lambda = 0 deflates the kernel."""
     lam = complex(p.lam)
     n2 = g.nx * g.ny
     A = dense_chs(p.xi_bar, g, params, bc="raw")
@@ -242,18 +248,13 @@ def _solve_dense(
     f2[:, :, [0, -1], :] = 0.0  # their rows hold the boundary conditions
     rhs = pack_state(np.asarray(p.f1, dtype=complex), f2)
     if lam == 0:
-        # deflate the one-dimensional kernel (zeta = const, V = 0); the
-        # left kernel is the zeta-row mean, so the deflated solve returns
-        # the unique mean-free solution for compatible data.
-        u0 = np.zeros(n)
-        u0[:n2] = 1.0
-        w = np.zeros(n)
-        w[:n2] = 1.0 / n2
-        M = M + np.outer(u0, w)
+        # the kernel, zeta in the mean and on the Nyquist lines, is also the
+        # zeta rows' left kernel: adding its projector pins zeta off it
+        M[:n2, :n2] += np.eye(n2) - _active_filter(g, mean_free=True)
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"linear-solver breakdown: {exc}") from exc
+        raise SolverBreakdown(f"linear-solver breakdown: {exc}") from exc
     return unpack_state(sol.real if _is_real(p) else sol, g)
 
 
@@ -273,10 +274,10 @@ def solve_resolvent(
         matrix (coarse grids only).
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
-    A relative residual above :data:`LIN_TOL` raises ``RuntimeError``
-    (linear-solver breakdown).  Returns real fields for real data at real
-    lambda and complex fields otherwise; for lambda = 0, zeta is returned
-    mean-free.
+    A singular block, or a relative residual not within :data:`LIN_TOL`,
+    raises :class:`SolverBreakdown`.  Returns real fields for real data at
+    real lambda and complex fields otherwise; for lambda = 0, zeta is
+    returned mean-free.
     """
     zeta, V, _ = _solve_checked(p, g, params, method)
     return zeta, V
@@ -299,8 +300,8 @@ def _solve_checked(
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
     res = resolvent_residual(complex(p.lam), zeta, V, p.f1, p.f2, p.xi_bar,
                              g, params)
-    if res > LIN_TOL:
-        raise RuntimeError(
+    if not res <= LIN_TOL:
+        raise SolverBreakdown(
             f"linear-solver breakdown: relative residual {res:.3e} "
             f"exceeds {LIN_TOL:.1e}")
     return zeta, V, res
@@ -389,7 +390,7 @@ def solve_steady_decomposed(
         if diff <= PICARD_TOL:
             break
     else:
-        raise RuntimeError(
+        raise SolverBreakdown(
             f"Picard iteration on the boundary traces did not reach "
             f"{PICARD_TOL} in {PICARD_MAX_ITER} iterations "
             f"(last update {diff:.3e})")
@@ -399,6 +400,18 @@ def solve_steady_decomposed(
 # ---------------------------------------------------------------------------
 # spectral bound and resolvent sweep
 # ---------------------------------------------------------------------------
+
+def _active_filter(g: Grid, mean_free: bool) -> np.ndarray:
+    """Dense projector onto the (nx, ny) fields, flattened C-order, without
+    Nyquist content, and with ``mean_free`` without a mean."""
+    n2 = g.nx * g.ny
+    mask = g.active_mask.astype(float)
+    if mean_free:
+        mask[0, 0] = 0.0
+    # column j filters the j-th unit field; one batched transform pair
+    units = np.eye(n2).reshape(n2, g.nx, g.ny)
+    return np.fft.ifft2(np.fft.fft2(units) * mask).real.reshape(n2, n2).T
+
 
 def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     """Orthonormal basis of the mean-free active subspace (packed layout).
@@ -412,21 +425,21 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     of freedom per horizontal node.
     """
     n2 = g.nx * g.ny
-    mask_zeta = g.active_mask.astype(float)
-    mask_zeta[0, 0] = 0.0
-
-    def filt(mask):
-        # column j filters the j-th unit field; one batched transform pair
-        units = np.eye(n2).reshape(n2, g.nx, g.ny)
-        return np.fft.ifft2(np.fft.fft2(units) * mask).real.reshape(n2, n2).T
-
     P = np.zeros((n2 * (1 + nvert),) * 2)
-    P[:n2, :n2] = filt(mask_zeta)
-    P[n2:, n2:] = np.kron(filt(g.active_mask.astype(float)), np.eye(nvert))
+    P[:n2, :n2] = _active_filter(g, mean_free=True)
+    P[n2:, n2:] = np.kron(_active_filter(g, mean_free=False), np.eye(nvert))
     # P is an orthogonal projector: its range is spanned by the singular
     # vectors with singular value 1 (the others are 0).
     U, s, _ = np.linalg.svd(P)
     return U[:, s > 0.5 * s[0]]
+
+
+def _max_real_part(M: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of M, or of a stack of blocks."""
+    try:
+        return np.linalg.eigvals(M).real.max()
+    except np.linalg.LinAlgError as exc:
+        raise SolverBreakdown(f"eigensolver breakdown: {exc}") from exc
 
 
 def spectral_bound(
@@ -442,7 +455,8 @@ def spectral_bound(
     active horizontal modes (the k = 0 block restricted to its velocity
     part, which is the mean-free restriction); ``dense`` projects the
     dense reduced realization onto the mean-free active subspace.  Raises
-    if the computed bound is not positive.
+    :class:`SolverBreakdown` if an eigensolve fails or the computed bound
+    is not positive.
     """
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
     if method == "per_mode":
@@ -459,22 +473,22 @@ def spectral_bound(
         # k = 0: the velocity part alone is the mean-free restriction
         keep[0, 0] = False
         A0 = S2 @ vertical_lame_block(K[0, 0], xi_bar, g, params) @ R2
-        max_re = np.linalg.eigvals(A0).real.max()
+        max_re = _max_real_part(A0)
         for row in np.flatnonzero(keep.any(axis=1)):
             kt = K[row, keep[row]]
             # A_CHS itself: shift 0, scale -1
             B = _bordered(S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2,
                           kt, avg_row, 0.0, -1.0, xi_bar)
-            max_re = max(max_re, np.linalg.eigvals(B).real.max())
+            max_re = max(max_re, _max_real_part(B))
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
-        max_re = float(np.linalg.eigvals(Q.T @ A @ Q).real.max())
+        max_re = float(_max_real_part(Q.T @ A @ Q))
     else:
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
     eta0 = -max_re
     if not eta0 > 0:
-        raise RuntimeError(
+        raise SolverBreakdown(
             f"spectral bound is not positive (max Re = {max_re}); the "
             "mean-free operator should be exponentially stable")
     return float(eta0)
@@ -554,11 +568,8 @@ def imaginary_axis_resolvent_sweep(
         v_norms.append(worst_v)
     lam_abs = np.array([abs(complex(l)) for l in SWEEP_LAMBDAS])
     tail = lam_abs >= 1e4
-    if tail.sum() >= 2:
-        slope = float(np.polyfit(np.log(lam_abs[tail]),
-                                 np.log(np.array(v_norms)[tail]), 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit(np.log(lam_abs[tail]),
+                             np.log(np.array(v_norms)[tail]), 1)[0])
     return ResolventSweepReport(
         lambdas=SWEEP_LAMBDAS,
         ratios=tuple(ratios),

@@ -133,10 +133,6 @@ class PhysicalParams:
     c1: float = 0.0
     c2: float = 0.0
 
-    @property
-    def gravity(self) -> float:
-        return 0.0 if self.model == "GeneralNoGravity" else 1.0
-
     def __post_init__(self) -> None:
         check_viscosities_finite(self.mu, self.mu_prime)
         _require_finite(("xi_bar", self.xi_bar), ("M1", self.M1),

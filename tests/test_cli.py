@@ -89,6 +89,25 @@ NONFINITE_CASES = [({"params": params}, f"invalid params: {message}", None)
 NONFINITE_IDS = ("nonfinite-mu", "nonfinite-mu_prime", "overflowing-sum",
                  "nonfinite-xi_bar", "nonfinite-M1", "nonfinite-M2")
 
+ADMISSIBLE = {"mu": 1.0, "mu_prime": 0.5}
+GENERAL = "GeneralNoGravity"
+# a pressure law that is not an object, unknown, or with an unknown option,
+# and one in a Gamma1 mode
+PRESSURE_CASES = [
+    ({"mode": GENERAL, "params": {**ADMISSIBLE, "pressure": "tanh"}},
+     "'pressure' must be an object", 12),
+    ({"mode": GENERAL, "params": {**ADMISSIBLE, "pressure": {"law": "cubic"}}},
+     "invalid pressure law: unknown pressure law 'cubic'", 13),
+    ({"mode": GENERAL,
+      "params": {**ADMISSIBLE, "pressure": {"law": "tanh", "beta": 1.0}}},
+     "unknown key 'beta' in 'pressure'", 14),
+    ({"mode": GENERAL,
+      "params": {**ADMISSIBLE, "pressure": {"law": "tanh", "c": 2.0}}},
+     "invalid pressure law: unknown pressure-law options ['c']", 13),
+    ({"params": {**ADMISSIBLE, "pressure": {"law": "linear"}}},
+     "'pressure' is only meaningful for the GeneralNoGravity mode", 12),
+]
+
 
 def assert_config_error(capsys, needle, line):
     err = capsys.readouterr().err
@@ -379,6 +398,7 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"mode": {}}, "unknown mode", 3),
     *NONFINITE_CASES,
     ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
+    *PRESSURE_CASES,
 ]))
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
@@ -392,14 +412,71 @@ def test_missing_subcommand_is_usage_error():
     assert exc_info.value.code == 2
 
 
-def test_readme_exit_code_table_matches_cli():
+def readme_exit_codes():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     table = text[text.index("Exit codes:"):].split("\n\n")[1]
-    codes = {int(row.split("|")[1]) for row in table.splitlines()[2:]}
-    assert codes == {value for name, value in vars(cli).items()
-                     if name.startswith("EXIT_")}
+    return {int(row.split("|")[1]) for row in table.splitlines()[2:]}
+
+
+def test_readme_exit_code_table_matches_cli():
+    assert readme_exit_codes() == {value for name, value in vars(cli).items()
+                                   if name.startswith("EXIT_")}
+
+
+def test_general_pressure_law_run_completes(tmp_path):
+    cfg = write_config(tmp_path, mode=GENERAL, params={
+        **ADMISSIBLE, "pressure": {"law": "tanh", "alpha": 0.4}})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 0
+    assert read_summary(out)["status"] == "completed"
+    rows = diagnostics.read_diagnostics_csv(str(out / "diagnostics.csv"))
+    assert rows.shape[0] == 6 and np.all(np.isfinite(rows))
+
+
+# Finite but extreme configs at 8x8x5, and grids above the resolution
+# ceiling, with the exit codes of simulate, spectrum and resolvent (at
+# lambda = 0); 9 is a solver breakdown.  The grids must be rejected before
+# anything is allocated: the arrays they ask for fit in no memory.
+HOSTILE = [
+    ({"params": {**ADMISSIBLE, "xi_bar": 1e308}}, (2, 9, 9)),
+    ({"mode": "GlobalGamma1", "params": {"mu": 1e-300, "mu_prime": 0.0}},
+     (0, 9, 9)),
+    ({"mode": "GlobalGamma1", "params": {"mu": 1e300, "mu_prime": 0.0}},
+     (0, 9, 9)),
+    ({"params": {"mu": 1e-300, "mu_prime": 0.5}}, (0, 9, 9)),
+    ({"params": {"mu": 1.0, "mu_prime": 1e300}}, (9, 9, 9)),
+    ({"grid": {"nx": 2**40, "ny": 8, "nz": 5}}, (2, 2, 2)),
+    ({"grid": {"nx": 8, "ny": 8, "nz": 10**9}}, (2, 2, 2)),
+]
+HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
+               "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides,codes", HOSTILE, ids=HOSTILE_IDS)
+def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
+                                                    overrides, codes):
+    run = {"grid": {"nx": 8, "ny": 8, "nz": 5}, **overrides}
+    config = write_config(tmp_path, **run)
+    problem = write_problem(tmp_path, grid=run["grid"],
+                            params=run.get("params", ADMISSIBLE))
+    for command, path, code in zip(("simulate", "spectrum", "resolvent"),
+                                   (config, config, problem), codes):
+        out = tmp_path / command
+        assert cli.main([command, path, "--output-dir", str(out)]) == code
+        assert code in readme_exit_codes()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == cli.EXIT_CONFIG:
+            assert err.startswith("config error:")
+        elif code == cli.EXIT_BREAKDOWN:
+            assert "breakdown" in err or "spectral bound is not positive" in err
+        if (out / "diagnostics.csv").exists():
+            rows = diagnostics.read_diagnostics_csv(
+                str(out / "diagnostics.csv"))
+            assert np.all(np.isfinite(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +544,10 @@ INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
     ({"dt": True}, "'dt' must be a number, got True", 14),
     *NONFINITE_CASES,
     ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
+    ({"mode": GENERAL, "params": {**INADMISSIBLE, "pressure": {"law": "cubic"}}},
+     "invalid pressure law: unknown pressure law 'cubic'", 13),
 ], ids=("inadmissible-xi_bar", "inadmissible-M1", "inadmissible-pressure",
-        "global-xi_bar", "dt") + NONFINITE_IDS + ("seed",))
+        "global-xi_bar", "dt") + NONFINITE_IDS + ("seed", "unknown-law"))
 def test_spectrum_checks_fields_as_simulate_does(tmp_path, capsys, overrides,
                                                  needle, line):
     # only the viscosity pair's admissibility is reported rather than
@@ -580,6 +659,8 @@ def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
     *NONFINITE_CASES,
     ({"rhs": "random", "seed": -1}, "'seed' must be non-negative, got -1",
      14),
+    ({"params": {**ADMISSIBLE, "pressure": {"law": "linear"}}},
+     "'pressure' is only meaningful for the GeneralNoGravity mode", 11),
 ]))
 def test_resolvent_config_errors(tmp_path, capsys, overrides, needle, line):
     prob = write_problem(tmp_path, **overrides)

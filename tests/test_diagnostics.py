@@ -9,7 +9,6 @@ from cpelab.diagnostics import (
     COLUMNS,
     DecayFit,
     EnergyReport,
-    energy,
     envelope_is_decreasing,
     envelope_maxima,
     fit_decay_rate,
@@ -21,8 +20,14 @@ from cpelab.diagnostics import (
     write_diagnostics_csv,
 )
 from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
-from cpelab.grid import grad_h_vec, integral, make_grid
-from cpelab.transforms import DELTA, PhysicalParams, make_pressure_law
+from cpelab.grid import grad_h_vec, integral, make_grid, vertical_derivative
+from cpelab.transforms import (
+    DELTA,
+    PhysicalParams,
+    column_density,
+    lame_weights,
+    make_pressure_law,
+)
 
 
 def test_columns_schema_is_frozen():
@@ -90,20 +95,19 @@ def test_energy_trivial_states():
     p1 = PhysicalParams(mu=1.0, mu_prime=0.5, model="Gamma1")
     xi = np.ones((g.nx, g.ny))
     v = np.zeros((g.nx, g.ny, g.nz, 2))
-    entry = energy(xi, v, g, p1)
+    fm = identity_map(g)
+    entry = lagrangian_energy(xi, v, fm, g, p1)
     assert entry.E == 0.0 and entry.D == 0.0
 
     v_const = np.zeros_like(v)
     v_const[..., 0] = 0.3
     v_const[..., 1] = -0.4
-    entry = energy(xi, v_const, g, p1)
+    entry = lagrangian_energy(xi, v_const, fm, g, p1)
     assert entry.E == pytest.approx(0.5 * 0.25, rel=1e-13)
     assert entry.D == pytest.approx(0.0, abs=1e-20)
 
-    with pytest.raises(ValueError, match="2D surface density"):
-        energy(np.ones((g.nx, g.ny, g.nz)), v, g, p1)
     with pytest.raises(ValueError, match="nonpositive density"):
-        energy(-xi, v, g, p1)
+        lagrangian_energy(-xi, v, fm, g, p1)
 
 
 def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
@@ -140,7 +144,7 @@ def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
     for model in ("Gamma1", "Gamma2", "GeneralNoGravity"):
         kw = make_pressure_law("linear") if model == "GeneralNoGravity" else {}
         params = PhysicalParams(mu=1.0, mu_prime=0.5, model=model, **kw)
-        eul = energy(xi, v, g, params)
+        eul = lagrangian_energy(xi, v, identity_map(g), g, params)
         lag = lagrangian_energy(zeta, V, fm, g, params)
         assert lag.E == pytest.approx(eul.E, rel=1e-9)
         assert lag.D == pytest.approx(eul.D, rel=1e-9)
@@ -158,8 +162,20 @@ def test_energy_is_lagrangian_energy_at_identity_map(model):
     v = rng.standard_normal((g.nx, g.ny, g.nz, 2))
     kw = make_pressure_law("tanh") if model == "GeneralNoGravity" else {}
     params = PhysicalParams(mu=0.7, mu_prime=0.4, model=model, **kw)
-    assert energy(xi, v, g, params) == lagrangian_energy(
-        xi, v, identity_map(g), g, params)
+    # at the identity map the Jacobian weights are 1 and the label gradient
+    # is the Eulerian one: plain quadrature of the Eulerian functionals
+    wH, wZ = lame_weights(model, g.z)
+    rho = column_density(model, xi, g.z)
+    dv = grad_h_vec(v, g)
+    dzv = vertical_derivative(v, g)
+    E = (integral(0.5 * rho * np.sum(v**2, axis=-1), g)
+         + integral(potential_energy_density(xi, params), g))
+    D = (0.7 * integral(wH * np.sum(dv**2, axis=(-2, -1)), g)
+         + 0.7 * integral(wZ * np.sum(dzv**2, axis=-1), g)
+         + 0.4 * integral(wH * (dv[..., 0, 0] + dv[..., 1, 1])**2, g))
+    entry = lagrangian_energy(xi, v, identity_map(g), g, params)
+    assert entry.E == pytest.approx(E, rel=1e-14)
+    assert entry.D == pytest.approx(D, rel=1e-14)
 
 
 def test_surface_h1_norm_of_plane_wave():
@@ -246,7 +262,6 @@ def test_energy_report_from_rows():
     assert rep.residual[0] == 0.0
     # E + int D - E0 = 0 exactly for this synthetic balance
     assert np.max(np.abs(rep.residual)) < 1e-15
-    assert rep.dissipation_nondecreasing
     assert np.all(rep.mass == 0.632)
     with pytest.raises(ValueError, match="columns"):
         EnergyReport.from_rows([[0.0, 1.0]])

@@ -52,6 +52,14 @@ def test_make_grid_rejects_small_or_odd_resolutions():
         make_grid(8, 8, 2)
 
 
+def test_make_grid_rejects_resolutions_above_the_ceiling():
+    # 128 * 65 * 89^2 is within 2^26, 128 * 65 * 91^2 is not
+    assert make_grid(128, 128, 44).nz == 44
+    for shape in ((128, 128, 45), (2**40, 8, 5), (8, 8, 10**9)):
+        with pytest.raises(ValueError, match="resolution too large"):
+            make_grid(*shape)
+
+
 def test_grid_nodes_and_weights_basic_structure():
     g = make_grid(8, 6, 7)
     assert g.x.shape == (8,) and g.x[0] == 0.0
@@ -110,6 +118,14 @@ def test_vertical_matrices_exact_on_monomials():
         ip = integrate_from_bottom(p, g)
         assert np.allclose(ip[0, 0], g.z ** (k + 1) / (k + 1), atol=1e-12)
         assert ip[0, 0, 0] == 0.0
+
+
+def test_clenshaw_curtis_weights_exact_at_even_and_odd_nz():
+    # exact for degree <= nz - 1; an even nz takes the odd-n branch
+    for nz in range(4, 18):
+        g = make_grid(4, 4, nz)
+        err = max(abs(g.wz @ g.z**k - 1.0 / (k + 1)) for k in range(nz))
+        assert err <= 1e-15, nz
 
 
 def test_vertical_average_analytic():

@@ -14,11 +14,13 @@ import pytest
 from cpelab import stokes_solver
 from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
+    SolverBreakdown,
     mode_wavevectors,
     vertical_lame_block,
     vertical_reduction,
 )
 from cpelab.stokes_solver import (
+    CompatibilityError,
     ResolventProblem,
     imaginary_axis_resolvent_sweep,
     manufactured_resolvent_problem,
@@ -63,7 +65,7 @@ def test_zero_lambda_requires_mean_free_f1(setup):
     g, params = setup
     f1 = np.full((g.nx, g.ny), 0.2)
     f2 = np.zeros((g.nx, g.ny, g.nz, 2))
-    with pytest.raises(ValueError, match="compatibility"):
+    with pytest.raises(CompatibilityError, match="compatibility"):
         solve_resolvent(ResolventProblem(0.0, f1, f2), g, params)
 
 
@@ -91,13 +93,17 @@ def test_zero_data_gives_zero_solution(setup):
 
 
 def test_per_mode_and_dense_methods_agree():
-    g = make_grid(6, 6, 7)
+    # at lambda = 0 the dense solve deflates the mean and the Nyquist zeta
+    # modes, which the per-mode solve pins
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
-    problem, _, _ = manufactured_resolvent_problem(1j, g, params)
-    z1, V1 = solve_resolvent(problem, g, params, method="per_mode")
-    z2, V2 = solve_resolvent(problem, g, params, method="dense")
-    assert np.max(np.abs(z1 - z2)) < 1e-9
-    assert np.max(np.abs(V1 - V2)) < 1e-9
+    for shape in ((4, 4, 5), (6, 6, 7)):
+        g = make_grid(*shape)
+        for lam in (1j, 0.0):
+            problem, _, _ = manufactured_resolvent_problem(lam, g, params)
+            z1, V1 = solve_resolvent(problem, g, params, method="per_mode")
+            z2, V2 = solve_resolvent(problem, g, params, method="dense")
+            assert np.max(np.abs(z1 - z2)) < 1e-9
+            assert np.max(np.abs(V1 - V2)) < 1e-9
 
 
 def test_random_mean_free_steady_solve_consistency(setup):
@@ -123,7 +129,7 @@ def test_unresolved_nyquist_data_raises_honest_breakdown(setup):
     x = g.x[:, None]
     f1 = np.cos(2 * np.pi * (g.nx // 2) * x) * np.ones((1, g.ny))
     f2 = np.zeros((g.nx, g.ny, g.nz, 2))
-    with pytest.raises(RuntimeError, match="breakdown"):
+    with pytest.raises(SolverBreakdown, match="breakdown"):
         solve_resolvent(ResolventProblem(0.0, f1, f2), g, params)
 
 

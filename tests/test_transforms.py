@@ -70,10 +70,3 @@ def test_pressure_derivative_bounds_enforced_by_params():
     bad["c1"] = 0.9  # true P' dips to 0.7 on the sampled interval
     with pytest.raises(ValueError, match="pressure derivative"):
         PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity", **bad)
-
-
-def test_gravity_switch():
-    assert PhysicalParams(mu=1.0, mu_prime=1.0, model="Gamma1").gravity == 1.0
-    png = PhysicalParams(mu=1.0, mu_prime=1.0, model="GeneralNoGravity",
-                         **make_pressure_law("linear"))
-    assert png.gravity == 0.0
