@@ -88,9 +88,8 @@ class ConfigError(Exception):
 _GRID_KEYS = {"nx", "ny", "nz"}
 _PARAM_KEYS = {"mu", "mu_prime", "xi_bar", "M1", "M2", "pressure"}
 _PRESSURE_KEYS = {"law", "c", "alpha"}
-#: Tolerance keys of the schema that no run reads; they are still checked.
-_UNREAD_TOLERANCES = ("inv_tol", "lin_tol", "mean_tol")
-_TOLERANCE_KEYS = set(evolve.TOLERANCES + _UNREAD_TOLERANCES)
+#: Tolerance keys of the schema; no run reads the last three.
+_TOLERANCE_KEYS = {*evolve.TOLERANCES, "inv_tol", "lin_tol", "mean_tol"}
 _RUN_KEYS = {
     "schema_version", "mode", "grid", "params", "dt", "t_end",
     "output_every", "preset", "amplitude", "perturbation_mode", "seed",
@@ -229,11 +228,7 @@ def _parse_params(obj: dict, model: str) -> PhysicalParams:
 def _parse_mode_grid_params(obj: dict) -> tuple[str, Grid, PhysicalParams]:
     """Schema version, mode, grid and params of a run config."""
     _check_schema_version(obj)
-    mode = _require(obj, "mode")
-    if not isinstance(mode, str) or mode not in evolve.MODE_MODEL:
-        raise ConfigError(
-            f"unknown mode {mode!r}; expected one of "
-            f"{sorted(evolve.MODE_MODEL)}", "mode")
+    mode = _run_value("mode", _require(obj, "mode"))
     g = _parse_grid(obj)
     params = _parse_params(obj, evolve.MODE_MODEL[mode])
     try:
@@ -243,21 +238,26 @@ def _parse_mode_grid_params(obj: dict) -> tuple[str, Grid, PhysicalParams]:
     return mode, g, params
 
 
+def _run_value(key: str, value):
+    """``value`` of the run key ``key``, checked by its own rule."""
+    try:
+        evolve.check_run_value(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key) from exc
+    return value
+
+
 def _parse_run_keys(obj: dict) -> dict:
     """:class:`evolve.RunConfig` keyword arguments of the run keys present."""
     kwargs = {}
-    for key in ("dt", "t_end", "amplitude"):
+    for key, parse in (("dt", _as_number), ("t_end", _as_number),
+                       ("amplitude", _as_number), ("output_every", _as_int)):
         if key in obj:
-            kwargs[key] = _as_number(obj[key], key)
-    if "output_every" in obj:
-        kwargs["output_every"] = _as_int(obj["output_every"], "output_every")
+            kwargs[key] = _run_value(key, parse(obj[key], key))
     if "seed" in obj:
         kwargs["seed"] = _as_seed(obj["seed"])
     if "preset" in obj:
-        preset = obj["preset"]
-        if preset not in evolve.PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}", "preset")
-        kwargs["preset"] = preset
+        kwargs["preset"] = _run_value("preset", obj["preset"])
     if "perturbation_mode" in obj:
         pm = obj["perturbation_mode"]
         if (not isinstance(pm, list) or len(pm) != 2
@@ -271,7 +271,9 @@ def _parse_run_keys(obj: dict) -> dict:
             raise ConfigError("'tolerances' must be an object", "tolerances")
         _check_unknown(tol, _TOLERANCE_KEYS, "'tolerances'")
         for key, value in tol.items():
-            kwargs[key] = _as_number(value, key)
+            value = _run_value(key, _as_number(value, key))
+            if key in evolve.TOLERANCES:
+                kwargs[key] = value
     kwargs["output_dir"] = _parse_output_dir(obj)
     return kwargs
 
@@ -289,9 +291,6 @@ def parse_run_config(path: str) -> evolve.RunConfig:
             _require(obj, key)
         kwargs = _parse_run_keys(obj)
         try:
-            for key in _UNREAD_TOLERANCES:
-                if key in kwargs:
-                    evolve._check_tolerance(key, kwargs.pop(key))
             cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
                                    params=params, **kwargs)
             # the preset's initial density must be positive, and in the
@@ -429,7 +428,7 @@ def _cmd_spectrum(args) -> int:
             raise ConfigError(f"invalid params: {exc}") from exc
         run = _parse_run_keys(obj)
     out_dir = _resolve_output_dir(args.output_dir, run["output_dir"])
-    report = operators.symbol_ellipticity_report(mu, mu_prime, kmax=8)
+    report = operators.symbol_ellipticity_report(mu, mu_prime)
 
     csv_path = os.path.join(out_dir, "symbol_eigs.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

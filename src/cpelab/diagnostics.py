@@ -179,27 +179,29 @@ def surface_h1_norm(f: np.ndarray, g: Grid) -> float:
     return float(np.sqrt(l2_norm(f, g) ** 2 + l2_norm(grad_h(f, g), g) ** 2))
 
 
-def _tail_mask(t: np.ndarray, t_skip_fraction: float) -> np.ndarray:
-    if not 0.0 <= t_skip_fraction < 1.0:
-        raise ValueError(
-            f"t_skip_fraction must be in [0, 1), got {t_skip_fraction}")
-    return t >= t[0] + t_skip_fraction * (t[-1] - t[0])
+#: Fraction of the time span that the fits and envelopes skip as transient.
+TAIL_SKIP_FRACTION = 0.2
+#: Number of equal time windows of the envelope checks.
+ENVELOPE_WINDOWS = 8
 
 
-def fit_decay_rate(t: np.ndarray, values: np.ndarray,
-                   t_skip_fraction: float = 0.2) -> DecayFit:
+def _tail_mask(t: np.ndarray) -> np.ndarray:
+    return t >= t[0] + TAIL_SKIP_FRACTION * (t[-1] - t[0])
+
+
+def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> DecayFit:
     """Exponential decay rate from the tail of a positive series.
 
     Least squares on ``log(values)`` against ``t`` over the tail window
-    ``t >= t0 + t_skip_fraction * (t_end - t0)`` (transients are excluded by
-    construction).  Returns the rate ``eta = -slope`` and the coefficient of
-    determination of the log fit.
+    ``t >= t0 + TAIL_SKIP_FRACTION * (t_end - t0)`` (transients are
+    excluded by construction).  Returns the rate ``eta = -slope`` and the
+    coefficient of determination of the log fit.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape or t.ndim != 1:
         raise ValueError("t and values must be 1D arrays of equal length")
-    keep = _tail_mask(t, t_skip_fraction)
+    keep = _tail_mask(t)
     tt, vv = t[keep], values[keep]
     if tt.size < 10:
         raise ValueError(
@@ -219,23 +221,21 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray,
                     n_tail=int(tt.size), t_start=float(tt[0]))
 
 
-def envelope_maxima(t: np.ndarray, values: np.ndarray,
-                    t_skip_fraction: float = 0.2,
-                    n_windows: int = 8) -> np.ndarray:
-    """Per-window maxima of |values| over equal time windows of the tail."""
+def envelope_maxima(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Maxima of |values| over ENVELOPE_WINDOWS equal windows of the tail."""
+    n = ENVELOPE_WINDOWS
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
-    keep = _tail_mask(t, t_skip_fraction)
+    keep = _tail_mask(t)
     tt, vv = t[keep], np.abs(values[keep])
-    if tt.size < 2 * n_windows:
+    if tt.size < 2 * n:
         raise ValueError(
-            f"need at least {2 * n_windows} tail samples for {n_windows} "
-            f"windows, got {tt.size}")
-    edges = np.linspace(tt[0], tt[-1], n_windows + 1)
-    idx = np.clip(np.searchsorted(edges, tt, side="right") - 1, 0,
-                  n_windows - 1)
-    out = np.empty(n_windows)
-    for w in range(n_windows):
+            f"need at least {2 * n} tail samples for {n} windows, got "
+            f"{tt.size}")
+    edges = np.linspace(tt[0], tt[-1], n + 1)
+    idx = np.clip(np.searchsorted(edges, tt, side="right") - 1, 0, n - 1)
+    out = np.empty(n)
+    for w in range(n):
         sel = idx == w
         if not np.any(sel):
             raise ValueError(f"empty envelope window {w}")
@@ -243,11 +243,9 @@ def envelope_maxima(t: np.ndarray, values: np.ndarray,
     return out
 
 
-def envelope_is_decreasing(t: np.ndarray, values: np.ndarray,
-                           t_skip_fraction: float = 0.2,
-                           n_windows: int = 8) -> bool:
+def envelope_is_decreasing(t: np.ndarray, values: np.ndarray) -> bool:
     """True when the tail-window maxima decrease strictly."""
-    m = envelope_maxima(t, values, t_skip_fraction, n_windows)
+    m = envelope_maxima(t, values)
     return bool(np.all(np.diff(m) < 0))
 
 

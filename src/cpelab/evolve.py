@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, flowmap
 from .flowmap import (
     FlowMap,
     advance_flow_lagrangian,
@@ -80,6 +80,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "Stepper",
+    "check_run_value",
     "full_surface_density",
     "nonlinearity_F1",
     "nonlinearity_F2",
@@ -98,6 +99,8 @@ MODE_MODEL = {
     "LocalGamma2": "Gamma2",
     "GeneralNoGravity": "GeneralNoGravity",
 }
+
+FP_TOL_DEFAULT = 1e-12
 
 
 class TerminalCondition(RuntimeError):
@@ -151,17 +154,13 @@ class LagrangianState:
     dtV: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in EVOLUTION_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected one of {EVOLUTION_MODES}")
+        check_run_value("mode", self.mode)
         if self.mode != "GlobalGamma1" and self.zeta0 is None:
             raise ValueError(f"mode {self.mode} requires a zeta0 baseline")
 
 
 def _check_mode_params(mode: str, params: PhysicalParams) -> None:
-    if mode not in EVOLUTION_MODES:
-        raise ValueError(
-            f"unknown mode {mode!r}; expected one of {EVOLUTION_MODES}")
+    check_run_value("mode", mode)
     want = MODE_MODEL[mode]
     if params.model != want:
         raise ValueError(
@@ -384,11 +383,11 @@ class Stepper:
     fp_max_iter = 200
 
     def __init__(self, mode: str, g: Grid, params: PhysicalParams, dt: float,
-                 zeta0: np.ndarray | None = None, fp_tol: float = 1e-12,
-                 det_floor: float = 0.1):
+                 zeta0: np.ndarray | None = None,
+                 fp_tol: float = FP_TOL_DEFAULT,
+                 det_floor: float = flowmap.DET_FLOOR_DEFAULT):
         _check_mode_params(mode, params)
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_run_value("dt", dt)
         self.mode = mode
         self.g = g
         self.params = params
@@ -529,10 +528,30 @@ PRESETS = ("steady", "fourier_perturbation", "random_smooth")
 TOLERANCES = ("fp_tol", "det_floor")
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
+def check_run_value(key: str, value) -> None:
+    """Raise ``ValueError`` unless the run key ``key`` is valid on its own.
+
+    Keys other than ``mode``, ``preset``, ``dt``, ``t_end``,
+    ``output_every`` and ``amplitude`` are tolerances, finite and positive.
+    The rules that relate keys to one another are :class:`RunConfig`'s.
+    """
+    if key in ("mode", "preset"):
+        allowed = EVOLUTION_MODES if key == "mode" else PRESETS
+        if value not in allowed:
+            raise ValueError(
+                f"unknown {key} {value!r}; expected one of {allowed}")
+    elif key in ("dt", "t_end"):
+        if not value > 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+    elif key == "output_every":
+        if value < 1:
+            raise ValueError(f"output_every must be >= 1, got {value}")
+    elif key == "amplitude":
+        if not np.isfinite(value):
+            raise ValueError(f"amplitude must be finite, got {value}")
+    elif not (np.isfinite(value) and value > 0):
         raise ValueError(
-            f"tolerance '{name}' must be finite and positive, got {value}")
+            f"tolerance '{key}' must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -557,27 +576,18 @@ class RunConfig:
     amplitude: float = 0.0
     perturbation_mode: tuple[int, int] = (1, 0)
     seed: int = 0
-    fp_tol: float = 1e-12
-    det_floor: float = 0.1
+    fp_tol: float = FP_TOL_DEFAULT
+    det_floor: float = flowmap.DET_FLOOR_DEFAULT
     output_dir: str | None = None
 
     def __post_init__(self):
         _check_mode_params(self.mode, self.params)
-        if self.preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        for key in ("preset", "dt", "t_end", "output_every", "amplitude",
+                    *TOLERANCES):
+            check_run_value(key, getattr(self, key))
         if self.t_end < self.dt:
             raise ValueError(
                 f"t_end={self.t_end} is shorter than one step dt={self.dt}")
-        for name in TOLERANCES:
-            _check_tolerance(name, getattr(self, name))
-        if self.output_every < 1:
-            raise ValueError(
-                f"output_every must be >= 1, got {self.output_every}")
         if self.preset != "steady" and not self.amplitude > 0:
             raise ValueError(
                 f"preset {self.preset!r} needs amplitude > 0, "

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 DET_FLOOR_DEFAULT = 0.1
-INV_TOL_DEFAULT = 1e-10
 INV_MAX_ITER = 50
 
 
@@ -179,7 +178,8 @@ def evaluate_at_points(f: np.ndarray, pts: np.ndarray, g: Grid) -> np.ndarray:
     fhat = np.fft.fft2(f, axes=(0, 1)) / (g.nx * g.ny)
     Ex = _nyquist_safe_exponentials(g.kx, flat[:, 0], g.nx)
     Ey = _nyquist_safe_exponentials(g.ky, flat[:, 1], g.ny)
-    vals = np.einsum("mj,ml,jl...->m...", Ex, Ey, fhat)
+    fx = (Ex @ fhat.reshape(g.nx, -1)).reshape((-1,) + fhat.shape[1:])
+    vals = np.einsum("ml,ml...->m...", Ey, fx)
     return vals.real.reshape(lead + f.shape[2:])
 
 
@@ -242,11 +242,7 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return d - np.round(d)
 
 
-def invert_map(
-    fm: FlowMap,
-    g: Grid,
-    inv_tol: float = INV_TOL_DEFAULT,
-) -> np.ndarray:
+def invert_map(fm: FlowMap, g: Grid, inv_tol: float) -> np.ndarray:
     """Inverse map Y with X(Y(x)) = x, as absolute positions (nx, ny, 2).
 
     Per target node x the equation X(y) = x is solved by Newton iteration

@@ -72,6 +72,8 @@ __all__ = [
 
 #: Largest resolution at which dense realizations are assembled.
 DENSE_LIMIT = (8, 8, 9)
+#: Largest |k_H|_inf of the symbol scan of :func:`symbol_ellipticity_report`.
+SYMBOL_KMAX = 8
 
 _BC_MODES = ("raw", "replace", "reduced")
 
@@ -223,8 +225,8 @@ def lame_symbol_eigs(k_H, mu: float, mu_prime: float) -> SymbolEigs:
 class EllipticityReport:
     """Scan of the horizontal symbol eigenvalues and the vertical coefficient.
 
-    ``k`` holds the integer modes with 0 < |k_H|_inf <= kmax in row-major
-    order, and ``lam1``, ``lam2`` the symbol eigenvalues at each.
+    ``k`` holds the integer modes with 0 < |k_H|_inf <= SYMBOL_KMAX in
+    row-major order, and ``lam1``, ``lam2`` the symbol eigenvalues at each.
     """
 
     min_lam1: float
@@ -238,10 +240,8 @@ class EllipticityReport:
     lam2: np.ndarray
 
 
-def symbol_ellipticity_report(
-    mu: float, mu_prime: float, kmax: int
-) -> EllipticityReport:
-    """Scan both symbol eigenvalues over 0 < |k_H| <= kmax.
+def symbol_ellipticity_report(mu: float, mu_prime: float) -> EllipticityReport:
+    """Scan both symbol eigenvalues over 0 < |k_H| <= SYMBOL_KMAX.
 
     Reports the minima and the minimum of b1(z) = w_Z/w_H =
     (1-delta z)^2/delta^2, the ratio of the Gamma1 weights of L, on a
@@ -251,7 +251,7 @@ def symbol_ellipticity_report(
     rather than raised.  The eigenvalues are those of
     :func:`lame_symbol_eigs`, bit for bit.
     """
-    axis = np.arange(-kmax, kmax + 1)
+    axis = np.arange(-SYMBOL_KMAX, SYMBOL_KMAX + 1)
     k = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     k = k[np.any(k != 0, axis=1)]
     k2 = _symbol_parts(2.0 * np.pi * k)[0][:, 0, 0]
@@ -259,7 +259,7 @@ def symbol_ellipticity_report(
     lam2 = mu * k2
     # the first mode of the disk, in row-major order, with the least of
     # the two eigenvalues
-    disk = np.flatnonzero(np.sum(k * k, axis=1) <= kmax * kmax)
+    disk = np.flatnonzero(np.sum(k * k, axis=1) <= SYMBOL_KMAX**2)
     i = disk[np.argmin(np.minimum(lam1, lam2)[disk])]
     zs = np.linspace(0.0, 1.0, 101)
     w_h, w_z = lame_weights("Gamma1", zs)
@@ -517,8 +517,10 @@ def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
     m = len(weights)
     B = np.zeros(vel.shape[:-2] + (1 + 2 * m, 1 + 2 * m), dtype=complex)
     B[..., 0, 0] = shift
-    B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
-                     * weights[:, None]).reshape(kt.shape[:-1] + (2 * m,))
+    # an overflow is left to the solve or eigensolve to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
+                         * weights[:, None]).reshape(kt.shape[:-1] + (2 * m,))
     B[..., 1:, 0] = np.tile(scale * 1j * kt, m)
     B[..., 1:, 1:] = vel
     return B

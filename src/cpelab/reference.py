@@ -19,6 +19,7 @@ states afterwards only requires numeric evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ _N_BASE = 2  # baseline (frozen-coefficient) perturbation amplitudes
 
 #: Length of the coefficient vector accepted by :meth:`OracleTemplate.evaluate`.
 N_COEFFS = _N_DISP + _N_SURF + _N_VEL + _N_BASE
+_DISPLACEMENT, _AMPLITUDE = 0.006, 0.05  # scales of the sampled coefficients
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,13 @@ class OracleTemplate:
             dtV=dtV, dtzeta=f2(dtz), F1=f2(f1), F2=F2, fm=fm)
 
 
-def sample_coefficients(
-    rng: np.random.Generator,
-    mode: str,
-    amplitude: float = 0.05,
-    displacement: float = 0.006,
-) -> np.ndarray:
+def sample_coefficients(rng: np.random.Generator, mode: str) -> np.ndarray:
     """Draw a random coefficient vector for :meth:`OracleTemplate.evaluate`.
 
-    ``displacement`` scales the flow-map displacement (keep it a few times
-    1e-2 at most so the map stays a near-identity diffeomorphism and the
-    composed fields stay band-limited to high accuracy), ``amplitude``
-    scales the density/velocity perturbations.  For ``GlobalGamma1`` the
+    ``_DISPLACEMENT`` scales the flow-map displacement (a few times 1e-2 at
+    most keeps the map a near-identity diffeomorphism and the composed
+    fields band-limited to high accuracy), ``_AMPLITUDE`` the density,
+    velocity and baseline perturbations.  For ``GlobalGamma1`` the
     baseline coefficients are zeroed: that mode linearizes around the
     constant state, not around a manufactured baseline field.
     """
@@ -144,10 +141,8 @@ def sample_coefficients(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     c = np.empty(N_COEFFS)
     u = rng.uniform(-1.0, 1.0, size=N_COEFFS)
-    c[:_N_DISP] = displacement * u[:_N_DISP]
-    c[_N_DISP:_N_DISP + _N_SURF + _N_VEL] = (
-        amplitude * u[_N_DISP:_N_DISP + _N_SURF + _N_VEL])
-    c[-_N_BASE:] = amplitude * u[-_N_BASE:]
+    c[:_N_DISP] = _DISPLACEMENT * u[:_N_DISP]
+    c[_N_DISP:] = _AMPLITUDE * u[_N_DISP:]
     if mode == "GlobalGamma1":
         c[-_N_BASE:] = 0.0
     return c
@@ -162,6 +157,7 @@ def _pressure_expr(name: str, s, alpha: float):
     raise ValueError(f"unknown pressure law {name!r}; expected 'linear' or 'tanh'")
 
 
+@functools.cache
 def build_oracle_template(
     mode: str,
     mu: float = 1.0,
@@ -178,8 +174,8 @@ def build_oracle_template(
     (iii) substitute the analytic horizontal map to obtain the Lagrangian
     fields and the true time derivatives; (iv) subtract the mode's linear
     frozen-coefficient part, differentiated directly in the Lagrangian
-    variables.  Building a template takes a few seconds of symbolic work;
-    evaluating it is pure numpy.
+    variables.  Building a template takes seconds of symbolic work, so it
+    is cached (it is immutable); evaluating it is pure numpy.
 
     The surface density varies about 1.  ``pressure`` only matters for
     ``GeneralNoGravity`` and must match the numeric law of its params.

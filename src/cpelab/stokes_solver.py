@@ -125,6 +125,7 @@ def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
             f"(|int f1| = {mean:.3e}, ||f1|| = {scale:.3e})")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolvent_residual(
     lam: complex,
     zeta: np.ndarray,
@@ -138,7 +139,8 @@ def resolvent_residual(
     """Relative residual of (lambda - A_CHS)(zeta, V) = (f1, f2).
 
     Interior rows carry the equations; the velocity boundary layers carry
-    the boundary residuals V|_{z=1} and d_z V|_{z=0}.
+    the boundary residuals V|_{z=1} and d_z V|_{z=0}.  A norm that
+    overflows gives an inf or nan residual.
     """
     r1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g) - f1
     AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
@@ -180,8 +182,12 @@ def manufactured_resolvent_problem(
         V = V * (1.0 - 0.25j)
     xi_bar = params.xi_bar
     AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
-    f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
-    f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
+        f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
+    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+        raise SolverBreakdown(
+            "operator breakdown: the manufactured data overflow")
     f2[:, :, -1, :] = 0.0
     f2[:, :, 0, :] = 0.0
     if lam.imag == 0.0:
@@ -434,12 +440,13 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     return U[:, s > 0.5 * s[0]]
 
 
-def _max_real_part(M: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of M, or of a stack of blocks."""
+def _max_real_part(M: np.ndarray) -> tuple[float, float]:
+    """Max real part of the eigenvalues of M (or blocks) and its rounding."""
     try:
-        return np.linalg.eigvals(M).real.max()
+        ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise SolverBreakdown(f"eigensolver breakdown: {exc}") from exc
+    return ev.real.max(), M.shape[-1] * np.finfo(float).eps * np.abs(ev).max()
 
 
 def spectral_bound(
@@ -456,7 +463,7 @@ def spectral_bound(
     part, which is the mean-free restriction); ``dense`` projects the
     dense reduced realization onto the mean-free active subspace.  Raises
     :class:`SolverBreakdown` if an eigensolve fails or the computed bound
-    is not positive.
+    is not positive, or not resolved (within n eps max|lambda| of zero).
     """
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
     if method == "per_mode":
@@ -473,21 +480,26 @@ def spectral_bound(
         # k = 0: the velocity part alone is the mean-free restriction
         keep[0, 0] = False
         A0 = S2 @ vertical_lame_block(K[0, 0], xi_bar, g, params) @ R2
-        max_re = _max_real_part(A0)
+        max_re, rounding = _max_real_part(A0)
         for row in np.flatnonzero(keep.any(axis=1)):
             kt = K[row, keep[row]]
             # A_CHS itself: shift 0, scale -1
             B = _bordered(S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2,
                           kt, avg_row, 0.0, -1.0, xi_bar)
-            max_re = max(max_re, _max_real_part(B))
+            re, rd = _max_real_part(B)
+            max_re, rounding = max(max_re, re), max(rounding, rd)
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
-        max_re = float(_max_real_part(Q.T @ A @ Q))
+        max_re, rounding = _max_real_part(Q.T @ A @ Q)
     else:
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
     eta0 = -max_re
     if not eta0 > 0:
+        if max_re <= rounding:
+            raise SolverBreakdown(
+                f"spectral bound is not resolved: max Re = {max_re:.3e} is "
+                f"within the eigensolver's rounding {rounding:.3e}")
         raise SolverBreakdown(
             f"spectral bound is not positive (max Re = {max_re}); the "
             "mean-free operator should be exponentially stable")

@@ -115,9 +115,8 @@ class PhysicalParams:
         density.
     pressure, pressure_derivative : callable, optional
         The pressure law P and its derivative P' (``GeneralNoGravity``
-        only); P' must satisfy c1 <= P' <= c2 on [M1/2, 2*M2].
-    c1, c2 : float
-        Bounds for P' (``GeneralNoGravity`` only).
+        only); P', sampled on [M1/2, 2*M2], must be finite and positive,
+        so that it lies between two positive constants there.
     """
 
     mu: float
@@ -130,8 +129,6 @@ class PhysicalParams:
         default=None, repr=False)
     pressure_derivative: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
-    c1: float = 0.0
-    c2: float = 0.0
 
     def __post_init__(self) -> None:
         check_viscosities_finite(self.mu, self.mu_prime)
@@ -154,19 +151,13 @@ class PhysicalParams:
                 raise ValueError(
                     "GeneralNoGravity requires a pressure law P and derivative P'"
                 )
-            if not 0 < self.c1 <= self.c2:
-                raise ValueError(
-                    f"need 0 < c1 <= c2 for the pressure law, got "
-                    f"c1={self.c1}, c2={self.c2}"
-                )
             s = np.linspace(self.M1 / 2.0, 2.0 * self.M2, _PPRIME_SAMPLES)
             dp = np.asarray(self.pressure_derivative(s), dtype=float)
-            slack = 1e-12 * max(1.0, self.c2)
-            if np.any(dp < self.c1 - slack) or np.any(dp > self.c2 + slack):
+            if not (np.all(np.isfinite(dp)) and dp.min() > 0):
                 raise ValueError(
-                    "pressure derivative leaves [c1, c2] on the sampled "
-                    f"interval [{self.M1 / 2.0}, {2.0 * self.M2}]: "
-                    f"range [{dp.min()}, {dp.max()}] vs [{self.c1}, {self.c2}]"
+                    "pressure derivative must be finite and positive on the "
+                    f"sampled interval [{self.M1 / 2.0}, {2.0 * self.M2}]: "
+                    f"range [{dp.min()}, {dp.max()}]"
                 )
 
 
@@ -177,8 +168,8 @@ def make_pressure_law(name: str, **kwargs) -> dict:
     ``tanh``: P(s) = s + alpha*log(cosh(s-1)) with P'(s) = 1 + alpha*tanh(s-1)
     in [1-alpha, 1+alpha] (pass ``alpha`` in (0,1), default 0.5).
 
-    Returns a dict with keys ``pressure``, ``pressure_derivative``, ``c1``,
-    ``c2`` suitable for splicing into :class:`PhysicalParams`.
+    Returns a dict with keys ``pressure`` and ``pressure_derivative``
+    suitable for splicing into :class:`PhysicalParams`.
     """
     if name == "linear":
         c = float(kwargs.pop("c", 1.0))
@@ -190,8 +181,6 @@ def make_pressure_law(name: str, **kwargs) -> dict:
             "pressure": lambda s, c=c: c * np.asarray(s, dtype=float),
             "pressure_derivative": lambda s, c=c: np.full_like(
                 np.asarray(s, dtype=float), c),
-            "c1": c,
-            "c2": c,
         }
     if name == "tanh":
         alpha = float(kwargs.pop("alpha", 0.5))
@@ -212,7 +201,5 @@ def make_pressure_law(name: str, **kwargs) -> dict:
         return {
             "pressure": pressure,
             "pressure_derivative": pressure_derivative,
-            "c1": 1.0 - alpha,
-            "c2": 1.0 + alpha,
         }
     raise ValueError(f"unknown pressure law {name!r}; expected 'linear' or 'tanh'")

@@ -109,6 +109,21 @@ PRESSURE_CASES = [
 ]
 
 
+# a run key that breaks its own rule, with the message and line that
+# simulate and spectrum both exit 2 with
+RUN_KEY_RULES = [
+    ({"dt": -1}, "dt must be positive, got -1.0", 14),
+    ({"t_end": 0}, "t_end must be positive, got 0.0", 15),
+    ({"amplitude": float("inf")}, "amplitude must be finite, got inf", 17),
+    ({"amplitude": float("nan")}, "amplitude must be finite, got nan", 17),
+    ({"tolerances": {"fp_tol": 0}},
+     "tolerance 'fp_tol' must be finite and positive, got 0.0", 20),
+    ({"output_every": 0}, "output_every must be >= 1, got 0", 19),
+]
+RUN_KEY_IDS = ("dt-negative", "t_end-zero", "amplitude-inf", "amplitude-nan",
+               "fp_tol-zero", "output_every-zero")
+
+
 def assert_config_error(capsys, needle, line):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -374,7 +389,7 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, tolerances={key: value})
     out = tmp_path / "out"
     assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 2
-    assert_config_error(capsys, f"tolerance '{key}' must be finite", None)
+    assert_config_error(capsys, f"tolerance '{key}' must be finite", 20)
     assert not (out / "summary.json").exists()
 
 
@@ -390,7 +405,7 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"grid": {"nx": 7, "ny": 8, "nz": 5}}, "invalid grid", None),
     ({"grid": {"nx": 8, "ny": 8}}, "nz", None),
     ({"dt": True}, "dt", 14),
-    ({"dt": -1e-3}, "dt must be positive", None),
+    ({"dt": -1e-3}, "dt must be positive", 14),
     ({"seed": 1.5}, "seed", 18),
     ({"params": {"mu": -1.0, "mu_prime": 0.5}}, "mu", None),
     ({"params": {"mu": 1.0}}, "mu_prime", None),
@@ -399,6 +414,7 @@ def test_schema_version_mismatch(tmp_path, capsys):
     *NONFINITE_CASES,
     ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
     *PRESSURE_CASES,
+    *RUN_KEY_RULES,
 ]))
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
@@ -454,7 +470,7 @@ HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
                "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("overrides,codes", HOSTILE, ids=HOSTILE_IDS)
 def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
                                                     overrides, codes):
@@ -472,7 +488,9 @@ def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
         if code == cli.EXIT_CONFIG:
             assert err.startswith("config error:")
         elif code == cli.EXIT_BREAKDOWN:
-            assert "breakdown" in err or "spectral bound is not positive" in err
+            assert ("breakdown" in err
+                    or "spectral bound is not positive" in err
+                    or "spectral bound is not resolved" in err)
         if (out / "diagnostics.csv").exists():
             rows = diagnostics.read_diagnostics_csv(
                 str(out / "diagnostics.csv"))
@@ -546,8 +564,10 @@ INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
     ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
     ({"mode": GENERAL, "params": {**INADMISSIBLE, "pressure": {"law": "cubic"}}},
      "invalid pressure law: unknown pressure law 'cubic'", 13),
+    *RUN_KEY_RULES,
 ], ids=("inadmissible-xi_bar", "inadmissible-M1", "inadmissible-pressure",
-        "global-xi_bar", "dt") + NONFINITE_IDS + ("seed", "unknown-law"))
+        "global-xi_bar", "dt") + NONFINITE_IDS + ("seed", "unknown-law")
+    + RUN_KEY_IDS)
 def test_spectrum_checks_fields_as_simulate_does(tmp_path, capsys, overrides,
                                                  needle, line):
     # only the viscosity pair's admissibility is reported rather than

@@ -221,8 +221,6 @@ def test_fit_decay_rate_edge_cases():
         fit_decay_rate(t[:5], const[:5])
     with pytest.raises(ValueError, match="positive values"):
         fit_decay_rate(t, np.linspace(1.0, -1.0, t.size))
-    with pytest.raises(ValueError, match="t_skip_fraction"):
-        fit_decay_rate(t, const, t_skip_fraction=1.0)
     with pytest.raises(ValueError, match="1D arrays"):
         fit_decay_rate(t, const[:50])
 
@@ -230,14 +228,14 @@ def test_fit_decay_rate_edge_cases():
 def test_envelope_maxima_and_monotonicity():
     t = np.linspace(0.0, 20.0, 801)
     decaying = np.exp(-0.5 * t) * np.cos(10.0 * t)
-    m = envelope_maxima(t, decaying, n_windows=8)
+    m = envelope_maxima(t, decaying)
     assert m.shape == (8,)
     assert np.all(np.diff(m) < 0)
     assert envelope_is_decreasing(t, decaying)
     growing = np.exp(0.1 * t) * np.cos(10.0 * t)
     assert not envelope_is_decreasing(t, growing)
     with pytest.raises(ValueError, match="tail samples"):
-        envelope_maxima(t[:10], decaying[:10], n_windows=8)
+        envelope_maxima(t[:10], decaying[:10])
 
 
 # ---------------------------------------------------------------------------

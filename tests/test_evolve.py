@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -565,6 +567,20 @@ def test_stepper_validation():
     with pytest.raises(ValueError, match="baseline density"):
         Stepper("LocalGamma1", g, params, dt=1e-3,
                 zeta0=np.zeros((g.nx, g.ny)))
+
+
+def test_cfl_advisory_warns_once_and_changes_no_row():
+    # the first step moves dt * max|V| = 0.075 past the grid spacing 1/16
+    cfg = RunConfig(mode="LocalGamma1", nx=16, ny=16, nz=5,
+                    params=gamma1_params(mu=0.1, mu_prime=0.0), dt=0.3,
+                    t_end=0.6, preset="fourier_perturbation", amplitude=0.3)
+    with pytest.warns(RuntimeWarning, match="advective CFL advisory") as rec:
+        res = run_simulation(cfg)
+    assert len(rec) == 1
+    assert res.status == "completed" and res.n_steps == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_simulation(cfg).rows == res.rows
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from cpelab.grid import (
 )
 from cpelab.operators import (
     DENSE_LIMIT,
+    SYMBOL_KMAX,
     _dft_derivative_matrix,
     apply_chs,
     apply_hydrostatic_lame,
@@ -91,29 +92,30 @@ def test_symbol_matrix_eigensolve_agreement():
 
 
 def test_ellipticity_report_admissible_and_inadmissible():
-    rep = symbol_ellipticity_report(1.0, 1.0, kmax=8)
+    rep = symbol_ellipticity_report(1.0, 1.0)
     assert rep.ok
     assert np.isclose(rep.min_lam2, 4 * np.pi**2, atol=1e-10)
     assert np.isclose(rep.b1_min, np.exp(-2.0) / DELTA**2, atol=1e-12)
     assert rep.b1_min >= rep.b1_lower_bound
     # inadmissible pairs are reported, not raised
-    bad = symbol_ellipticity_report(1.0, -1.5, kmax=8)
+    bad = symbol_ellipticity_report(1.0, -1.5)
     assert not bad.ok and min(bad.min_lam1, bad.min_lam2) < 0
 
 
 @pytest.mark.parametrize("mu,mup", [(1.3, 0.4), (1.0, -1.5), (-0.5, 2.0),
                                     (0.0, 0.0)])
 def test_ellipticity_report_table_matches_scalar_symbol(mu, mup):
-    rep = symbol_ellipticity_report(mu, mup, kmax=3)
-    modes = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)
-             if (k1, k2) != (0, 0)]
+    rep = symbol_ellipticity_report(mu, mup)
+    axis = range(-SYMBOL_KMAX, SYMBOL_KMAX + 1)
+    modes = [(k1, k2) for k1 in axis for k2 in axis if (k1, k2) != (0, 0)]
     assert [tuple(k) for k in rep.k.tolist()] == modes
     eigs = [lame_symbol_eigs(k, mu, mup) for k in modes]
     assert rep.lam1.tolist() == [e.lam1 for e in eigs]
     assert rep.lam2.tolist() == [e.lam2 for e in eigs]
-    # the minimum over the disk |k_H| <= 3, first in row-major order
+    # the minimum over the disk |k_H| <= SYMBOL_KMAX, first in row-major
+    # order
     disk = [(min(e.lam1, e.lam2), k) for k, e in zip(modes, eigs)
-            if k[0] ** 2 + k[1] ** 2 <= 9]
+            if k[0] ** 2 + k[1] ** 2 <= SYMBOL_KMAX ** 2]
     least = min(m for m, _ in disk)
     argmin = next(k for m, k in disk if m == least)
     assert rep.argmin_k == argmin

@@ -38,8 +38,7 @@ def grid():
 
 def test_sample_coefficients_contract():
     rng = np.random.default_rng(0)
-    c = sample_coefficients(rng, "LocalGamma1", amplitude=0.05,
-                            displacement=0.006)
+    c = sample_coefficients(rng, "LocalGamma1")
     assert c.shape == (N_COEFFS,)
     assert np.all(np.abs(c[:4]) <= 0.006)
     assert np.all(np.abs(c[4:]) <= 0.05)

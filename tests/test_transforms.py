@@ -40,7 +40,6 @@ def test_linear_pressure_law():
     s = np.linspace(0.25, 4.0, 7)
     assert np.allclose(law["pressure"](s), 2.5 * s)
     assert np.allclose(law["pressure_derivative"](s), 2.5)
-    assert law["c1"] == law["c2"] == 2.5
     with pytest.raises(ValueError):
         make_pressure_law("linear", c=-1.0)
     with pytest.raises(ValueError):
@@ -66,7 +65,10 @@ def test_tanh_pressure_law_bounds_and_consistency():
 def test_pressure_derivative_bounds_enforced_by_params():
     law = make_pressure_law("tanh", alpha=0.3)
     PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity", **law)
-    bad = dict(law)
-    bad["c1"] = 0.9  # true P' dips to 0.7 on the sampled interval
-    with pytest.raises(ValueError, match="pressure derivative"):
-        PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity", **bad)
+    # P' = s - M1/2 vanishes at the left end of the sampled interval
+    # [M1/2, 2 M2] = [0.25, 4]; the other P' is not finite beyond s = 3
+    for dp in (lambda s: np.asarray(s) - 0.25,
+               lambda s: np.where(np.asarray(s) < 3.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="pressure derivative"):
+            PhysicalParams(mu=1.0, mu_prime=0.0, model="GeneralNoGravity",
+                           pressure=law["pressure"], pressure_derivative=dp)
