@@ -4,8 +4,8 @@ primitive equations on the periodic cylinder G x (0,1), G = (0,1)^2.
 The package provides
 
 * ``grid``          -- Fourier x Chebyshev discretization of the cylinder,
-* ``transforms``    -- physical parameters, pressure laws and the vertical
-                       coordinate change,
+* ``transforms``    -- physical parameters, pressure laws, and the vertical
+                       weights and column density of the Lame operator,
 * ``flowmap``       -- the 2D horizontal flow map driven by the vertically
                        averaged velocity (Lagrangian bookkeeping),
 * ``operators``     -- hydrostatic Lame and compressible hydrostatic Stokes

@@ -321,11 +321,10 @@ def parse_resolvent_problem(path: str):
         else:
             raise ConfigError(
                 "'lam' must be a number or a [real, imag] pair", "lam")
-        if not np.isfinite(lam):
-            raise ConfigError(f"'lam' must be finite, got {lam}", "lam")
-        if lam.real < 0:
-            raise ConfigError(
-                f"'lam' must satisfy Re lambda >= 0, got {lam}", "lam")
+        try:
+            stokes_solver.check_spectral_parameter(lam)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "lam") from exc
         rhs = obj.get("rhs", "manufactured")
         if rhs not in ("manufactured", "random", "zero"):
             raise ConfigError(
@@ -458,7 +457,7 @@ def _cmd_spectrum(args) -> int:
         "ok": report.ok,
         "eta0": eta0,
         "min_symbol_eig": min_symbol_eig,
-        "b1_min": report.b1_min,
+        "b1_min": operators.B1_MIN,
         "explanation": explanation,
         "symbol_csv": os.path.basename(csv_path),
     }

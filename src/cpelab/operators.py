@@ -32,6 +32,7 @@ whose eigenvalues are meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,10 +58,10 @@ __all__ = [
     "apply_chs",
     "lame_symbol_eigs",
     "symbol_ellipticity_report",
+    "B1_MIN",
     "dense_hydrostatic_lame",
     "dense_chs",
     "mode_wavevectors",
-    "lame_block",
     "vertical_lame_block",
     "mode_matrices",
     "vertical_reduction",
@@ -74,6 +75,9 @@ __all__ = [
 DENSE_LIMIT = (8, 8, 9)
 #: Largest |k_H|_inf of the symbol scan of :func:`symbol_ellipticity_report`.
 SYMBOL_KMAX = 8
+#: min over z of b1 = w_Z/w_H = (1 - delta z)^2/delta^2, the ratio of the
+#: Gamma1 weights of L, taken at z = 1: exp(-2)/delta^2 > 0.
+B1_MIN = math.exp(-2.0) / DELTA**2
 
 _BC_MODES = ("raw", "replace", "reduced")
 
@@ -223,7 +227,7 @@ def lame_symbol_eigs(k_H, mu: float, mu_prime: float) -> SymbolEigs:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Scan of the horizontal symbol eigenvalues and the vertical coefficient.
+    """Scan of the horizontal symbol eigenvalues.
 
     ``k`` holds the integer modes with 0 < |k_H|_inf <= SYMBOL_KMAX in
     row-major order, and ``lam1``, ``lam2`` the symbol eigenvalues at each.
@@ -232,8 +236,6 @@ class EllipticityReport:
     min_lam1: float
     min_lam2: float
     argmin_k: tuple[int, int]
-    b1_min: float
-    b1_lower_bound: float
     ok: bool
     k: np.ndarray
     lam1: np.ndarray
@@ -243,13 +245,11 @@ class EllipticityReport:
 def symbol_ellipticity_report(mu: float, mu_prime: float) -> EllipticityReport:
     """Scan both symbol eigenvalues over 0 < |k_H| <= SYMBOL_KMAX.
 
-    Reports the minima and the minimum of b1(z) = w_Z/w_H =
-    (1-delta z)^2/delta^2, the ratio of the Gamma1 weights of L, on a
-    z-sample together with its lower bound exp(-2)/delta^2; ``ok``
-    requires every scanned eigenvalue and b1 to be positive.  Accepts
-    inadmissible viscosities on purpose so that failures are reported
-    rather than raised.  The eigenvalues are those of
-    :func:`lame_symbol_eigs`, bit for bit.
+    Reports the minima; ``ok`` requires every scanned eigenvalue to be
+    positive (the vertical coefficient is bounded below by the constant
+    :data:`B1_MIN`).  Accepts inadmissible viscosities on purpose so that
+    failures are reported rather than raised.  The eigenvalues are those
+    of :func:`lame_symbol_eigs`, bit for bit.
     """
     axis = np.arange(-SYMBOL_KMAX, SYMBOL_KMAX + 1)
     k = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -261,16 +261,10 @@ def symbol_ellipticity_report(mu: float, mu_prime: float) -> EllipticityReport:
     # the two eigenvalues
     disk = np.flatnonzero(np.sum(k * k, axis=1) <= SYMBOL_KMAX**2)
     i = disk[np.argmin(np.minimum(lam1, lam2)[disk])]
-    zs = np.linspace(0.0, 1.0, 101)
-    w_h, w_z = lame_weights("Gamma1", zs)
-    b1 = w_z / w_h
-    b1_min = float(b1.min())
-    bound = float(np.exp(-2.0) / DELTA**2)
-    ok = bool(min(lam1[i], lam2[i]) > 0 and b1_min >= bound > 0)
     return EllipticityReport(
         min_lam1=float(lam1[i]), min_lam2=float(lam2[i]),
-        argmin_k=tuple(k[i].tolist()), b1_min=b1_min, b1_lower_bound=bound,
-        ok=ok, k=k, lam1=lam1, lam2=lam2)
+        argmin_k=tuple(k[i].tolist()),
+        ok=bool(min(lam1[i], lam2[i]) > 0), k=k, lam1=lam1, lam2=lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +461,20 @@ def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k2, kt[..., :, None] * kt[..., None, :]
 
 
-def lame_block(kt: np.ndarray, rho, g: Grid,
-               params: PhysicalParams) -> np.ndarray:
+def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
+                        params: PhysicalParams) -> np.ndarray:
     """Vertical blocks of L / rho at horizontal modes ``kt``.
 
     ``rho`` is the column density at the vertical nodes, shape (nz,) or a
-    scalar; rho = 1 gives the blocks of L itself, which the implicit step
-    of the time integrator inverts with the density kept apart.  Shapes as
-    in :func:`vertical_lame_block`.
+    scalar (:func:`cpelab.transforms.column_density`); rho = 1 gives the
+    blocks of L itself, which the implicit step of the time integrator
+    inverts with the density kept apart.  ``kt`` holds angular wave
+    vectors (2 pi k_H) along its last axis, shape (..., 2).  Returns the
+    real blocks, shape (..., 2 nz, 2 nz), each acting on V-hat(z)
+    flattened as (iz, comp) C-order, without boundary handling (combine
+    with :func:`vertical_reduction` for eigensolves and with
+    :func:`mode_matrices` for solves).  A single (2,) wave vector gives a
+    single block.
     """
     k2, kk = _symbol_parts(kt)
     wH, wZ = lame_weights(params.model, g.z)
@@ -489,22 +489,6 @@ def lame_block(kt: np.ndarray, rho, g: Grid,
     )
 
 
-def vertical_lame_block(
-    kt: np.ndarray, xi0_value: float, g: Grid, params: PhysicalParams
-) -> np.ndarray:
-    """Vertical blocks of the viscous operator A(xi0) at horizontal modes.
-
-    ``kt`` holds angular wave vectors (2 pi k_H) along its last axis,
-    shape (..., 2).  Returns the real blocks, shape (..., 2 nz, 2 nz), each
-    acting on V-hat(z) flattened as (iz, comp) C-order, without boundary
-    handling (combine with :func:`vertical_reduction` for eigensolves and
-    with :func:`mode_matrices` for solves).  A single (2,) wave vector
-    gives a single block.
-    """
-    return lame_block(kt, column_density(params.model, xi0_value, g.z), g,
-                      params)
-
-
 def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
               shift: complex, scale: float, xi_bar: float) -> np.ndarray:
     """Add the zeta row and column of shift - scale * A_CHS to velocity blocks.
@@ -517,10 +501,13 @@ def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
     m = len(weights)
     B = np.zeros(vel.shape[:-2] + (1 + 2 * m, 1 + 2 * m), dtype=complex)
     B[..., 0, 0] = shift
-    # an overflow is left to the solve or eigensolve to reject
     with np.errstate(over="ignore", invalid="ignore"):
         B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
                          * weights[:, None]).reshape(kt.shape[:-1] + (2 * m,))
+    if not np.all(np.isfinite(B[..., 0, 1:])):
+        raise SolverBreakdown(
+            f"operator breakdown: the zeta row overflows (xi_bar * |k| "
+            f"exceeds the float range at xi_bar = {xi_bar:.6g})")
     B[..., 1:, 0] = np.tile(scale * 1j * kt, m)
     B[..., 1:, 1:] = vel
     return B

@@ -67,12 +67,13 @@ from .operators import (
     vertical_lame_block,
     vertical_reduction,
 )
-from .transforms import PhysicalParams, lame_weights
+from .transforms import PhysicalParams, column_density, lame_weights
 
 __all__ = [
     "MEAN_TOL",
     "CompatibilityError",
     "ResolventProblem",
+    "check_spectral_parameter",
     "solve_resolvent",
     "solve_steady_decomposed",
     "spectral_bound",
@@ -95,6 +96,15 @@ PICARD_TOL = 1e-10
 SWEEP_LAMBDAS = (0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j)
 
 
+def check_spectral_parameter(lam: complex) -> None:
+    """Raise ``ValueError`` unless lambda is finite with Re lambda >= 0."""
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"'lam' must be finite, got {lam}")
+    if lam.real < 0:
+        raise ValueError(f"'lam' must satisfy Re lambda >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class ResolventProblem:
     """Data (lambda, f1, f2) of one resolvent problem, xi_bar fixed."""
@@ -105,9 +115,7 @@ class ResolventProblem:
     xi_bar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lam.real < -1e-14:
-            raise ValueError(
-                f"resolvent parameter must satisfy Re lambda >= 0, got {self.lam}")
+        check_spectral_parameter(self.lam)
         if not self.xi_bar > 0:
             raise ValueError(f"xi_bar must be positive, got {self.xi_bar}")
 
@@ -227,9 +235,10 @@ def _solve_per_mode(
         pin = ~g.active_mask[:, :nk]
         pin[0, 0] = True
         rhs[pin, 0] = 0.0
+    rho = column_density(params.model, p.xi_bar, g.z)
     sol = np.empty_like(rhs)
     for ix in range(g.nx):
-        M = mode_matrices(vertical_lame_block(K[ix], p.xi_bar, g, params),
+        M = mode_matrices(vertical_lame_block(K[ix], rho, g, params),
                           K[ix], g, lam, 1.0, xi_bar=p.xi_bar)
         M[pin[ix], 0, :] = 0.0
         M[pin[ix], 0, 0] = 1.0
@@ -479,12 +488,13 @@ def spectral_bound(
         keep = g.active_mask & ((ix < mx) | ((ix == mx) & (iy <= my)))
         # k = 0: the velocity part alone is the mean-free restriction
         keep[0, 0] = False
-        A0 = S2 @ vertical_lame_block(K[0, 0], xi_bar, g, params) @ R2
+        rho = column_density(params.model, xi_bar, g.z)
+        A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
         max_re, rounding = _max_real_part(A0)
         for row in np.flatnonzero(keep.any(axis=1)):
             kt = K[row, keep[row]]
             # A_CHS itself: shift 0, scale -1
-            B = _bordered(S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2,
+            B = _bordered(S2 @ vertical_lame_block(kt, rho, g, params) @ R2,
                           kt, avg_row, 0.0, -1.0, xi_bar)
             re, rd = _max_real_part(B)
             max_re, rounding = max(max_re, re), max(rounding, rd)

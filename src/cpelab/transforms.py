@@ -151,14 +151,20 @@ class PhysicalParams:
                 raise ValueError(
                     "GeneralNoGravity requires a pressure law P and derivative P'"
                 )
-            s = np.linspace(self.M1 / 2.0, 2.0 * self.M2, _PPRIME_SAMPLES)
+            lo, hi = self.density_window
+            s = np.linspace(lo, hi, _PPRIME_SAMPLES)
             dp = np.asarray(self.pressure_derivative(s), dtype=float)
             if not (np.all(np.isfinite(dp)) and dp.min() > 0):
                 raise ValueError(
                     "pressure derivative must be finite and positive on the "
-                    f"sampled interval [{self.M1 / 2.0}, {2.0 * self.M2}]: "
+                    f"sampled interval [{lo}, {hi}]: "
                     f"range [{dp.min()}, {dp.max()}]"
                 )
+
+    @property
+    def density_window(self) -> tuple[float, float]:
+        """[M1/2, 2*M2]: the surface densities the local modes may reach."""
+        return self.M1 / 2.0, 2.0 * self.M2
 
 
 def make_pressure_law(name: str, **kwargs) -> dict:

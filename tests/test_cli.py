@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cpelab
-from cpelab import cli, diagnostics, stokes_solver
+from cpelab import cli, diagnostics, evolve, stokes_solver
 from cpelab.grid import grad_h, make_grid
 from cpelab.transforms import PhysicalParams
 
@@ -441,6 +441,18 @@ def test_readme_exit_code_table_matches_cli():
                                    if name.startswith("EXIT_")}
 
 
+def terminal_conditions(cls=evolve.TerminalCondition):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from terminal_conditions(sub)
+
+
+def test_every_terminal_status_has_a_documented_exit_code():
+    statuses = {c.status for c in terminal_conditions()}
+    assert statuses and statuses <= set(cli.STATUS_EXIT)
+    assert set(cli.STATUS_EXIT.values()) <= readme_exit_codes()
+
+
 def test_general_pressure_law_run_completes(tmp_path):
     cfg = write_config(tmp_path, mode=GENERAL, params={
         **ADMISSIBLE, "pressure": {"law": "tanh", "alpha": 0.4}})
@@ -468,11 +480,24 @@ HOSTILE = [
 ]
 HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
                "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9")
+# the message that names the cause of an overflowing zeta row
+ZETA_ROW_OVERFLOW = ("operator breakdown: the zeta row overflows "
+                     "(xi_bar * |k| exceeds the float range at "
+                     "xi_bar = 1e+308)")
+# (row, command) -> a line its standard error must hold
+HOSTILE_ERRORS = {
+    ("xi_bar-1e308", "spectrum"): ZETA_ROW_OVERFLOW,
+    ("xi_bar-1e308", "resolvent"):
+        "operator breakdown: the manufactured data overflow",
+}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("overrides,codes", HOSTILE, ids=HOSTILE_IDS)
-def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
+@pytest.mark.parametrize(
+    "row,overrides,codes",
+    [(row, *case) for row, case in zip(HOSTILE_IDS, HOSTILE)],
+    ids=HOSTILE_IDS)
+def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys, row,
                                                     overrides, codes):
     run = {"grid": {"nx": 8, "ny": 8, "nz": 5}, **overrides}
     config = write_config(tmp_path, **run)
@@ -485,6 +510,8 @@ def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
         assert code in readme_exit_codes()
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        if (row, command) in HOSTILE_ERRORS:
+            assert HOSTILE_ERRORS[row, command] in err.splitlines()
         if code == cli.EXIT_CONFIG:
             assert err.startswith("config error:")
         elif code == cli.EXIT_BREAKDOWN:
@@ -495,6 +522,18 @@ def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys,
             rows = diagnostics.read_diagnostics_csv(
                 str(out / "diagnostics.csv"))
             assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_zeta_row_of_a_random_resolvent_names_its_cause(
+        tmp_path, capsys):
+    problem = write_problem(tmp_path, grid={"nx": 8, "ny": 8, "nz": 5},
+                            params={**ADMISSIBLE, "xi_bar": 1e308},
+                            rhs="random", lam=1.0)
+    assert cli.main(["resolvent", problem, "--output-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_BREAKDOWN
+    err = capsys.readouterr().err
+    assert err.splitlines() == [ZETA_ROW_OVERFLOW]
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,26 @@ def test_initial_state_presets():
     assert np.max(np.abs(np.einsum("j,abjc->abc", g.Dz[0], a.V))) < 1e-8
 
 
+@pytest.mark.parametrize("shape", ((12, 12, 7), (8, 8, 65)))
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_every_preset_meets_the_boundary_conditions(mode, shape,
+                                                    general_params):
+    # V = 0 at z = 1 exactly and d_z V = 0 at z = 0 to the bound the
+    # deleted initial-state check applied
+    params = {"Gamma1": gamma1_params(),
+              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
+              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    g = make_grid(*shape)
+    for preset in evolve.PRESETS:
+        cfg = RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz, params=params,
+                        dt=1e-3, t_end=1e-3, preset=preset,
+                        amplitude=0.0 if preset == "steady" else 0.2, seed=5)
+        V = initial_state(cfg, g).V
+        assert np.all(V[:, :, -1, :] == 0.0)
+        scale = max(1.0, float(np.max(np.abs(V))))
+        assert np.max(np.abs(g.Dz[0] @ V)) <= 1e-8 * scale
+
+
 def test_initial_density_window_is_enforced():
     cfg = RunConfig(mode="LocalGamma1", nx=12, ny=12, nz=7,
                     params=gamma1_params(), dt=1e-3, t_end=1e-3,

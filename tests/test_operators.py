@@ -20,6 +20,7 @@ from cpelab.grid import (
     vertical_derivative,
 )
 from cpelab.operators import (
+    B1_MIN,
     DENSE_LIMIT,
     SYMBOL_KMAX,
     _dft_derivative_matrix,
@@ -95,11 +96,15 @@ def test_ellipticity_report_admissible_and_inadmissible():
     rep = symbol_ellipticity_report(1.0, 1.0)
     assert rep.ok
     assert np.isclose(rep.min_lam2, 4 * np.pi**2, atol=1e-10)
-    assert np.isclose(rep.b1_min, np.exp(-2.0) / DELTA**2, atol=1e-12)
-    assert rep.b1_min >= rep.b1_lower_bound
     # inadmissible pairs are reported, not raised
     bad = symbol_ellipticity_report(1.0, -1.5)
     assert not bad.ok and min(bad.min_lam1, bad.min_lam2) < 0
+
+
+def test_b1_constant_is_the_minimum_of_the_gamma1_weight_ratio():
+    w_h, w_z = lame_weights("Gamma1", np.linspace(0.0, 1.0, 100001))
+    assert B1_MIN == float(np.min(w_z / w_h))
+    assert np.isclose(B1_MIN, np.exp(-2.0) / DELTA**2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("mu,mup", [(1.3, 0.4), (1.0, -1.5), (-0.5, 2.0),
@@ -273,7 +278,8 @@ def test_vertical_block_matches_full_operator_on_single_mode(params):
     xi0_value = 1.2
     k = np.array([2, -1])
     kt = 2 * np.pi * k.astype(float)
-    blk = vertical_lame_block(kt, xi0_value, g, params)
+    blk = vertical_lame_block(
+        kt, column_density(params.model, xi0_value, g.z), g, params)
     rng = np.random.default_rng(6)
     phi = rng.standard_normal(2 * g.nz) + 1j * rng.standard_normal(2 * g.nz)
     x = g.x[:, None, None]
@@ -321,11 +327,12 @@ def test_stacked_blocks_equal_single_mode_blocks(params):
         K[:, g.ny // 2],
         K,                                     # the whole grid
     ]
+    rho = column_density(params.model, 1.3, g.z)
     for kt in stacks:
-        blocks = vertical_lame_block(kt, 1.3, g, params)
+        blocks = vertical_lame_block(kt, rho, g, params)
         assert blocks.shape == kt.shape[:-1] + (2 * g.nz, 2 * g.nz)
         for idx in np.ndindex(kt.shape[:-1]):
-            single = vertical_lame_block(kt[idx], 1.3, g, params)
+            single = vertical_lame_block(kt[idx], rho, g, params)
             assert np.array_equal(blocks[idx], single)
             # the reference folds 1/rho into each coefficient first
             ref = loop_lame_block(kt[idx], 1.3, g, params)

@@ -74,6 +74,17 @@ def test_negative_real_part_rejected():
         ResolventProblem(-1.0, np.zeros((4, 4)), np.zeros((4, 4, 5, 2)))
 
 
+@pytest.mark.parametrize("lam,needle", (
+    (float("nan"), "'lam' must be finite, got (nan+0j)"),
+    (complex(1.0, float("inf")), "'lam' must be finite, got (1+infj)"),
+    (-5e-15, "'lam' must satisfy Re lambda >= 0, got (-5e-15+0j)"),
+))
+def test_problem_takes_the_parsers_rule_on_lambda(lam, needle):
+    with pytest.raises(ValueError) as exc_info:
+        ResolventProblem(lam, np.zeros((4, 4)), np.zeros((4, 4, 5, 2)))
+    assert str(exc_info.value) == needle
+
+
 def test_solution_is_linear_in_data(setup):
     g, params = setup
     problem, _, _ = manufactured_resolvent_problem(1j, g, params)
