@@ -339,8 +339,20 @@ def parse_resolvent_problem(path: str):
 # ---------------------------------------------------------------------------
 
 def _resolve_output_dir(flag_value, config_value) -> str:
-    out = flag_value or os.environ.get(OUTPUT_DIR_ENV) or config_value or "."
-    os.makedirs(out, exist_ok=True)
+    """The first of the flag, the environment and the config key that is
+    set, created if missing; one that cannot be created is a config error
+    naming its source."""
+    for source, out in (("--output-dir", flag_value),
+                        (OUTPUT_DIR_ENV, os.environ.get(OUTPUT_DIR_ENV)),
+                        ("the 'output_dir' key", config_value),
+                        ("the default", ".")):
+        if out:
+            break
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {out!r} "
+                          f"given by {source}: {exc.strerror}") from exc
     return out
 
 

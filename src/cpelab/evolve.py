@@ -59,12 +59,11 @@ from .grid import (
     vertical_derivative,
 )
 from .operators import (
-    SolverBreakdown,
+    _linalg_breakdown,
     _pack_modes,
     _unpack_modes,
     mode_matrices,
     mode_wavevectors,
-    vertical_lame_block,
 )
 from .transforms import PhysicalParams, column_density, lame_weights
 
@@ -364,7 +363,7 @@ class Stepper:
     """Precomputed implicit solves for repeated IMEX steps at fixed ``dt``.
 
     Every mode inverts the Lame operator L = rho A without its density
-    (:func:`cpelab.operators.vertical_lame_block` at rho = 1).  For
+    (:func:`cpelab.operators.mode_matrices` at rho = 1).  For
     ``GlobalGamma1`` the implicit block is the full coupled surface/velocity
     operator at the unit state, solved mode by mode with boundary rows
     replaced.  For the local modes it is rho_star - dt L; the baseline
@@ -376,8 +375,9 @@ class Stepper:
     stored and solved: the block at -k equals the block at k in the local
     modes and is its complex conjugate in ``GlobalGamma1``.  ``_inv`` holds
     the inverses, shape ``(nx, ny // 2 + 1, n, n)``; a singular block
-    raises :class:`cpelab.operators.SolverBreakdown`.  ``fp_iterations``
-    lists the fixed-point iteration count of every step that returned.
+    raises :class:`cpelab.operators.SolverBreakdown` naming its kx row.
+    ``fp_iterations`` lists the fixed-point iteration count of every step
+    that returned.
     """
 
     fp_max_iter = 200
@@ -413,13 +413,9 @@ class Stepper:
         self._inv = np.empty(K.shape[:2] + (n, n),
                              dtype=complex if coupled else float)
         for ix in range(g.nx):
-            M = mode_matrices(vertical_lame_block(K[ix], 1.0, g, params),
-                              K[ix], g, self.rho_star, dt, xi_bar)
-            try:
+            M = mode_matrices(K[ix], 1.0, g, params, self.rho_star, dt, xi_bar)
+            with _linalg_breakdown(f"mode row {ix}"):
                 self._inv[ix] = np.linalg.inv(M)
-            except np.linalg.LinAlgError as exc:
-                raise SolverBreakdown(f"linear-solver breakdown in mode row "
-                                      f"{ix}: {exc}") from exc
 
     # -- helpers ------------------------------------------------------------
 

@@ -33,6 +33,7 @@ whose eigenvalues are meaningful.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,6 +85,17 @@ _BC_MODES = ("raw", "replace", "reduced")
 
 class SolverBreakdown(RuntimeError):
     """A solve or eigensolve of these operators broke down on finite input."""
+
+
+@contextmanager
+def _linalg_breakdown(where: str):
+    """Turn a ``LinAlgError`` raised in the block into a
+    :class:`SolverBreakdown` that names ``where`` (a mode row, a block)."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise SolverBreakdown(
+            f"linear-algebra breakdown in {where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +260,21 @@ def symbol_ellipticity_report(mu: float, mu_prime: float) -> EllipticityReport:
     Reports the minima; ``ok`` requires every scanned eigenvalue to be
     positive (the vertical coefficient is bounded below by the constant
     :data:`B1_MIN`).  Accepts inadmissible viscosities on purpose so that
-    failures are reported rather than raised.  The eigenvalues are those
-    of :func:`lame_symbol_eigs`, bit for bit.
+    failures are reported rather than raised; a symbol that overflows
+    raises :class:`SolverBreakdown`.  The eigenvalues are those of
+    :func:`lame_symbol_eigs`, bit for bit.
     """
     axis = np.arange(-SYMBOL_KMAX, SYMBOL_KMAX + 1)
     k = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     k = k[np.any(k != 0, axis=1)]
     k2 = _symbol_parts(2.0 * np.pi * k)[0][:, 0, 0]
-    lam1 = (mu + mu_prime) * k2
-    lam2 = mu * k2
+    with np.errstate(over="ignore"):
+        lam1 = (mu + mu_prime) * k2
+        lam2 = mu * k2
+    if not (np.all(np.isfinite(lam1)) and np.all(np.isfinite(lam2))):
+        raise SolverBreakdown(
+            f"operator breakdown: the symbol overflows (mu = {mu:.6g}, "
+            f"mu_prime = {mu_prime:.6g})")
     # the first mode of the disk, in row-major order, with the least of
     # the two eigenvalues
     disk = np.flatnonzero(np.sum(k * k, axis=1) <= SYMBOL_KMAX**2)
@@ -472,21 +490,26 @@ def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
     vectors (2 pi k_H) along its last axis, shape (..., 2).  Returns the
     real blocks, shape (..., 2 nz, 2 nz), each acting on V-hat(z)
     flattened as (iz, comp) C-order, without boundary handling (combine
-    with :func:`vertical_reduction` for eigensolves and with
-    :func:`mode_matrices` for solves).  A single (2,) wave vector gives a
-    single block.
+    with :func:`vertical_reduction` for eigensolves; :func:`mode_matrices`
+    builds them for solves).  A single (2,) wave vector gives a single
+    block.  Blocks that overflow raise :class:`SolverBreakdown`.
     """
     k2, kk = _symbol_parts(kt)
     wH, wZ = lame_weights(params.model, g.z)
     rho = np.broadcast_to(rho, g.z.shape)
-    a = np.diag(wH / rho)
-    vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
     I2 = np.eye(2)
-    return (
-        -params.mu * k2 * _kron(a, I2)
-        + params.mu * _kron(vert, I2)
-        - params.mu_prime * _kron(a, kk)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.diag(wH / rho)
+        vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
+        A = (-params.mu * k2 * _kron(a, I2)
+             + params.mu * _kron(vert, I2)
+             - params.mu_prime * _kron(a, kk))
+    if not np.all(np.isfinite(A)):
+        raise SolverBreakdown(
+            f"operator breakdown: the Lame block overflows (mu = "
+            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
+            f"column density {rho.min():.6g})")
+    return A
 
 
 def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
@@ -514,23 +537,24 @@ def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
 
 
 def mode_matrices(
-    A: np.ndarray,
     kt: np.ndarray,
+    rho,
     g: Grid,
+    params: PhysicalParams,
     shift: complex,
     scale: float,
     xi_bar: float | None = None,
 ) -> np.ndarray:
     """Per-mode matrices of shift - scale * A_CHS with boundary rows replaced.
 
-    ``A`` holds the viscous blocks of :func:`vertical_lame_block` at the
-    wave vectors ``kt`` (..., 2).  With ``xi_bar`` they act on (zeta-hat,
-    V-hat(z)), see :func:`_bordered`; without it on V-hat(z) alone, shape
-    (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at z = 1 and the
-    bottom rows d_z V = 0 at z = 0.
+    The viscous part is ``vertical_lame_block(kt, rho, g, params)`` at the
+    wave vectors ``kt`` (..., 2).  With ``xi_bar`` the matrices act on
+    (zeta-hat, V-hat(z)), see :func:`_bordered`; without it on V-hat(z)
+    alone, shape (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at
+    z = 1 and the bottom rows d_z V = 0 at z = 0.
     """
     nz = g.nz
-    M = shift * np.eye(2 * nz) - scale * A
+    M = shift * np.eye(2 * nz) - scale * vertical_lame_block(kt, rho, g, params)
     off = 0
     if xi_bar is not None:
         M, off = _bordered(M, kt, g.wz, shift, scale, xi_bar), 1

@@ -14,16 +14,16 @@ data must satisfy the compatibility condition int_G f1 = 0 and the
 solution is unique in the mean-free class int_G zeta = 0.
 
 Because the coefficients are constant, the system block-diagonalizes
-over horizontal Fourier modes; the production path solves one small
+over horizontal Fourier modes; the resolvent solver solves one small
 bordered vertical system per mode (boundary rows replaced by the
 boundary conditions).  A dense monolithic solve — at lambda = 0 with
-its kernel, zeta in the mean and on the Nyquist lines, deflated — serves
-as ground truth, and a decomposed solver mirrors the continuous existence
-argument: vertical averaging reduces lambda = 0 to a 2D Stokes-type
-saddle problem for (avg V, zeta-tilde) with zeta-tilde = (1 - delta/2)
-zeta, whose right side carries boundary-trace terms of the full
-velocity, handled by Picard iteration; the velocity is then recovered
-from the 3D elliptic problem A V = grad_H zeta - f2.
+its kernel, zeta in the mean and on the Nyquist lines, deflated — is
+the tests' ground truth, and a decomposed solver mirrors the continuous
+existence argument: vertical averaging reduces lambda = 0 to a 2D
+Stokes-type saddle problem for (avg V, zeta-tilde) with zeta-tilde =
+(1 - delta/2) zeta, whose right side carries boundary-trace terms of the
+full velocity, handled by Picard iteration; the velocity is then
+recovered from the 3D elliptic problem A V = grad_H zeta - f2.
 
 The module also estimates the spectral bound eta0 (negative of the
 largest real part of the mean-free spectrum) and sweeps the resolvent
@@ -54,6 +54,7 @@ from .grid import (
 from .operators import (
     SolverBreakdown,
     _bordered,
+    _linalg_breakdown,
     _pack_modes,
     _unpack_modes,
     _replace_bc_rows,
@@ -189,8 +190,8 @@ def manufactured_resolvent_problem(
         zeta = zeta * (1.0 + 0.5j)
         V = V * (1.0 - 0.25j)
     xi_bar = params.xi_bar
-    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
     with np.errstate(over="ignore", invalid="ignore"):
+        AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
         f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
         f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
@@ -238,22 +239,21 @@ def _solve_per_mode(
     rho = column_density(params.model, p.xi_bar, g.z)
     sol = np.empty_like(rhs)
     for ix in range(g.nx):
-        M = mode_matrices(vertical_lame_block(K[ix], rho, g, params),
-                          K[ix], g, lam, 1.0, xi_bar=p.xi_bar)
+        M = mode_matrices(K[ix], rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
         M[pin[ix], 0, :] = 0.0
         M[pin[ix], 0, 0] = 1.0
-        try:
+        with _linalg_breakdown(f"mode row {ix}"):
             sol[ix] = np.linalg.solve(M, rhs[ix])
-        except np.linalg.LinAlgError as exc:
-            raise SolverBreakdown(
-                f"linear-solver breakdown in mode row {ix}: {exc}") from exc
     return _unpack_modes(sol[..., 0], g, real)
 
 
 def _solve_dense(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monolithic dense solve; lambda = 0 deflates the kernel."""
+    """Monolithic dense solve; lambda = 0 deflates the kernel.
+
+    The tests' reference for the per-mode solve (coarse grids only).
+    """
     lam = complex(p.lam)
     n2 = g.nx * g.ny
     A = dense_chs(p.xi_bar, g, params, bc="raw")
@@ -266,10 +266,8 @@ def _solve_dense(
         # the kernel, zeta in the mean and on the Nyquist lines, is also the
         # zeta rows' left kernel: adding its projector pins zeta off it
         M[:n2, :n2] += np.eye(n2) - _active_filter(g, mean_free=True)
-    try:
+    with _linalg_breakdown("the dense solve"):
         sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverBreakdown(f"linear-solver breakdown: {exc}") from exc
     return unpack_state(sol.real if _is_real(p) else sol, g)
 
 
@@ -277,42 +275,29 @@ def solve_resolvent(
     p: ResolventProblem,
     g: Grid,
     params: PhysicalParams,
-    method: str = "per_mode",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (lambda - A_CHS)(zeta, V) = (f1, f2).
-
-    Parameters
-    ----------
-    method : {"per_mode", "dense"}
-        ``per_mode`` (production) solves one bordered vertical system per
-        horizontal Fourier mode; ``dense`` assembles the monolithic
-        matrix (coarse grids only).
+    """Solve (lambda - A_CHS)(zeta, V) = (f1, f2), one bordered vertical
+    system per horizontal Fourier mode.
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
-    A singular block, or a relative residual not within :data:`LIN_TOL`,
-    raises :class:`SolverBreakdown`.  Returns real fields for real data at
-    real lambda and complex fields otherwise; for lambda = 0, zeta is
-    returned mean-free.
+    A singular block (named by its kx row), or a relative residual not
+    within :data:`LIN_TOL`, raises :class:`SolverBreakdown`.  Returns real
+    fields for real data at real lambda and complex fields otherwise; for
+    lambda = 0, zeta is returned mean-free.
     """
-    zeta, V, _ = _solve_checked(p, g, params, method)
+    zeta, V, _ = _solve_checked(p, g, params)
     return zeta, V
 
 
 def _solve_checked(
-    p: ResolventProblem, g: Grid, params: PhysicalParams,
-    method: str = "per_mode",
+    p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`solve_resolvent`, also returning the checked relative residual."""
     validate_field(p.f1, g)
     validate_field(p.f2, g)
     if complex(p.lam) == 0:
         _check_compatibility(p.f1, g)
-    if method == "per_mode":
-        zeta, V = _solve_per_mode(p, g, params)
-    elif method == "dense":
-        zeta, V = _solve_dense(p, g, params)
-    else:
-        raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
+    zeta, V = _solve_per_mode(p, g, params)
     res = resolvent_residual(complex(p.lam), zeta, V, p.f1, p.f2, p.xi_bar,
                              g, params)
     if not res <= LIN_TOL:
@@ -381,8 +366,8 @@ def solve_steady_decomposed(
     nonzero = k2 != 0.0
     k2_safe = np.where(nonzero, k2, 1.0)
     # per-mode elliptic blocks A_k with boundary rows, inverted once
-    inv = np.linalg.inv(mode_matrices(
-        vertical_lame_block(K, 1.0, g, params), K, g, 0.0, -1.0))
+    with _linalg_breakdown("the velocity recovery blocks"):
+        inv = np.linalg.inv(mode_matrices(K, 1.0, g, params, 0.0, -1.0))
 
     V, gz = np.zeros(f2.shape), 0.0  # from rest
     for it in range(PICARD_MAX_ITER):
@@ -449,12 +434,11 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     return U[:, s > 0.5 * s[0]]
 
 
-def _max_real_part(M: np.ndarray) -> tuple[float, float]:
-    """Max real part of the eigenvalues of M (or blocks) and its rounding."""
-    try:
+def _max_real_part(M: np.ndarray, where: str) -> tuple[float, float]:
+    """Max real part of the eigenvalues of M (or blocks) and its rounding;
+    ``where`` names M in a breakdown."""
+    with _linalg_breakdown(where):
         ev = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise SolverBreakdown(f"eigensolver breakdown: {exc}") from exc
     return ev.real.max(), M.shape[-1] * np.finfo(float).eps * np.abs(ev).max()
 
 
@@ -471,8 +455,9 @@ def spectral_bound(
     active horizontal modes (the k = 0 block restricted to its velocity
     part, which is the mean-free restriction); ``dense`` projects the
     dense reduced realization onto the mean-free active subspace.  Raises
-    :class:`SolverBreakdown` if an eigensolve fails or the computed bound
-    is not positive, or not resolved (within n eps max|lambda| of zero).
+    :class:`SolverBreakdown` if an eigensolve fails (naming its kx row or
+    block) or the computed bound is not positive, or not resolved (within
+    n eps max|lambda| of zero).
     """
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
     if method == "per_mode":
@@ -490,18 +475,18 @@ def spectral_bound(
         keep[0, 0] = False
         rho = column_density(params.model, xi_bar, g.z)
         A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
-        max_re, rounding = _max_real_part(A0)
+        max_re, rounding = _max_real_part(A0, "the k = 0 block")
         for row in np.flatnonzero(keep.any(axis=1)):
             kt = K[row, keep[row]]
             # A_CHS itself: shift 0, scale -1
             B = _bordered(S2 @ vertical_lame_block(kt, rho, g, params) @ R2,
                           kt, avg_row, 0.0, -1.0, xi_bar)
-            re, rd = _max_real_part(B)
+            re, rd = _max_real_part(B, f"mode row {row}")
             max_re, rounding = max(max_re, re), max(rounding, rd)
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
-        max_re, rounding = _max_real_part(Q.T @ A @ Q)
+        max_re, rounding = _max_real_part(Q.T @ A @ Q, "the dense block")
     else:
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
     eta0 = -max_re

@@ -152,6 +152,10 @@ class PhysicalParams:
                     "GeneralNoGravity requires a pressure law P and derivative P'"
                 )
             lo, hi = self.density_window
+            if not np.isfinite(hi):
+                raise ValueError(
+                    f"the density window [M1/2, 2*M2] must be finite, "
+                    f"got 2*M2 = {hi}")
             s = np.linspace(lo, hi, _PPRIME_SAMPLES)
             dp = np.asarray(self.pressure_derivative(s), dtype=float)
             if not (np.all(np.isfinite(dp)) and dp.min() > 0):

@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -181,6 +182,27 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
 
     assert cli.main(["simulate", cfg, "--output-dir", str(dir_flag)]) == 0
     assert (dir_flag / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ("simulate", "spectrum", "resolvent"))
+@pytest.mark.parametrize("source", ("--output-dir", cli.OUTPUT_DIR_ENV,
+                                    "the 'output_dir' key"))
+def test_output_dir_that_cannot_be_created_is_a_config_error(
+        tmp_path, monkeypatch, capsys, command, source):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    keyed = {"output_dir": out} if source.endswith("key") else {}
+    write = write_problem if command == "resolvent" else write_config
+    argv = [command, write(tmp_path, **keyed)]
+    if source == "--output-dir":
+        argv += ["--output-dir", out]
+    elif source == cli.OUTPUT_DIR_ENV:
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, out)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot create the output directory {out!r} given by "
+        f"{source}: Not a directory\n")
 
 
 def test_simulate_reports_terminal_status(tmp_path):
@@ -477,19 +499,56 @@ HOSTILE = [
     ({"params": {"mu": 1.0, "mu_prime": 1e300}}, (9, 9, 9)),
     ({"grid": {"nx": 2**40, "ny": 8, "nz": 5}}, (2, 2, 2)),
     ({"grid": {"nx": 8, "ny": 8, "nz": 10**9}}, (2, 2, 2)),
+    ({"params": {"mu": 1.0, "mu_prime": 1e308}}, (9, 9, 9)),
+    ({"params": {"mu": 1e308, "mu_prime": 0.5}}, (9, 9, 9)),
+    ({"params": {**ADMISSIBLE, "xi_bar": 1e-320}}, (2, 9, 9)),
+    ({"mode": GENERAL, "params": {**ADMISSIBLE, "M2": 1e308}}, (2, 2, 0)),
+    ({"params": {"mu": -1e308, "mu_prime": 0.5}}, (2, 9, 2)),
 ]
 HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
-               "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9")
+               "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9",
+               "mu_prime-1e308", "mu-1e308", "xi_bar-1e-320",
+               "general-M2-1e308", "mu--1e308")
 # the message that names the cause of an overflowing zeta row
 ZETA_ROW_OVERFLOW = ("operator breakdown: the zeta row overflows "
                      "(xi_bar * |k| exceeds the float range at "
                      "xi_bar = 1e+308)")
+DATA_OVERFLOW = "operator breakdown: the manufactured data overflow"
+DENSITY_WINDOW = ("config error: invalid params: the density window "
+                  "[M1/2, 2*M2] must be finite, got 2*M2 = inf")
 # (row, command) -> a line its standard error must hold
 HOSTILE_ERRORS = {
     ("xi_bar-1e308", "spectrum"): ZETA_ROW_OVERFLOW,
-    ("xi_bar-1e308", "resolvent"):
-        "operator breakdown: the manufactured data overflow",
+    ("xi_bar-1e308", "resolvent"): DATA_OVERFLOW,
+    ("mu_prime-1e308", "simulate"):
+        "operator breakdown: the Lame block overflows (mu = 1, "
+        "mu_prime = 1e+308, least column density 1)",
+    ("mu_prime-1e308", "spectrum"):
+        "operator breakdown: the symbol overflows (mu = 1, mu_prime = 1e+308)",
+    ("mu_prime-1e308", "resolvent"): DATA_OVERFLOW,
+    ("mu-1e308", "simulate"):
+        "operator breakdown: the Lame block overflows (mu = 1e+308, "
+        "mu_prime = 0.5, least column density 1)",
+    ("mu-1e308", "spectrum"):
+        "operator breakdown: the symbol overflows (mu = 1e+308, mu_prime = 0.5)",
+    ("mu-1e308", "resolvent"): DATA_OVERFLOW,
+    ("xi_bar-1e-320", "simulate"):
+        "config error: initial surface density leaves [M1, M2] = [0.5, 2.0]: "
+        "range [-0.05, 0.0401979]",
+    ("xi_bar-1e-320", "spectrum"):
+        "operator breakdown: the Lame block overflows (mu = 1, mu_prime = 0.5, "
+        "least column density 9.99989e-321)",
+    ("xi_bar-1e-320", "resolvent"): DATA_OVERFLOW,
+    ("general-M2-1e308", "simulate"): DENSITY_WINDOW,
+    ("general-M2-1e308", "spectrum"): DENSITY_WINDOW,
+    # an inadmissible pair is reported, but not as a -Infinity minimum
+    ("mu--1e308", "spectrum"):
+        "operator breakdown: the symbol overflows (mu = -1e+308, mu_prime = 0.5)",
 }
+# a breakdown's message starts by naming its cause
+BREAKDOWN_CAUSE = re.compile(
+    r"operator breakdown: |linear-algebra breakdown in [^:]+: "
+    r"|linear-solver breakdown: relative residual |spectral bound is not ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -515,9 +574,7 @@ def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys, row,
         if code == cli.EXIT_CONFIG:
             assert err.startswith("config error:")
         elif code == cli.EXIT_BREAKDOWN:
-            assert ("breakdown" in err
-                    or "spectral bound is not positive" in err
-                    or "spectral bound is not resolved" in err)
+            assert len(err.splitlines()) == 1 and BREAKDOWN_CAUSE.match(err)
         if (out / "diagnostics.csv").exists():
             rows = diagnostics.read_diagnostics_csv(
                 str(out / "diagnostics.csv"))

@@ -347,8 +347,8 @@ def test_mode_matrices_border_and_boundary_rows():
     K = mode_wavevectors(g)
     A = vertical_lame_block(K, 1.0, g, params)
     shift, scale, xi_bar = 0.5 + 2j, 0.3, 1.7
-    bordered = mode_matrices(A, K, g, shift, scale, xi_bar=xi_bar)
-    plain = mode_matrices(A, K, g, 2.0, scale)
+    bordered = mode_matrices(K, 1.0, g, params, shift, scale, xi_bar=xi_bar)
+    plain = mode_matrices(K, 1.0, g, params, 2.0, scale)
     assert bordered.shape == (6, 6, 1 + 2 * nz, 1 + 2 * nz)
     assert plain.shape == (6, 6, 2 * nz, 2 * nz) and plain.dtype == float
     for ix, iy in np.ndindex(6, 6):

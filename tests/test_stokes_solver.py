@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cpelab import stokes_solver
+from cpelab.evolve import Stepper
 from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     SolverBreakdown,
@@ -111,8 +112,8 @@ def test_per_mode_and_dense_methods_agree():
         g = make_grid(*shape)
         for lam in (1j, 0.0):
             problem, _, _ = manufactured_resolvent_problem(lam, g, params)
-            z1, V1 = solve_resolvent(problem, g, params, method="per_mode")
-            z2, V2 = solve_resolvent(problem, g, params, method="dense")
+            z1, V1 = solve_resolvent(problem, g, params)
+            z2, V2 = stokes_solver._solve_dense(problem, g, params)
             assert np.max(np.abs(z1 - z2)) < 1e-9
             assert np.max(np.abs(V1 - V2)) < 1e-9
 
@@ -142,6 +143,57 @@ def test_unresolved_nyquist_data_raises_honest_breakdown(setup):
     f2 = np.zeros((g.nx, g.ny, g.nz, 2))
     with pytest.raises(SolverBreakdown, match="breakdown"):
         solve_resolvent(ResolventProblem(0.0, f1, f2), g, params)
+
+
+def _run_stepper(g, params, problem):
+    return Stepper("GlobalGamma1", g, params, 1e-2)
+
+
+def _run_resolvent(g, params, problem):
+    return solve_resolvent(problem, g, params)
+
+
+def _run_spectral_bound(g, params, problem):
+    return spectral_bound(g, params)
+
+
+def _run_steady(g, params, problem):
+    return solve_steady_decomposed(problem.f1, problem.f2, g, params)
+
+
+# (numpy.linalg function, the call of it that fails, solver, lambda, the
+# row or block the breakdown must name)
+LINALG_FAILURES = [
+    ("inv", 3, _run_stepper, 1.0, "mode row 2"),
+    ("solve", 2, _run_resolvent, 1.0, "mode row 1"),
+    ("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block"),
+    ("eigvals", 2, _run_spectral_bound, 1.0, "mode row 0"),
+    ("inv", 1, _run_steady, 0.0, "the velocity recovery blocks"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,nth,run,lam,where", LINALG_FAILURES,
+    ids=("stepper", "resolvent", "bound-k0", "bound-row", "steady"))
+def test_linear_algebra_failure_names_its_row_or_block(monkeypatch, name,
+                                                       nth, run, lam, where):
+    g = make_grid(8, 8, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    problem, _, _ = manufactured_resolvent_problem(lam, g, params)
+    original = getattr(np.linalg, name)
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == nth:
+            raise np.linalg.LinAlgError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, fails_once)
+    with pytest.raises(SolverBreakdown) as info:
+        run(g, params, problem)
+    assert str(info.value) == f"linear-algebra breakdown in {where}: injected"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_decomposed_steady_matches_monolithic(setup):
@@ -340,9 +392,8 @@ def test_dense_solve_keeps_complex_data_at_real_lambda():
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
     problem, zeta_true, V_true = manufactured_resolvent_problem(2.0, g, params)
     c = 1.0 + 1.0j
-    zeta, V = solve_resolvent(
-        ResolventProblem(2.0, c * problem.f1, c * problem.f2), g, params,
-        method="dense")
+    zeta, V = stokes_solver._solve_dense(
+        ResolventProblem(2.0, c * problem.f1, c * problem.f2), g, params)
     assert np.iscomplexobj(zeta) and np.iscomplexobj(V)
     scale = np.sqrt(l2_norm(zeta_true, g) ** 2 + l2_norm(V_true, g) ** 2)
     err = np.sqrt(l2_norm(zeta - c * zeta_true, g) ** 2
