@@ -441,14 +441,7 @@ def _cmd_spectrum(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir, run["output_dir"])
     report = operators.symbol_ellipticity_report(mu, mu_prime)
 
-    csv_path = os.path.join(out_dir, "symbol_eigs.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k1,k2,lam1,lam2\n")
-        for (k1, k2), lam1, lam2 in zip(report.k.tolist(),
-                                        report.lam1.tolist(),
-                                        report.lam2.tolist()):
-            fh.write(f"{k1},{k2},{lam1:.17g},{lam2:.17g}\n")
-
+    # eta0 first: a breakdown there (exit 9) leaves no output behind
     min_symbol_eig = min(report.min_lam1, report.min_lam2)
     eta0 = explanation = None
     if report.ok:
@@ -459,6 +452,14 @@ def _cmd_spectrum(args) -> int:
             f"symbol not parameter-elliptic: min eigenvalue "
             f"{min_symbol_eig:.6g} <= 0 at k_H = {report.argmin_k} "
             f"(requires mu > 0 and mu + mu_prime > 0)")
+
+    csv_path = os.path.join(out_dir, "symbol_eigs.csv")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k1,k2,lam1,lam2\n")
+        for (k1, k2), lam1, lam2 in zip(report.k.tolist(),
+                                        report.lam1.tolist(),
+                                        report.lam2.tolist()):
+            fh.write(f"{k1},{k2},{lam1:.17g},{lam2:.17g}\n")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "spectrum",

@@ -453,8 +453,10 @@ def spectral_bound(
     A_CHS is taken at ``xi_bar``, which defaults to ``params.xi_bar``.
     ``per_mode`` takes the union of the per-mode eigenvalues over the
     active horizontal modes (the k = 0 block restricted to its velocity
-    part, which is the mean-free restriction); ``dense`` projects the
-    dense reduced realization onto the mean-free active subspace.  Raises
+    part, which is the mean-free restriction), eigensolving one mode of
+    each four (+-kx, +-ky), since the reflections map each block exactly
+    to its conjugate or to a sign similarity of it; ``dense`` projects
+    the dense reduced realization onto the mean-free active subspace.  Raises
     :class:`SolverBreakdown` if an eigensolve fails (naming its kx row or
     block) or the computed bound is not positive, or not resolved (within
     n eps max|lambda| of zero).
@@ -465,12 +467,14 @@ def spectral_bound(
         S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
         avg_row = g.wz @ R
         K = mode_wavevectors(g)
-        # The block at -k is the complex conjugate of the block at k and
-        # has the conjugate eigenvalues, so one mode of each +-k pair is
-        # solved: (ix, iy) when it is not after (-ix, -iy) in row order.
+        # The block at -k is the complex conjugate of the block at k, and
+        # the block at (kx, -ky) is D B D with D = diag(1, (1, -1) per
+        # level): the same products with flipped signs.  Both have the
+        # eigenvalues of B (conjugated), so one mode of each four is
+        # solved, kx >= 0 and ky >= 0.  zgeev rounds a few reflected
+        # blocks apart (~1e-12 relative), never yet at the maximum.
         ix, iy = np.indices((g.nx, g.ny))
-        mx, my = -ix % g.nx, -iy % g.ny
-        keep = g.active_mask & ((ix < mx) | ((ix == mx) & (iy <= my)))
+        keep = g.active_mask & (ix <= g.nx // 2) & (iy <= g.ny // 2)
         # k = 0: the velocity part alone is the mean-free restriction
         keep[0, 0] = False
         rho = column_density(params.model, xi_bar, g.z)

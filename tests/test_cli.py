@@ -642,6 +642,18 @@ def test_spectrum_inadmissible_is_reported_not_rejected(tmp_path):
         assert (out / "symbol_eigs.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_breakdown_in_the_bound_writes_nothing(tmp_path, capsys):
+    # the symbol is admissible, but the Lame blocks of the bound overflow
+    cfg = write_config(tmp_path, params={**ADMISSIBLE, "xi_bar": 1e-320})
+    out = tmp_path / "spectrum_out"
+    assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 9
+    assert capsys.readouterr().err.splitlines() == [
+        HOSTILE_ERRORS["xi_bar-1e-320", "spectrum"]]
+    assert not (out / "symbol_eigs.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 INADMISSIBLE = {"mu": -1.0, "mu_prime": 0.5}
 
 

@@ -16,6 +16,7 @@ from cpelab.evolve import Stepper
 from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     SolverBreakdown,
+    _bordered,
     mode_wavevectors,
     vertical_lame_block,
     vertical_reduction,
@@ -30,7 +31,7 @@ from cpelab.stokes_solver import (
     solve_steady_decomposed,
     spectral_bound,
 )
-from cpelab.transforms import PhysicalParams
+from cpelab.transforms import PhysicalParams, column_density
 
 LAMBDAS = (0.0, 1.0, 1j, 10j, 100j)
 
@@ -300,18 +301,20 @@ def test_mean_free_active_basis_spans_the_filter_projector():
     assert np.max(np.abs(Q @ Q.T - P)) <= 1e-12
 
 
-def full_spectrum_max_re(g, params, xi_bar=1.0):
+def full_spectrum_max_re(g, params):
     """Largest real part over every active mode, one mode at a time."""
     S, R = vertical_reduction(g)
     S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
     avg_row = g.wz @ R
     K = mode_wavevectors(g)
+    xi_bar = params.xi_bar
+    rho = column_density(params.model, xi_bar, g.z)
     m = 2 * (g.nz - 2)
     idx = np.arange(m // 2)
     best = -np.inf
     for ix, iy in zip(*np.nonzero(g.active_mask)):
         kt = K[ix, iy]
-        Ak = S2 @ vertical_lame_block(kt, xi_bar, g, params) @ R2
+        Ak = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
         if ix == 0 and iy == 0:
             best = max(best, np.linalg.eigvals(Ak).real.max())
             continue
@@ -324,12 +327,80 @@ def full_spectrum_max_re(g, params, xi_bar=1.0):
     return best
 
 
-@pytest.mark.parametrize("n", (8, 16))
-@pytest.mark.parametrize("mu,mu_prime", ((1.0, 1.0), (0.7, -0.3)))
-def test_spectral_bound_half_spectrum_is_the_full_maximum(n, mu, mu_prime):
-    g = make_grid(n, n, 9)
-    params = PhysicalParams(mu=mu, mu_prime=mu_prime)
+# (nx, ny, nz, model, xi_bar, mu, mu_prime); the last is operators32's
+# spectrum, whose oracle takes about a second
+BOUND_ORACLE_CASES = [
+    pytest.param(n, n, 9, "Gamma1", 1.0, mu, mu_prime,
+                 id=f"{mu}-{mu_prime}-{n}")
+    for n in (8, 16) for mu, mu_prime in ((1.0, 1.0), (0.7, -0.3))
+] + [
+    pytest.param(8, 12, 7, "Gamma2", 1.0, 1.0, 0.5, id="8x12x7-Gamma2"),
+    pytest.param(12, 8, 7, "Gamma2", 1.3, 0.7, -0.3,
+                 id="12x8x7-Gamma2-xi1.3"),
+    pytest.param(12, 8, 7, "Gamma1", 1.3, 1.0, 1.0, id="12x8x7-xi1.3"),
+    pytest.param(16, 16, 9, "Gamma2", 1.3, 1.0, 1.0, id="16-Gamma2-xi1.3"),
+    pytest.param(32, 32, 17, "Gamma1", 1.0, 1.1250954666046669,
+                 0.9229103507271816, id="operators32"),
+]
+
+
+@pytest.mark.parametrize("nx,ny,nz,model,xi_bar,mu,mu_prime",
+                         BOUND_ORACLE_CASES)
+def test_spectral_bound_half_spectrum_is_the_full_maximum(
+        nx, ny, nz, model, xi_bar, mu, mu_prime):
+    # one mode of each four is eigensolved, and no bit of eta0 moves
+    g = make_grid(nx, ny, nz)
+    params = PhysicalParams(mu=mu, mu_prime=mu_prime, model=model,
+                            xi_bar=xi_bar)
     assert spectral_bound(g, params) == -full_spectrum_max_re(g, params)
+
+
+def bound_blocks(kt, g, params):
+    """The bordered blocks of A_CHS that ``spectral_bound`` eigensolves."""
+    S, R = vertical_reduction(g)
+    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+    rho = column_density(params.model, params.xi_bar, g.z)
+    vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+    return _bordered(vel, kt, g.wz @ R, 0.0, -1.0, params.xi_bar)
+
+
+@pytest.mark.parametrize("params", (
+    PhysicalParams(mu=1.0, mu_prime=0.5),
+    PhysicalParams(mu=0.7, mu_prime=-0.3, model="Gamma2", xi_bar=1.3),
+), ids=("Gamma1", "Gamma2"))
+def test_ky_reflection_is_a_sign_similarity_of_the_blocks(params):
+    # the block at (kx, -ky) is D B D with D = diag(1, (1, -1) per level),
+    # entry for entry, so both have the same eigenvalues.  zgeev does not
+    # round every such pair alike: at Gamma1 (1, 0.5) the max Re of 8 of
+    # the 224 modes differs in its last bits (2.7e-12 relative, OpenBLAS
+    # 0.3.31).  The bits of eta0 are pinned by the full-spectrum oracle.
+    g = make_grid(16, 16, 9)
+    K = mode_wavevectors(g)
+    d = np.concatenate([[1.0], np.tile([1.0, -1.0], g.nz - 2)])
+    reflected = -np.arange(g.ny) % g.ny
+    for row in range(g.nx):
+        B = bound_blocks(K[row], g, params)
+        assert np.array_equal(B[reflected], d[:, None] * B * d[None, :])
+        ev = np.linalg.eigvals(B)
+        for stat in (ev.real.max(axis=-1), np.abs(ev).max(axis=-1)):
+            assert np.allclose(stat[reflected], stat, rtol=1e-11, atol=0.0)
+
+
+def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
+    g = make_grid(16, 16, 9)
+    original = np.linalg.eigvals
+    shapes = []
+
+    def counted(M):
+        shapes.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    spectral_bound(g, PhysicalParams(mu=1.0, mu_prime=0.5))
+    # the k = 0 velocity block, then rows kx = 0..7 of ky = 0..7 without
+    # k = 0 and the Nyquist lines: 63 bordered blocks where 112 make the
+    # +-k half
+    assert shapes == [(14, 14), (7, 15, 15)] + [(8, 15, 15)] * 7
 
 
 def loop_solve_per_mode(problem, g, params):
