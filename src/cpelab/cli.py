@@ -356,9 +356,20 @@ def _resolve_output_dir(flag_value, config_value) -> str:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Around a write of the output file ``path``: an ``OSError`` (a
+    directory of that name, say) is a config error that names the file."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output file {path!r}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _write_summary(out_dir: str, payload: dict) -> str:
     path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -373,7 +384,8 @@ def _cmd_simulate(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir, cfg.output_dir)
     result = evolve.run_simulation(cfg)
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    diagnostics.write_diagnostics_csv(result.rows, csv_path)
+    with _writing(csv_path):
+        diagnostics.write_diagnostics_csv(result.rows, csv_path)
 
     rows = np.asarray(result.rows)
     final = dict(zip(diagnostics.COLUMNS, (float(v) for v in rows[-1])))
@@ -454,7 +466,8 @@ def _cmd_spectrum(args) -> int:
             f"(requires mu > 0 and mu + mu_prime > 0)")
 
     csv_path = os.path.join(out_dir, "symbol_eigs.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with (_writing(csv_path),
+          open(csv_path, "w", encoding="utf-8", newline="") as fh):
         fh.write("k1,k2,lam1,lam2\n")
         for (k1, k2), lam1, lam2 in zip(report.k.tolist(),
                                         report.lam1.tolist(),
@@ -511,8 +524,9 @@ def _cmd_resolvent(args) -> int:
         truth_error = float(np.sqrt(l2_norm(zeta - zeta_true, g) ** 2
                                     + l2_norm(V - V_true, g) ** 2) / scale)
 
-    np.save(os.path.join(out_dir, "zeta.npy"), zeta)
-    np.save(os.path.join(out_dir, "V.npy"), V)
+    for name, field in (("zeta.npy", zeta), ("V.npy", V)):
+        with _writing(os.path.join(out_dir, name)) as path:
+            np.save(path, field)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "resolvent",

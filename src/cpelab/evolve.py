@@ -406,16 +406,13 @@ class Stepper:
         self.rho0 = rho0[..., None]
         self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
         xi_bar = params.xi_bar if coupled else None
-        # the implicit operator rho_star - dt L on the half-spectrum,
-        # inverted one kx row of modes at a time
+        # the implicit operator rho_star - dt L on the half-spectrum, built
+        # in one call and inverted in place one kx row of modes at a time
         K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
-        n = 2 * g.nz + coupled
-        self._inv = np.empty(K.shape[:2] + (n, n),
-                             dtype=complex if coupled else float)
+        self._inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
         for ix in range(g.nx):
-            M = mode_matrices(K[ix], 1.0, g, params, self.rho_star, dt, xi_bar)
             with _linalg_breakdown(f"mode row {ix}"):
-                self._inv[ix] = np.linalg.inv(M)
+                self._inv[ix] = np.linalg.inv(self._inv[ix])
 
     # -- helpers ------------------------------------------------------------
 

@@ -100,16 +100,21 @@ def inverse_jacobian(gradX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise 2x2 inverse and determinant of a Jacobian field.
 
     Z = (1/det)[[d, -b], [-c, a]] for gradX = [[a, b], [c, d]].  Raises if
-    the determinant vanishes (or is nonpositive) anywhere: an
-    orientation-reversing or singular map is outside the regime where the
-    Lagrangian formulation is meaningful.
+    the determinant vanishes (or is nonpositive) anywhere, or overflows
+    on a finite gradX: an orientation-reversing, singular or overflowing
+    map is outside the regime where the Lagrangian formulation is
+    meaningful.  A gradX that is not finite is left to the caller's
+    blowup check.
     """
     gradX = np.asarray(gradX, dtype=float)
     a = gradX[..., 0, 0]
     b = gradX[..., 0, 1]
     c = gradX[..., 1, 0]
     d = gradX[..., 1, 1]
-    det = a * d - b * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * d - b * c
+    if np.all(np.isfinite(gradX)) and not np.all(np.isfinite(det)):
+        raise ValueError("singular Jacobian: det overflows the float range")
     if np.any(det <= 1e-14):
         raise ValueError(
             f"singular Jacobian: min det = {det.min()} (must stay positive)")

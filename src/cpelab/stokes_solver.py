@@ -219,16 +219,20 @@ def _solve_per_mode(
     """Mode-by-mode bordered solve of (lambda - A_CHS) U = F.
 
     Real data at real lambda is solved on the half-spectrum ky >= 0, any
-    other problem on every mode.  The modes are solved one kx row at a
-    time, so only one row of the bordered blocks is held at once.
+    other problem on every mode.  The blocks at (-kx, ky) and (kx, -ky)
+    are D M D, entry for entry, with D flipping the sign of the x or the y
+    velocity unknowns.  So each block with kx, ky >= 0 (built one kx row at
+    a time) also solves its reflections, their data and solutions flipped
+    by D.
     """
     lam = complex(p.lam)
     real = _is_real(p)
     dtype = float if real else complex
     rhs = _pack_modes(np.asarray(p.f2, dtype=dtype),
-                      np.asarray(p.f1, dtype=dtype))[..., None]
+                      np.asarray(p.f1, dtype=dtype))
     nk = rhs.shape[1]
-    K = mode_wavevectors(g)[:, :nk]
+    iy = np.arange(g.ny // 2 + 1)
+    K = mode_wavevectors(g)[:, iy]
     pin = np.zeros((g.nx, nk), dtype=bool)
     if lam == 0:
         # zeta is the normalized mean (or a Nyquist artifact): pin it to
@@ -237,14 +241,23 @@ def _solve_per_mode(
         pin[0, 0] = True
         rhs[pin, 0] = 0.0
     rho = column_density(params.model, p.xi_bar, g.z)
+    j = np.arange(rhs.shape[-1])  # zeta, then (x, y) per level
+    x, y = j % 2 == 1, (j % 2 == 0) & (j > 0)
+    flips = (np.zeros_like(x), x, y, x | y)[:2 if real else 4]
     sol = np.empty_like(rhs)
-    for ix in range(g.nx):
+    for ix in range(g.nx // 2 + 1):
         M = mode_matrices(K[ix], rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
-        M[pin[ix], 0, :] = 0.0
-        M[pin[ix], 0, 0] = 1.0
+        M[pin[ix, iy], 0, :] = 0.0
+        M[pin[ix, iy], 0, 0] = 1.0
+        jx, jy = -ix % g.nx, -iy % g.ny
+        at = ((ix, iy), (jx, iy), (ix, jy), (jx, jy))
+        b = [np.where(f, -rhs[m], rhs[m]) for m, f in zip(at, flips)]
         with _linalg_breakdown(f"mode row {ix}"):
-            sol[ix] = np.linalg.solve(M, rhs[ix])
-    return _unpack_modes(sol[..., 0], g, real)
+            u = np.linalg.solve(M, np.stack(b, axis=-1))
+        # a mode that is its own reflection keeps the direct solve, last
+        for c in reversed(range(len(flips))):
+            sol[at[c]] = np.where(flips[c], -u[..., c], u[..., c])
+    return _unpack_modes(sol, g, real)
 
 
 def _solve_dense(

@@ -205,6 +205,44 @@ def test_output_dir_that_cannot_be_created_is_a_config_error(
         f"{source}: Not a directory\n")
 
 
+@pytest.mark.parametrize("command,name", [
+    ("simulate", "diagnostics.csv"), ("simulate", "summary.json"),
+    ("spectrum", "symbol_eigs.csv"), ("spectrum", "summary.json"),
+    ("resolvent", "zeta.npy"), ("resolvent", "V.npy"),
+    ("resolvent", "summary.json"),
+])
+def test_output_file_that_cannot_be_written_is_a_config_error(
+        tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    write = write_problem if command == "resolvent" else write_config
+    assert cli.main([command, write(tmp_path), "--output-dir",
+                     str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write the output file "
+        f"{str(out / name)!r}: Is a directory\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ("LocalGamma1", "LocalGamma2",
+                                  "GlobalGamma1", GENERAL))
+def test_overflowing_jacobian_is_a_flow_map_exit(tmp_path, capsys, mode):
+    # one step of dt = 1e300 takes the flow map's Jacobian past the float
+    # range; its determinant must not reach a warning or a traceback
+    params = {"mu": 1.0, "mu_prime": 0.5, "xi_bar": 1.0}
+    if mode == GENERAL:
+        params["pressure"] = {"law": "tanh"}
+    cfg = write_config(tmp_path, mode=mode, params=params, dt=1e300,
+                       t_end=1e300, amplitude=0.2)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", cfg, "--output-dir", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("flow map degenerated: singular Jacobian: det overflows the "
+            "float range") in captured.out.splitlines()
+    assert read_summary(out)["status"] == "map_noninvertible"
+
+
 def test_simulate_reports_terminal_status(tmp_path):
     cfg = write_config(
         tmp_path, mode="GlobalGamma1", preset="fourier_perturbation",

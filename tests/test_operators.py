@@ -371,6 +371,80 @@ def test_mode_matrices_border_and_boundary_rows():
         assert np.array_equal(plain[ix, iy], ref_plain)
 
 
+def kron_lame_block(kt, rho, g, params):
+    """The Lame blocks as one Kronecker formula broadcast over every mode,
+    as they were built before the k-independent part was shared."""
+    def kron(A, B):
+        out = A[..., :, None, :, None] * B[..., None, :, None, :]
+        return out.reshape(out.shape[:-4] + (A.shape[-2] * B.shape[-2],
+                                             A.shape[-1] * B.shape[-1]))
+
+    kt = np.asarray(kt, dtype=float)
+    k2 = kt[..., None, :] @ kt[..., :, None]
+    kk = kt[..., :, None] * kt[..., None, :]
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = np.broadcast_to(rho, g.z.shape)
+    a = np.diag(wH / rho)
+    vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
+    I2 = np.eye(2)
+    return (-params.mu * k2 * kron(a, I2) + params.mu * kron(vert, I2)
+            - params.mu_prime * kron(a, kk))
+
+
+def kron_mode_matrices(kt, rho, g, params, shift, scale, xi_bar=None):
+    """:func:`mode_matrices` from :func:`kron_lame_block`, bordered and
+    given boundary rows over whole blocks."""
+    nz = g.nz
+    kt = np.asarray(kt, dtype=float)
+    M = shift * np.eye(2 * nz) - scale * kron_lame_block(kt, rho, g, params)
+    off = 0
+    if xi_bar is not None:
+        B = np.zeros(M.shape[:-2] + (1 + 2 * nz,) * 2, dtype=complex)
+        B[..., 0, 0] = shift
+        B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
+                         * g.wz[:, None]).reshape(kt.shape[:-1] + (2 * nz,))
+        B[..., 1:, 0] = np.tile(scale * 1j * kt, nz)
+        B[..., 1:, 1:] = M
+        M, off = B, 1
+    comp = np.arange(2)
+    top = off + 2 * (nz - 1) + comp
+    bot = off + comp
+    M[..., top, :] = 0.0
+    M[..., top, top] = 1.0
+    M[..., bot, :] = 0.0
+    M[..., bot[:, None], off + 2 * np.arange(nz) + comp[:, None]] = g.Dz[0]
+    return M
+
+
+@pytest.mark.parametrize("params", all_model_params(),
+                         ids=lambda p: p.model)
+def test_block_builders_keep_the_bytes_of_the_kronecker_formula(params):
+    # the shared template and the per-mode entries give every entry the
+    # bits of the whole-block formula, the sign of each zero included
+    rng = np.random.default_rng(18)
+    for nx, ny, nz in ((8, 12, 5), (12, 8, 7)):
+        g = make_grid(nx, ny, nz)
+        K = mode_wavevectors(g)
+        stacks = [K[1, 3], K[0, 0], K[3], K[:, 2], K,
+                  rng.uniform(-40.0, 40.0, (3, 4, 2))]
+        rho = column_density(params.model, 1.3, g.z)
+        # (shift, scale, xi_bar): the implicit step's local and coupled
+        # blocks, the resolvent's and the steady recovery's
+        systems = ((0.8, 0.05, None), (1.0, 0.02, 1.0),
+                   (0.5 + 2j, 1.0, 1.3), (37j, 1.0, 0.7), (0.0, -1.0, None))
+        for kt in stacks:
+            for r in (1.0, rho):
+                assert (vertical_lame_block(kt, r, g, params).tobytes()
+                        == kron_lame_block(kt, r, g, params).tobytes())
+                for shift, scale, xi_bar in systems:
+                    got = mode_matrices(kt, r, g, params, shift, scale,
+                                        xi_bar)
+                    want = kron_mode_matrices(kt, r, g, params, shift,
+                                              scale, xi_bar)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_vertical_reduction_properties():
     g = make_grid(4, 4, 9)
     S, R = vertical_reduction(g)

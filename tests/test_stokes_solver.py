@@ -17,6 +17,9 @@ from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     SolverBreakdown,
     _bordered,
+    _pack_modes,
+    _unpack_modes,
+    mode_matrices,
     mode_wavevectors,
     vertical_lame_block,
     vertical_reduction,
@@ -456,6 +459,88 @@ def test_batched_resolvent_matches_mode_loop(setup, lam, factor):
     z_ref, V_ref = loop_solve_per_mode(problem, g, params)
     for got, ref in ((zeta, z_ref), (V, V_ref)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def row_solve_per_mode(p, g, params):
+    """The per-mode solve with one factorization per mode, one kx row of
+    blocks at a time: the reference of the paired solve."""
+    lam = complex(p.lam)
+    real = stokes_solver._is_real(p)
+    dtype = float if real else complex
+    rhs = _pack_modes(np.asarray(p.f2, dtype=dtype),
+                      np.asarray(p.f1, dtype=dtype))[..., None]
+    nk = rhs.shape[1]
+    K = mode_wavevectors(g)[:, :nk]
+    pin = np.zeros((g.nx, nk), dtype=bool)
+    if lam == 0:
+        pin = ~g.active_mask[:, :nk]
+        pin[0, 0] = True
+        rhs[pin, 0] = 0.0
+    rho = column_density(params.model, p.xi_bar, g.z)
+    sol = np.empty_like(rhs)
+    for ix in range(g.nx):
+        M = mode_matrices(K[ix], rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
+        M[pin[ix], 0, :] = 0.0
+        M[pin[ix], 0, 0] = 1.0
+        sol[ix] = np.linalg.solve(M, rhs[ix])
+    return _unpack_modes(sol[..., 0], g, real)
+
+
+@pytest.mark.parametrize("shape", ((8, 12, 5), (12, 8, 7), (16, 8, 9)),
+                         ids=str)
+def test_paired_solve_keeps_the_bits_of_the_row_solve(shape):
+    # one factorization serves (+-kx, +-ky): D solve(M, D b) has the bits
+    # of solve(D M D, b), and + 0.0 gives the flipped zeros their sign
+    g = make_grid(*shape)
+    params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=1.2)
+    rng = np.random.default_rng(18)
+    for lam in (0.0, 3.7, 37j, 0.5 + 2j):
+        manufactured, _, _ = manufactured_resolvent_problem(lam, g, params)
+        f1 = dealias(rng.standard_normal((g.nx, g.ny)), g)
+        f2 = dealias(rng.standard_normal((g.nx, g.ny, g.nz, 2)), g)
+        f2[:, :, [0, -1], :] = 0.0
+        for base in ((manufactured.f1, manufactured.f2), (f1 - f1.mean(), f2)):
+            for factor in (1.0, 1.0 - 0.5j):
+                p = ResolventProblem(lam, factor * base[0], factor * base[1],
+                                     xi_bar=params.xi_bar)
+                got = stokes_solver._solve_per_mode(p, g, params)
+                want = row_solve_per_mode(p, g, params)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+
+def test_paired_solve_of_zero_data_is_zero():
+    # the only difference from the row solve: zeros may change sign
+    g = make_grid(8, 12, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    for lam in (0.0, 3.7, 37j):
+        p = ResolventProblem(lam, np.zeros((g.nx, g.ny)),
+                             np.zeros((g.nx, g.ny, g.nz, 2)))
+        for a, b in zip(stokes_solver._solve_per_mode(p, g, params),
+                        row_solve_per_mode(p, g, params)):
+            assert np.array_equal(a, b) and not np.any(a)
+
+
+def test_paired_solve_factorizes_one_block_per_reflection_class(monkeypatch):
+    g = make_grid(16, 8, 9)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    original = np.linalg.solve
+    shapes = []
+
+    def counted(M, b):
+        shapes.append((M.shape, b.shape))
+        return original(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for lam, columns in ((3.7, 2), (37j, 4)):
+        shapes.clear()
+        problem, _, _ = manufactured_resolvent_problem(lam, g, params)
+        stokes_solver._solve_per_mode(problem, g, params)
+        # rows kx = 0..8 of ky = 0..4, each block solved for the
+        # right-hand sides of its reflections
+        n = 1 + 2 * g.nz
+        assert shapes == [((5, n, n), (5, n, columns))] * 9
 
 
 def test_dense_solve_keeps_complex_data_at_real_lambda():
