@@ -390,15 +390,12 @@ def _cmd_simulate(args) -> int:
     rows = np.asarray(result.rows)
     final = dict(zip(diagnostics.COLUMNS, (float(v) for v in rows[-1])))
     decay = None
-    if (result.status == "completed" and cfg.preset != "steady"
-            and rows.shape[0] >= 12):
-        try:
+    if result.status == "completed" and cfg.preset != "steady":
+        with contextlib.suppress(ValueError):
             fit = diagnostics.fit_decay_rate(
                 rows[:, 0], rows[:, diagnostics.COLUMNS.index("v_l2")])
             decay = {"eta": fit.eta, "r_squared": fit.r_squared,
                      "n_tail": fit.n_tail, "t_start": fit.t_start}
-        except ValueError:
-            decay = None
     fp = result.fp_iterations
     fp_stats = ({"min": min(fp), "mean": sum(fp) / len(fp), "max": max(fp)}
                 if fp else None)
@@ -519,10 +516,9 @@ def _cmd_resolvent(args) -> int:
 
     zeta, V, residual = stokes_solver._solve_checked(problem, g, params)
     if rhs_kind == "manufactured":
-        scale = max(np.sqrt(l2_norm(zeta_true, g) ** 2
-                            + l2_norm(V_true, g) ** 2), 1e-300)
-        truth_error = float(np.sqrt(l2_norm(zeta - zeta_true, g) ** 2
-                                    + l2_norm(V - V_true, g) ** 2) / scale)
+        scale = max(stokes_solver._state_norm(zeta_true, V_true, g), 1e-300)
+        truth_error = float(stokes_solver._state_norm(
+            zeta - zeta_true, V - V_true, g) / scale)
 
     for name, field in (("zeta.npy", zeta), ("V.npy", V)):
         with _writing(os.path.join(out_dir, name)) as path:
@@ -619,6 +615,10 @@ def main(argv=None) -> int:
     except operators.SolverBreakdown as exc:
         print(exc, file=sys.stderr)
         return EXIT_BREAKDOWN
+    except KeyboardInterrupt:
+        # 128 + SIGINT, the status a shell reports for an interrupted Python
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -134,9 +134,6 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
     contributes the Jacobian determinant.  Gamma1 fields live in the
     stretched vertical coordinate, where its energy identity holds.
     """
-    if np.min(zeta_full) <= 0:
-        raise ValueError(
-            f"nonpositive density (min {np.min(zeta_full):.3e})")
     det = fm.detX
     det3 = det[:, :, None]
     wH, wZ = lame_weights(params.model, g.z)

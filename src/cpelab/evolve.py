@@ -536,6 +536,8 @@ def check_run_value(key: str, value) -> None:
     elif key in ("dt", "t_end"):
         if not value > 0:
             raise ValueError(f"{key} must be positive, got {value}")
+        if not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
     elif key == "output_every":
         if value < 1:
             raise ValueError(f"output_every must be >= 1, got {value}")
@@ -581,6 +583,9 @@ class RunConfig:
         if self.t_end < self.dt:
             raise ValueError(
                 f"t_end={self.t_end} is shorter than one step dt={self.dt}")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got "
+                             f"t_end={self.t_end}, dt={self.dt}")
         if self.preset != "steady" and not self.amplitude > 0:
             raise ValueError(
                 f"preset {self.preset!r} needs amplitude > 0, "

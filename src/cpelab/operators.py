@@ -479,47 +479,6 @@ def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k2, kt[..., :, None] * kt[..., None, :]
 
 
-def _lame_parts(kt: np.ndarray, rho, g: Grid, params: PhysicalParams):
-    """The blocks of L / rho at the modes ``kt`` in two parts, each entry
-    with the bits of the whole-block Kronecker formula.  Off the level
-    diagonal a block does not depend on kt, save the sign of its zeros,
-    which follows the sign of kx ky: ``T`` (2, 2 nz, 2 nz) holds the blocks
-    at kt = (0, +0) and (0, -0) with zeros on that diagonal, and ``cls``
-    picks one per mode.  ``D`` (..., nz, 2, 2) holds the diagonal 2 x 2
-    blocks."""
-    k2, kk = _symbol_parts(kt)
-    k2s, kks = _symbol_parts(np.array([[0.0, 0.0], [0.0, -0.0]]))
-    wH, wZ = lame_weights(params.model, g.z)
-    rho = np.broadcast_to(rho, g.z.shape)
-    I2 = np.eye(2)
-
-    def lame(k2, a_I2, vert_I2, a_kk):
-        return (-params.mu * k2 * a_I2 + params.mu * vert_I2
-                - params.mu_prime * a_kk)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.diag(wH / rho)
-        vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
-        T = lame(k2s, _kron(a, I2), _kron(vert - np.diag(np.diag(vert)), I2),
-                 _kron(a, kks))
-        a, v = np.diag(a)[:, None, None], np.diag(vert)[:, None, None]
-        D = lame(k2[..., None, :, :], a * I2, v * I2, a * kk[..., None, :, :])
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(D))):
-        raise SolverBreakdown(
-            f"operator breakdown: the Lame block overflows (mu = "
-            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
-            f"column density {rho.min():.6g})")
-    return T, np.signbit(kk[..., 0, 1]).astype(np.intp), D
-
-
-def _assemble(T, cls, D) -> np.ndarray:
-    """The blocks ``T[cls]`` with ``D`` on their level diagonal."""
-    M = T[cls]
-    i = 2 * np.arange(D.shape[-3])[:, None] + np.arange(2)
-    M[..., i[:, :, None], i[:, None, :]] = D
-    return M
-
-
 def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
                         params: PhysicalParams) -> np.ndarray:
     """Vertical blocks of L / rho at horizontal modes ``kt``.
@@ -533,9 +492,30 @@ def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
     flattened as (iz, comp) C-order, without boundary handling (combine
     with :func:`vertical_reduction` for eigensolves; :func:`mode_matrices`
     builds them for solves).  A single (2,) wave vector gives a single
-    block.  Blocks that overflow raise :class:`SolverBreakdown`.
+    block.  Blocks that overflow raise :class:`SolverBreakdown`.  Off the
+    level diagonal every block is mu kron(vert, I2), built once and
+    copied; only the 2 x 2 level-diagonal blocks are made per mode.
     """
-    return _assemble(*_lame_parts(kt, rho, g, params))
+    k2, kk = _symbol_parts(kt)
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = np.broadcast_to(rho, g.z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (wH / rho)[:, None, None]
+        vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
+        v = np.diag(vert)[:, None, None]
+        T = params.mu * _kron(vert - np.diag(np.diag(vert)), np.eye(2))
+        D = (-params.mu * k2[..., None, :, :] * (a * np.eye(2))
+             + params.mu * (v * np.eye(2))
+             - params.mu_prime * (a * kk[..., None, :, :]))
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(D))):
+        raise SolverBreakdown(
+            f"operator breakdown: the Lame block overflows (mu = "
+            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
+            f"column density {rho.min():.6g})")
+    M = np.broadcast_to(T, D.shape[:-3] + T.shape).copy()
+    i = 2 * np.arange(g.nz)[:, None] + np.arange(2)
+    M[..., i[:, :, None], i[:, None, :]] = D
+    return M
 
 
 def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
@@ -574,16 +554,13 @@ def mode_matrices(
     """Per-mode matrices of shift - scale * A_CHS with boundary rows replaced.
 
     The viscous part is ``vertical_lame_block(kt, rho, g, params)`` at the
-    wave vectors ``kt`` (..., 2), whose shared part (:func:`_lame_parts`)
-    is shifted and scaled once.  With ``xi_bar`` the matrices act on
+    wave vectors ``kt`` (..., 2).  With ``xi_bar`` the matrices act on
     (zeta-hat, V-hat(z)), see :func:`_bordered`; without it on V-hat(z)
     alone, shape (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at
     z = 1 and the bottom rows d_z V = 0 at z = 0.
     """
     nz = g.nz
-    T, cls, D = _lame_parts(kt, rho, g, params)
-    M = _assemble(shift * np.eye(2 * nz) - scale * T, cls,
-                  shift * np.eye(2) - scale * D)
+    M = shift * np.eye(2 * nz) - scale * vertical_lame_block(kt, rho, g, params)
     off = 0
     if xi_bar is not None:
         M, off = _bordered(M, kt, g.wz, shift, scale, xi_bar), 1

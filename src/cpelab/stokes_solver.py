@@ -134,6 +134,19 @@ def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
             f"(|int f1| = {mean:.3e}, ||f1|| = {scale:.3e})")
 
 
+def _state_norm(zeta: np.ndarray, V: np.ndarray, g: Grid):
+    """sqrt(||zeta||^2 + ||V||^2), the norm of a state (zeta, V)."""
+    return np.sqrt(l2_norm(zeta, g) ** 2 + l2_norm(V, g) ** 2)
+
+
+def _shifted_chs(lam: complex, zeta: np.ndarray, V: np.ndarray,
+                 xi_bar: float, g: Grid, params: PhysicalParams):
+    """The two rows of (lambda - A_CHS)(zeta, V), boundary layers raw."""
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
+    return (lam * zeta + xi_bar * div_h(vertical_average(V, g), g),
+            lam * V - AV + grad_h(zeta, g)[:, :, None, :])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def resolvent_residual(
     lam: complex,
@@ -151,13 +164,10 @@ def resolvent_residual(
     the boundary residuals V|_{z=1} and d_z V|_{z=0}.  A norm that
     overflows gives an inf or nan residual.
     """
-    r1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g) - f1
-    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
-    r2 = _replace_bc_rows(
-        lam * V - AV + grad_h(zeta, g)[:, :, None, :] - f2, V, g)
-    scale = max(np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2), 1e-300)
-    res = np.sqrt(l2_norm(r1, g) ** 2 + l2_norm(r2, g) ** 2)
-    return float(res / scale)
+    r1, r2 = _shifted_chs(lam, zeta, V, xi_bar, g, params)
+    r2 = _replace_bc_rows(r2 - f2, V, g)
+    scale = max(_state_norm(f1, f2, g), 1e-300)
+    return float(_state_norm(r1 - f1, r2, g) / scale)
 
 
 def manufactured_resolvent_problem(
@@ -191,14 +201,14 @@ def manufactured_resolvent_problem(
         V = V * (1.0 - 0.25j)
     xi_bar = params.xi_bar
     with np.errstate(over="ignore", invalid="ignore"):
-        AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
-        f1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
-        f2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :]
-    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+        f1, f2 = _shifted_chs(lam, zeta, V, xi_bar, g, params)
+        f2[:, :, -1, :] = 0.0
+        f2[:, :, 0, :] = 0.0
+        # the solve transforms the data, whose sums may overflow too
+        finite = all(np.all(np.isfinite(_fft_h(f))) for f in (f1, f2))
+    if not finite:
         raise SolverBreakdown(
             "operator breakdown: the manufactured data overflow")
-    f2[:, :, -1, :] = 0.0
-    f2[:, :, 0, :] = 0.0
     if lam.imag == 0.0:
         f1 = f1.real
         f2 = f2.real
@@ -298,8 +308,7 @@ def solve_resolvent(
     fields for real data at real lambda and complex fields otherwise; for
     lambda = 0, zeta is returned mean-free.
     """
-    zeta, V, _ = _solve_checked(p, g, params)
-    return zeta, V
+    return _solve_checked(p, g, params)[:2]
 
 
 def _solve_checked(
@@ -583,7 +592,7 @@ def imaginary_axis_resolvent_sweep(
             prob = ResolventProblem(lam=lam, f1=f1, f2=f2,
                                     xi_bar=params.xi_bar)
             zeta, V = solve_resolvent(prob, g, params)
-            fn = np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2)
+            fn = _state_norm(f1, f2, g)
             ratio = (l2_norm(zeta, g) + abs(complex(lam)) * l2_norm(V, g)
                      + _h2_seminorms(V, g)) / fn
             worst = max(worst, float(ratio))

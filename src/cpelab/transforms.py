@@ -115,8 +115,8 @@ class PhysicalParams:
         density.
     pressure, pressure_derivative : callable, optional
         The pressure law P and its derivative P' (``GeneralNoGravity``
-        only); P', sampled on [M1/2, 2*M2], must be finite and positive,
-        so that it lies between two positive constants there.
+        only); sampled on [M1/2, 2*M2], P must be finite and P' finite
+        and positive, so that P' lies between two positive constants there.
     """
 
     mu: float
@@ -157,13 +157,15 @@ class PhysicalParams:
                     f"the density window [M1/2, 2*M2] must be finite, "
                     f"got 2*M2 = {hi}")
             s = np.linspace(lo, hi, _PPRIME_SAMPLES)
-            dp = np.asarray(self.pressure_derivative(s), dtype=float)
-            if not (np.all(np.isfinite(dp)) and dp.min() > 0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = np.asarray(self.pressure(s), dtype=float)
+                dp = np.asarray(self.pressure_derivative(s), dtype=float)
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))
+                    and dp.min() > 0):
                 raise ValueError(
-                    "pressure derivative must be finite and positive on the "
-                    f"sampled interval [{lo}, {hi}]: "
-                    f"range [{dp.min()}, {dp.max()}]"
-                )
+                    "pressure derivative must be finite and positive, and the "
+                    f"pressure finite, on the sampled interval [{lo}, {hi}]: "
+                    f"range [{dp.min()}, {dp.max()}]")
 
     @property
     def density_window(self) -> tuple[float, float]:

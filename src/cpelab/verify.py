@@ -125,10 +125,8 @@ def _verify_steady_decomposed(tol_scale: float, mutation):
     g, params, problem, z_mono, V_mono, _ = _manufactured_solve(0.0)
     z_dec, V_dec = stokes_solver.solve_steady_decomposed(
         problem.f1, problem.f2, g, params)
-    err = np.sqrt(l2_norm(z_dec - z_mono, g) ** 2
-                  + l2_norm(V_dec - V_mono, g) ** 2)
-    scale = max(np.sqrt(l2_norm(z_mono, g) ** 2
-                        + l2_norm(V_mono, g) ** 2), 1e-300)
+    err = stokes_solver._state_norm(z_dec - z_mono, V_dec - V_mono, g)
+    scale = max(stokes_solver._state_norm(z_mono, V_mono, g), 1e-300)
     rel = float(err / scale)
     ok = rel <= 1e-7 * tol_scale
     return ok, f"decomposed vs monolithic rel err {rel:.2e}"

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,9 +121,12 @@ RUN_KEY_RULES = [
     ({"tolerances": {"fp_tol": 0}},
      "tolerance 'fp_tol' must be finite and positive, got 0.0", 20),
     ({"output_every": 0}, "output_every must be >= 1, got 0", 19),
+    ({"dt": float("inf"), "t_end": float("inf")}, "dt must be finite, got inf",
+     14),
+    ({"t_end": float("inf")}, "t_end must be finite, got inf", 15),
 ]
 RUN_KEY_IDS = ("dt-negative", "t_end-zero", "amplitude-inf", "amplitude-nan",
-               "fp_tol-zero", "output_every-zero")
+               "fp_tol-zero", "output_every-zero", "dt-inf", "t_end-inf")
 
 
 def assert_config_error(capsys, needle, line):
@@ -475,6 +479,9 @@ def test_schema_version_mismatch(tmp_path, capsys):
     ({"seed": -1}, "'seed' must be non-negative, got -1", 18),
     *PRESSURE_CASES,
     *RUN_KEY_RULES,
+    # a step count that overflows
+    ({"t_end": 1e308}, "t_end / dt must be finite", None),
+    ({"dt": 1e-320}, "t_end / dt must be finite", None),
 ]))
 def test_invalid_values_exit_2(tmp_path, capsys, overrides, needle, line):
     cfg = write_config(tmp_path, **overrides)
@@ -542,11 +549,13 @@ HOSTILE = [
     ({"params": {**ADMISSIBLE, "xi_bar": 1e-320}}, (2, 9, 9)),
     ({"mode": GENERAL, "params": {**ADMISSIBLE, "M2": 1e308}}, (2, 2, 0)),
     ({"params": {"mu": -1e308, "mu_prime": 0.5}}, (2, 9, 2)),
+    ({"mode": GENERAL, "params": {**ADMISSIBLE, "pressure": {
+        "law": "linear", "c": 1e308}}}, (2, 2, 2)),
 ]
 HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
                "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9",
                "mu_prime-1e308", "mu-1e308", "xi_bar-1e-320",
-               "general-M2-1e308", "mu--1e308")
+               "general-M2-1e308", "mu--1e308", "general-c-1e308")
 # the message that names the cause of an overflowing zeta row
 ZETA_ROW_OVERFLOW = ("operator breakdown: the zeta row overflows "
                      "(xi_bar * |k| exceeds the float range at "
@@ -554,6 +563,9 @@ ZETA_ROW_OVERFLOW = ("operator breakdown: the zeta row overflows "
 DATA_OVERFLOW = "operator breakdown: the manufactured data overflow"
 DENSITY_WINDOW = ("config error: invalid params: the density window "
                   "[M1/2, 2*M2] must be finite, got 2*M2 = inf")
+PRESSURE_OVERFLOW = ("config error: invalid params: pressure derivative must "
+                     "be finite and positive, and the pressure finite, on the "
+                     "sampled interval [0.25, 4.0]: range [1e+308, 1e+308]")
 # (row, command) -> a line its standard error must hold
 HOSTILE_ERRORS = {
     ("xi_bar-1e308", "spectrum"): ZETA_ROW_OVERFLOW,
@@ -579,6 +591,8 @@ HOSTILE_ERRORS = {
     ("xi_bar-1e-320", "resolvent"): DATA_OVERFLOW,
     ("general-M2-1e308", "simulate"): DENSITY_WINDOW,
     ("general-M2-1e308", "spectrum"): DENSITY_WINDOW,
+    ("general-c-1e308", "simulate"): PRESSURE_OVERFLOW,
+    ("general-c-1e308", "spectrum"): PRESSURE_OVERFLOW,
     # an inadmissible pair is reported, but not as a -Infinity minimum
     ("mu--1e308", "spectrum"):
         "operator breakdown: the symbol overflows (mu = -1e+308, mu_prime = 0.5)",
@@ -629,6 +643,122 @@ def test_overflowing_zeta_row_of_a_random_resolvent_names_its_cause(
                      str(tmp_path / "out")]) == cli.EXIT_BREAKDOWN
     err = capsys.readouterr().err
     assert err.splitlines() == [ZETA_ROW_OVERFLOW]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_manufactured_data_whose_transform_overflows_name_their_cause(
+        tmp_path, capsys):
+    # finite data, but the sums of their horizontal transform overflow
+    problem = write_problem(tmp_path, grid={"nx": 8, "ny": 8, "nz": 5},
+                            lam=1e308)
+    assert cli.main(["resolvent", problem, "--output-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_BREAKDOWN
+    assert capsys.readouterr().err.splitlines() == [DATA_OVERFLOW]
+
+
+# The generated sweep: each key path of the schema set to each hostile
+# value, through simulate and spectrum in three modes and through resolvent.
+HOSTILE_VALUES = (None, True, "x", [], {}, 0, -1, 10**30, 1e308, -1e308,
+                  float("nan"), float("inf"), float("-inf"), 1e30, 1e-320)
+SWEEP_MODES = ("LocalGamma1", "GlobalGamma1", GENERAL)
+# the step counts that overflow, always swept
+STEP_COUNT_ROWS = [{"t_end": float("inf")}, {"t_end": 1e308}, {"dt": 1e-320},
+                   {"dt": float("inf"), "t_end": float("inf")}]
+CFL_ADVISORY = "advective CFL advisory"
+
+
+def schema_paths(top, nested):
+    """Key paths of the keys ``top`` and of each nested object's keys."""
+    paths = [(key,) for key in sorted(top)]
+    for prefix, keys in nested:
+        paths += [prefix + (key,) for key in sorted(keys)]
+    return paths
+
+
+def hostile_sweep(sample):
+    """``(command, overrides, path, value)`` cases: the step-count rows and
+    a fixed-seed sample of ``sample`` key paths set to hostile values."""
+    run_paths = schema_paths(cli._RUN_KEYS, [
+        (("grid",), cli._GRID_KEYS), (("params",), cli._PARAM_KEYS),
+        (("params", "pressure"), cli._PRESSURE_KEYS),
+        (("tolerances",), cli._TOLERANCE_KEYS)])
+    problem_paths = schema_paths(cli._RESOLVENT_KEYS, [
+        (("grid",), cli._GRID_KEYS), (("params",), cli._PARAM_KEYS)])
+    fixed, cases = [], []
+    for mode in SWEEP_MODES:
+        params = dict(ADMISSIBLE)
+        if mode == GENERAL:
+            params["pressure"] = {"law": "linear", "c": 1.0}
+        base = {"mode": mode, "params": params}
+        for command in ("simulate", "spectrum"):
+            fixed += [(command, {**base, **row}, None, None)
+                      for row in STEP_COUNT_ROWS]
+            cases += [(command, base, path, value) for path in run_paths
+                      for value in HOSTILE_VALUES]
+    cases += [("resolvent", {}, path, value) for path in problem_paths
+              for value in HOSTILE_VALUES]
+    pick = np.random.default_rng(19).choice(len(cases), sample, replace=False)
+    return fixed + [cases[i] for i in sorted(pick)]
+
+
+def swept_file(tmp_path, command, overrides, path, value):
+    """The config or problem file of a sweep case, or None for a run that
+    asks for more than 1000 steps: a request, not a fault."""
+    write = write_problem if command == "resolvent" else write_config
+    name = write(tmp_path, grid={"nx": 8, "ny": 8, "nz": 5}, **overrides)
+    with open(name, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if path is not None:
+        inner = obj
+        for key in path[:-1]:
+            inner = inner.setdefault(key, {})
+        inner[path[-1]] = value
+    dt, t_end = obj.get("dt"), obj.get("t_end")
+    if (command == "simulate"
+            and all(type(v) in (int, float) for v in (dt, t_end))
+            and dt > 0 and 1000 < t_end / dt < float("inf")):
+        return None
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return name
+
+
+def test_generated_hostile_sweep_ends_with_documented_codes(tmp_path, capsys):
+    codes = readme_exit_codes()
+    for i, case in enumerate(hostile_sweep(800)):
+        name = swept_file(tmp_path, *case)
+        if name is None:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main([case[0], name, "--output-dir",
+                                 str(tmp_path / f"out{i}")])
+            except Exception as exc:
+                pytest.fail(f"{case} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in codes, (case, code, err)
+        assert "Traceback" not in err, case
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)
+                    and CFL_ADVISORY not in str(w.message)], case
+
+
+def test_interrupt_prints_one_line_and_exits_130(tmp_path, capsys,
+                                                 monkeypatch):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evolve, "run_simulation", interrupted)
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["simulate", write_config(tmp_path), "--output-dir",
+                         str(out)])
+    except KeyboardInterrupt:  # would otherwise stop the whole test run
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (out / "summary.json").exists()
 
 
 # ---------------------------------------------------------------------------

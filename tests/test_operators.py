@@ -8,9 +8,12 @@ closed-form eigenvalues and dense 2x2 eigensolves.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cpelab import evolve, operators, stokes_solver
 from cpelab.grid import (
     _ddx,
     _ddy,
@@ -372,8 +375,7 @@ def test_mode_matrices_border_and_boundary_rows():
 
 
 def kron_lame_block(kt, rho, g, params):
-    """The Lame blocks as one Kronecker formula broadcast over every mode,
-    as they were built before the k-independent part was shared."""
+    """The Lame blocks as one Kronecker formula broadcast over every mode."""
     def kron(A, B):
         out = A[..., :, None, :, None] * B[..., None, :, None, :]
         return out.reshape(out.shape[:-4] + (A.shape[-2] * B.shape[-2],
@@ -419,8 +421,10 @@ def kron_mode_matrices(kt, rho, g, params, shift, scale, xi_bar=None):
 @pytest.mark.parametrize("params", all_model_params(),
                          ids=lambda p: p.model)
 def test_block_builders_keep_the_bytes_of_the_kronecker_formula(params):
-    # the shared template and the per-mode entries give every entry the
-    # bits of the whole-block formula, the sign of each zero included
+    # the shared off-diagonal part and the per-mode level-diagonal blocks
+    # give every nonzero entry the bits of the whole-block formula; the
+    # sign of a zero is not kept, and no output depends on it (see the
+    # tests below)
     rng = np.random.default_rng(18)
     for nx, ny, nz in ((8, 12, 5), (12, 8, 7)):
         g = make_grid(nx, ny, nz)
@@ -434,15 +438,88 @@ def test_block_builders_keep_the_bytes_of_the_kronecker_formula(params):
                    (0.5 + 2j, 1.0, 1.3), (37j, 1.0, 0.7), (0.0, -1.0, None))
         for kt in stacks:
             for r in (1.0, rho):
-                assert (vertical_lame_block(kt, r, g, params).tobytes()
-                        == kron_lame_block(kt, r, g, params).tobytes())
+                assert np.array_equal(vertical_lame_block(kt, r, g, params),
+                                      kron_lame_block(kt, r, g, params))
                 for shift, scale, xi_bar in systems:
                     got = mode_matrices(kt, r, g, params, shift, scale,
                                         xi_bar)
                     want = kron_mode_matrices(kt, r, g, params, shift,
                                               scale, xi_bar)
                     assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes()
+                    assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def kron_blocks(monkeypatch):
+    """Once called, every Lame block is built by :func:`kron_lame_block`,
+    and every per-mode system by :func:`kron_mode_matrices`."""
+    def use_kron():
+        for module in (operators, stokes_solver):
+            monkeypatch.setattr(module, "vertical_lame_block", kron_lame_block)
+        for module in (stokes_solver, evolve):
+            monkeypatch.setattr(module, "mode_matrices", kron_mode_matrices)
+    return use_kron
+
+
+def test_spectral_bound_keeps_the_bits_of_the_kronecker_blocks(kron_blocks):
+    rng = np.random.default_rng(19)
+    configs = []
+    for params in all_model_params():
+        for xi_bar in (1.0, 1.3):
+            for nx, ny, nz in ((6, 6, 5), (8, 6, 5), (8, 8, 7), (6, 10, 5),
+                               (10, 8, 5), (8, 12, 7), (12, 8, 5)):
+                mu = float(rng.uniform(0.3, 2.0))
+                mu_prime = float(rng.uniform(-0.5 * mu, 2.0))
+                configs.append((make_grid(nx, ny, nz), xi_bar,
+                                dataclasses.replace(params, mu=mu,
+                                                    mu_prime=mu_prime)))
+    assert len(configs) >= 40
+    got = [stokes_solver.spectral_bound(g, p, xi_bar)
+           for g, xi_bar, p in configs]
+    kron_blocks()
+    want = [stokes_solver.spectral_bound(g, p, xi_bar)
+            for g, xi_bar, p in configs]
+    assert got == want
+
+
+def test_per_mode_solves_keep_the_bytes_of_the_kronecker_blocks(kron_blocks):
+    rng = np.random.default_rng(19)
+    problems = []
+    for nx, ny, nz in ((8, 12, 5), (12, 8, 7)):
+        g = make_grid(nx, ny, nz)
+        for params in all_model_params():
+            f1 = rng.standard_normal((nx, ny))
+            f1 -= f1.mean()
+            f2 = rng.standard_normal((nx, ny, nz, 2))
+            # with zero data the solution is all zeros, whose signs must
+            # match too
+            for data in ((f1, f2), (0 * f1, 0 * f2)):
+                for lam in (0.0, 3.7, 37j, 0.5 + 2j):
+                    problems.append((stokes_solver.ResolventProblem(
+                        lam, *data, xi_bar=1.3), g, params))
+    got = [stokes_solver._solve_per_mode(*case) for case in problems]
+    kron_blocks()
+    for (zeta, V), case in zip(got, problems):
+        zeta_k, V_k = stokes_solver._solve_per_mode(*case)
+        assert zeta.tobytes() == zeta_k.tobytes()
+        assert V.tobytes() == V_k.tobytes()
+
+
+@pytest.mark.parametrize("mode", evolve.EVOLUTION_MODES)
+def test_stepper_inverses_equal_those_of_the_kronecker_blocks(kron_blocks,
+                                                              mode):
+    params = {p.model: p for p in all_model_params()}[evolve.MODE_MODEL[mode]]
+    grids = [make_grid(8, 8, 5), make_grid(12, 8, 7)]
+    zeta0 = [None if mode == "GlobalGamma1" else smooth_xi0(g) for g in grids]
+
+    def inverses():
+        return [evolve.Stepper(mode, g, params, 0.02, zeta0=z)._inv
+                for g, z in zip(grids, zeta0)]
+
+    got = inverses()
+    kron_blocks()
+    for inv, want in zip(got, inverses()):
+        assert np.array_equal(inv, want)
 
 
 def test_vertical_reduction_properties():
