@@ -293,6 +293,7 @@ def parse_run_config(path: str) -> evolve.RunConfig:
         try:
             cfg = evolve.RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz,
                                    params=params, **kwargs)
+            vars(cfg)["grid"] = g  # the cached grid: no second make_grid
             # the preset's initial density must be positive, and in the
             # local modes lie in [M1, M2]
             evolve.initial_state(cfg, g)

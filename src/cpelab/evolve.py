@@ -30,6 +30,8 @@ the failure to the hypothesis that broke.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +48,8 @@ from .grid import (
     Grid,
     _ddx,
     _ddy,
+    _fft_h,
+    _ifft_h,
     _multiplier,
     dealias as dealias_field,
     div_h,
@@ -141,7 +145,8 @@ class LagrangianState:
     the frozen linearization baseline of the local modes (``None`` for the
     global mode).  ``dtV`` is the previous step's velocity increment per
     unit time, used to lag the time-derivative term of the momentum
-    remainder; ``None`` means "treat as zero" (first step).
+    remainder; ``None`` means "treat as zero" (first step).  grad_H Vbar
+    is kept once taken (``dataclasses.replace`` drops it).
     """
 
     mode: str
@@ -151,6 +156,8 @@ class LagrangianState:
     t: float
     zeta0: np.ndarray | None = None
     dtV: np.ndarray | None = None
+    _dVbar: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_run_value("mode", self.mode)
@@ -176,6 +183,14 @@ def full_surface_density(state: LagrangianState,
     if state.mode == "GlobalGamma1":
         return params.xi_bar + state.zeta
     return state.zeta
+
+
+def _mean_velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
+    """grad_H of the depth average of ``state.V``, taken once per state."""
+    if state._dVbar is None:
+        object.__setattr__(state, "_dVbar",
+                           grad_h_vec(vertical_average(state.V, g), g))
+    return state._dVbar
 
 
 def _grad2(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -241,8 +256,7 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
     Z = state.fm.Z
     ZmI = Z - np.eye(2)
     zf = full_surface_density(state, params)
-    Vbar = vertical_average(state.V, g)
-    dVbar = grad_h_vec(Vbar, g)
+    dVbar = _mean_velocity_gradient(state, g)
     div_bar = dVbar[..., 0, 0] + dVbar[..., 1, 1]
     colon_bar = np.einsum("abik,abki->ab", dVbar, ZmI)
     if state.mode == "GlobalGamma1":
@@ -284,8 +298,8 @@ def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
 def _first_and_second_derivatives(V: np.ndarray, g: Grid):
     """``dV[i, m] = d_m V_i`` and ``H[i, n, m] = d_n d_m V_i`` of a real V.
 
-    Both come from one ``rfft2`` of V, as products with the first-derivative
-    multipliers, and go back in one batched ``irfft2``.
+    Both come from one ``_fft_h`` of V, as products with the first-derivative
+    multipliers, and go back in one batched ``_ifft_h``.
     """
     nx, ny, nz = V.shape[:3]
     kx = _multiplier(g.ikx, 0, 2, False)
@@ -293,9 +307,8 @@ def _first_and_second_derivatives(V: np.ndarray, g: Grid):
     # per mode: d_x, d_y, then d_n d_m with (n, m) in C order
     k = np.stack(np.broadcast_arrays(kx, ky, kx * kx, kx * ky, ky * kx,
                                      ky * ky), axis=-1)[:, :, None, None]
-    spec = np.fft.rfft2(V, axes=(0, 1))[..., None] * k
-    out = np.fft.irfft2(spec.reshape(spec.shape[:3] + (12,)), s=(nx, ny),
-                        axes=(0, 1)).reshape(nx, ny, nz, 2, 6)
+    spec = (_fft_h(V)[..., None] * k).reshape(nx, ny // 2 + 1, nz, 12)
+    out = _ifft_h(spec, g, True).reshape(nx, ny, nz, 2, 6)
     return out[..., :2], out[..., 2:].reshape(nx, ny, nz, 2, 2, 2)
 
 
@@ -406,13 +419,18 @@ class Stepper:
         self.rho0 = rho0[..., None]
         self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
         xi_bar = params.xi_bar if coupled else None
-        # the implicit operator rho_star - dt L on the half-spectrum, built
-        # in one call and inverted in place one kx row of modes at a time
+        # the implicit operator rho_star - dt L on the half-spectrum, built in
+        # one call and inverted in place one row kx >= 0 at a time; the block
+        # at -kx is D M D, D negating the x-velocity unknowns
         K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
         self._inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
-        for ix in range(g.nx):
+        for ix in range(g.nx // 2 + 1):
             with _linalg_breakdown(f"mode row {ix}"):
                 self._inv[ix] = np.linalg.inv(self._inv[ix])
+        sign = np.ones(self._inv.shape[-1])
+        sign[-2 * g.nz::2] = -1.0
+        rows = np.arange(g.nx // 2 + 1, g.nx)
+        self._inv[rows] = self._inv[g.nx - rows] * np.outer(sign, sign)
 
     # -- helpers ------------------------------------------------------------
 
@@ -446,10 +464,14 @@ class Stepper:
             # the real inverse acts on the real and imaginary parts at once
             sol = self._inv @ rh.view(float).reshape(shape)
             V_new = _unpack_modes(sol.view(complex)[..., 0], self.g, True)
-            change = float(np.max(np.abs(V_new - Vm)))
+            change = float(np.abs(V_new - Vm).max())
             Vm = V_new
             if change <= self.fp_tol * scale:
                 return Vm, it
+            if not math.isfinite(change):
+                raise BlowupDetected(
+                    f"non-finite implicit momentum iterate at iteration {it}:"
+                    f" the explicit remainder F2 overflows the solve")
         raise ImplicitSolveFailed(
             f"implicit momentum fixed point did not converge in "
             f"{self.fp_max_iter} iterations (last change {change:.3e})")
@@ -480,36 +502,54 @@ class Stepper:
 
     # -- one IMEX step -------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, state: LagrangianState) -> LagrangianState:
-        """Advance the state by ``dt`` and re-check its invariants."""
+        """Advance the state by ``dt`` and re-check its invariants; an
+        overflow ends the step as :class:`BlowupDetected`, not a warning."""
         if state.mode != self.mode:
             raise ValueError(f"stepper built for {self.mode}, got {state.mode}")
         g, params, dt = self.g, self.params, self.dt
-        if self.mode == "GlobalGamma1":
-            F2 = nonlinearity_F2(state, state.dtV, g, params, dealias=False)
-            F1 = nonlinearity_F1(state, g, params, dealias=False)
+        coupled = self.mode == "GlobalGamma1"
+        F2 = _finite("F2", nonlinearity_F2(state, state.dtV, g, params,
+                                           dealias=not coupled))
+        if coupled:
+            F1 = _finite("F1", nonlinearity_F1(state, g, params,
+                                               dealias=False))
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
-            Vbar_new = vertical_average(V_new, g)
         else:
-            F2 = nonlinearity_F2(state, state.dtV, g, params)
             V_new, iterations = self._solve_momentum(state.V, F2)
-            mid = dataclasses.replace(state, V=V_new)
-            F1 = nonlinearity_F1(mid, g, params)
-            Vbar_new = vertical_average(V_new, g)
-            lin = state.zeta0 * div_h(Vbar_new, g)
+        # grad_H Vbar_new, taken once: the continuity divergence (its trace),
+        # F1 at V_new, the flow-map advance and the next step's F1 read it
+        mid = dataclasses.replace(state, V=V_new)
+        dVbar = _mean_velocity_gradient(mid, g)
+        if not coupled:
+            F1 = _finite("F1", nonlinearity_F1(mid, g, params))
+            lin = state.zeta0 * (dVbar[..., 0, 0] + dVbar[..., 1, 1])
             if self.mode == "LocalGamma2":
                 lin = lin + _depth_moment(div_h(V_new, g), g)
             zeta_new = state.zeta + dt * (F1 - lin)
         try:
-            fm_new = advance_flow_lagrangian(state.fm, Vbar_new, g, dt)
+            fm_new = advance_flow_lagrangian(
+                state.fm, vertical_average(V_new, g), g, dt, dVbar=dVbar)
         except ValueError as exc:  # the new Jacobian is singular
             raise MapNonInvertible(f"flow map degenerated: {exc}") from exc
         self._check_state(zeta_new, V_new, fm_new)
-        if self.mode != "GlobalGamma1":
+        if not coupled:
             self.fp_iterations.append(iterations)
-        return LagrangianState(
+        new = LagrangianState(
             mode=self.mode, zeta=zeta_new, V=V_new, fm=fm_new,
             t=state.t + dt, zeta0=state.zeta0, dtV=(V_new - state.V) / dt)
+        object.__setattr__(new, "_dVbar", dVbar)
+        return new
+
+
+def _finite(name: str, F: np.ndarray) -> np.ndarray:
+    """``F``, unless the explicit remainder ``name`` overflowed."""
+    if not np.all(np.isfinite(F)):
+        raise BlowupDetected(
+            f"non-finite explicit remainder {name}: its nonlinear terms "
+            f"overflow")
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +641,11 @@ class RunConfig:
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_end / self.dt)))
+
+    @functools.cached_property
+    def grid(self) -> Grid:
+        """The run's grid, built once per config."""
+        return make_grid(self.nx, self.ny, self.nz)
 
 
 @dataclass(frozen=True)
@@ -698,7 +743,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     dissipation integral is accumulated with the trapezoid rule every step.
     Terminal conditions end the run early with the matching status.
     """
-    g = make_grid(cfg.nx, cfg.ny, cfg.nz)
+    g = cfg.grid
     params = cfg.params
     state = initial_state(cfg, g)
     stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0,

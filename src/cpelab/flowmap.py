@@ -220,7 +220,8 @@ def advance_flow(fm: FlowMap, vbar: np.ndarray, g: Grid, dt: float) -> FlowMap:
 
 
 def advance_flow_lagrangian(
-    fm: FlowMap, Vbar: np.ndarray, g: Grid, dt: float
+    fm: FlowMap, Vbar: np.ndarray, g: Grid, dt: float,
+    dVbar: np.ndarray | None = None,
 ) -> FlowMap:
     """Euler update with the mean Lagrangian velocity Vbar(y_H) = vbar(X(y_H)).
 
@@ -229,14 +230,15 @@ def advance_flow_lagrangian(
     (grad_H vbar) circ X = (grad_y Vbar) Z, giving
     gradX_new = (I + dt (grad_y Vbar) Z) gradX.  This is the frozen-
     coefficient update applied inside each IMEX step with the newly
-    computed velocity.
+    computed velocity; ``dVbar`` is grad_y Vbar, if the caller has it.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if validate_field(Vbar, g) != "vector2d":
         raise ValueError("advance_flow_lagrangian expects a 2D vector field")
     disp = fm.disp + dt * Vbar
-    gvZ = np.einsum("...ik,...kj->...ij", grad_h_vec(Vbar, g), fm.Z)
+    gvZ = np.einsum("...ik,...kj->...ij",
+                    grad_h_vec(Vbar, g) if dVbar is None else dVbar, fm.Z)
     gradX = fm.gradX + dt * np.einsum("...ik,...kj->...ij", gvZ, fm.gradX)
     Z, det = inverse_jacobian(gradX)
     return FlowMap(disp=disp, gradX=gradX, Z=Z, detX=det)

@@ -339,18 +339,18 @@ def _ddy(f: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _fft_h(f: np.ndarray) -> np.ndarray:
-    """Horizontal transform: the ``rfft2`` half-spectrum (ky >= 0) of a
-    real field, the full ``fft2`` of a complex one."""
+    """The ``rfft2`` half-spectrum (ky >= 0) of a real field, the ``fft2`` of
+    a complex one: their one-axis transforms, y then x, without their cost."""
     if np.iscomplexobj(f):
-        return np.fft.fft2(f, axes=(0, 1))
-    return np.fft.rfft2(f, axes=(0, 1))
+        return np.fft.fft(np.fft.fft(f, axis=1), axis=0)
+    return np.fft.fft(np.fft.rfft(f, axis=1), axis=0)
 
 
 def _ifft_h(fh: np.ndarray, g: Grid, real: bool) -> np.ndarray:
     """Inverse of :func:`_fft_h`; ``real`` says the field was real."""
     if real:
-        return np.fft.irfft2(fh, s=(g.nx, g.ny), axes=(0, 1))
-    return np.fft.ifft2(fh, axes=(0, 1))
+        return np.fft.irfft(np.fft.ifft(fh, axis=0), n=g.ny, axis=1)
+    return np.fft.ifft(np.fft.ifft(fh, axis=1), axis=0)
 
 
 def grad_h(f: np.ndarray, g: Grid) -> np.ndarray:

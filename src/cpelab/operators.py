@@ -577,13 +577,13 @@ def mode_matrices(
 def _pack_modes(V: np.ndarray, zeta: np.ndarray | None = None) -> np.ndarray:
     """Per-mode right-hand sides of the blocks of :func:`mode_matrices`.
 
-    The :func:`cpelab.grid._fft_h` spectrum (half for real fields) of V,
-    with the boundary levels zeroed, shape (nx, nk, 2 nz), or of (zeta, V)
-    with zeta-hat first; the modes are ``mode_wavevectors(g)[:, :nk]``.
+    The :func:`cpelab.grid._fft_h` spectrum (half for real fields) of V's
+    interior levels, boundary levels zero, shape (nx, nk, 2 nz), or of (zeta,
+    V) with zeta-hat first; the modes are ``mode_wavevectors(g)[:, :nk]``.
     """
-    Vh = _fft_h(V)
-    Vh[:, :, -1, :] = 0.0
-    Vh[:, :, 0, :] = 0.0
+    inner = _fft_h(V[:, :, 1:-1])
+    Vh = np.zeros(inner.shape[:2] + V.shape[2:], dtype=inner.dtype)
+    Vh[:, :, 1:-1] = inner
     Vh = Vh.reshape(Vh.shape[:2] + (-1,))
     if zeta is None:
         return Vh

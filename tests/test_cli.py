@@ -530,6 +530,18 @@ def test_general_pressure_law_run_completes(tmp_path):
     assert rows.shape[0] == 6 and np.all(np.isfinite(rows))
 
 
+# A GeneralNoGravity pressure force below the cap on c whose explicit
+# remainder overflows: the run ends as a blowup that names it.
+OVERFLOWING_PRESSURE = {"mode": GENERAL, "dt": 0.01, "t_end": 0.05,
+                        "preset": "fourier_perturbation", "amplitude": 0.1,
+                        "perturbation_mode": [1, 0]}
+
+
+def overflowing_pressure_params(c):
+    return {"mu": 1.0, "mu_prime": 1.0,
+            "pressure": {"law": "linear", "c": c}}
+
+
 # Finite but extreme configs at 8x8x5, and grids above the resolution
 # ceiling, with the exit codes of simulate, spectrum and resolvent (at
 # lambda = 0); 9 is a solver breakdown.  The grids must be rejected before
@@ -551,11 +563,16 @@ HOSTILE = [
     ({"params": {"mu": -1e308, "mu_prime": 0.5}}, (2, 9, 2)),
     ({"mode": GENERAL, "params": {**ADMISSIBLE, "pressure": {
         "law": "linear", "c": 1e308}}}, (2, 2, 2)),
+    ({**OVERFLOWING_PRESSURE, "params": overflowing_pressure_params(4e307)},
+     (5, 0, 2)),
+    ({**OVERFLOWING_PRESSURE, "params": overflowing_pressure_params(1e307)},
+     (5, 0, 2)),
 ]
 HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
                "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9",
                "mu_prime-1e308", "mu-1e308", "xi_bar-1e-320",
-               "general-M2-1e308", "mu--1e308", "general-c-1e308")
+               "general-M2-1e308", "mu--1e308", "general-c-1e308",
+               "general-c-4e307", "general-c-1e307")
 # the message that names the cause of an overflowing zeta row
 ZETA_ROW_OVERFLOW = ("operator breakdown: the zeta row overflows "
                      "(xi_bar * |k| exceeds the float range at "
@@ -631,6 +648,21 @@ def test_hostile_configs_exit_with_documented_codes(tmp_path, capsys, row,
             rows = diagnostics.read_diagnostics_csv(
                 str(out / "diagnostics.csv"))
             assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", (4e307, 1e307))
+def test_overflowing_explicit_remainder_ends_as_a_named_blowup(tmp_path,
+                                                               capsys, c):
+    config = write_config(tmp_path, **OVERFLOWING_PRESSURE,
+                          params=overflowing_pressure_params(c))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", config, "--output-dir", str(out)]) == 5
+    summary = read_summary(out)
+    assert summary["status"] == "blowup"
+    assert summary["message"] == ("non-finite explicit remainder F2: its "
+                                  "nonlinear terms overflow")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from cpelab import diagnostics, evolve, reference
+from cpelab import diagnostics, evolve, flowmap, reference
 from cpelab.evolve import (
     EVOLUTION_MODES,
     MODE_MODEL,
@@ -26,9 +29,27 @@ from cpelab.evolve import (
     reconstruct_w,
     run_simulation,
 )
-from cpelab.flowmap import FlowMap, identity_map, inverse_jacobian
-from cpelab.grid import _ddx, _ddy, grad_h, grad_h_vec, l2_norm, make_grid
-from cpelab.operators import mode_wavevectors, vertical_lame_block
+from cpelab.flowmap import (
+    FlowMap,
+    advance_flow_lagrangian,
+    identity_map,
+    inverse_jacobian,
+)
+from cpelab.grid import (
+    _ddx,
+    _ddy,
+    div_h,
+    grad_h,
+    grad_h_vec,
+    l2_norm,
+    make_grid,
+    vertical_average,
+)
+from cpelab.operators import (
+    mode_matrices,
+    mode_wavevectors,
+    vertical_lame_block,
+)
 from cpelab.stokes_solver import ResolventProblem, solve_resolvent
 from cpelab.transforms import PhysicalParams, make_pressure_law
 
@@ -40,6 +61,12 @@ def rel_err(a, b, g):
 def gamma1_params(**kw):
     return PhysicalParams(mu=kw.pop("mu", 1.0), mu_prime=kw.pop("mu_prime", 0.5),
                           model="Gamma1", **kw)
+
+
+def mode_params(mode, general_params):
+    return {"Gamma1": gamma1_params(),
+            "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
+            "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
 
 
 def state_from_truth(truth):
@@ -301,9 +328,7 @@ def loop_implicit_matrix(mode, kt, g, params, dt, rho_star):
 @pytest.mark.parametrize("mode", EVOLUTION_MODES)
 def test_stepper_inverse_matches_mode_loop(mode, general_params):
     g = make_grid(6, 8, 5)
-    params = {"Gamma1": gamma1_params(),
-              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
-              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    params = mode_params(mode, general_params)
     zeta0 = None
     if mode != "GlobalGamma1":
         zeta0 = 1.0 + 0.2 * np.cos(2 * np.pi * g.x)[:, None] \
@@ -371,9 +396,7 @@ def test_half_spectrum_solves_match_full_spectrum(mode, shape,
                                                   general_params,
                                                   grid_of_any_parity):
     g = grid_of_any_parity(*shape)
-    params = {"Gamma1": gamma1_params(),
-              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
-              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    params = mode_params(mode, general_params)
     rng = np.random.default_rng(21)
     zeta0 = None
     if mode != "GlobalGamma1":
@@ -505,6 +528,137 @@ def test_fused_coupled_step_matches_two_pass_form(oracle_gamma1):
         refs = full_spectrum_coupled(stepper, inv, state.zeta, state.V, F1, F2)
         for got, ref in zip((new.zeta, new.V), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def stepper_and_state(mode, params, g, dt=0.01):
+    """A stepper and its random_smooth initial state."""
+    cfg = RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz, params=params,
+                    dt=dt, t_end=dt, preset="random_smooth", amplitude=0.2,
+                    seed=5)
+    state = initial_state(cfg, g)
+    return Stepper(mode, g, params, dt, zeta0=state.zeta0), state
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_step_shares_one_mean_velocity_gradient(mode, general_params):
+    g = make_grid(8, 8, 5)
+    params = mode_params(mode, general_params)
+    stepper, s0 = stepper_and_state(mode, params, g)
+    s1 = stepper.step(s0)
+    Vbar = vertical_average(s1.V, g)
+    dVbar = grad_h_vec(Vbar, g)
+    assert np.array_equal(evolve._mean_velocity_gradient(s1, g), dVbar)
+    # the continuity divergence is its trace, F1 and the advance read it
+    assert np.array_equal(dVbar[..., 0, 0] + dVbar[..., 1, 1],
+                          div_h(Vbar, g))
+    fresh = dataclasses.replace(s1)
+    assert fresh._dVbar is None
+    assert np.array_equal(nonlinearity_F1(s1, g, params),
+                          nonlinearity_F1(fresh, g, params))
+    shared = advance_flow_lagrangian(s0.fm, Vbar, g, 0.01, dVbar=dVbar)
+    own = advance_flow_lagrangian(s0.fm, Vbar, g, 0.01)
+    for name in ("disp", "gradX", "Z", "detX"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name))
+        assert np.array_equal(getattr(s1.fm, name), getattr(own, name))
+    # the next step reads the kept gradient as if it took it again
+    a, b = stepper.step(s1), stepper.step(fresh)
+    for name in ("zeta", "V", "dtV"):
+        assert same_bytes(getattr(a, name), getattr(b, name))
+    assert same_bytes(a.fm.gradX, b.fm.gradX)
+
+
+def test_a_replaced_velocity_never_reuses_the_old_gradient():
+    g = make_grid(8, 8, 5)
+    params = gamma1_params()
+    stepper, s0 = stepper_and_state("GlobalGamma1", params, g)
+    s1 = stepper.step(s0)
+    dVbar = evolve._mean_velocity_gradient(s1, g)
+    moved = dataclasses.replace(s1, V=2.0 * s1.V)
+    # doubling is exact, so the new gradient is exactly twice the old one
+    assert np.array_equal(evolve._mean_velocity_gradient(moved, g),
+                          2.0 * dVbar)
+    rebuilt = LagrangianState(mode=s1.mode, zeta=s1.zeta, V=2.0 * s1.V,
+                              fm=s1.fm, t=s1.t, dtV=s1.dtV)
+    assert np.array_equal(nonlinearity_F1(moved, g, params),
+                          nonlinearity_F1(rebuilt, g, params))
+
+
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_reflected_inverses_solve_as_every_row_inverted(mode, general_params):
+    g = make_grid(8, 8, 5)
+    params = mode_params(mode, general_params)
+    stepper, s0 = stepper_and_state(mode, params, g)
+    coupled = mode == "GlobalGamma1"
+    K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
+    M = mode_matrices(K, 1.0, g, params, stepper.rho_star, stepper.dt,
+                      params.xi_bar if coupled else None)
+    every = copy.copy(stepper)
+    every._inv = np.stack([np.linalg.inv(row) for row in M])
+    # equal in value; only the sign of some zeros differs
+    assert np.array_equal(stepper._inv, every._inv)
+    F2 = nonlinearity_F2(s0, None, g, params, dealias=not coupled)
+    if coupled:
+        F1 = nonlinearity_F1(s0, g, params, dealias=False)
+        for got, ref in zip(stepper._solve_coupled(s0.zeta, s0.V, F1, F2),
+                            every._solve_coupled(s0.zeta, s0.V, F1, F2)):
+            assert same_bytes(got, ref)
+    else:
+        (V, it), (V_ref, it_ref) = (s._solve_momentum(s0.V, F2)
+                                    for s in (stepper, every))
+        assert same_bytes(V, V_ref) and it == it_ref
+
+
+def test_fixed_point_stops_at_the_first_non_finite_sweep():
+    g = make_grid(8, 8, 5)
+    stepper, s0 = stepper_and_state("LocalGamma1", gamma1_params(), g, 0.05)
+    F2 = np.full_like(s0.V, 1e308)  # finite, but its transform overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowupDetected, match="iterate at iteration 1: the explicit "
+                                  "remainder F2 overflows"):
+        stepper._solve_momentum(s0.V, F2)
+
+
+def counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("mode", ("LocalGamma1", "GlobalGamma1"))
+def test_step_stays_at_its_transform_floor(mode, monkeypatch):
+    g = make_grid(8, 8, 5)
+    params = gamma1_params()
+    counts = collections.Counter()
+    monkeypatch.setattr(np.linalg, "inv",
+                        counted(counts, "inv", np.linalg.inv))
+    stepper, s0 = stepper_and_state(mode, params, g)
+    # one inverse for each kx >= 0; the rows at -kx are reflections
+    assert counts["inv"] == g.nx // 2 + 1
+    s1 = stepper.step(s0)
+
+    def gradient(v, g_):
+        counts["grad Vbar"] += v.ndim == 3
+        return grad_h_vec(v, g_)
+
+    for module in (evolve, flowmap):
+        monkeypatch.setattr(module, "grad_h_vec", gradient)
+    stepper.step(s1)
+    assert counts["grad Vbar"] == 1
+    if mode == "GlobalGamma1":
+        return
+    # each fixed-point sweep: rfft and fft forward, ifft and irfft back
+    F2 = nonlinearity_F2(s1, s1.dtV, g, params)
+    names = ("rfft", "fft", "ifft", "irfft")
+    for name in names:
+        monkeypatch.setattr(np.fft, name,
+                            counted(counts, name, getattr(np.fft, name)))
+    _, iterations = stepper._solve_momentum(s1.V, F2)
+    assert [counts[name] for name in names] == [iterations] * 4
 
 
 def test_energy_is_evaluated_once_per_state(monkeypatch):
@@ -683,9 +837,7 @@ def test_every_preset_meets_the_boundary_conditions(mode, shape,
                                                     general_params):
     # V = 0 at z = 1 exactly and d_z V = 0 at z = 0 to the bound the
     # deleted initial-state check applied
-    params = {"Gamma1": gamma1_params(),
-              "Gamma2": PhysicalParams(mu=0.8, mu_prime=0.3, model="Gamma2"),
-              "GeneralNoGravity": general_params}[MODE_MODEL[mode]]
+    params = mode_params(mode, general_params)
     g = make_grid(*shape)
     for preset in evolve.PRESETS:
         cfg = RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz, params=params,
