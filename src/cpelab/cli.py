@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -295,8 +296,8 @@ def parse_run_config(path: str) -> evolve.RunConfig:
                                    params=params, **kwargs)
             vars(cfg)["grid"] = g  # the cached grid: no second make_grid
             # the preset's initial density must be positive, and in the
-            # local modes lie in [M1, M2]
-            evolve.initial_state(cfg, g)
+            # local modes lie in [M1, M2]; the run starts from this state
+            cfg.initial
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return cfg
@@ -563,7 +564,9 @@ def _cmd_verify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cpelab`` parser, built once (parsing leaves no state in it)."""
     parser = argparse.ArgumentParser(
         prog="cpelab",
         description=("Simulator and operator laboratory for the compressible "

@@ -52,7 +52,6 @@ from .grid import (
     _ifft_h,
     _multiplier,
     dealias as dealias_field,
-    div_h,
     grad_h,
     grad_h_vec,
     integrate_from_bottom,
@@ -105,6 +104,10 @@ MODE_MODEL = {
 
 FP_TOL_DEFAULT = 1e-12
 
+#: Largest nx, ny with dense-DFT fixed-point sweeps: per sweep they took 0.42
+#: of pocketfft's time at 12x12x7, 0.73-0.81 at 24x24x13, 1.2 at 32x32x17.
+DENSE_SWEEP_MAX_N = 24
+
 
 class TerminalCondition(RuntimeError):
     """A run-ending event with a machine-readable ``status`` tag."""
@@ -146,7 +149,7 @@ class LagrangianState:
     global mode).  ``dtV`` is the previous step's velocity increment per
     unit time, used to lag the time-derivative term of the momentum
     remainder; ``None`` means "treat as zero" (first step).  grad_H Vbar
-    is kept once taken (``dataclasses.replace`` drops it).
+    and grad_H V are kept once taken (``dataclasses.replace`` drops them).
     """
 
     mode: str
@@ -157,6 +160,8 @@ class LagrangianState:
     zeta0: np.ndarray | None = None
     dtV: np.ndarray | None = None
     _dVbar: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+    _dV: np.ndarray | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,6 +196,13 @@ def _mean_velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
         object.__setattr__(state, "_dVbar",
                            grad_h_vec(vertical_average(state.V, g), g))
     return state._dVbar
+
+
+def _velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
+    """grad_H of ``state.V``, taken once per state."""
+    if state._dV is None:
+        object.__setattr__(state, "_dV", grad_h_vec(state.V, g))
+    return state._dV
 
 
 def _grad2(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -264,7 +276,7 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
     else:
         out = -(state.zeta - state.zeta0) * div_bar - zf * colon_bar
     if state.mode == "LocalGamma2":
-        dV = grad_h_vec(state.V, g)
+        dV = _velocity_gradient(state, g)
         colon3 = np.einsum("abzik,abki->abz", dV, ZmI)
         out = out - _depth_moment(colon3, g)
     return dealias_field(out, g) if dealias else out
@@ -390,7 +402,10 @@ class Stepper:
     the inverses, shape ``(nx, ny // 2 + 1, n, n)``; a singular block
     raises :class:`cpelab.operators.SolverBreakdown` naming its kx row.
     ``fp_iterations`` lists the fixed-point iteration count of every step
-    that returned.
+    that returned.  A fixed-point sweep transforms with pocketfft or, up
+    to :data:`DENSE_SWEEP_MAX_N` points a side, where an FFT call costs
+    more than its arithmetic, with BLAS and real DFT matrices made from
+    numpy's transforms of the identity; the two agree to rounding.
     """
 
     fp_max_iter = 200
@@ -431,6 +446,17 @@ class Stepper:
         sign[-2 * g.nz::2] = -1.0
         rows = np.arange(g.nx // 2 + 1, g.nx)
         self._inv[rows] = self._inv[g.nx - rows] * np.outer(sign, sign)
+        self._dft = None  # the transforms of a dense sweep, as matrices
+        if not coupled and max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
+            fy, eye = np.fft.rfft(np.eye(g.ny)).T, np.eye(g.ny // 2 + 1)
+            # fft, ifft along x on stacked (Re, Im); ifft rows in (x, Re/Im)
+            fx, bx = (np.block([[f.real, -f.imag], [f.imag, f.real]])
+                      for f in (np.fft.fft(np.eye(g.nx)).T,
+                                np.fft.ifft(np.eye(g.nx)).T))
+            xc = np.arange(2 * g.nx).reshape(2, g.nx).T.ravel()
+            self._dft = (np.stack([fy.real, fy.imag])[:, None], fx, bx[xc],
+                         np.vstack([np.fft.irfft(eye, n=g.ny),
+                                    np.fft.irfft(1j * eye, n=g.ny)]).T)
 
     # -- helpers ------------------------------------------------------------
 
@@ -448,6 +474,22 @@ class Stepper:
         sol = (self._inv @ rhs[..., None])[..., 0]
         return _unpack_modes(sol, g, True)
 
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        """(rho_star - dt L)^-1 of the interior levels of ``rhs``."""
+        nx, ny, nk = self.g.nx, self.g.ny, self._inv.shape[1]
+        if self._dft is None:
+            # the real inverse acts on the real and imaginary parts at once
+            shape = self._inv.shape[:3] + (2,)
+            sol = self._inv @ _pack_modes(rhs).view(float).reshape(shape)
+            return _unpack_modes(sol.view(complex)[..., 0], self.g, True)
+        ty, tx, bx, wy = self._dft
+        # y forward to (Re/Im, x, ky, level), x forward, the inverses on Re
+        # and Im, x back with rows (x, Re/Im) and y back from (Re/Im, ky)
+        a = ty @ rhs[:, :, 1:-1].reshape(nx, ny, -1)
+        a = (tx @ a.reshape(2 * nx, -1)).reshape(2, nx, nk, -1, 1)
+        sol = bx @ (self._inv[..., 2:-2] @ a).reshape(2 * nx, -1)
+        return (wy @ sol.reshape(nx, 2 * nk, -1)).reshape(rhs.shape)
+
     def _solve_momentum(self, V: np.ndarray,
                         F2: np.ndarray) -> tuple[np.ndarray, int]:
         """Fixed-point solve of (rho0 - dt L) V_new = rho0 (V + dt F2).
@@ -456,14 +498,10 @@ class Stepper:
         """
         base = self.rho0 * (V + self.dt * F2)
         drho = self.rho_star - self.rho0
-        shape = self._inv.shape[:3] + (2,)
         Vm = V
         scale = max(1.0, float(np.max(np.abs(V))))
         for it in range(1, self.fp_max_iter + 1):
-            rh = _pack_modes(base + drho * Vm)
-            # the real inverse acts on the real and imaginary parts at once
-            sol = self._inv @ rh.view(float).reshape(shape)
-            V_new = _unpack_modes(sol.view(complex)[..., 0], self.g, True)
+            V_new = self._sweep(base + drho * Vm)
             change = float(np.abs(V_new - Vm).max())
             Vm = V_new
             if change <= self.fp_tol * scale:
@@ -526,7 +564,8 @@ class Stepper:
             F1 = _finite("F1", nonlinearity_F1(mid, g, params))
             lin = state.zeta0 * (dVbar[..., 0, 0] + dVbar[..., 1, 1])
             if self.mode == "LocalGamma2":
-                lin = lin + _depth_moment(div_h(V_new, g), g)
+                dV = _velocity_gradient(mid, g)  # F1 took it
+                lin = lin + _depth_moment(dV[..., 0, 0] + dV[..., 1, 1], g)
             zeta_new = state.zeta + dt * (F1 - lin)
         try:
             fm_new = advance_flow_lagrangian(
@@ -647,6 +686,11 @@ class RunConfig:
         """The run's grid, built once per config."""
         return make_grid(self.nx, self.ny, self.nz)
 
+    @functools.cached_property
+    def initial(self) -> LagrangianState:
+        """The preset's initial state, built once per config."""
+        return initial_state(self, self.grid)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -745,7 +789,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     """
     g = cfg.grid
     params = cfg.params
-    state = initial_state(cfg, g)
+    state = cfg.initial
     stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0,
                       fp_tol=cfg.fp_tol, det_floor=cfg.det_floor)
 

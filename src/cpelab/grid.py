@@ -38,6 +38,7 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,16 +98,19 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     return w
 
 
-def _integration_from_one_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrix I with (I f)_j = int_{x_j}^{1} f(x) dx on CGL nodes x.
+@functools.cache
+def _integration_from_one_matrix(n: int) -> np.ndarray:
+    """Matrix I with (I f)_j = int_{x_j}^{1} f(x) dx on the n+1 CGL nodes.
 
     Column k integrates the Chebyshev interpolant of the k-th unit vector
-    (exact for polynomials of degree <= len(x)-1); all columns are fitted
-    at once.
+    (exact for polynomials of degree <= n); all columns are fitted at
+    once, once per n in a process, so the shared result is read-only.
     """
-    n = len(x)
-    anti = npcheb.chebint(npcheb.chebfit(x, np.eye(n), n - 1))
-    return (npcheb.chebval(1.0, anti)[:, None] - npcheb.chebval(x, anti)).T
+    x = _cheb_matrix(n)[1]
+    anti = npcheb.chebint(npcheb.chebfit(x, np.eye(n + 1), n))
+    out = (npcheb.chebval(1.0, anti)[:, None] - npcheb.chebval(x, anti)).T
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     dz_mat = -2.0 * d_cheb
     wz = _clenshaw_curtis_weights(nz - 1) / 2.0
     # int_0^z f dz' = (1/2) int_{x(z)}^{1} f dx'
-    iz_mat = 0.5 * _integration_from_one_matrix(x_cheb)
+    iz_mat = 0.5 * _integration_from_one_matrix(nz - 1)
     iz_mat[0, :] = 0.0
 
     kx_int = np.rint(kx / (2.0 * np.pi)).astype(int)

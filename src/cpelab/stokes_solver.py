@@ -456,12 +456,13 @@ def _mean_free_active_basis(g: Grid, nvert: int) -> np.ndarray:
     return U[:, s > 0.5 * s[0]]
 
 
-def _max_real_part(M: np.ndarray, where: str) -> tuple[float, float]:
-    """Max real part of the eigenvalues of M (or blocks) and its rounding;
-    ``where`` names M in a breakdown."""
+def _max_real_part(M: np.ndarray, where: str):
+    """Max real part of the eigenvalues of M, or of each of its blocks, and
+    the rounding of them all; ``where`` names M in a breakdown."""
     with _linalg_breakdown(where):
         ev = np.linalg.eigvals(M)
-    return ev.real.max(), M.shape[-1] * np.finfo(float).eps * np.abs(ev).max()
+    return (ev.real.max(axis=-1),
+            M.shape[-1] * np.finfo(float).eps * np.abs(ev).max())
 
 
 def spectral_bound(
@@ -477,7 +478,8 @@ def spectral_bound(
     active horizontal modes (the k = 0 block restricted to its velocity
     part, which is the mean-free restriction), eigensolving one mode of
     each four (+-kx, +-ky), since the reflections map each block exactly
-    to its conjugate or to a sign similarity of it; ``dense`` projects
+    to its conjugate or to a sign similarity of it (near the maximum, both
+    blocks of a ky pair, which zgeev may round apart); ``dense`` projects
     the dense reduced realization onto the mean-free active subspace.  Raises
     :class:`SolverBreakdown` if an eigensolve fails (naming its kx row or
     block) or the computed bound is not positive, or not resolved (within
@@ -493,22 +495,34 @@ def spectral_bound(
         # the block at (kx, -ky) is D B D with D = diag(1, (1, -1) per
         # level): the same products with flipped signs.  Both have the
         # eigenvalues of B (conjugated), so one mode of each four is
-        # solved, kx >= 0 and ky >= 0.  zgeev rounds a few reflected
-        # blocks apart (~1e-12 relative), never yet at the maximum.
+        # solved, kx >= 0 and ky >= 0.
         ix, iy = np.indices((g.nx, g.ny))
         keep = g.active_mask & (ix <= g.nx // 2) & (iy <= g.ny // 2)
         # k = 0: the velocity part alone is the mean-free restriction
         keep[0, 0] = False
         rho = column_density(params.model, xi_bar, g.z)
+
+        def bordered_max_re(kt, where):  # A_CHS itself: shift 0, scale -1
+            vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+            return _max_real_part(
+                _bordered(vel, kt, avg_row, 0.0, -1.0, xi_bar), where)
+
         A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
         max_re, rounding = _max_real_part(A0, "the k = 0 block")
+        block_re = np.full((g.nx, g.ny), -np.inf)
         for row in np.flatnonzero(keep.any(axis=1)):
-            kt = K[row, keep[row]]
-            # A_CHS itself: shift 0, scale -1
-            B = _bordered(S2 @ vertical_lame_block(kt, rho, g, params) @ R2,
-                          kt, avg_row, 0.0, -1.0, xi_bar)
-            re, rd = _max_real_part(B, f"mode row {row}")
-            max_re, rounding = max(max_re, re), max(rounding, rd)
+            block_re[row, keep[row]], rd = bordered_max_re(
+                K[row, keep[row]], f"mode row {row}")
+            rounding = max(rounding, rd)
+        max_re = max(max_re, block_re.max())
+        # zgeev may round a block and its reflection (kx, -ky) apart (by
+        # < 1e-11 relative), so near the maximum the reflection is solved too
+        near = block_re >= max_re - 1e-11 * abs(max_re)
+        near[0] = near[:, 0] = False  # conjugates, or their own reflection
+        if near.any():
+            rx, ry = np.nonzero(near)
+            re, rd = bordered_max_re(K[rx, -ry % g.ny], "reflected blocks")
+            max_re, rounding = max(max_re, re.max()), max(rounding, rd)
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))

@@ -939,6 +939,31 @@ def test_resolvent_zero_rhs(tmp_path):
     assert summary["v_l2"] == 0.0
 
 
+def test_simulate_sets_up_once(tmp_path, monkeypatch):
+    # one parser per process, and one initial state per simulate: the
+    # state the config check built is the one the run starts from
+    assert cli.build_parser() is cli.build_parser()
+    original, built = evolve.initial_state, []
+
+    def initial_state(cfg, g):
+        built.append(original(cfg, g))
+        return built[-1]
+
+    monkeypatch.setattr(evolve, "initial_state", initial_state)
+    run = evolve.run_simulation
+    starts = []
+    monkeypatch.setattr(evolve, "run_simulation",
+                        lambda cfg: starts.append(cfg.initial) or run(cfg))
+    cfg_path = write_config(tmp_path)
+    for out in ("a", "b"):
+        assert cli.main(["simulate", cfg_path, "--output-dir",
+                         str(tmp_path / out)]) == 0
+    assert len(built) == 2
+    assert all(a is b for a, b in zip(starts, built, strict=True))
+    assert ((tmp_path / "a" / "diagnostics.csv").read_bytes()
+            == (tmp_path / "b" / "diagnostics.csv").read_bytes())
+
+
 def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
                                                            monkeypatch):
     apply = stokes_solver.apply_hydrostatic_lame

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpelab import diagnostics, evolve, flowmap, reference
+from cpelab import diagnostics, evolve, flowmap, grid, reference
 from cpelab.evolve import (
     EVOLUTION_MODES,
     MODE_MODEL,
@@ -571,6 +571,25 @@ def test_step_shares_one_mean_velocity_gradient(mode, general_params):
     assert same_bytes(a.fm.gradX, b.fm.gradX)
 
 
+def test_gamma2_step_reads_div_V_off_the_gradient_F1_took(monkeypatch,
+                                                          general_params):
+    g = make_grid(8, 8, 5)
+    params = mode_params("LocalGamma2", general_params)
+    stepper, s0 = stepper_and_state("LocalGamma2", params, g)
+    s1 = stepper.step(s0)
+    dV = grad_h_vec(s1.V, g)
+    assert np.array_equal(dV[..., 0, 0] + dV[..., 1, 1], div_h(s1.V, g))
+    # no derivative of a scalar 3D field: div_h V_new is not taken again
+    counts = collections.Counter()
+    for name in ("_ddx", "_ddy"):
+        def derivative(f, g_, fn=getattr(grid, name)):
+            counts["scalar3d"] += f.shape == (g.nx, g.ny, g.nz)
+            return fn(f, g_)
+        monkeypatch.setattr(grid, name, derivative)
+    stepper.step(s1)
+    assert counts["scalar3d"] == 0
+
+
 def test_a_replaced_velocity_never_reuses_the_old_gradient():
     g = make_grid(8, 8, 5)
     params = gamma1_params()
@@ -651,7 +670,12 @@ def test_step_stays_at_its_transform_floor(mode, monkeypatch):
     assert counts["grad Vbar"] == 1
     if mode == "GlobalGamma1":
         return
-    # each fixed-point sweep: rfft and fft forward, ifft and irfft back
+    # above DENSE_SWEEP_MAX_N each fixed-point sweep makes rfft and fft
+    # forward, ifft and irfft back
+    g = make_grid(32, 32, 5)
+    assert max(g.nx, g.ny) > evolve.DENSE_SWEEP_MAX_N
+    stepper, s0 = stepper_and_state(mode, params, g)
+    s1 = stepper.step(s0)
     F2 = nonlinearity_F2(s1, s1.dtV, g, params)
     names = ("rfft", "fft", "ifft", "irfft")
     for name in names:
@@ -659,6 +683,47 @@ def test_step_stays_at_its_transform_floor(mode, monkeypatch):
                             counted(counts, name, getattr(np.fft, name)))
     _, iterations = stepper._solve_momentum(s1.V, F2)
     assert [counts[name] for name in names] == [iterations] * 4
+
+
+def test_dense_sweeps_make_no_fft_call(monkeypatch):
+    g = make_grid(8, 8, 5)
+    params = gamma1_params()
+    stepper, s0 = stepper_and_state("LocalGamma1", params, g)
+    s1 = stepper.step(s0)
+    F2 = nonlinearity_F2(s1, s1.dtV, g, params)
+    counts = collections.Counter()
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name,
+                            counted(counts, name, getattr(np.fft, name)))
+    _, iterations = stepper._solve_momentum(s1.V, F2)
+    assert iterations > 1 and not counts
+
+
+# even grids from 4^2 to DENSE_SWEEP_MAX_N^2, square or not, nz in {3, 5, 9}
+DENSE_SWEEP_GRIDS = ((4, 4, 3), (4, 10, 5), (8, 8, 9), (12, 6, 3),
+                     (12, 12, 5), (16, 20, 9), (24, 14, 5), (24, 24, 9))
+
+
+@pytest.mark.parametrize("shape", DENSE_SWEEP_GRIDS,
+                         ids=["x".join(map(str, s)) for s in DENSE_SWEEP_GRIDS])
+@pytest.mark.parametrize("mode", ("LocalGamma1", "LocalGamma2",
+                                  "GeneralNoGravity"))
+def test_dense_sweeps_match_the_pocketfft_sweeps(mode, shape, general_params):
+    g = make_grid(*shape)
+    params = mode_params(mode, general_params)
+    stepper, s0 = stepper_and_state(mode, params, g, 0.05)
+    assert stepper._dft is not None
+    pocketfft = copy.copy(stepper)
+    pocketfft._dft = None
+    s1 = stepper.step(s0)
+    rhs = np.random.default_rng(sum(shape)).standard_normal(s1.V.shape)
+    ref = pocketfft._sweep(rhs)
+    assert np.abs(stepper._sweep(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
+    F2 = nonlinearity_F2(s1, s1.dtV, g, params)
+    (V, it), (V_ref, it_ref) = (s._solve_momentum(s1.V, F2)
+                                for s in (stepper, pocketfft))
+    assert it == it_ref
+    assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
 
 
 def test_energy_is_evaluated_once_per_state(monkeypatch):

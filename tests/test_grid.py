@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cpelab import grid
 from cpelab.grid import (
     _ddx,
     _ddy,
@@ -121,6 +122,15 @@ def test_vertical_matrices_exact_on_monomials():
         ip = integrate_from_bottom(p, g)
         assert np.allclose(ip[0, 0], g.z ** (k + 1) / (k + 1), atol=1e-12)
         assert ip[0, 0, 0] == 0.0
+
+
+def test_integration_matrix_is_made_once_and_never_written():
+    g1, g2 = make_grid(4, 4, 7), make_grid(8, 6, 7)
+    assert np.array_equal(g1.Iz, g2.Iz)
+    g1.Iz[1, 1] = 7.0  # each grid scales the shared matrix into its own
+    assert g2.Iz[1, 1] != 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid._integration_from_one_matrix(6)[0, 0] = 1.0
 
 
 def test_clenshaw_curtis_weights_exact_at_even_and_odd_nz():

@@ -347,6 +347,25 @@ BOUND_ORACLE_CASES = [
 ]
 
 
+def random_bound_cases(count, seed=2026):
+    """Random grids from 8x8x5 to 16x16x9: both models, xi_bar 1 and 1.3,
+    mu' of both signs."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        nx, ny = rng.choice((8, 12, 16), size=2)
+        nz = int(rng.choice((5, 7, 9)))
+        model, xi_bar = ("Gamma1", "Gamma2")[i % 2], (1.0, 1.3)[i // 2 % 2]
+        mu = float(rng.uniform(0.2, 2.0))
+        mu_prime = float(rng.uniform(-0.5, 1.5) * mu)
+        cases.append(pytest.param(int(nx), int(ny), nz, model, xi_bar, mu,
+                                  mu_prime, id=f"random{i}"))
+    return cases
+
+
+BOUND_ORACLE_CASES += random_bound_cases(20)
+
+
 @pytest.mark.parametrize("nx,ny,nz,model,xi_bar,mu,mu_prime",
                          BOUND_ORACLE_CASES)
 def test_spectral_bound_half_spectrum_is_the_full_maximum(
@@ -387,6 +406,31 @@ def test_ky_reflection_is_a_sign_similarity_of_the_blocks(params):
         ev = np.linalg.eigvals(B)
         for stat in (ev.real.max(axis=-1), np.abs(ev).max(axis=-1)):
             assert np.allclose(stat[reflected], stat, rtol=1e-11, atol=0.0)
+
+
+def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
+    # zgeev may round a block and its reflection (kx, -ky) apart; force the
+    # reflection of the block at k = (1, 1) just above the true maximum
+    g = make_grid(8, 8, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    top = full_spectrum_max_re(g, params)
+    K = mode_wavevectors(g)
+    block, partner = (bound_blocks(K[1, iy], g, params) for iy in (1, -1))
+    original = np.linalg.eigvals
+    forced = top + 1e-12 * abs(top)
+
+    def rounding_apart(M):
+        ev = original(M)
+        for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
+                        ev.reshape(-1, ev.shape[-1])):
+            for B, target in ((block, top), (partner, forced)):
+                if m.shape == B.shape and np.array_equal(m, B):
+                    e += target - e.real.max()
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", rounding_apart)
+    assert full_spectrum_max_re(g, params) == forced
+    assert spectral_bound(g, params) == -forced
 
 
 def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
