@@ -45,12 +45,11 @@ from .flowmap import (
     identity_map,
 )
 from .grid import (
+    DENSE_SWEEP_MAX_N,
     Grid,
-    _ddx,
-    _ddy,
-    _fft_h,
-    _ifft_h,
-    _multiplier,
+    _derivatives,
+    _fourier_matrix,
+    _gradient,
     dealias as dealias_field,
     grad_h,
     grad_h_vec,
@@ -103,10 +102,6 @@ MODE_MODEL = {
 }
 
 FP_TOL_DEFAULT = 1e-12
-
-#: Largest nx, ny with dense-DFT fixed-point sweeps: per sweep they took 0.42
-#: of pocketfft's time at 12x12x7, 0.73-0.81 at 24x24x13, 1.2 at 32x32x17.
-DENSE_SWEEP_MAX_N = 24
 
 
 class TerminalCondition(RuntimeError):
@@ -203,11 +198,6 @@ def _velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
     if state._dV is None:
         object.__setattr__(state, "_dV", grad_h_vec(state.V, g))
     return state._dV
-
-
-def _grad2(f: np.ndarray, g: Grid) -> np.ndarray:
-    """Stack x/y derivatives along a new trailing axis (works on any rank)."""
-    return np.stack([_ddx(f, g), _ddy(f, g)], axis=-1)
 
 
 def _twisted_divergence(U: np.ndarray, Z: np.ndarray, g: Grid) -> np.ndarray:
@@ -308,20 +298,14 @@ def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
 
 
 def _first_and_second_derivatives(V: np.ndarray, g: Grid):
-    """``dV[i, m] = d_m V_i`` and ``H[i, n, m] = d_n d_m V_i`` of a real V.
+    """``dV[i, m] = d_m V_i`` and ``H[i, n, m] = d_n d_m V_i`` of V.
 
-    Both come from one ``_fft_h`` of V, as products with the first-derivative
-    multipliers, and go back in one batched ``_ifft_h``.
+    The mixed derivative is taken once, so H is symmetric in (n, m).
     """
-    nx, ny, nz = V.shape[:3]
-    kx = _multiplier(g.ikx, 0, 2, False)
-    ky = _multiplier(g.iky, 1, 2, True)
-    # per mode: d_x, d_y, then d_n d_m with (n, m) in C order
-    k = np.stack(np.broadcast_arrays(kx, ky, kx * kx, kx * ky, ky * kx,
-                                     ky * ky), axis=-1)[:, :, None, None]
-    spec = (_fft_h(V)[..., None] * k).reshape(nx, ny // 2 + 1, nz, 12)
-    out = _ifft_h(spec, g, True).reshape(nx, ny, nz, 2, 6)
-    return out[..., :2], out[..., 2:].reshape(nx, ny, nz, 2, 2, 2)
+    d = _derivatives(V, ((0, 1), (1, 1), (0, 2), (1, 2)))
+    dxy = _derivatives(d[..., 1], ((0, 1),))[..., 0]
+    H = np.stack([d[..., 2], dxy, dxy, d[..., 3]], axis=-1)
+    return d[..., :2], H.reshape(V.shape + (2, 2))
 
 
 def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
@@ -347,7 +331,7 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     zf = full_surface_density(state, params)
 
     dV, H = _first_and_second_derivatives(V, g)
-    dZ = _grad2(Z, g)                           # [m, k, n] = d_n Z[m, k]
+    dZ = _gradient(Z)                           # [m, k, n] = d_n Z[m, k]
 
     # twisted-minus-flat viscous terms and the full twisted advection
     Vt = V - vertical_average(V, g)[:, :, None, :]
@@ -404,8 +388,11 @@ class Stepper:
     ``fp_iterations`` lists the fixed-point iteration count of every step
     that returned.  A fixed-point sweep transforms with pocketfft or, up
     to :data:`DENSE_SWEEP_MAX_N` points a side, where an FFT call costs
-    more than its arithmetic, with BLAS and real DFT matrices made from
-    numpy's transforms of the identity; the two agree to rounding.
+    more than its arithmetic, with BLAS and the real DFT matrices of
+    :func:`cpelab.grid._fourier_matrix`, shared by every ``Stepper`` in a
+    process; the two agree to rounding.  The horizontal derivatives of a
+    step (F2, F1, ``reconstruct_w``) are matmuls too, up to
+    :data:`cpelab.grid.DENSE_DERIVATIVE_MAX_N` points a side.
     """
 
     fp_max_iter = 200
@@ -448,15 +435,10 @@ class Stepper:
         self._inv[rows] = self._inv[g.nx - rows] * np.outer(sign, sign)
         self._dft = None  # the transforms of a dense sweep, as matrices
         if not coupled and max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
-            fy, eye = np.fft.rfft(np.eye(g.ny)).T, np.eye(g.ny // 2 + 1)
-            # fft, ifft along x on stacked (Re, Im); ifft rows in (x, Re/Im)
-            fx, bx = (np.block([[f.real, -f.imag], [f.imag, f.real]])
-                      for f in (np.fft.fft(np.eye(g.nx)).T,
-                                np.fft.ifft(np.eye(g.nx)).T))
-            xc = np.arange(2 * g.nx).reshape(2, g.nx).T.ravel()
-            self._dft = (np.stack([fy.real, fy.imag])[:, None], fx, bx[xc],
-                         np.vstack([np.fft.irfft(eye, n=g.ny),
-                                    np.fft.irfft(1j * eye, n=g.ny)]).T)
+            self._dft = (_fourier_matrix("rfft", g.ny)[:, None],
+                         _fourier_matrix("fft", g.nx),
+                         _fourier_matrix("ifft", g.nx),
+                         _fourier_matrix("irfft", g.ny))
 
     # -- helpers ------------------------------------------------------------
 

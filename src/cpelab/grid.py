@@ -26,10 +26,15 @@ Design notes
   Nyquist lines are zero exactly as for composed first derivatives, and
   spectral differentiation agrees with the classical dense Fourier
   differentiation matrix to machine precision.
-* Real fields are transformed with ``rfft``/``irfft`` on the half-spectrum
-  ``k >= 0`` of the last transformed axis; complex fields (resolvent
-  solutions at complex lambda) use the full ``fft``/``ifft``.  Vertical
-  products are BLAS matmuls over the node axis.
+* Along an axis of at most :data:`DENSE_DERIVATIVE_MAX_N` nodes the
+  horizontal derivatives are BLAS matmuls with real matrices
+  ``irfft((ik)^p rfft(I))``, one per horizontal plane (level, component),
+  so a plane's bits do not depend on the field it sits in.  Longer axes,
+  dealiasing and the implicit solves transform: real fields with
+  ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the last
+  transformed axis, complex fields (resolvent solutions at complex lambda)
+  with the full ``fft``/``ifft``.  Vertical products are BLAS matmuls over
+  the node axis.
 * Vertical quadrature uses Clenshaw--Curtis weights on the CGL nodes,
   normalized so that the weights sum to 1 on [0,1].
 * Dealiasing uses the 2/3 rule: modes with ``|k| > floor(N/3)`` in either
@@ -63,6 +68,16 @@ __all__ = [
 #: Resolution ceiling: the most entries nx (ny//2 + 1) (2 nz + 1)^2 that the
 #: implicit step's per-mode inverses may hold (1 GiB as complex numbers).
 MAX_BLOCK_ENTRIES = 2**26
+
+#: Longest horizontal axis differentiated by matmuls; pocketfft above it.
+#: ``grad_h_vec``, one pinned CPU, matmuls over pocketfft time: 0.21-0.24
+#: at 12x12x7, 0.28-0.66 at 32x32x17, 0.61-0.71 at 64x64x9, 0.68-0.79 at
+#: 128x128x9; at 256x256 a 2-D gradient ties (1.06), at 384x384 all lose.
+DENSE_DERIVATIVE_MAX_N = 128
+
+#: Largest nx, ny with dense-DFT fixed-point sweeps: per sweep they took 0.42
+#: of pocketfft's time at 12x12x7, 0.73-0.81 at 24x24x13, 1.2 at 32x32x17.
+DENSE_SWEEP_MAX_N = 24
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +214,7 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
 
     kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx)
     ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=1.0 / ny)
-    ikx = 1j * kx
-    iky = 1j * ky
-    ikx[nx // 2] = 0.0
-    iky[ny // 2] = 0.0
+    ikx, iky = _ik(nx), _ik(ny)
 
     # CGL nodes descend from 1 to -1, so z = (1-x)/2 ascends from 0 to 1 and
     # the index order of nodal values is shared; d/dz = -2 d/dx.
@@ -311,6 +323,44 @@ def integrate_from_bottom(f: np.ndarray, g: Grid) -> np.ndarray:
 # Horizontal spectral operations
 # ---------------------------------------------------------------------------
 
+def _ik(n: int) -> np.ndarray:
+    """Multipliers ``i k`` on n nodes, the Nyquist entry of an even n zeroed."""
+    ik = 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n))
+    if n % 2 == 0:
+        ik[n // 2] = 0.0
+    return ik
+
+
+@functools.cache
+def _fourier_matrix(kind: str, n: int) -> np.ndarray:
+    """A real matrix acting along one horizontal axis of n nodes, made once
+    per (kind, n) in a process from numpy's transforms of the identity and
+    shared read-only: ``"d1"``, ``"d2"`` the first and second derivative
+    with the multipliers of :func:`_ik`; ``"rfft"`` (real over imaginary
+    part); ``"fft"``, ``"ifft"`` as 2x2 real blocks on stacked (Re, Im),
+    the rows of ``ifft`` in (node, Re/Im) order; ``"irfft"`` of a
+    half-spectrum beside that of i times it.
+    """
+    eye = np.eye(n)
+    if kind in ("d1", "d2"):
+        ik = _ik(n)[:n // 2 + 1, None] ** int(kind[1])
+        out = np.fft.irfft(ik * np.fft.rfft(eye, axis=0), n=n, axis=0)
+    elif kind == "rfft":
+        f = np.fft.rfft(eye).T
+        out = np.stack([f.real, f.imag])
+    elif kind in ("fft", "ifft"):
+        f = getattr(np.fft, kind)(eye).T
+        out = np.block([[f.real, -f.imag], [f.imag, f.real]])
+        if kind == "ifft":
+            out = out[np.arange(2 * n).reshape(2, n).T.ravel()]
+    else:
+        half = np.eye(n // 2 + 1)
+        out = np.vstack([np.fft.irfft(half, n=n),
+                         np.fft.irfft(1j * half, n=n)]).T
+    out.flags.writeable = False
+    return out
+
+
 def _multiplier(ik: np.ndarray, axis: int, ndim: int,
                 real: bool) -> np.ndarray:
     """``ik`` shaped to broadcast along ``axis`` of an ndim-array spectrum.
@@ -323,23 +373,48 @@ def _multiplier(ik: np.ndarray, axis: int, ndim: int,
     return ik[:shape[axis]].reshape(shape)
 
 
-def _derivative(f: np.ndarray, ik: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral first derivative along one horizontal axis."""
-    if np.iscomplexobj(f):
-        fh = np.fft.fft(f, axis=axis)
-        return np.fft.ifft(fh * _multiplier(ik, axis, f.ndim, False),
-                           axis=axis)
-    fh = np.fft.rfft(f, axis=axis)
-    return np.fft.irfft(fh * _multiplier(ik, axis, f.ndim, True),
-                        n=f.shape[axis], axis=axis)
+def _derivatives(f: np.ndarray, ops) -> np.ndarray:
+    """The spectral derivatives ``(axis, order)`` of f listed in ``ops``,
+    order 1 or 2 along a horizontal axis, on a new trailing axis.
+
+    Along an axis of at most :data:`DENSE_DERIVATIVE_MAX_N` nodes each is
+    one matmul per horizontal plane (level, component) with the cached
+    ``"d1"``/``"d2"`` matrix, so a plane's bits are the same alone or in
+    any field; a longer axis takes one pocketfft forward transform.
+    """
+    nx, ny = f.shape[:2]
+    f3 = f.reshape(nx, ny, -1)
+    out = np.empty(f3.shape + (len(ops),), np.result_type(f, float))
+    planes, spectra = None, {}
+    for j, (axis, order) in enumerate(ops):
+        n = f.shape[axis]
+        if n <= DENSE_DERIVATIVE_MAX_N:
+            if planes is None:
+                planes = np.ascontiguousarray(f3.transpose(2, 0, 1))
+            D = _fourier_matrix(f"d{order}", n)
+            d = D @ planes if axis == 0 else planes @ D.T
+            out[..., j] = d.transpose(1, 2, 0)
+            continue
+        real = not np.iscomplexobj(f)
+        if axis not in spectra:
+            spectra[axis] = (np.fft.rfft if real else np.fft.fft)(f3, axis=axis)
+        fh = spectra[axis] * _multiplier(_ik(n) ** order, axis, 3, real)
+        out[..., j] = (np.fft.irfft(fh, n=n, axis=axis) if real
+                       else np.fft.ifft(fh, axis=axis))
+    return out.reshape(f.shape + (len(ops),))
 
 
 def _ddx(f: np.ndarray, g: Grid) -> np.ndarray:
-    return _derivative(f, g.ikx, 0)
+    return _derivatives(f, ((0, 1),))[..., 0]
 
 
 def _ddy(f: np.ndarray, g: Grid) -> np.ndarray:
-    return _derivative(f, g.iky, 1)
+    return _derivatives(f, ((1, 1),))[..., 0]
+
+
+def _gradient(f: np.ndarray) -> np.ndarray:
+    """x and y derivatives of a field of any rank, on a new trailing axis."""
+    return _derivatives(f, ((0, 1), (1, 1)))
 
 
 def _fft_h(f: np.ndarray) -> np.ndarray:
@@ -362,7 +437,7 @@ def grad_h(f: np.ndarray, g: Grid) -> np.ndarray:
     kind = validate_field(f, g)
     if kind not in ("scalar2d", "scalar3d"):
         raise ValueError("grad_h expects a scalar field")
-    return np.stack([_ddx(f, g), _ddy(f, g)], axis=-1)
+    return _gradient(f)
 
 
 def div_h(v: np.ndarray, g: Grid) -> np.ndarray:
@@ -381,7 +456,7 @@ def grad_h_vec(v: np.ndarray, g: Grid) -> np.ndarray:
     kind = validate_field(v, g)
     if kind not in ("vector2d", "vector3d"):
         raise ValueError("grad_h_vec expects a 2-vector field")
-    return np.stack([_ddx(v, g), _ddy(v, g)], axis=-1)
+    return _gradient(v)
 
 
 def dealias(f: np.ndarray, g: Grid) -> np.ndarray:

@@ -58,13 +58,10 @@ from .operators import (
     _pack_modes,
     _unpack_modes,
     _replace_bc_rows,
-    _replace_rows_dense,
     apply_hydrostatic_lame,
     dense_chs,
     mode_matrices,
     mode_wavevectors,
-    pack_state,
-    unpack_state,
     vertical_lame_block,
     vertical_reduction,
 )
@@ -268,30 +265,6 @@ def _solve_per_mode(
         for c in reversed(range(len(flips))):
             sol[at[c]] = np.where(flips[c], -u[..., c], u[..., c])
     return _unpack_modes(sol, g, real)
-
-
-def _solve_dense(
-    p: ResolventProblem, g: Grid, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monolithic dense solve; lambda = 0 deflates the kernel.
-
-    The tests' reference for the per-mode solve (coarse grids only).
-    """
-    lam = complex(p.lam)
-    n2 = g.nx * g.ny
-    A = dense_chs(p.xi_bar, g, params, bc="raw")
-    n = A.shape[0]
-    M = _replace_rows_dense(lam * np.eye(n) - A, g, offset=n2)
-    f2 = np.array(p.f2, dtype=complex)
-    f2[:, :, [0, -1], :] = 0.0  # their rows hold the boundary conditions
-    rhs = pack_state(np.asarray(p.f1, dtype=complex), f2)
-    if lam == 0:
-        # the kernel, zeta in the mean and on the Nyquist lines, is also the
-        # zeta rows' left kernel: adding its projector pins zeta off it
-        M[:n2, :n2] += np.eye(n2) - _active_filter(g, mean_free=True)
-    with _linalg_breakdown("the dense solve"):
-        sol = np.linalg.solve(M, rhs)
-    return unpack_state(sol.real if _is_real(p) else sol, g)
 
 
 def solve_resolvent(

@@ -969,3 +969,62 @@ def test_mode_tables_are_consistent():
                             V=np.zeros((g.nx, g.ny, g.nz, 2)),
                             fm=identity_map(g), t=0.0)
     assert np.all(full_surface_density(state, gamma1_params()) == 1.0)
+
+
+@pytest.mark.parametrize("shape", ((8, 8, 5), (12, 6, 7), (7, 9, 5),
+                                   (24, 16, 9)))
+def test_F2_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
+                                              monkeypatch):
+    g = grid_of_any_parity(*shape)
+    rng = np.random.default_rng(36)
+    V = rng.standard_normal(shape + (2,))
+    dense = evolve._first_and_second_derivatives(V, g)
+    # the first derivatives are the velocity gradient's, bit for bit
+    assert same_bytes(dense[0], grad_h_vec(V, g))
+    monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
+    ref = evolve._first_and_second_derivatives(V, g)
+    for got, want in zip(dense, ref):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for _, H in (dense, ref):
+        assert same_bytes(H[..., 0, 1], H[..., 1, 0])
+
+
+@pytest.mark.parametrize("mode", ("LocalGamma1", "LocalGamma2",
+                                  "GeneralNoGravity"))
+@pytest.mark.parametrize("shape", ((8, 8, 5), (12, 16, 7)))
+def test_small_local_step_transforms_only_to_dealias(mode, shape,
+                                                     general_params,
+                                                     monkeypatch):
+    g = make_grid(*shape)
+    params = mode_params(mode, general_params)
+    stepper, s0 = stepper_and_state(mode, params, g)
+    s1 = stepper.step(s0)
+    counts = collections.Counter()
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name,
+                            counted(counts, name, getattr(np.fft, name)))
+    inside = collections.Counter()
+
+    def dealias(f, g_):
+        before = counts.total()
+        out = grid.dealias(f, g_)
+        inside["calls"] += 1
+        inside["transforms"] += counts.total() - before
+        return out
+
+    monkeypatch.setattr(evolve, "dealias_field", dealias)
+    stepper.step(s1)
+    # F2 and F1 are dealiased; no other transform is made
+    assert inside["calls"] == 2
+    assert counts.total() == inside["transforms"] > 0
+
+
+def test_steppers_share_one_read_only_set_of_sweep_matrices():
+    g = make_grid(12, 12, 7)
+    params = gamma1_params()
+    (a, _), (b, _) = (stepper_and_state("LocalGamma1", params, g)
+                      for _ in range(2))
+    assert len(a._dft) == len(b._dft) == 4
+    for ma, mb in zip(a._dft, b._dft):
+        assert np.shares_memory(ma, mb)
+        assert not ma.flags.writeable and not mb.flags.writeable

@@ -29,7 +29,11 @@ from cpelab.grid import (
     vertical_average,
     vertical_derivative,
 )
-from cpelab.operators import _pack_modes, _unpack_modes
+from cpelab.operators import (
+    _dft_derivative_matrix,
+    _pack_modes,
+    _unpack_modes,
+)
 
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
@@ -309,3 +313,97 @@ def test_one_axis_transforms_and_packing_are_numpy_2d_bit_for_bit(
             got_zeta, got_V = _unpack_modes(with_zeta, g, real)
             assert same_bytes(got_zeta, numpy_ifft2(zh, (nx, ny), real))
             assert same_bytes(got_V, V)
+
+
+# ---------------------------------------------------------------------------
+# horizontal derivatives as matmuls
+# ---------------------------------------------------------------------------
+
+FIELD_GRIDS = ((8, 6, 5), (7, 9, 5), (12, 12, 7), (5, 16, 3), (24, 11, 9),
+               (32, 20, 4))
+
+
+def field_shapes(nx, ny, nz):
+    return ((nx, ny), (nx, ny, 2), (nx, ny, nz), (nx, ny, nz, 2))
+
+
+@pytest.mark.parametrize("shape", FIELD_GRIDS,
+                         ids=["x".join(map(str, s)) for s in FIELD_GRIDS])
+def test_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
+                                           monkeypatch):
+    g = grid_of_any_parity(*shape)
+    assert max(g.nx, g.ny) <= grid.DENSE_DERIVATIVE_MAX_N
+    rng = np.random.default_rng(33)
+    fields = [f for s in field_shapes(*shape) for f in real_and_complex(rng, s)]
+    ops = ((0, 1), (1, 1), (0, 2), (1, 2))  # (axis, order)
+    dense = [grid._derivatives(f, ops) for f in fields]
+    monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
+    for f, got in zip(fields, dense):
+        ref = grid._derivatives(f, ops)
+        assert got.dtype == f.dtype and got.shape == f.shape + (4,)
+        for j in range(4):
+            assert rel_diff(got[..., j], ref[..., j]) <= 1e-14
+        # pocketfft's first derivatives are the full complex path's
+        for j, ik in ((0, g.ikx), (1, g.iky)):
+            assert rel_diff(ref[..., j], fft_derivative(f, ik, j)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", (4, 7, 12, 15, 32))
+def test_differentiation_matrices_match_the_dense_reference(
+        n, grid_of_any_parity):
+    # operators builds its matrix from the full complex DFT, on its own
+    g = grid_of_any_parity(n, 4, 3)
+    D1 = grid._fourier_matrix("d1", n)
+    ref = _dft_derivative_matrix(n, g.ikx)
+    assert np.abs(D1 - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the second derivative is the first applied twice
+    assert (np.abs(grid._fourier_matrix("d2", n) - ref @ ref).max()
+            <= 1e-12 * np.abs(ref @ ref).max())
+
+
+# one gemm over all columns rounds a column by the field's size on some
+# grids: with OpenBLAS 0.3.31, along x at ny = 12 and nx >= 16, and along
+# y (a gemv for one column) on any grid
+@pytest.mark.parametrize("shape", ((8, 8, 5), (12, 12, 7), (16, 12, 9),
+                                   (32, 32, 17), (7, 9, 5), (64, 40, 3)))
+def test_a_planes_derivative_bits_do_not_depend_on_its_field(
+        shape, grid_of_any_parity):
+    g = grid_of_any_parity(*shape)
+    nx, ny, nz = shape
+    rng = np.random.default_rng(34)
+    for v in (rng.standard_normal((nx, ny, 2)),
+              rng.standard_normal((nx, ny, nz, 2))):
+        dv = grad_h_vec(v, g)
+        assert np.array_equal(dv[..., 0, 0] + dv[..., 1, 1], div_h(v, g))
+        for c in (0, 1):
+            assert np.array_equal(grad_h(v[..., c], g), dv[..., c, :])
+        if v.ndim == 4:
+            for level in (0, nz // 2, nz - 1):
+                plane = v[:, :, level, 1]
+                assert np.array_equal(grad_h(plane, g), dv[:, :, level, 1])
+
+
+def test_derivative_matrices_are_made_once_and_never_written():
+    for kind in ("d1", "d2", "rfft", "fft", "ifft", "irfft"):
+        m = grid._fourier_matrix(kind, 10)
+        assert m is grid._fourier_matrix(kind, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, ...] = 1.0
+
+
+def test_a_long_axis_keeps_the_pocketfft_derivative(monkeypatch):
+    n = grid.DENSE_DERIVATIVE_MAX_N + 2
+    g = make_grid(n, 6, 3)
+    f = np.random.default_rng(35).standard_normal((n, 6, 2))
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(np.fft, name), **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    got = grad_h_vec(f, g)
+    # one transform pair along x; the short y axis is a matmul
+    assert counts == {"rfft": 1, "irfft": 1}
+    ref = np.fft.irfft(np.fft.rfft(f, axis=0) * g.ikx[:n // 2 + 1, None, None],
+                       n=n, axis=0)
+    assert same_bytes(np.ascontiguousarray(got[..., 0]), ref)

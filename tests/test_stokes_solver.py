@@ -18,9 +18,13 @@ from cpelab.operators import (
     SolverBreakdown,
     _bordered,
     _pack_modes,
+    _replace_rows_dense,
     _unpack_modes,
+    dense_chs,
     mode_matrices,
     mode_wavevectors,
+    pack_state,
+    unpack_state,
     vertical_lame_block,
     vertical_reduction,
 )
@@ -37,6 +41,25 @@ from cpelab.stokes_solver import (
 from cpelab.transforms import PhysicalParams, column_density
 
 LAMBDAS = (0.0, 1.0, 1j, 10j, 100j)
+
+
+def solve_dense(p, g, params):
+    """Monolithic dense solve, the reference for the per-mode solve (coarse
+    grids only); lambda = 0 deflates the kernel."""
+    lam = complex(p.lam)
+    n2 = g.nx * g.ny
+    A = dense_chs(p.xi_bar, g, params, bc="raw")
+    M = _replace_rows_dense(lam * np.eye(A.shape[0]) - A, g, offset=n2)
+    f2 = np.array(p.f2, dtype=complex)
+    f2[:, :, [0, -1], :] = 0.0  # their rows hold the boundary conditions
+    rhs = pack_state(np.asarray(p.f1, dtype=complex), f2)
+    if lam == 0:
+        # the kernel, zeta in the mean and on the Nyquist lines, is also the
+        # zeta rows' left kernel: adding its projector pins zeta off it
+        M[:n2, :n2] += np.eye(n2) - stokes_solver._active_filter(
+            g, mean_free=True)
+    sol = np.linalg.solve(M, rhs)
+    return unpack_state(sol.real if stokes_solver._is_real(p) else sol, g)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +140,7 @@ def test_per_mode_and_dense_methods_agree():
         for lam in (1j, 0.0):
             problem, _, _ = manufactured_resolvent_problem(lam, g, params)
             z1, V1 = solve_resolvent(problem, g, params)
-            z2, V2 = stokes_solver._solve_dense(problem, g, params)
+            z2, V2 = solve_dense(problem, g, params)
             assert np.max(np.abs(z1 - z2)) < 1e-9
             assert np.max(np.abs(V1 - V2)) < 1e-9
 
@@ -592,7 +615,7 @@ def test_dense_solve_keeps_complex_data_at_real_lambda():
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
     problem, zeta_true, V_true = manufactured_resolvent_problem(2.0, g, params)
     c = 1.0 + 1.0j
-    zeta, V = stokes_solver._solve_dense(
+    zeta, V = solve_dense(
         ResolventProblem(2.0, c * problem.f1, c * problem.f2), g, params)
     assert np.iscomplexobj(zeta) and np.iscomplexobj(V)
     scale = np.sqrt(l2_norm(zeta_true, g) ** 2 + l2_norm(V_true, g) ** 2)
