@@ -284,12 +284,15 @@ def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
     contraction over z is one batched matmul.
     """
     nx, ny, nz = Vt.shape[:3]
-    C = np.einsum("abnk,abmk->abnm", Z, Z) - np.eye(2)
+    Zn, Zm = Z[..., :, None, :], Z[..., None, :, :]
+    C = Zn[..., 0] * Zm[..., 0] + Zn[..., 1] * Zm[..., 1] - np.eye(2)
     tau = np.einsum("abnk,abmkn->abm", Z, dZ)
     twlap = (np.einsum("abnm,abzinm->abzi", C, H)
              + np.einsum("abm,abzim->abzi", tau, dV))
     ZZ = np.einsum("abni,abmj->abjnmi", Z, Z).reshape(nx, ny, 8, 2)
-    ZdZ = np.einsum("abni,abmjn->abjmi", Z, dZ).reshape(nx, ny, 4, 2)
+    dZt = np.swapaxes(dZ, 2, 3)[..., None]      # [j, m, n, 1] = d_n Z[m, j]
+    ZdZ = (Z[:, :, None, None, 0] * dZt[..., 0, :]
+           + Z[:, :, None, None, 1] * dZt[..., 1, :]).reshape(nx, ny, 4, 2)
     twgd = (H.reshape(nx, ny, nz, 8) @ ZZ
             - np.einsum("abzjij->abzi", H)
             + dV.reshape(nx, ny, nz, 4) @ ZdZ)
@@ -390,7 +393,12 @@ class Stepper:
     to :data:`DENSE_SWEEP_MAX_N` points a side, where an FFT call costs
     more than its arithmetic, with BLAS and the real DFT matrices of
     :func:`cpelab.grid._fourier_matrix`, shared by every ``Stepper`` in a
-    process; the two agree to rounding.  The horizontal derivatives of a
+    process; the two agree to rounding.  The dense sweep holds the iterate
+    as (ny, nx, nz, 2), so each stage is one matmul on a free reshape of
+    the last: one (2 nk, ny) gemm along y, nk (2 nx, 2 nx) gemms along x,
+    nk nx (2, m) @ (m, 2 nz) gemms of the inverses (``_inv_t``, their m
+    interior columns transposed) with Re and Im as the two rows, and the
+    two back transforms.  The horizontal derivatives of a
     step (F2, F1, ``reconstruct_w``) are matmuls too, up to
     :data:`cpelab.grid.DENSE_DERIVATIVE_MAX_N` points a side.
     """
@@ -435,10 +443,13 @@ class Stepper:
         self._inv[rows] = self._inv[g.nx - rows] * np.outer(sign, sign)
         self._dft = None  # the transforms of a dense sweep, as matrices
         if not coupled and max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
-            self._dft = (_fourier_matrix("rfft", g.ny)[:, None],
+            self._dft = (_fourier_matrix("rfft", g.ny),
                          _fourier_matrix("fft", g.nx),
                          _fourier_matrix("ifft", g.nx),
                          _fourier_matrix("irfft", g.ny))
+            # the inverses' interior columns as (ky, kx, interior, 2 nz)
+            self._inv_t = np.ascontiguousarray(
+                self._inv[..., 2:-2].transpose(1, 0, 3, 2))
 
     # -- helpers ------------------------------------------------------------
 
@@ -457,37 +468,51 @@ class Stepper:
         return _unpack_modes(sol, g, True)
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """(rho_star - dt L)^-1 of the interior levels of ``rhs``."""
-        nx, ny, nk = self.g.nx, self.g.ny, self._inv.shape[1]
+        """(rho_star - dt L)^-1 of the interior levels of ``rhs``.
+
+        The pocketfft sweep maps (nx, ny, nz, 2) fields; the dense sweep
+        maps the (ny, nx, nz - 2, 2) interior levels to (ny, nx, nz, 2)."""
         if self._dft is None:
             # the real inverse acts on the real and imaginary parts at once
             shape = self._inv.shape[:3] + (2,)
             sol = self._inv @ _pack_modes(rhs).view(float).reshape(shape)
             return _unpack_modes(sol.view(complex)[..., 0], self.g, True)
         ty, tx, bx, wy = self._dft
-        # y forward to (Re/Im, x, ky, level), x forward, the inverses on Re
-        # and Im, x back with rows (x, Re/Im) and y back from (Re/Im, ky)
-        a = ty @ rhs[:, :, 1:-1].reshape(nx, ny, -1)
-        a = (tx @ a.reshape(2 * nx, -1)).reshape(2, nx, nk, -1, 1)
-        sol = bx @ (self._inv[..., 2:-2] @ a).reshape(2 * nx, -1)
-        return (wy @ sol.reshape(nx, 2 * nk, -1)).reshape(rhs.shape)
+        ny, nx = rhs.shape[:2]
+        nk = ny // 2 + 1
+        # y forward to rows (ky, Re/Im, x), x forward to (ky, kx, Re/Im),
+        # Re and Im as the two rows of each inverse, x back to (ky, Re/Im,
+        # x) and y back to (y, x)
+        a = (ty @ rhs.reshape(ny, -1)).reshape(nk, 2 * nx, -1)
+        a = (tx @ a).reshape(nk, nx, 2, -1) @ self._inv_t
+        a = (bx @ a.reshape(nk, 2 * nx, -1)).reshape(2 * nk, -1)
+        return (wy @ a).reshape(ny, nx, -1, 2)
 
     def _solve_momentum(self, V: np.ndarray,
                         F2: np.ndarray) -> tuple[np.ndarray, int]:
         """Fixed-point solve of (rho0 - dt L) V_new = rho0 (V + dt F2).
 
-        Returns the new velocity and the number of iterations it took.
+        Returns the new velocity, C-contiguous, and the number of
+        iterations it took.  A dense sweep holds the iterate as (ny, nx,
+        nz, 2) and reads only its interior levels.
         """
+        order, levels = (((1, 0, 2, 3), slice(1, -1)) if self._dft is not None
+                         else ((0, 1, 2, 3), slice(None)))
         base = self.rho0 * (V + self.dt * F2)
-        drho = self.rho_star - self.rho0
-        Vm = V
+        drho = np.broadcast_to(self.rho_star - self.rho0, V.shape)
+        base, drho = (np.ascontiguousarray(a.transpose(order)[:, :, levels])
+                      for a in (base, drho))
+        rhs = np.empty_like(base)
+        Vm = V.transpose(order)
         scale = max(1.0, float(np.max(np.abs(V))))
         for it in range(1, self.fp_max_iter + 1):
-            V_new = self._sweep(base + drho * Vm)
+            np.multiply(drho, Vm[:, :, levels], out=rhs)
+            rhs += base
+            V_new = self._sweep(rhs)
             change = float(np.abs(V_new - Vm).max())
             Vm = V_new
             if change <= self.fp_tol * scale:
-                return Vm, it
+                return np.ascontiguousarray(Vm.transpose(order)), it
             if not math.isfinite(change):
                 raise BlowupDetected(
                     f"non-finite implicit momentum iterate at iteration {it}:"

@@ -75,8 +75,10 @@ MAX_BLOCK_ENTRIES = 2**26
 #: 128x128x9; at 256x256 a 2-D gradient ties (1.06), at 384x384 all lose.
 DENSE_DERIVATIVE_MAX_N = 128
 
-#: Largest nx, ny with dense-DFT fixed-point sweeps: per sweep they took 0.42
-#: of pocketfft's time at 12x12x7, 0.73-0.81 at 24x24x13, 1.2 at 32x32x17.
+#: Largest nx, ny with dense-DFT fixed-point sweeps: per iteration they take
+#: 0.35-0.37 of pocketfft's time at 12x12x7, 0.65-0.66 at 24x24x13 and
+#: 0.82-0.86 at 32x32x17.  The ceiling dates from an (x, y)-ordered dense
+#: sweep, which read 1.1-1.2 at 32x32x17.
 DENSE_SWEEP_MAX_N = 24
 
 
@@ -290,7 +292,9 @@ def vertical_average(f: np.ndarray, g: Grid) -> np.ndarray:
     kind = validate_field(f, g)
     if not _is_3d(kind):
         raise ValueError("vertical_average expects a 3D field")
-    return np.tensordot(f, g.wz, axes=([2], [0]))
+    # np.tensordot's own product, without its wrapper: the node axis last
+    at = (np.swapaxes(f, 2, 3) if f.ndim == 4 else f).reshape(-1, g.nz)
+    return np.dot(at, g.wz.reshape(-1, 1)).reshape(f.shape[:2] + f.shape[3:])
 
 
 def _vertical_product(M: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -336,27 +340,28 @@ def _fourier_matrix(kind: str, n: int) -> np.ndarray:
     """A real matrix acting along one horizontal axis of n nodes, made once
     per (kind, n) in a process from numpy's transforms of the identity and
     shared read-only: ``"d1"``, ``"d2"`` the first and second derivative
-    with the multipliers of :func:`_ik`; ``"rfft"`` (real over imaginary
-    part); ``"fft"``, ``"ifft"`` as 2x2 real blocks on stacked (Re, Im),
-    the rows of ``ifft`` in (node, Re/Im) order; ``"irfft"`` of a
-    half-spectrum beside that of i times it.
+    with the multipliers of :func:`_ik`; the transforms, on real and
+    imaginary parts with every spectrum in (k, Re/Im) order: ``"rfft"``
+    from real nodes to the half-spectrum, ``"fft"`` from (Re/Im, node) and
+    ``"ifft"`` back to (Re/Im, node), ``"irfft"`` from the half-spectrum
+    to real nodes.
     """
     eye = np.eye(n)
+    spectral = np.arange(2 * n).reshape(2, n).T.ravel()  # to (k, Re/Im)
     if kind in ("d1", "d2"):
         ik = _ik(n)[:n // 2 + 1, None] ** int(kind[1])
         out = np.fft.irfft(ik * np.fft.rfft(eye, axis=0), n=n, axis=0)
     elif kind == "rfft":
         f = np.fft.rfft(eye).T
-        out = np.stack([f.real, f.imag])
+        out = np.stack([f.real, f.imag], axis=1).reshape(-1, n)
     elif kind in ("fft", "ifft"):
         f = getattr(np.fft, kind)(eye).T
         out = np.block([[f.real, -f.imag], [f.imag, f.real]])
-        if kind == "ifft":
-            out = out[np.arange(2 * n).reshape(2, n).T.ravel()]
+        out = out[spectral] if kind == "fft" else out[:, spectral]
     else:
         half = np.eye(n // 2 + 1)
-        out = np.vstack([np.fft.irfft(half, n=n),
-                         np.fft.irfft(1j * half, n=n)]).T
+        out = np.stack([np.fft.irfft(half, n=n),
+                        np.fft.irfft(1j * half, n=n)], axis=1).reshape(-1, n).T
     out.flags.writeable = False
     return out
 

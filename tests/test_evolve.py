@@ -481,6 +481,50 @@ def test_F2_contractions_match_three_operand_forms(
         assert np.max(np.abs(F2 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def einsum_twisted_terms(Z, dZ, dV, H, Vt):
+    """``_twisted_terms`` with C = Z Z^T - I and ZdZ as einsums."""
+    nx, ny, nz = Vt.shape[:3]
+    C = np.einsum("abnk,abmk->abnm", Z, Z) - np.eye(2)
+    tau = np.einsum("abnk,abmkn->abm", Z, dZ)
+    twlap = (np.einsum("abnm,abzinm->abzi", C, H)
+             + np.einsum("abm,abzim->abzi", tau, dV))
+    ZZ = np.einsum("abni,abmj->abjnmi", Z, Z).reshape(nx, ny, 8, 2)
+    ZdZ = np.einsum("abni,abmjn->abjmi", Z, dZ).reshape(nx, ny, 4, 2)
+    twgd = (H.reshape(nx, ny, nz, 8) @ ZZ
+            - np.einsum("abzjij->abzi", H)
+            + dV.reshape(nx, ny, nz, 4) @ ZdZ)
+    advH = np.einsum("abzl,abzil->abzi", Vt @ np.swapaxes(Z, -1, -2), dV)
+    return twlap, twgd, advH
+
+
+def test_twisted_products_keep_the_bytes_of_their_einsums(
+        oracle_gamma1, oracle_general, general_params, oracle_grid,
+        monkeypatch):
+    # C and ZdZ are two-term elementwise products summed in einsum's order
+    rng = np.random.default_rng(16)
+    nx, ny, nz = 6, 8, 5
+    for Z in (rng.standard_normal((nx, ny, 2, 2)),
+              np.broadcast_to(np.eye(2), (nx, ny, 2, 2))):
+        args = (Z, rng.standard_normal((nx, ny, 2, 2, 2)),
+                rng.standard_normal((nx, ny, nz, 2, 2)),
+                rng.standard_normal((nx, ny, nz, 2, 2, 2)),
+                rng.standard_normal((nx, ny, nz, 2)))
+        for got, ref in zip(evolve._twisted_terms(*args),
+                            einsum_twisted_terms(*args)):
+            assert same_bytes(got, ref)
+    g = oracle_grid
+    states = []
+    for template, params, mode in (
+            (oracle_gamma1, gamma1_params(), "LocalGamma1"),
+            (oracle_general, general_params, "GeneralNoGravity")):
+        truth = template.evaluate(reference.sample_coefficients(rng, mode), g)
+        states.append((state_from_truth(truth), params))
+    got = [nonlinearity_F2(s, s.dtV, g, p) for s, p in states]
+    monkeypatch.setattr(evolve, "_twisted_terms", einsum_twisted_terms)
+    for (s, p), F2 in zip(states, got):
+        assert same_bytes(F2, nonlinearity_F2(s, s.dtV, g, p))
+
+
 def composed_derivatives(V, g):
     """F2's dV and H as composed first derivatives, H by differentiating dV."""
     dV = grad_h_vec(V, g)
@@ -617,6 +661,9 @@ def test_reflected_inverses_solve_as_every_row_inverted(mode, general_params):
                       params.xi_bar if coupled else None)
     every = copy.copy(stepper)
     every._inv = np.stack([np.linalg.inv(row) for row in M])
+    if stepper._dft is not None:  # the dense sweep's copy of the inverses
+        every._inv_t = np.ascontiguousarray(
+            every._inv[..., 2:-2].transpose(1, 0, 3, 2))
     # equal in value; only the sign of some zeros differs
     assert np.array_equal(stepper._inv, every._inv)
     F2 = nonlinearity_F2(s0, None, g, params, dealias=not coupled)
@@ -718,11 +765,17 @@ def test_dense_sweeps_match_the_pocketfft_sweeps(mode, shape, general_params):
     s1 = stepper.step(s0)
     rhs = np.random.default_rng(sum(shape)).standard_normal(s1.V.shape)
     ref = pocketfft._sweep(rhs)
-    assert np.abs(stepper._sweep(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the dense sweep maps the interior levels in (y, x) order to (y, x)
+    yx = (1, 0, 2, 3)
+    got = stepper._sweep(np.ascontiguousarray(rhs.transpose(yx)[:, :, 1:-1]))
+    assert got.shape == (g.ny, g.nx, g.nz, 2)
+    assert np.abs(got.transpose(yx) - ref).max() <= 1e-14 * np.abs(ref).max()
     F2 = nonlinearity_F2(s1, s1.dtV, g, params)
     (V, it), (V_ref, it_ref) = (s._solve_momentum(s1.V, F2)
                                 for s in (stepper, pocketfft))
     assert it == it_ref
+    assert V.shape == V_ref.shape == s1.V.shape
+    assert V.flags.c_contiguous and V_ref.flags.c_contiguous
     assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
 
 
@@ -1028,3 +1081,11 @@ def test_steppers_share_one_read_only_set_of_sweep_matrices():
     for ma, mb in zip(a._dft, b._dft):
         assert np.shares_memory(ma, mb)
         assert not ma.flags.writeable and not mb.flags.writeable
+    # y forward, x forward, x back, y back, spectra in (k, Re/Im) order
+    nk = g.ny // 2 + 1
+    assert [m.shape for m in a._dft] == [(2 * nk, g.ny), (2 * g.nx, 2 * g.nx),
+                                         (2 * g.nx, 2 * g.nx), (g.ny, 2 * nk)]
+    # each Stepper's own inverses: interior columns, transposed, contiguous
+    assert a._inv_t.shape == (nk, g.nx, 2 * (g.nz - 2), 2 * g.nz)
+    assert a._inv_t.flags.c_contiguous
+    assert not np.shares_memory(a._inv_t, b._inv_t)

@@ -151,6 +151,16 @@ def test_vertical_average_analytic():
     assert np.allclose(vertical_average(f, g), 1.0 / 3.0, atol=1e-12)
 
 
+def test_vertical_average_keeps_the_bytes_of_tensordot():
+    g = make_grid(6, 8, 7)
+    rng = np.random.default_rng(36)
+    for shape in ((6, 8, 7), (6, 8, 7, 2)):
+        re, im = rng.standard_normal((2,) + shape)
+        for f in (re, re + 1j * im):
+            assert same_bytes(vertical_average(f, g),
+                              np.tensordot(f, g.wz, axes=([2], [0])))
+
+
 def test_integral_analytic_example():
     g = make_grid(16, 12, 9)
     x = g.x[:, None, None]
