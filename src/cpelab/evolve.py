@@ -385,22 +385,18 @@ class Stepper:
 
     The fields are real, so only the ``rfft2`` half-spectrum ``ky >= 0`` is
     stored and solved: the block at -k equals the block at k in the local
-    modes and is its complex conjugate in ``GlobalGamma1``.  ``_inv`` holds
-    the inverses, shape ``(nx, ny // 2 + 1, n, n)``; a singular block
+    modes and is its complex conjugate in ``GlobalGamma1``.  A singular block
     raises :class:`cpelab.operators.SolverBreakdown` naming its kx row.
-    ``fp_iterations`` lists the fixed-point iteration count of every step
-    that returned.  A fixed-point sweep transforms with pocketfft or, up
-    to :data:`DENSE_SWEEP_MAX_N` points a side, where an FFT call costs
-    more than its arithmetic, with BLAS and the real DFT matrices of
-    :func:`cpelab.grid._fourier_matrix`, shared by every ``Stepper`` in a
-    process; the two agree to rounding.  The dense sweep holds the iterate
-    as (ny, nx, nz, 2), so each stage is one matmul on a free reshape of
-    the last: one (2 nk, ny) gemm along y, nk (2 nx, 2 nx) gemms along x,
-    nk nx (2, m) @ (m, 2 nz) gemms of the inverses (``_inv_t``, their m
-    interior columns transposed) with Re and Im as the two rows, and the
-    two back transforms.  The horizontal derivatives of a
-    step (F2, F1, ``reconstruct_w``) are matmuls too, up to
-    :data:`cpelab.grid.DENSE_DERIVATIVE_MAX_N` points a side.
+    ``GlobalGamma1`` keeps the inverses as ``_inv`` (nx, ny // 2 + 1, n, n),
+    the local modes only their m = 2 (nz - 2) interior columns, as ``_inv_t``
+    (ny // 2 + 1, nx, m, 2 nz).  ``fp_iterations`` lists the fixed-point
+    iteration count of every step that returned.  The fixed point holds its
+    iterate as (ny, nx, nz, 2).  A sweep takes the interior levels y forward,
+    x forward, through ``_inv_t`` with each mode's Re and Im side by side, x
+    back and y back, with pocketfft or, up to
+    :data:`cpelab.grid.DENSE_SWEEP_MAX_N` points a side, where an FFT call
+    costs more than its arithmetic, with the real DFT matrices of
+    :func:`cpelab.grid._fourier_matrix` (equal to rounding).
     """
 
     fp_max_iter = 200
@@ -433,23 +429,26 @@ class Stepper:
         # one call and inverted in place one row kx >= 0 at a time; the block
         # at -kx is D M D, D negating the x-velocity unknowns
         K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
-        self._inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
+        inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
         for ix in range(g.nx // 2 + 1):
             with _linalg_breakdown(f"mode row {ix}"):
-                self._inv[ix] = np.linalg.inv(self._inv[ix])
-        sign = np.ones(self._inv.shape[-1])
+                inv[ix] = np.linalg.inv(inv[ix])
+        sign = np.ones(inv.shape[-1])
         sign[-2 * g.nz::2] = -1.0
         rows = np.arange(g.nx // 2 + 1, g.nx)
-        self._inv[rows] = self._inv[g.nx - rows] * np.outer(sign, sign)
+        inv[rows] = inv[g.nx - rows] * np.outer(sign, sign)
+        if coupled:
+            self._inv = inv
+            return
+        # the interior columns of the inverses as (ky, kx, interior, 2 nz)
+        self._inv_t = np.ascontiguousarray(
+            inv[..., 2:-2].transpose(1, 0, 3, 2))
         self._dft = None  # the transforms of a dense sweep, as matrices
-        if not coupled and max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
+        if max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
             self._dft = (_fourier_matrix("rfft", g.ny),
                          _fourier_matrix("fft", g.nx),
                          _fourier_matrix("ifft", g.nx),
                          _fourier_matrix("irfft", g.ny))
-            # the inverses' interior columns as (ky, kx, interior, 2 nz)
-            self._inv_t = np.ascontiguousarray(
-                self._inv[..., 2:-2].transpose(1, 0, 3, 2))
 
     # -- helpers ------------------------------------------------------------
 
@@ -468,21 +467,18 @@ class Stepper:
         return _unpack_modes(sol, g, True)
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """(rho_star - dt L)^-1 of the interior levels of ``rhs``.
-
-        The pocketfft sweep maps (nx, ny, nz, 2) fields; the dense sweep
-        maps the (ny, nx, nz - 2, 2) interior levels to (ny, nx, nz, 2)."""
-        if self._dft is None:
-            # the real inverse acts on the real and imaginary parts at once
-            shape = self._inv.shape[:3] + (2,)
-            sol = self._inv @ _pack_modes(rhs).view(float).reshape(shape)
-            return _unpack_modes(sol.view(complex)[..., 0], self.g, True)
-        ty, tx, bx, wy = self._dft
+        """(rho_star - dt L)^-1 of the (ny, nx, nz - 2, 2) interior levels
+        ``rhs``, in (y, x) order, as a (ny, nx, nz, 2) field."""
         ny, nx = rhs.shape[:2]
         nk = ny // 2 + 1
-        # y forward to rows (ky, Re/Im, x), x forward to (ky, kx, Re/Im),
-        # Re and Im as the two rows of each inverse, x back to (ky, Re/Im,
-        # x) and y back to (y, x)
+        if self._dft is None:
+            # Re and Im as the two columns of each mode's right-hand side
+            a = np.fft.fft(np.fft.rfft(rhs, axis=0), axis=1).view(float)
+            a = np.swapaxes(self._inv_t, -1, -2) @ a.reshape(nk, nx, -1, 2)
+            a = a.view(complex).reshape(nk, nx, -1, 2)
+            return np.fft.irfft(np.fft.ifft(a, axis=1), n=ny, axis=0)
+        ty, tx, bx, wy = self._dft
+        # rows (ky, Re/Im), then (kx, Re/Im), Re and Im as each inverse's rows
         a = (ty @ rhs.reshape(ny, -1)).reshape(nk, 2 * nx, -1)
         a = (tx @ a).reshape(nk, nx, 2, -1) @ self._inv_t
         a = (bx @ a.reshape(nk, 2 * nx, -1)).reshape(2 * nk, -1)
@@ -493,26 +489,24 @@ class Stepper:
         """Fixed-point solve of (rho0 - dt L) V_new = rho0 (V + dt F2).
 
         Returns the new velocity, C-contiguous, and the number of
-        iterations it took.  A dense sweep holds the iterate as (ny, nx,
-        nz, 2) and reads only its interior levels.
+        iterations it took.  The iterate is held in (y, x) order, as (ny,
+        nx, nz, 2), and a sweep reads only its interior levels.
         """
-        order, levels = (((1, 0, 2, 3), slice(1, -1)) if self._dft is not None
-                         else ((0, 1, 2, 3), slice(None)))
         base = self.rho0 * (V + self.dt * F2)
         drho = np.broadcast_to(self.rho_star - self.rho0, V.shape)
-        base, drho = (np.ascontiguousarray(a.transpose(order)[:, :, levels])
+        base, drho = (np.ascontiguousarray(a.swapaxes(0, 1)[:, :, 1:-1])
                       for a in (base, drho))
         rhs = np.empty_like(base)
-        Vm = V.transpose(order)
+        Vm = V.swapaxes(0, 1)
         scale = max(1.0, float(np.max(np.abs(V))))
         for it in range(1, self.fp_max_iter + 1):
-            np.multiply(drho, Vm[:, :, levels], out=rhs)
+            np.multiply(drho, Vm[:, :, 1:-1], out=rhs)
             rhs += base
             V_new = self._sweep(rhs)
             change = float(np.abs(V_new - Vm).max())
             Vm = V_new
             if change <= self.fp_tol * scale:
-                return np.ascontiguousarray(Vm.transpose(order)), it
+                return np.ascontiguousarray(Vm.swapaxes(0, 1)), it
             if not math.isfinite(change):
                 raise BlowupDetected(
                     f"non-finite implicit momentum iterate at iteration {it}:"

@@ -29,12 +29,13 @@ Design notes
 * Along an axis of at most :data:`DENSE_DERIVATIVE_MAX_N` nodes the
   horizontal derivatives are BLAS matmuls with real matrices
   ``irfft((ik)^p rfft(I))``, one per horizontal plane (level, component),
-  so a plane's bits do not depend on the field it sits in.  Longer axes,
-  dealiasing and the implicit solves transform: real fields with
-  ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the last
-  transformed axis, complex fields (resolvent solutions at complex lambda)
-  with the full ``fft``/``ifft``.  Vertical products are BLAS matmuls over
-  the node axis.
+  so a plane's bits do not depend on the field it sits in.  The local
+  fixed-point sweeps are matmuls too, up to :data:`DENSE_SWEEP_MAX_N`.
+  Longer axes, dealiasing and the other implicit solves transform: real
+  fields with ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the
+  last transformed axis, complex fields (resolvent solutions at complex
+  lambda) with the full ``fft``/``ifft``.  Vertical products are BLAS
+  matmuls over the node axis.
 * Vertical quadrature uses Clenshaw--Curtis weights on the CGL nodes,
   normalized so that the weights sum to 1 on [0,1].
 * Dealiasing uses the 2/3 rule: modes with ``|k| > floor(N/3)`` in either
@@ -75,11 +76,13 @@ MAX_BLOCK_ENTRIES = 2**26
 #: 128x128x9; at 256x256 a 2-D gradient ties (1.06), at 384x384 all lose.
 DENSE_DERIVATIVE_MAX_N = 128
 
-#: Largest nx, ny with dense-DFT fixed-point sweeps: per iteration they take
-#: 0.35-0.37 of pocketfft's time at 12x12x7, 0.65-0.66 at 24x24x13 and
-#: 0.82-0.86 at 32x32x17.  The ceiling dates from an (x, y)-ordered dense
-#: sweep, which read 1.1-1.2 at 32x32x17.
-DENSE_SWEEP_MAX_N = 24
+#: Largest nx, ny with dense-DFT fixed-point sweeps, pocketfft above.  Dense
+#: over pocketfft time of an iteration, one pinned CPU and BLAS thread, best
+#: of 9-15 interleaved, at nz = 9 / 17: 16^2 0.48 / 0.65, 24^2 0.66 / 0.62,
+#: 32^2 0.69-0.79 / 0.82-0.85, 40^2 0.86-0.87 / 0.90-0.91, 48^2 0.97-1.04 /
+#: 1.01-1.02, 64^2 1.04-1.18 / 0.94-1.00; at nz = 9, 8x48 0.51, 48x12 0.77,
+#: 8x64 0.61, 64x8 0.94, 64x16 1.01.
+DENSE_SWEEP_MAX_N = 40
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,9 @@ def mode_matrices(
     z = 1 and the bottom rows d_z V = 0 at z = 0.
     """
     nz = g.nz
-    M = shift * np.eye(2 * nz) - scale * vertical_lame_block(kt, rho, g, params)
+    M = vertical_lame_block(kt, rho, g, params)
+    M *= scale
+    M = shift * np.eye(2 * nz) - M
     off = 0
     if xi_bar is not None:
         M, off = _bordered(M, kt, g.wz, shift, scale, xi_bar), 1

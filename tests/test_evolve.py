@@ -335,12 +335,18 @@ def test_stepper_inverse_matches_mode_loop(mode, general_params):
             * np.ones((1, g.ny))
     stepper = Stepper(mode, g, params, 0.05, zeta0=zeta0)
     K = mode_wavevectors(g)
-    # only the rfft2 half-spectrum ky >= 0 is stored
-    assert stepper._inv.shape[:2] == (g.nx, g.ny // 2 + 1)
-    for ix, iy in np.ndindex(stepper._inv.shape[:2]):
+    # only the rfft2 half-spectrum ky >= 0 is stored; the local modes keep
+    # the interior columns alone, as (ky, kx, interior, 2 nz)
+    coupled = mode == "GlobalGamma1"
+    inv = stepper._inv if coupled else stepper._inv_t.transpose(1, 0, 3, 2)
+    assert hasattr(stepper, "_inv") == coupled
+    assert inv.shape[:2] == (g.nx, g.ny // 2 + 1)
+    for ix, iy in np.ndindex(inv.shape[:2]):
         ref = np.linalg.inv(loop_implicit_matrix(
             mode, K[ix, iy], g, params, 0.05, stepper.rho_star))
-        err = np.max(np.abs(stepper._inv[ix, iy] - ref))
+        if not coupled:
+            ref = ref[:, 2:-2]
+        err = np.max(np.abs(inv[ix, iy] - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -660,12 +666,15 @@ def test_reflected_inverses_solve_as_every_row_inverted(mode, general_params):
     M = mode_matrices(K, 1.0, g, params, stepper.rho_star, stepper.dt,
                       params.xi_bar if coupled else None)
     every = copy.copy(stepper)
-    every._inv = np.stack([np.linalg.inv(row) for row in M])
-    if stepper._dft is not None:  # the dense sweep's copy of the inverses
+    inv = np.stack([np.linalg.inv(row) for row in M])
+    if coupled:
+        every._inv = inv
+    else:  # the interior columns, as (ky, kx, interior, 2 nz)
         every._inv_t = np.ascontiguousarray(
-            every._inv[..., 2:-2].transpose(1, 0, 3, 2))
+            inv[..., 2:-2].transpose(1, 0, 3, 2))
     # equal in value; only the sign of some zeros differs
-    assert np.array_equal(stepper._inv, every._inv)
+    name = "_inv" if coupled else "_inv_t"
+    assert np.array_equal(getattr(stepper, name), getattr(every, name))
     F2 = nonlinearity_F2(s0, None, g, params, dealias=not coupled)
     if coupled:
         F1 = nonlinearity_F1(s0, g, params, dealias=False)
@@ -719,8 +728,8 @@ def test_step_stays_at_its_transform_floor(mode, monkeypatch):
         return
     # above DENSE_SWEEP_MAX_N each fixed-point sweep makes rfft and fft
     # forward, ifft and irfft back
-    g = make_grid(32, 32, 5)
-    assert max(g.nx, g.ny) > evolve.DENSE_SWEEP_MAX_N
+    n = 2 * grid.DENSE_SWEEP_MAX_N
+    g = make_grid(n, n, 5)
     stepper, s0 = stepper_and_state(mode, params, g)
     s1 = stepper.step(s0)
     F2 = nonlinearity_F2(s1, s1.dtV, g, params)
@@ -748,7 +757,8 @@ def test_dense_sweeps_make_no_fft_call(monkeypatch):
 
 # even grids from 4^2 to DENSE_SWEEP_MAX_N^2, square or not, nz in {3, 5, 9}
 DENSE_SWEEP_GRIDS = ((4, 4, 3), (4, 10, 5), (8, 8, 9), (12, 6, 3),
-                     (12, 12, 5), (16, 20, 9), (24, 14, 5), (24, 24, 9))
+                     (12, 12, 5), (16, 20, 9), (24, 14, 5), (24, 24, 9),
+                     (40, 16, 5), (32, 40, 3), (40, 40, 9))
 
 
 @pytest.mark.parametrize("shape", DENSE_SWEEP_GRIDS,
@@ -758,18 +768,18 @@ DENSE_SWEEP_GRIDS = ((4, 4, 3), (4, 10, 5), (8, 8, 9), (12, 6, 3),
 def test_dense_sweeps_match_the_pocketfft_sweeps(mode, shape, general_params):
     g = make_grid(*shape)
     params = mode_params(mode, general_params)
+    assert max(g.nx, g.ny) <= grid.DENSE_SWEEP_MAX_N
     stepper, s0 = stepper_and_state(mode, params, g, 0.05)
     assert stepper._dft is not None
     pocketfft = copy.copy(stepper)
     pocketfft._dft = None
     s1 = stepper.step(s0)
-    rhs = np.random.default_rng(sum(shape)).standard_normal(s1.V.shape)
-    ref = pocketfft._sweep(rhs)
-    # the dense sweep maps the interior levels in (y, x) order to (y, x)
-    yx = (1, 0, 2, 3)
-    got = stepper._sweep(np.ascontiguousarray(rhs.transpose(yx)[:, :, 1:-1]))
-    assert got.shape == (g.ny, g.nx, g.nz, 2)
-    assert np.abs(got.transpose(yx) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # both sweeps map the interior levels in (y, x) order to (y, x)
+    rhs = np.random.default_rng(sum(shape)).standard_normal(
+        (g.ny, g.nx, g.nz - 2, 2))
+    got, ref = stepper._sweep(rhs), pocketfft._sweep(rhs)
+    assert got.shape == ref.shape == (g.ny, g.nx, g.nz, 2)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     F2 = nonlinearity_F2(s1, s1.dtV, g, params)
     (V, it), (V_ref, it_ref) = (s._solve_momentum(s1.V, F2)
                                 for s in (stepper, pocketfft))
@@ -1085,7 +1095,9 @@ def test_steppers_share_one_read_only_set_of_sweep_matrices():
     nk = g.ny // 2 + 1
     assert [m.shape for m in a._dft] == [(2 * nk, g.ny), (2 * g.nx, 2 * g.nx),
                                          (2 * g.nx, 2 * g.nx), (g.ny, 2 * nk)]
-    # each Stepper's own inverses: interior columns, transposed, contiguous
+    # each Stepper's own inverses: interior columns, transposed, contiguous,
+    # and stored once
     assert a._inv_t.shape == (nk, g.nx, 2 * (g.nz - 2), 2 * g.nz)
     assert a._inv_t.flags.c_contiguous
     assert not np.shares_memory(a._inv_t, b._inv_t)
+    assert not hasattr(a, "_inv")
