@@ -35,6 +35,7 @@ from cpelab.stokes_solver import (
     manufactured_resolvent_problem,
     resolvent_residual,
     solve_resolvent,
+    _real_form,
     solve_steady_decomposed,
     spectral_bound,
 )
@@ -195,13 +196,16 @@ LINALG_FAILURES = [
     ("solve", 2, _run_resolvent, 1.0, "mode row 1"),
     ("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block"),
     ("eigvals", 2, _run_spectral_bound, 1.0, "mode row 0"),
+    # after the k = 0 block and the four rows of the filter pass
+    ("eigvals", 6, _run_spectral_bound, 1.0, "the candidate blocks"),
     ("inv", 1, _run_steady, 0.0, "the velocity recovery blocks"),
 ]
 
 
 @pytest.mark.parametrize(
     "name,nth,run,lam,where", LINALG_FAILURES,
-    ids=("stepper", "resolvent", "bound-k0", "bound-row", "steady"))
+    ids=("stepper", "resolvent", "bound-k0", "bound-row", "bound-candidates",
+         "steady"))
 def test_linear_algebra_failure_names_its_row_or_block(monkeypatch, name,
                                                        nth, run, lam, where):
     g = make_grid(8, 8, 5)
@@ -386,7 +390,29 @@ def random_bound_cases(count, seed=2026):
     return cases
 
 
-BOUND_ORACLE_CASES += random_bound_cases(20)
+def hard_bound_cases(count, seed=2027):
+    """Random grids from 8x8x5 to 24x24x13 in the hard regimes: mu from 1e-3
+    to 1e2, mu'/mu from -0.95 to 2, xi_bar from 0.1 to 10."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        nx, ny = rng.choice((8, 12, 16, 24), size=2)
+        nz = int(rng.choice((5, 9, 13)))
+        mu = float(10 ** rng.uniform(-3, 2))
+        mu_prime = float(rng.uniform(-0.95, 2.0) * mu)
+        xi_bar = float(10 ** rng.uniform(-1, 1))
+        model = ("Gamma1", "Gamma2")[i % 2]
+        cases.append(pytest.param(int(nx), int(ny), nz, model, xi_bar, mu,
+                                  mu_prime, id=f"hard{i}"))
+    return cases
+
+
+BOUND_ORACLE_CASES += random_bound_cases(20) + [
+    pytest.param(16, 16, 9, "Gamma2", 10.0, 1e-3, -0.95e-3, id="mu1e-3-xi10"),
+    pytest.param(16, 16, 9, "Gamma1", 10.0, 1e-3, 2e-3, id="mu1e-3-xi10-G1"),
+    pytest.param(12, 8, 7, "Gamma2", 0.1, 100.0, -95.0, id="mu100-xi0.1"),
+    pytest.param(8, 12, 7, "Gamma1", 5.0, 0.01, -0.005, id="mu0.01-xi5"),
+] + hard_bound_cases(20)
 
 
 @pytest.mark.parametrize("nx,ny,nz,model,xi_bar,mu,mu_prime",
@@ -407,6 +433,24 @@ def bound_blocks(kt, g, params):
     rho = column_density(params.model, params.xi_bar, g.z)
     vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
     return _bordered(vel, kt, g.wz @ R, 0.0, -1.0, params.xi_bar)
+
+
+@pytest.mark.parametrize("n,nz", ((16, 9), (32, 17)))
+def test_real_form_has_the_eigenvalues_of_the_bordered_blocks(n, nz):
+    # the filter pass ranks blocks by the max Re of D^-1 B D, D = diag(i, 1,
+    # ..., 1); it must agree with zgeev on B far inside the margin
+    # sqrt(eps) max|lambda| of the exact pass
+    g = make_grid(n, n, nz)
+    params = PhysicalParams(mu=1.1250954666046669, mu_prime=0.9229103507271816)
+    K = mode_wavevectors(g)
+    for row in range(g.nx):
+        B = bound_blocks(K[row], g, params)
+        R = _real_form(B)
+        assert R.dtype == np.float64
+        exact, real = np.linalg.eigvals(B), np.linalg.eigvals(R)
+        size = np.abs(exact).max(axis=-1)
+        gap = np.abs(real.real.max(axis=-1) - exact.real.max(axis=-1))
+        assert np.all(gap <= 1e-3 * np.sqrt(np.finfo(float).eps) * size)
 
 
 @pytest.mark.parametrize("params", (
@@ -443,10 +487,12 @@ def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
     forced = top + 1e-12 * abs(top)
 
     def rounding_apart(M):
+        # the block's real form too, so that the filter pass ranks it
         ev = original(M)
         for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
                         ev.reshape(-1, ev.shape[-1])):
-            for B, target in ((block, top), (partner, forced)):
+            for B, target in ((block, top), (_real_form(block), top),
+                              (partner, forced)):
                 if m.shape == B.shape and np.array_equal(m, B):
                     e += target - e.real.max()
         return ev
@@ -459,18 +505,62 @@ def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
 def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
     g = make_grid(16, 16, 9)
     original = np.linalg.eigvals
-    shapes = []
+    batches = []
 
     def counted(M):
-        shapes.append(M.shape)
+        batches.append((M.shape, M.dtype))
         return original(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     spectral_bound(g, PhysicalParams(mu=1.0, mu_prime=0.5))
-    # the k = 0 velocity block, then rows kx = 0..7 of ky = 0..7 without
-    # k = 0 and the Nyquist lines: 63 bordered blocks where 112 make the
-    # +-k half
-    assert shapes == [(14, 14), (7, 15, 15)] + [(8, 15, 15)] * 7
+    # the filter pass: the k = 0 velocity block, then the real forms of rows
+    # kx = 0..7 of ky = 0..7 without k = 0 and the Nyquist lines: 63
+    # bordered blocks where 112 make the +-k half
+    real = np.dtype(float)
+    assert batches[:9] == ([((14, 14), real), ((7, 15, 15), real)]
+                           + [((8, 15, 15), real)] * 7)
+    # the exact pass: zgeev on the few candidate blocks only
+    exact = batches[9:]
+    assert all(dtype == complex and shape[1:] == (15, 15)
+               for shape, dtype in exact)
+    assert 1 <= sum(shape[0] for shape, _ in exact) <= 4
+
+
+def test_a_misranked_maximum_is_still_eigensolved_exactly(monkeypatch):
+    # the real forms round apart from zgeev; the margin sqrt(eps) max|lambda|
+    # keeps a block whose real form reads 0.5 sqrt(eps) max|lambda| too low
+    g = make_grid(16, 16, 9)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    top = full_spectrum_max_re(g, params)
+    K = mode_wavevectors(g)
+    rows = [bound_blocks(K[ix], g, params) for ix in range(g.nx // 2 + 1)]
+    half = np.s_[:len(rows), :g.ny // 2 + 1]
+    best = np.array([np.linalg.eigvals(B).real.max(axis=-1) for B in rows])
+    best = np.where(g.active_mask[half], best[half], -np.inf)
+    best[0, 0] = -np.inf
+    ix, iy = np.unravel_index(np.argmax(best), best.shape)
+    assert best[ix, iy] == top
+    block = rows[ix][iy]
+    real = _real_form(block)
+    drop = 0.5 * np.sqrt(np.finfo(float).eps) * np.abs(
+        np.linalg.eigvals(block)).max()
+    original = np.linalg.eigvals
+    seen = {"lowered": 0, "solved": 0}
+
+    def misranked(M):
+        ev = original(M)
+        for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
+                        ev.reshape(-1, ev.shape[-1])):
+            if np.array_equal(m, real):
+                seen["lowered"] += 1
+                e -= drop
+            elif np.array_equal(m, block):
+                seen["solved"] += 1
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", misranked)
+    assert spectral_bound(g, params) == -top
+    assert seen == {"lowered": 1, "solved": 1}
 
 
 def loop_solve_per_mode(problem, g, params):
