@@ -62,8 +62,7 @@ from .grid import (
 )
 from .operators import (
     _linalg_breakdown,
-    _pack_modes,
-    _unpack_modes,
+    _real_form,
     mode_matrices,
     mode_wavevectors,
 )
@@ -377,26 +376,24 @@ class Stepper:
     Every mode inverts the Lame operator L = rho A without its density
     (:func:`cpelab.operators.mode_matrices` at rho = 1).  For
     ``GlobalGamma1`` the implicit block is the full coupled surface/velocity
-    operator at the unit state, solved mode by mode with boundary rows
-    replaced.  For the local modes it is rho_star - dt L; the baseline
-    density rho0 multiplying the time derivative is handled by a
-    contractive fixed-point iteration preconditioned with the midpoint
-    density rho_star.
+    operator M at the unit state, with boundary rows replaced, inverted in
+    its real form D^-1 M D, D = diag(i, 1, ..., 1).  For the local modes it
+    is rho_star - dt L; the baseline density rho0 multiplying the time
+    derivative is handled by a contractive fixed-point iteration
+    preconditioned with the midpoint density rho_star.
 
-    The fields are real, so only the ``rfft2`` half-spectrum ``ky >= 0`` is
-    stored and solved: the block at -k equals the block at k in the local
-    modes and is its complex conjugate in ``GlobalGamma1``.  A singular block
-    raises :class:`cpelab.operators.SolverBreakdown` naming its kx row.
-    ``GlobalGamma1`` keeps the inverses as ``_inv`` (nx, ny // 2 + 1, n, n),
-    the local modes only their m = 2 (nz - 2) interior columns, as ``_inv_t``
-    (ny // 2 + 1, nx, m, 2 nz).  ``fp_iterations`` lists the fixed-point
-    iteration count of every step that returned.  The fixed point holds its
-    iterate as (ny, nx, nz, 2).  A sweep takes the interior levels y forward,
-    x forward, through ``_inv_t`` with each mode's Re and Im side by side, x
-    back and y back, with pocketfft or, up to
-    :data:`cpelab.grid.DENSE_SWEEP_MAX_N` points a side, where an FFT call
-    costs more than its arithmetic, with the real DFT matrices of
-    :func:`cpelab.grid._fourier_matrix` (equal to rounding).
+    Only the ``rfft2`` half-spectrum ``ky >= 0`` is stored and solved; a
+    singular block raises :class:`cpelab.operators.SolverBreakdown` naming
+    its kx row.  ``_inv_t`` (ny // 2 + 1, nx, c, n) keeps the inverses'
+    columns that a right-hand side fills: zeta's in ``GlobalGamma1``
+    (``_lead`` = 1, else 0), then the interior levels'.  ``fp_iterations``
+    lists the fixed-point iteration count of every step that returned.  A
+    sweep, the one implicit solve of every mode, takes the (ny, nx, c) data
+    y forward, x forward, through ``_inv_t`` with each mode's Re and Im
+    side by side (zeta-hat as -i zeta-hat), x back and y back, with
+    pocketfft or, up to :data:`cpelab.grid.DENSE_SWEEP_MAX_N` points a
+    side, where an FFT call costs more than its arithmetic, with the real
+    DFT matrices of :func:`cpelab.grid._fourier_matrix` (equal to rounding).
     """
 
     fp_max_iter = 200
@@ -430,6 +427,7 @@ class Stepper:
         # at -kx is D M D, D negating the x-velocity unknowns
         K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
         inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
+        inv = _real_form(inv) if coupled else inv
         for ix in range(g.nx // 2 + 1):
             with _linalg_breakdown(f"mode row {ix}"):
                 inv[ix] = np.linalg.inv(inv[ix])
@@ -437,12 +435,10 @@ class Stepper:
         sign[-2 * g.nz::2] = -1.0
         rows = np.arange(g.nx // 2 + 1, g.nx)
         inv[rows] = inv[g.nx - rows] * np.outer(sign, sign)
-        if coupled:
-            self._inv = inv
-            return
-        # the interior columns of the inverses as (ky, kx, interior, 2 nz)
-        self._inv_t = np.ascontiguousarray(
-            inv[..., 2:-2].transpose(1, 0, 3, 2))
+        # all but the boundary levels' columns, as (ky, kx, c, n)
+        self._lead = lead = int(coupled)
+        self._inv_t = np.ascontiguousarray(np.delete(
+            inv, [lead, lead + 1, -2, -1], axis=-1).transpose(1, 0, 3, 2))
         self._dft = None  # the transforms of a dense sweep, as matrices
         if max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
             self._dft = (_fourier_matrix("rfft", g.ny),
@@ -454,35 +450,38 @@ class Stepper:
 
     def _solve_coupled(self, zeta: np.ndarray, V: np.ndarray,
                        F1: np.ndarray, F2: np.ndarray):
-        """Coupled implicit solve with the remainders F1, F2 not dealiased.
-
-        Their 2/3 mask is applied on the half-spectrum the solve transforms
-        to anyway: ``rfft2(V + dt dealias(F2)) = rfft2(V) + dt mask
-        rfft2(F2)``.
-        """
+        """(zeta, V) of the coupled block on (zeta + dt F1, V + dt F2)."""
         g, dt = self.g, self.dt
-        mask = g.dealias_mask[:, :g.ny // 2 + 1, None]
-        rhs = _pack_modes(V, zeta) + dt * mask * _pack_modes(F2, F1)
-        sol = (self._inv @ rhs[..., None])[..., 0]
-        return _unpack_modes(sol, g, True)
+        Vi = (V + dt * F2).swapaxes(0, 1)[:, :, 1:-1].reshape(g.ny, g.nx, -1)
+        sol = self._sweep(np.dstack([(zeta + dt * F1).T, Vi])).swapaxes(0, 1)
+        return (np.ascontiguousarray(sol[..., 0]),
+                np.ascontiguousarray(sol[..., 1:]).reshape(V.shape))
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """(rho_star - dt L)^-1 of the (ny, nx, nz - 2, 2) interior levels
-        ``rhs``, in (y, x) order, as a (ny, nx, nz, 2) field."""
+        """The (ny, nx, n) unknowns of the (ny, nx, ...) data, in (y, x)."""
         ny, nx = rhs.shape[:2]
         nk = ny // 2 + 1
         if self._dft is None:
             # Re and Im as the two columns of each mode's right-hand side
-            a = np.fft.fft(np.fft.rfft(rhs, axis=0), axis=1).view(float)
-            a = np.swapaxes(self._inv_t, -1, -2) @ a.reshape(nk, nx, -1, 2)
-            a = a.view(complex).reshape(nk, nx, -1, 2)
+            a = np.fft.fft(np.fft.rfft(rhs, axis=0), axis=1)
+            if self._lead:  # zeta-hat passes the real inverses as -i zeta-hat
+                a[..., 0] *= -1j
+            a = a.view(float).reshape(nk, nx, -1, 2)
+            a = (np.swapaxes(self._inv_t, -1, -2) @ a).view(complex)[..., 0]
+            if self._lead:
+                a[..., 0] *= 1j
             return np.fft.irfft(np.fft.ifft(a, axis=1), n=ny, axis=0)
         ty, tx, bx, wy = self._dft
         # rows (ky, Re/Im), then (kx, Re/Im), Re and Im as each inverse's rows
         a = (ty @ rhs.reshape(ny, -1)).reshape(nk, 2 * nx, -1)
-        a = (tx @ a).reshape(nk, nx, 2, -1) @ self._inv_t
+        a = (tx @ a).reshape(nk, nx, 2, -1)
+        if self._lead:  # (Re, Im) of -i zeta-hat, then of i times its solve
+            a[..., 0] = a[..., ::-1, 0] * (1.0, -1.0)
+        a = a @ self._inv_t
+        if self._lead:
+            a[..., 0] = a[..., ::-1, 0] * (-1.0, 1.0)
         a = (bx @ a.reshape(nk, 2 * nx, -1)).reshape(2 * nk, -1)
-        return (wy @ a).reshape(ny, nx, -1, 2)
+        return (wy @ a).reshape(ny, nx, -1)
 
     def _solve_momentum(self, V: np.ndarray,
                         F2: np.ndarray) -> tuple[np.ndarray, int]:
@@ -502,7 +501,7 @@ class Stepper:
         for it in range(1, self.fp_max_iter + 1):
             np.multiply(drho, Vm[:, :, 1:-1], out=rhs)
             rhs += base
-            V_new = self._sweep(rhs)
+            V_new = self._sweep(rhs).reshape(Vm.shape)
             change = float(np.abs(V_new - Vm).max())
             Vm = V_new
             if change <= self.fp_tol * scale:
@@ -549,11 +548,9 @@ class Stepper:
             raise ValueError(f"stepper built for {self.mode}, got {state.mode}")
         g, params, dt = self.g, self.params, self.dt
         coupled = self.mode == "GlobalGamma1"
-        F2 = _finite("F2", nonlinearity_F2(state, state.dtV, g, params,
-                                           dealias=not coupled))
+        F2 = _finite("F2", nonlinearity_F2(state, state.dtV, g, params))
         if coupled:
-            F1 = _finite("F1", nonlinearity_F1(state, g, params,
-                                               dealias=False))
+            F1 = _finite("F1", nonlinearity_F1(state, g, params))
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
         else:
             V_new, iterations = self._solve_momentum(state.V, F2)

@@ -542,6 +542,16 @@ def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
     return B
 
 
+def _real_form(B: np.ndarray) -> np.ndarray:
+    """The real matrices D^-1 B D, D = diag(i, 1, ..., 1), of bordered
+    blocks B of A_CHS (a real corner, an imaginary zeta row and column, a
+    real velocity part): they have the eigenvalues of B."""
+    R = B.real.copy()
+    R[..., 0, 1:] = B[..., 0, 1:].imag
+    R[..., 1:, 0] = -B[..., 1:, 0].imag
+    return R
+
+
 def mode_matrices(
     kt: np.ndarray,
     rho,

@@ -56,6 +56,7 @@ from .operators import (
     _bordered,
     _linalg_breakdown,
     _pack_modes,
+    _real_form,
     _unpack_modes,
     _replace_bc_rows,
     apply_hydrostatic_lame,
@@ -435,16 +436,6 @@ def _max_real_part(M: np.ndarray, where: str):
     with _linalg_breakdown(where):
         ev = np.linalg.eigvals(M)
     return ev.real.max(axis=-1), np.abs(ev).max(axis=-1)
-
-
-def _real_form(B: np.ndarray) -> np.ndarray:
-    """The real matrices D^-1 B D, D = diag(i, 1, ..., 1), of bordered
-    blocks B of A_CHS (a zero corner, an imaginary zeta row and column, a
-    real velocity part): they have the eigenvalues of B."""
-    R = B.real.copy()
-    R[..., 0, 1:] = B[..., 0, 1:].imag
-    R[..., 1:, 0] = -B[..., 1:, 0].imag
-    return R
 
 
 def spectral_bound(

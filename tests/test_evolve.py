@@ -46,6 +46,7 @@ from cpelab.grid import (
     vertical_average,
 )
 from cpelab.operators import (
+    _real_form,
     mode_matrices,
     mode_wavevectors,
     vertical_lame_block,
@@ -335,17 +336,20 @@ def test_stepper_inverse_matches_mode_loop(mode, general_params):
             * np.ones((1, g.ny))
     stepper = Stepper(mode, g, params, 0.05, zeta0=zeta0)
     K = mode_wavevectors(g)
-    # only the rfft2 half-spectrum ky >= 0 is stored; the local modes keep
-    # the interior columns alone, as (ky, kx, interior, 2 nz)
-    coupled = mode == "GlobalGamma1"
-    inv = stepper._inv if coupled else stepper._inv_t.transpose(1, 0, 3, 2)
-    assert hasattr(stepper, "_inv") == coupled
-    assert inv.shape[:2] == (g.nx, g.ny // 2 + 1)
+    # only the rfft2 half-spectrum ky >= 0 is stored, and only the columns
+    # of zeta and the interior levels, as (ky, kx, columns, rows); the
+    # coupled inverses in the real form D^-1 inv D, D = diag(i, 1, ..., 1)
+    lead = int(mode == "GlobalGamma1")
+    inv = stepper._inv_t.transpose(1, 0, 3, 2)
+    assert not hasattr(stepper, "_inv")
+    assert inv.dtype == float and inv.shape[:2] == (g.nx, g.ny // 2 + 1)
+    d = np.ones(lead + 2 * g.nz, dtype=complex)
+    d[:lead] = 1j
+    columns = np.r_[:lead, lead + 2:len(d) - 2]
     for ix, iy in np.ndindex(inv.shape[:2]):
         ref = np.linalg.inv(loop_implicit_matrix(
             mode, K[ix, iy], g, params, 0.05, stepper.rho_star))
-        if not coupled:
-            ref = ref[:, 2:-2]
+        ref = (ref / d[:, None] * d)[:, columns]
         err = np.max(np.abs(inv[ix, iy] - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
 
@@ -416,7 +420,9 @@ def test_half_spectrum_solves_match_full_spectrum(mode, shape,
     V, F2 = rng.standard_normal((2, g.nx, g.ny, g.nz, 2))
     if mode == "GlobalGamma1":
         zeta, F1 = rng.standard_normal((2, g.nx, g.ny))
-        got = stepper._solve_coupled(zeta, V, F1, F2)
+        # the step dealiases both remainders before the solve
+        got = stepper._solve_coupled(zeta, V, grid.dealias(F1, g),
+                                     grid.dealias(F2, g))
         ref = full_spectrum_coupled(stepper, inv, zeta, V, F1, F2)
         assert rel(got[0], ref[0]) <= 1e-12
         assert rel(got[1], ref[1]) <= 1e-12
@@ -429,20 +435,23 @@ def test_half_spectrum_solves_match_full_spectrum(mode, shape,
 
 def test_coupled_step_is_the_resolvent_at_inverse_dt():
     # (1 - dt A_CHS)^-1 = (1/dt) (1/dt - A_CHS)^-1: the GlobalGamma1 step
-    # and the resolvent solve share the per-mode blocks and their packing
-    g = make_grid(12, 12, 9)
+    # and the resolvent solve share the per-mode blocks; the sweep takes
+    # the dense path on the first grid and pocketfft on the second
     params = gamma1_params()
     dt = 0.05
     rng = np.random.default_rng(8)
-    zeta = rng.standard_normal((g.nx, g.ny))
-    V = rng.standard_normal((g.nx, g.ny, g.nz, 2))
-    stepper = Stepper("GlobalGamma1", g, params, dt)
-    got = stepper._solve_coupled(zeta, V, np.zeros_like(zeta),
-                                 np.zeros_like(V))
-    ref = solve_resolvent(ResolventProblem(1.0 / dt, zeta / dt, V / dt), g,
-                          params)
-    for a, b in zip(got, ref):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    for shape, dense in (((12, 12, 9), True), ((48, 44, 5), False)):
+        g = make_grid(*shape)
+        zeta = rng.standard_normal((g.nx, g.ny))
+        V = rng.standard_normal((g.nx, g.ny, g.nz, 2))
+        stepper = Stepper("GlobalGamma1", g, params, dt)
+        assert (stepper._dft is not None) == dense
+        got = stepper._solve_coupled(zeta, V, np.zeros_like(zeta),
+                                     np.zeros_like(V))
+        ref = solve_resolvent(ResolventProblem(1.0 / dt, zeta / dt, V / dt),
+                              g, params)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_random_smooth_spectrum_is_band_limited():
@@ -665,19 +674,19 @@ def test_reflected_inverses_solve_as_every_row_inverted(mode, general_params):
     K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
     M = mode_matrices(K, 1.0, g, params, stepper.rho_star, stepper.dt,
                       params.xi_bar if coupled else None)
+    if coupled:
+        M = _real_form(M)
     every = copy.copy(stepper)
     inv = np.stack([np.linalg.inv(row) for row in M])
-    if coupled:
-        every._inv = inv
-    else:  # the interior columns, as (ky, kx, interior, 2 nz)
-        every._inv_t = np.ascontiguousarray(
-            inv[..., 2:-2].transpose(1, 0, 3, 2))
+    # the columns of zeta and the interior levels, as (ky, kx, c, n)
+    lead = int(coupled)
+    every._inv_t = np.ascontiguousarray(
+        inv[..., np.r_[:lead, lead + 2:M.shape[-1] - 2]].transpose(1, 0, 3, 2))
     # equal in value; only the sign of some zeros differs
-    name = "_inv" if coupled else "_inv_t"
-    assert np.array_equal(getattr(stepper, name), getattr(every, name))
-    F2 = nonlinearity_F2(s0, None, g, params, dealias=not coupled)
+    assert np.array_equal(stepper._inv_t, every._inv_t)
+    F2 = nonlinearity_F2(s0, None, g, params)
     if coupled:
-        F1 = nonlinearity_F1(s0, g, params, dealias=False)
+        F1 = nonlinearity_F1(s0, g, params)
         for got, ref in zip(stepper._solve_coupled(s0.zeta, s0.V, F1, F2),
                             every._solve_coupled(s0.zeta, s0.V, F1, F2)):
             assert same_bytes(got, ref)
@@ -774,11 +783,11 @@ def test_dense_sweeps_match_the_pocketfft_sweeps(mode, shape, general_params):
     pocketfft = copy.copy(stepper)
     pocketfft._dft = None
     s1 = stepper.step(s0)
-    # both sweeps map the interior levels in (y, x) order to (y, x)
+    # both sweeps map the interior levels in (y, x) order to all levels
     rhs = np.random.default_rng(sum(shape)).standard_normal(
-        (g.ny, g.nx, g.nz - 2, 2))
+        (g.ny, g.nx, 2 * (g.nz - 2)))
     got, ref = stepper._sweep(rhs), pocketfft._sweep(rhs)
-    assert got.shape == ref.shape == (g.ny, g.nx, g.nz, 2)
+    assert got.shape == ref.shape == (g.ny, g.nx, 2 * g.nz)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     F2 = nonlinearity_F2(s1, s1.dtV, g, params)
     (V, it), (V_ref, it_ref) = (s._solve_momentum(s1.V, F2)
@@ -1085,19 +1094,68 @@ def test_small_local_step_transforms_only_to_dealias(mode, shape,
 def test_steppers_share_one_read_only_set_of_sweep_matrices():
     g = make_grid(12, 12, 7)
     params = gamma1_params()
-    (a, _), (b, _) = (stepper_and_state("LocalGamma1", params, g)
-                      for _ in range(2))
-    assert len(a._dft) == len(b._dft) == 4
-    for ma, mb in zip(a._dft, b._dft):
-        assert np.shares_memory(ma, mb)
+    (a, _), (b, _), (c, _) = (stepper_and_state(mode, params, g) for mode in
+                              ("LocalGamma1", "LocalGamma1", "GlobalGamma1"))
+    assert len(a._dft) == len(b._dft) == len(c._dft) == 4
+    for ma, mb, mc in zip(a._dft, b._dft, c._dft):
+        assert np.shares_memory(ma, mb) and np.shares_memory(ma, mc)
         assert not ma.flags.writeable and not mb.flags.writeable
     # y forward, x forward, x back, y back, spectra in (k, Re/Im) order
     nk = g.ny // 2 + 1
     assert [m.shape for m in a._dft] == [(2 * nk, g.ny), (2 * g.nx, 2 * g.nx),
                                          (2 * g.nx, 2 * g.nx), (g.ny, 2 * nk)]
-    # each Stepper's own inverses: interior columns, transposed, contiguous,
-    # and stored once
+    # each Stepper's own inverses: the columns of zeta (GlobalGamma1) and
+    # the interior levels, transposed, contiguous, and stored once
     assert a._inv_t.shape == (nk, g.nx, 2 * (g.nz - 2), 2 * g.nz)
-    assert a._inv_t.flags.c_contiguous
+    assert c._inv_t.shape == (nk, g.nx, 1 + 2 * (g.nz - 2), 1 + 2 * g.nz)
+    for s in (a, c):
+        assert s._inv_t.flags.c_contiguous
+        assert not hasattr(s, "_inv")
     assert not np.shares_memory(a._inv_t, b._inv_t)
-    assert not hasattr(a, "_inv")
+
+
+def grid_image(kind, f, vector=False):
+    """The image of a field (nx, ny, ...) under a symmetry of the periodic
+    grid; with ``vector`` the last axis holds (x, y) components."""
+    if kind == "shift":  # by whole cells
+        f = np.roll(f, (5, 2), axis=(0, 1))
+    elif kind == "swap":  # x <-> y, on square grids
+        f = f.swapaxes(0, 1)
+        if vector:
+            f = f[..., ::-1]
+    else:  # x -> -x
+        f = np.roll(f[::-1], 1, axis=0)
+        if vector:
+            f = f * np.array([-1.0, 1.0])
+    return np.ascontiguousarray(f)
+
+
+@pytest.mark.parametrize("shape", ((12, 12, 7), (48, 48, 9)))
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_steps_commute_with_the_grid_symmetries(mode, shape, general_params):
+    # one grid on each sweep path; three steps of an image are the image
+    # of three steps, so a term that mixes x and y up breaks the equality
+    g = make_grid(*shape)
+    assert (max(shape) <= grid.DENSE_SWEEP_MAX_N) == (shape[0] == 12)
+    params = mode_params(mode, general_params)
+    cfg = RunConfig(mode=mode, nx=g.nx, ny=g.ny, nz=g.nz, params=params,
+                    dt=5e-3, t_end=5e-3, preset="random_smooth",
+                    amplitude=0.3, seed=7)
+    s0 = initial_state(cfg, g)
+
+    def three_steps(zeta, V, zeta0):
+        state = LagrangianState(mode=mode, zeta=zeta, V=V, fm=identity_map(g),
+                                t=0.0, zeta0=zeta0)
+        stepper = Stepper(mode, g, params, cfg.dt, zeta0=zeta0)
+        for _ in range(3):
+            state = stepper.step(state)
+        return state.zeta, state.V, state.fm.disp
+
+    want = three_steps(s0.zeta, s0.V, s0.zeta0)
+    for kind in ("shift", "swap", "reflect"):
+        got = three_steps(
+            grid_image(kind, s0.zeta), grid_image(kind, s0.V, True),
+            None if s0.zeta0 is None else grid_image(kind, s0.zeta0))
+        for a, b, vector in zip(got, want, (False, True, True)):
+            b = grid_image(kind, b, vector)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), kind

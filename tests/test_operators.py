@@ -512,10 +512,8 @@ def test_stepper_inverses_equal_those_of_the_kronecker_blocks(kron_blocks,
     grids = [make_grid(8, 8, 5), make_grid(12, 8, 7)]
     zeta0 = [None if mode == "GlobalGamma1" else smooth_xi0(g) for g in grids]
 
-    name = "_inv" if mode == "GlobalGamma1" else "_inv_t"
-
     def inverses():
-        return [getattr(evolve.Stepper(mode, g, params, 0.02, zeta0=z), name)
+        return [evolve.Stepper(mode, g, params, 0.02, zeta0=z)._inv_t
                 for g, z in zip(grids, zeta0)]
 
     got = inverses()

@@ -18,6 +18,7 @@ from cpelab.operators import (
     SolverBreakdown,
     _bordered,
     _pack_modes,
+    _real_form,
     _replace_rows_dense,
     _unpack_modes,
     dense_chs,
@@ -35,7 +36,6 @@ from cpelab.stokes_solver import (
     manufactured_resolvent_problem,
     resolvent_residual,
     solve_resolvent,
-    _real_form,
     solve_steady_decomposed,
     spectral_bound,
 )
