@@ -115,7 +115,7 @@ def _config_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -123,6 +123,8 @@ def _config_file(path: str):
         raise ConfigError(
             f"invalid JSON in {path!r}: {exc.msg} (line {exc.lineno}, "
             f"column {exc.colno})") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
+        raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config root in {path!r} must be a JSON object")
     try:
@@ -148,7 +150,11 @@ def _check_unknown(obj: dict, allowed: set, where: str) -> None:
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}", key)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"'{key}' must be finite, got an integer past the "
+                          "float range", key) from exc
 
 
 def _as_int(value, key: str) -> int:
@@ -317,12 +323,8 @@ def parse_resolvent_problem(path: str):
         raw_lam = _require(obj, "lam")
         if isinstance(raw_lam, list) and len(raw_lam) == 2:
             lam = complex(*(_as_number(v, "lam") for v in raw_lam))
-        elif (isinstance(raw_lam, (int, float))
-              and not isinstance(raw_lam, bool)):
-            lam = complex(raw_lam)
         else:
-            raise ConfigError(
-                "'lam' must be a number or a [real, imag] pair", "lam")
+            lam = complex(_as_number(raw_lam, "lam"))
         try:
             stokes_solver.check_spectral_parameter(lam)
         except ValueError as exc:
@@ -369,7 +371,9 @@ def _writing(path: str):
                           f"{exc.strerror or exc}") from exc
 
 
-def _write_summary(out_dir: str, payload: dict) -> str:
+def _write_summary(out_dir: str, subcommand: str, payload: dict) -> str:
+    """Write ``summary.json``; ``payload`` gains the schema header."""
+    payload.update(schema_version=SCHEMA_VERSION, subcommand=subcommand)
     path = os.path.join(out_dir, "summary.json")
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -402,8 +406,6 @@ def _cmd_simulate(args) -> int:
     fp_stats = ({"min": min(fp), "mean": sum(fp) / len(fp), "max": max(fp)}
                 if fp else None)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "simulate",
         "mode": cfg.mode,
         "grid": [cfg.nx, cfg.ny, cfg.nz],
         "preset": cfg.preset,
@@ -420,7 +422,7 @@ def _cmd_simulate(args) -> int:
         "fp_iterations": fp_stats,
         "diagnostics_csv": os.path.basename(csv_path),
     }
-    _write_summary(out_dir, payload)
+    _write_summary(out_dir, "simulate", payload)
     print(f"status={result.status} t_final={result.t_final:.6g} "
           f"steps={result.n_steps} -> {csv_path}")
     if result.message:
@@ -473,8 +475,6 @@ def _cmd_spectrum(args) -> int:
                                         report.lam2.tolist()):
             fh.write(f"{k1},{k2},{lam1:.17g},{lam2:.17g}\n")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "spectrum",
         "grid": [g.nx, g.ny, g.nz],
         "mu": mu,
         "mu_prime": mu_prime,
@@ -486,7 +486,7 @@ def _cmd_spectrum(args) -> int:
         "explanation": explanation,
         "symbol_csv": os.path.basename(csv_path),
     }
-    path = _write_summary(out_dir, payload)
+    path = _write_summary(out_dir, "spectrum", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(f"-> {path}")
     return EXIT_OK
@@ -526,8 +526,6 @@ def _cmd_resolvent(args) -> int:
         with _writing(os.path.join(out_dir, name)) as path:
             np.save(path, field)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "resolvent",
         "grid": [g.nx, g.ny, g.nz],
         "lam": [lam.real, lam.imag],
         "rhs": rhs_kind,
@@ -539,7 +537,7 @@ def _cmd_resolvent(args) -> int:
         "v_l2": l2_norm(V, g),
         "fields": ["zeta.npy", "V.npy"],
     }
-    path = _write_summary(out_dir, payload)
+    path = _write_summary(out_dir, "resolvent", payload)
     print(f"residual={residual:.3e} zeta_l2={payload['zeta_l2']:.6g} "
           f"v_l2={payload['v_l2']:.6g} -> {path}")
     return EXIT_OK

@@ -66,7 +66,12 @@ from .operators import (
     mode_matrices,
     mode_wavevectors,
 )
-from .transforms import PhysicalParams, column_density, lame_weights
+from .transforms import (
+    PhysicalParams,
+    _require_finite,
+    column_density,
+    lame_weights,
+)
 
 __all__ = [
     "EVOLUTION_MODES",
@@ -613,14 +618,12 @@ def check_run_value(key: str, value) -> None:
     elif key in ("dt", "t_end"):
         if not value > 0:
             raise ValueError(f"{key} must be positive, got {value}")
-        if not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
+        _require_finite((key, value))
     elif key == "output_every":
         if value < 1:
             raise ValueError(f"output_every must be >= 1, got {value}")
     elif key == "amplitude":
-        if not np.isfinite(value):
-            raise ValueError(f"amplitude must be finite, got {value}")
+        _require_finite((key, value))
     elif not (np.isfinite(value) and value > 0):
         raise ValueError(
             f"tolerance '{key}' must be finite and positive, got {value}")

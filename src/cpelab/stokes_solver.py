@@ -66,7 +66,12 @@ from .operators import (
     vertical_lame_block,
     vertical_reduction,
 )
-from .transforms import PhysicalParams, column_density, lame_weights
+from .transforms import (
+    PhysicalParams,
+    _require_finite,
+    column_density,
+    lame_weights,
+)
 
 __all__ = [
     "MEAN_TOL",
@@ -98,8 +103,7 @@ SWEEP_LAMBDAS = (0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j)
 def check_spectral_parameter(lam: complex) -> None:
     """Raise ``ValueError`` unless lambda is finite with Re lambda >= 0."""
     lam = complex(lam)
-    if not np.isfinite(lam):
-        raise ValueError(f"'lam' must be finite, got {lam}")
+    _require_finite(("'lam'", lam))
     if lam.real < 0:
         raise ValueError(f"'lam' must satisfy Re lambda >= 0, got {lam}")
 
@@ -457,11 +461,11 @@ def spectral_bound(
     blocks by an approximate max Re a_b and a size s_b = max|lambda|.  Only
     the candidates, blocks with a_b + sqrt(eps) s_b at or above both the
     k = 0 block's max Re and every a_b - sqrt(eps) s_b, are eigensolved as
-    B itself (zgeev): the real form's rounding sits far inside that
-    margin, so the result is the maximum over every block, bit for bit.
-    Near the maximum both blocks of a ky pair are solved, as zgeev may
-    round them apart.  ``dense`` projects the dense reduced realization
-    onto the mean-free active subspace.  Raises :class:`SolverBreakdown`
+    B itself (zgeev), in one batch with the reflection (kx, -ky) of each
+    candidate off the axes, as zgeev may round the two apart: the real
+    form's rounding sits far inside that margin, so the result is the
+    maximum over every block, bit for bit.  ``dense`` projects the dense
+    reduced realization onto the mean-free active subspace.  Raises :class:`SolverBreakdown`
     if an eigensolve fails (naming its kx row or block) or the computed
     bound is not positive, or not resolved (within n eps max|lambda| of
     zero, max|lambda| over the k = 0 block and the real forms).
@@ -491,35 +495,26 @@ def spectral_bound(
         max_re, size = _max_real_part(A0, "the k = 0 block")
         # Filter pass.  The real forms round within about n eps s of zgeev,
         # far inside the margin, so every block within 1e-11 relative of
-        # the maximum is a candidate.  floor is a running lower bound on the
-        # maximum; a block below it by the margin stays below it, so only
-        # the blocks that reach it are kept.
+        # the maximum is a candidate.  floor is a lower bound on the maximum;
+        # the candidates are the blocks whose hi reaches it.
         margin = np.sqrt(np.finfo(float).eps)
         floor, kept = max_re, []
         for row in np.flatnonzero(keep.any(axis=1)):
             cols = np.flatnonzero(keep[row])
-            B = blocks(K[row, cols])
-            a, s = _max_real_part(_real_form(B), f"mode row {row}")
+            a, s = _max_real_part(_real_form(blocks(K[row, cols])),
+                                  f"mode row {row}")
             lo, hi = a - margin * s, a + margin * s
             floor, size = max(floor, lo.max()), max(size, s.max())
-            c = ~(hi < floor)  # a NaN is kept
-            kept += zip([row] * c.sum(), cols[c], B[c], hi[c])
-        # Exact pass: zgeev on the candidates
-        block_re = np.full((g.nx, g.ny), -np.inf)
-        kept = [(row, col, b) for row, col, b, hi in kept if not hi < floor]
-        if kept:
-            rx, ry, B = zip(*kept)
-            block_re[rx, ry] = _max_real_part(np.array(B),
-                                              "the candidate blocks")[0]
-        max_re = max(max_re, block_re.max())
-        # zgeev may round a block and its reflection (kx, -ky) apart (by
-        # < 1e-11 relative), so near the maximum the reflection is solved too
-        near = block_re >= max_re - 1e-11 * abs(max_re)
-        near[0] = near[:, 0] = False  # conjugates, or their own reflection
-        if near.any():
-            rx, ry = np.nonzero(near)
-            re = _max_real_part(blocks(K[rx, -ry % g.ny]),
-                                "reflected blocks")[0]
+            kept += zip([row] * len(cols), cols, hi)
+        # Exact pass: zgeev on the candidates (a NaN is kept) and, off the
+        # axes, on their reflections (kx, -ky), which zgeev may round apart
+        # from them by < 1e-11 relative
+        rx, ry = np.array([(row, col) for row, col, hi in kept
+                           if not hi < floor], dtype=int).reshape(-1, 2).T
+        off = (rx > 0) & (ry > 0)  # on an axis: conjugates, or itself
+        rx, ry = np.r_[rx, rx[off]], np.r_[ry, -ry[off] % g.ny]
+        if rx.size:
+            re = _max_real_part(blocks(K[rx, ry]), "the candidate blocks")[0]
             max_re = max(max_re, re.max())
         n = 1 + len(avg_row) * 2
     elif method == "dense":

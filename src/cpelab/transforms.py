@@ -82,9 +82,9 @@ def column_density(model: str, xi, z: np.ndarray) -> np.ndarray:
     return np.broadcast_to(xi, xi.shape[:-1] + z.shape)
 
 
-def _require_finite(*named: tuple[str, float]) -> None:
+def _require_finite(*named: tuple[str, complex]) -> None:
     for name, value in named:
-        if not math.isfinite(value):
+        if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -425,6 +425,62 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,needle", [
+    (b'{"schema_version": 1, "mode": "\xff"}', "cannot read config file"),
+    (b"[" * 200_000 + b"]" * 200_000, "invalid JSON in"),
+    (b'{"seed": ' + b"7" * 5000 + b"}", "invalid JSON in"),
+], ids=("not-utf-8", "nested-too-deeply", "integer-too-long"))
+@pytest.mark.parametrize("command", ("simulate", "spectrum", "resolvent"))
+def test_unparsable_file_is_config_error(tmp_path, capsys, command, content,
+                                         needle):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {needle} {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+# every number key of the two schemas, holding "@" in place of its value;
+# spectrum reads every field of a run config that simulate reads
+RUN, PROBLEM = ("simulate", "spectrum"), ("resolvent",)
+NUMBER_KEY_PATHS = [
+    *((RUN, {"params": {**ADMISSIBLE, key: "@"}}, key)
+      for key in ("mu", "mu_prime", "xi_bar", "M1", "M2")),
+    (RUN, {"mode": GENERAL, "params": {
+        **ADMISSIBLE, "pressure": {"law": "linear", "c": "@"}}}, "c"),
+    (RUN, {"mode": GENERAL, "params": {
+        **ADMISSIBLE, "pressure": {"law": "tanh", "alpha": "@"}}}, "alpha"),
+    *((RUN, {key: "@"}, key) for key in ("dt", "t_end", "amplitude")),
+    *((RUN, {"tolerances": {key: "@"}}, key)
+      for key in sorted(cli._TOLERANCE_KEYS)),
+    (PROBLEM, {"lam": "@"}, "lam"),
+    (PROBLEM, {"lam": ["@", 0.0]}, "lam"),
+    (PROBLEM, {"lam": [0.0, "@"]}, "lam"),
+]
+
+
+@pytest.mark.parametrize("sign", (1, -1), ids=("plus", "minus"))
+@pytest.mark.parametrize(
+    "commands,overrides,key", NUMBER_KEY_PATHS,
+    ids=[f"{key}-{i}" for i, (_, _, key) in enumerate(NUMBER_KEY_PATHS)])
+def test_integer_past_the_float_range_is_config_error(
+        tmp_path, capsys, commands, overrides, key, sign):
+    # an integer literal such as 1 followed by 400 zeros has no float
+    write = write_config if commands == RUN else write_problem
+    path = write(tmp_path, **overrides)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace('"@"', str(sign * 10 ** 400))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    line = text.count("\n", 0, text.find(f'"{key}"')) + 1
+    for command in commands:
+        assert cli.main([command, path, "--output-dir",
+                         str(tmp_path / "out")]) == 2
+        assert_config_error(capsys, f"'{key}' must be finite, got an "
+                            "integer past the float range", line)
+
+
 def test_unknown_key_is_located(tmp_path, capsys):
     cfg = write_config(tmp_path, vlscosity=2.0)
     assert cli.main(["simulate", cfg]) == 2

@@ -1134,7 +1134,9 @@ def grid_image(kind, f, vector=False):
 @pytest.mark.parametrize("mode", EVOLUTION_MODES)
 def test_steps_commute_with_the_grid_symmetries(mode, shape, general_params):
     # one grid on each sweep path; three steps of an image are the image
-    # of three steps, so a term that mixes x and y up breaks the equality
+    # of three steps, and its diagnostics row (with the energy and the
+    # dissipation) is the same row, so a term that mixes x and y up breaks
+    # an equality
     g = make_grid(*shape)
     assert (max(shape) <= grid.DENSE_SWEEP_MAX_N) == (shape[0] == 12)
     params = mode_params(mode, general_params)
@@ -1149,13 +1151,17 @@ def test_steps_commute_with_the_grid_symmetries(mode, shape, general_params):
         stepper = Stepper(mode, g, params, cfg.dt, zeta0=zeta0)
         for _ in range(3):
             state = stepper.step(state)
-        return state.zeta, state.V, state.fm.disp
+        entry = diagnostics.lagrangian_energy(
+            full_surface_density(state, params), state.V, state.fm, g, params)
+        row = _diagnostics_row(state, g, params, entry.E, entry.D)
+        return (state.zeta, state.V, state.fm.disp), np.array(row)
 
-    want = three_steps(s0.zeta, s0.V, s0.zeta0)
+    want, want_row = three_steps(s0.zeta, s0.V, s0.zeta0)
     for kind in ("shift", "swap", "reflect"):
-        got = three_steps(
+        got, row = three_steps(
             grid_image(kind, s0.zeta), grid_image(kind, s0.V, True),
             None if s0.zeta0 is None else grid_image(kind, s0.zeta0))
         for a, b, vector in zip(got, want, (False, True, True)):
             b = grid_image(kind, b, vector)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), kind
+        assert np.allclose(row, want_row, rtol=1e-12, atol=0.0), kind
