@@ -7,11 +7,11 @@ Subcommands
     diagnostics CSV and a summary JSON.
 ``spectrum``
     Compute the symbol-ellipticity report and the spectral bound eta0 for
-    the linear operator of a run configuration; write a per-mode symbol
-    CSV and a summary JSON.  Every field it reads is checked as
-    ``simulate`` checks it (the time keys are optional), except that a
-    finite but inadmissible viscosity pair is reported rather than
-    rejected.
+    the linear operator of a run configuration, with the mode that holds
+    it; write a per-mode symbol CSV and a summary JSON.  Every field it
+    reads is checked as ``simulate`` checks it (the time keys are
+    optional), except that a finite but inadmissible viscosity pair is
+    reported rather than rejected.
 ``resolvent``
     Solve one resolvent problem described by a JSON problem file; write
     the solution fields and a summary JSON.
@@ -456,9 +456,9 @@ def _cmd_spectrum(args) -> int:
 
     # eta0 first: a breakdown there (exit 9) leaves no output behind
     min_symbol_eig = min(report.min_lam1, report.min_lam2)
-    eta0 = explanation = None
+    eta0 = eta0_mode = eta0_gap = explanation = None
     if report.ok:
-        eta0 = stokes_solver.spectral_bound(
+        eta0, eta0_mode, eta0_gap = stokes_solver._located_bound(
             g, dataclasses.replace(params, mu=mu, mu_prime=mu_prime))
     else:
         explanation = (
@@ -481,6 +481,8 @@ def _cmd_spectrum(args) -> int:
         "xi_bar": params.xi_bar,
         "ok": report.ok,
         "eta0": eta0,
+        "eta0_mode": eta0_mode,
+        "eta0_gap": eta0_gap,
         "min_symbol_eig": min_symbol_eig,
         "b1_min": operators.B1_MIN,
         "explanation": explanation,

@@ -204,9 +204,10 @@ def _velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
     return state._dV
 
 
-def _twisted_divergence(U: np.ndarray, Z: np.ndarray, g: Grid) -> np.ndarray:
-    """Eulerian divergence of a composed 3D 2-vector: sum Z[k,i] d_k U_i."""
-    return np.einsum("abki,abzik->abz", Z, grad_h_vec(U, g))
+def _twisted_divergence(dU: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Eulerian divergence of a composed 3D 2-vector U from its gradient
+    ``dU`` = grad_h_vec(U): sum Z[k,i] d_k U_i."""
+    return np.einsum("abki,abzik->abz", Z, dU)
 
 
 def _depth_moment(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -228,9 +229,9 @@ def reconstruct_w(state: LagrangianState, g: Grid,
         raise ValueError(f"nonpositive surface density (min {np.min(zf):.3e})")
     Z = state.fm.Z
     Vt = state.V - vertical_average(state.V, g)[:, :, None, :]
-    flux = _twisted_divergence(zf[:, :, None, None] * Vt, Z, g)
+    flux = _twisted_divergence(grad_h_vec(zf[:, :, None, None] * Vt, g), Z)
     if state.mode == "LocalGamma2":
-        twdiv3 = _twisted_divergence(state.V, Z, g)
+        twdiv3 = _twisted_divergence(_velocity_gradient(state, g), Z)
         flux = flux + (0.5 * g.z * twdiv3
                        - _depth_moment(twdiv3, g)[:, :, None])
     return (-integrate_from_bottom(flux, g)
@@ -338,6 +339,8 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     zf = full_surface_density(state, params)
 
     dV, H = _first_and_second_derivatives(V, g)
+    if state._dV is None:  # grad_h_vec(V), bit for bit: reconstruct_w reads it
+        object.__setattr__(state, "_dV", dV)
     dZ = _gradient(Z)                           # [m, k, n] = d_n Z[m, k]
 
     # twisted-minus-flat viscous terms and the full twisted advection

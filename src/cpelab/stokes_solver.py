@@ -456,21 +456,40 @@ def spectral_bound(
     part, which is the mean-free restriction) of one mode of each four
     (+-kx, +-ky), since the reflections map each block exactly to its
     conjugate or to a sign similarity of it.  It runs in two passes.  A
-    real filter pass eigensolves (dgeev) the real form D^-1 B D,
-    D = diag(i, 1, ..., 1), of every bordered block B, which ranks the
-    blocks by an approximate max Re a_b and a size s_b = max|lambda|.  Only
-    the candidates, blocks with a_b + sqrt(eps) s_b at or above both the
-    k = 0 block's max Re and every a_b - sqrt(eps) s_b, are eigensolved as
-    B itself (zgeev), in one batch with the reflection (kx, -ky) of each
-    candidate off the axes, as zgeev may round the two apart: the real
-    form's rounding sits far inside that margin, so the result is the
-    maximum over every block, bit for bit.  ``dense`` projects the dense
-    reduced realization onto the mean-free active subspace.  Raises :class:`SolverBreakdown`
-    if an eigensolve fails (naming its kx row or block) or the computed
-    bound is not positive, or not resolved (within n eps max|lambda| of
-    zero, max|lambda| over the k = 0 block and the real forms).
+    real filter pass ranks the blocks by |k|^2 shell: the Lame symbol
+    -mu |k|^2 - mu' k k^T is isotropic, so every bordered block B on a
+    shell is a rotation of the one at (|k|, 0) and has its eigenvalues.
+    There the real form D^-1 B D, D = diag(i, 1, ..., 1), splits exactly
+    into zeta with the x velocity levels and the y velocity levels, and
+    one dgeev of each part gives the shell an approximate max Re a and a
+    size s = max|lambda|.  Only the candidates, blocks whose shell has
+    a + sqrt(eps) s at or above both the k = 0 block's max Re and every
+    a - sqrt(eps) s, are eigensolved as B itself (zgeev), in one batch with
+    the reflection (kx, -ky) of each candidate off the axes, as zgeev may
+    round the two apart: the filter's rounding sits far inside that
+    margin, so the result is the maximum over every block, bit for bit.
+    ``dense`` projects the dense reduced realization onto the mean-free
+    active subspace.  Raises :class:`SolverBreakdown` if an eigensolve
+    fails (naming its block, or the shells of its filter batch) or the
+    computed bound is not positive, or not resolved (within n eps
+    max|lambda| of zero, max|lambda| over the k = 0 block and the shells).
     """
+    return _located_bound(g, params, xi_bar, method)[0]
+
+
+def _located_bound(
+    g: Grid,
+    params: PhysicalParams,
+    xi_bar: float | None = None,
+    method: str = "per_mode",
+) -> tuple[float, tuple[int, int] | None, float | None]:
+    """:func:`spectral_bound`, also returning where its maximum lies: the
+    integer (kx, ky) of the block that holds it, (0, 0) for the k = 0
+    block, and its gap, the maximum less the largest filter value on any
+    other |k|^2 shell (the k = 0 block's max Re for shell 0).  Both are
+    None for ``dense``."""
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
+    mode = gap = None
     if method == "per_mode":
         S, R = vertical_reduction(g)
         S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
@@ -492,31 +511,47 @@ def spectral_bound(
             return _bordered(vel, kt, avg_row, 0.0, -1.0, xi_bar)
 
         A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
-        max_re, size = _max_real_part(A0, "the k = 0 block")
-        # Filter pass.  The real forms round within about n eps s of zgeev,
-        # far inside the margin, so every block within 1e-11 relative of
-        # the maximum is a candidate.  floor is a lower bound on the maximum;
-        # the candidates are the blocks whose hi reaches it.
+        re0, size = _max_real_part(A0, "the k = 0 block")
+        # Filter pass, one shell q = kx^2 + ky^2 (integer k) at a time, its
+        # block built at (2 pi sqrt(q), 0) in batches of at most one kx row.
+        # Its two parts, zeta with the x levels and the y levels, round
+        # within about n eps s of zgeev on every block of the shell, far
+        # inside the margin, so every block within 1e-11 relative of the
+        # maximum is a candidate.  floor is a lower bound on the maximum;
+        # the candidates are the blocks whose shell's hi reaches it.
+        rx, ry = np.nonzero(keep)
+        shells, shell_of = np.unique(rx * rx + ry * ry, return_inverse=True)
+        m = len(avg_row)
+        parts = np.r_[0, 1:2 * m:2], np.r_[2:2 * m + 1:2]
+        a, s = np.empty((2, len(shells)))
+        for c in range(0, len(shells), g.ny // 2):
+            q = shells[c:c + g.ny // 2]
+            kt = np.stack([2 * np.pi * np.sqrt(q), np.zeros(len(q))], axis=-1)
+            B = _real_form(blocks(kt))
+            where = f"the filter shells |k|^2 = {', '.join(map(str, q))}"
+            a[c:c + len(q)], s[c:c + len(q)] = np.max(
+                [_max_real_part(B[:, p[:, None], p], where) for p in parts],
+                axis=0)
         margin = np.sqrt(np.finfo(float).eps)
-        floor, kept = max_re, []
-        for row in np.flatnonzero(keep.any(axis=1)):
-            cols = np.flatnonzero(keep[row])
-            a, s = _max_real_part(_real_form(blocks(K[row, cols])),
-                                  f"mode row {row}")
-            lo, hi = a - margin * s, a + margin * s
-            floor, size = max(floor, lo.max()), max(size, s.max())
-            kept += zip([row] * len(cols), cols, hi)
+        floor, size = max(re0, (a - margin * s).max()), max(size, s.max())
         # Exact pass: zgeev on the candidates (a NaN is kept) and, off the
         # axes, on their reflections (kx, -ky), which zgeev may round apart
         # from them by < 1e-11 relative
-        rx, ry = np.array([(row, col) for row, col, hi in kept
-                           if not hi < floor], dtype=int).reshape(-1, 2).T
+        hit = ~(a + margin * s < floor)[shell_of]
+        rx, ry = rx[hit], ry[hit]
         off = (rx > 0) & (ry > 0)  # on an axis: conjugates, or itself
         rx, ry = np.r_[rx, rx[off]], np.r_[ry, -ry[off] % g.ny]
+        max_re, mode = re0, (0, 0)
         if rx.size:
             re = _max_real_part(blocks(K[rx, ry]), "the candidate blocks")[0]
-            max_re = max(max_re, re.max())
-        n = 1 + len(avg_row) * 2
+            j = np.argmax(re)
+            if re[j] > max_re:
+                ky = ry[j] - g.ny if ry[j] > g.ny // 2 else ry[j]
+                max_re, mode = re[j], (int(rx[j]), int(ky))
+        # the gap to the largest filter value off the maximum's shell
+        others = np.r_[0, shells] != mode[0] ** 2 + mode[1] ** 2
+        gap = float(max_re - np.r_[re0, a][others].max())
+        n = 1 + 2 * m
     elif method == "dense":
         A = dense_chs(xi_bar, g, params, bc="reduced")
         Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
@@ -534,7 +569,7 @@ def spectral_bound(
         raise SolverBreakdown(
             f"spectral bound is not positive (max Re = {max_re}); the "
             "mean-free operator should be exponentially stable")
-    return float(eta0)
+    return float(eta0), mode, gap
 
 
 def _h2_seminorms(V: np.ndarray, g: Grid) -> float:

@@ -18,7 +18,13 @@ import pytest
 import cpelab
 from cpelab import cli, diagnostics, evolve, stokes_solver
 from cpelab.grid import grad_h, make_grid
-from cpelab.transforms import PhysicalParams
+from cpelab.operators import (
+    _bordered,
+    mode_wavevectors,
+    vertical_lame_block,
+    vertical_reduction,
+)
+from cpelab.transforms import PhysicalParams, column_density
 
 pytestmark = pytest.mark.usefixtures("clean_output_env")
 
@@ -879,6 +885,47 @@ def test_spectrum_unhashable_mode_exits_2(tmp_path, capsys, mode):
     assert_config_error(capsys, "unknown mode", 3)
 
 
+def block_eigenvalues(g, params, kx, ky):
+    """zgeev's eigenvalues of the bordered block of A_CHS at the integer
+    mode (kx, ky), or of the k = 0 velocity block."""
+    S, R = vertical_reduction(g)
+    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+    kt = mode_wavevectors(g)[kx, ky]
+    rho = column_density(params.model, params.xi_bar, g.z)
+    B = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+    if kx or ky:
+        B = _bordered(B, kt, g.wz @ R, 0.0, -1.0, params.xi_bar)
+    return np.linalg.eigvals(B)
+
+
+@pytest.mark.parametrize("params,shell", (
+    ({"mu": 1.0, "mu_prime": 0.5, "xi_bar": 1.0}, 1),
+    ({"mu": 0.01, "mu_prime": -0.005, "xi_bar": 5.0}, 0),
+), ids=("shell1", "k0"))
+def test_spectrum_names_the_mode_that_holds_eta0(tmp_path, params, shell):
+    cfg = write_config(tmp_path, grid={"nx": 16, "ny": 16, "nz": 9},
+                       params=params)
+    out = tmp_path / "spectrum_out"
+    assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 0
+    summary = read_summary(out)
+    g, p = make_grid(16, 16, 9), PhysicalParams(**params)
+    # the named block holds the maximum, bit for bit
+    kx, ky = summary["eta0_mode"]
+    assert kx * kx + ky * ky == shell
+    assert block_eigenvalues(g, p, kx, ky).real.max() == -summary["eta0"]
+    # the gap to the largest max Re on any other |k|^2 shell, of the blocks
+    # with kx, ky >= 0 (the others are their reflections)
+    best, size = {}, 0.0
+    for kx, ky in np.ndindex(g.nx // 2, g.ny // 2):
+        ev = block_eigenvalues(g, p, kx, ky)
+        q = kx * kx + ky * ky
+        best[q] = max(best.get(q, -np.inf), ev.real.max())
+        size = max(size, np.abs(ev).max())
+    want = -summary["eta0"] - max(v for q, v in best.items() if q != shell)
+    assert want > 0
+    assert abs(summary["eta0_gap"] - want) <= 1e-12 * size
+
+
 def test_spectrum_inadmissible_is_reported_not_rejected(tmp_path):
     # every other field, time keys included, is valid
     for mu, mu_prime in ((1.0, -1.5), (-1.0, 0.5)):
@@ -892,6 +939,7 @@ def test_spectrum_inadmissible_is_reported_not_rejected(tmp_path):
         summary = read_summary(out)
         assert summary["ok"] is False
         assert summary["eta0"] is None
+        assert summary["eta0_mode"] is None and summary["eta0_gap"] is None
         assert summary["min_symbol_eig"] < 0.0
         assert summary["xi_bar"] == 0.8
         assert "mu + mu_prime" in summary["explanation"]

@@ -649,6 +649,31 @@ def test_gamma2_step_reads_div_V_off_the_gradient_F1_took(monkeypatch,
     assert counts["scalar3d"] == 0
 
 
+def test_gamma2_reconstruct_w_reads_the_gradient_F2_took(monkeypatch,
+                                                       general_params):
+    g = make_grid(8, 8, 5)
+    params = mode_params("LocalGamma2", general_params)
+    stepper, s0 = stepper_and_state("LocalGamma2", params, g)
+    s1 = stepper.step(s0)
+    fresh = dataclasses.replace(s1)
+    nonlinearity_F2(s1, s1.dtV, g, params)
+    # F2's first derivatives are grad_H V, bit for bit, and stay on the state
+    assert same_bytes(s1._dV, grad_h_vec(s1.V, g))
+    assert same_bytes(reconstruct_w(s1, g, params),
+                      reconstruct_w(fresh, g, params))
+    # a step takes two gradients of 3D vector fields: the mass flux in
+    # reconstruct_w and V_new in F1; F2 takes its own derivatives of V
+    counts = collections.Counter()
+
+    def gradient(v, g_, fn=evolve.grad_h_vec):
+        counts[v.ndim] += 1
+        return fn(v, g_)
+
+    monkeypatch.setattr(evolve, "grad_h_vec", gradient)
+    stepper.step(dataclasses.replace(s1))
+    assert counts[4] == 2
+
+
 def test_a_replaced_velocity_never_reuses_the_old_gradient():
     g = make_grid(8, 8, 5)
     params = gamma1_params()
@@ -1055,6 +1080,7 @@ def test_F2_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
     assert same_bytes(dense[0], grad_h_vec(V, g))
     monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
     ref = evolve._first_and_second_derivatives(V, g)
+    assert same_bytes(ref[0], grad_h_vec(V, g))  # on pocketfft too
     for got, want in zip(dense, ref):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for _, H in (dense, ref):

@@ -195,17 +195,22 @@ LINALG_FAILURES = [
     ("inv", 3, _run_stepper, 1.0, "mode row 2"),
     ("solve", 2, _run_resolvent, 1.0, "mode row 1"),
     ("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block"),
-    ("eigvals", 2, _run_spectral_bound, 1.0, "mode row 0"),
-    # after the k = 0 block and the four rows of the filter pass
-    ("eigvals", 6, _run_spectral_bound, 1.0, "the candidate blocks"),
+    # the filter pass at 8^2: the 9 shells |k|^2 = 1 ... 18 in batches of
+    # ny/2 = 4, each eigensolved as its (zeta, x) part, then its y part
+    ("eigvals", 2, _run_spectral_bound, 1.0,
+     "the filter shells |k|^2 = 1, 2, 4, 5"),
+    ("eigvals", 5, _run_spectral_bound, 1.0,
+     "the filter shells |k|^2 = 8, 9, 10, 13"),
+    # after the k = 0 block and the three shell batches of the filter pass
+    ("eigvals", 8, _run_spectral_bound, 1.0, "the candidate blocks"),
     ("inv", 1, _run_steady, 0.0, "the velocity recovery blocks"),
 ]
 
 
 @pytest.mark.parametrize(
     "name,nth,run,lam,where", LINALG_FAILURES,
-    ids=("stepper", "resolvent", "bound-k0", "bound-row", "bound-candidates",
-         "steady"))
+    ids=("stepper", "resolvent", "bound-k0", "bound-row", "bound-row-y",
+         "bound-candidates", "steady"))
 def test_linear_algebra_failure_names_its_row_or_block(monkeypatch, name,
                                                        nth, run, lam, where):
     g = make_grid(8, 8, 5)
@@ -475,6 +480,42 @@ def test_ky_reflection_is_a_sign_similarity_of_the_blocks(params):
             assert np.allclose(stat[reflected], stat, rtol=1e-11, atol=0.0)
 
 
+def shell_parts(q, g, params):
+    """The real form of the block at (2 pi sqrt(q), 0), which the filter
+    pass eigensolves for the shell |k|^2 = q (integer k), split into
+    zeta with the x levels and the y levels: the two parts, then the two
+    blocks of entries between them."""
+    kt = np.array([2 * np.pi * np.sqrt(q), 0.0])
+    R = _real_form(bound_blocks(kt, g, params))
+    xz, y = np.r_[0, 1:len(R):2], np.r_[2:len(R):2]
+    return (R[np.ix_(xz, xz)], R[np.ix_(y, y)], R[np.ix_(xz, y)],
+            R[np.ix_(y, xz)])
+
+
+@pytest.mark.parametrize("nx,ny,nz,params", (
+    (16, 16, 9, PhysicalParams(mu=1.0, mu_prime=0.5)),
+    (32, 32, 17, PhysicalParams(mu=1.1250954666046669,
+                                mu_prime=0.9229103507271816)),
+    (12, 16, 7, PhysicalParams(mu=1.0, mu_prime=-0.9, model="Gamma2",
+                               xi_bar=1.3)),
+), ids=("16", "operators32", "12x16x7-Gamma2"))
+def test_every_block_on_a_shell_has_its_filter_value(nx, ny, nz, params):
+    # the Lame symbol is isotropic, so each block is a rotation of the one
+    # at (|k|, 0), whose real form splits exactly into two parts; every kept
+    # block must read its shell's max Re far inside the filter's margin
+    # sqrt(eps) max|lambda| = 1.5e-8 max|lambda|
+    g = make_grid(nx, ny, nz)
+    K = mode_wavevectors(g)
+    for ix in range(g.nx // 2):
+        iys = np.arange(ix == 0, g.ny // 2)
+        ev = np.linalg.eigvals(bound_blocks(K[ix, iys], g, params))
+        for iy, e in zip(iys, ev):
+            xz, y, cross, cross_t = shell_parts(ix * ix + iy * iy, g, params)
+            assert not cross.any() and not cross_t.any()
+            a = max(np.linalg.eigvals(P).real.max() for P in (xz, y))
+            assert abs(e.real.max() - a) <= 1e-13 * np.abs(e).max()
+
+
 def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
     # zgeev may round a block and its reflection (kx, -ky) apart; force the
     # reflection of the block at k = (1, 1) just above the true maximum
@@ -483,15 +524,17 @@ def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
     top = full_spectrum_max_re(g, params)
     K = mode_wavevectors(g)
     block, partner = (bound_blocks(K[1, iy], g, params) for iy in (1, -1))
+    parts = shell_parts(2, g, params)[:2]
     original = np.linalg.eigvals
     forced = top + 1e-12 * abs(top)
 
     def rounding_apart(M):
-        # the block's real form too, so that the filter pass ranks it
+        # the two parts of its shell |k|^2 = 2 too, so that the filter pass
+        # ranks the block a candidate
         ev = original(M)
         for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
                         ev.reshape(-1, ev.shape[-1])):
-            for B, target in ((block, top), (_real_form(block), top),
+            for B, target in ((block, top), (parts[0], top), (parts[1], top),
                               (partner, forced)):
                 if m.shape == B.shape and np.array_equal(m, B):
                     e += target - e.real.max()
@@ -513,22 +556,24 @@ def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     spectral_bound(g, PhysicalParams(mu=1.0, mu_prime=0.5))
-    # the filter pass: the k = 0 velocity block, then the real forms of rows
-    # kx = 0..7 of ky = 0..7 without k = 0 and the Nyquist lines: 63
-    # bordered blocks where 112 make the +-k half
+    # the filter pass: the k = 0 velocity block, then the 33 shells |k|^2 of
+    # the 63 kept blocks (kx, ky = 0..7 without k = 0; 112 make the +-k
+    # half), in batches of ny/2 = 8 shells, each shell as a (zeta, x) part
+    # of order 8 and a y part of order 7
     real = np.dtype(float)
-    assert batches[:9] == ([((14, 14), real), ((7, 15, 15), real)]
-                           + [((8, 15, 15), real)] * 7)
+    shells = [((c, n, n), real) for c in (8, 8, 8, 8, 1) for n in (8, 7)]
+    assert batches[:11] == [((14, 14), real)] + shells
     # the exact pass: one zgeev batch of the few candidate blocks and the
     # reflections of those off the axes (2 blocks here)
-    [(shape, dtype)] = batches[9:]
+    [(shape, dtype)] = batches[11:]
     assert dtype == complex and shape[1:] == (15, 15)
     assert 1 <= shape[0] <= 4
 
 
 def test_a_misranked_maximum_is_still_eigensolved_exactly(monkeypatch):
-    # the real forms round apart from zgeev; the margin sqrt(eps) max|lambda|
-    # keeps a block whose real form reads 0.5 sqrt(eps) max|lambda| too low
+    # the filter rounds apart from zgeev, so another shell may read up to
+    # the maximum: the margin sqrt(eps) max|lambda| keeps the block whose
+    # shell then reads 0.5 sqrt(eps) max|lambda| below that one
     g = make_grid(16, 16, 9)
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
     top = full_spectrum_max_re(g, params)
@@ -540,27 +585,37 @@ def test_a_misranked_maximum_is_still_eigensolved_exactly(monkeypatch):
     best[0, 0] = -np.inf
     ix, iy = np.unravel_index(np.argmax(best), best.shape)
     assert best[ix, iy] == top
+    kx, ky = np.indices(best.shape)
+    shell = kx * kx + ky * ky
+    jx, jy = np.unravel_index(
+        np.argmax(np.where(shell == shell[ix, iy], -np.inf, best)), best.shape)
     block = rows[ix][iy]
-    real = _real_form(block)
+    lowered = shell_parts(shell[ix, iy], g, params)[:2]
+    raised = shell_parts(shell[jx, jy], g, params)[:2]
     drop = 0.5 * np.sqrt(np.finfo(float).eps) * np.abs(
         np.linalg.eigvals(block)).max()
     original = np.linalg.eigvals
-    seen = {"lowered": 0, "solved": 0}
+    seen = {"lowered": 0, "raised": 0, "solved": 0}
 
     def misranked(M):
         ev = original(M)
         for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
                         ev.reshape(-1, ev.shape[-1])):
-            if np.array_equal(m, real):
+            if any(m.shape == P.shape and np.array_equal(m, P)
+                   for P in lowered):
                 seen["lowered"] += 1
                 e -= drop
-            elif np.array_equal(m, block):
+            elif any(m.shape == P.shape and np.array_equal(m, P)
+                     for P in raised):
+                seen["raised"] += 1
+                e += top - e.real.max()
+            elif m.shape == block.shape and np.array_equal(m, block):
                 seen["solved"] += 1
         return ev
 
     monkeypatch.setattr(np.linalg, "eigvals", misranked)
     assert spectral_bound(g, params) == -top
-    assert seen == {"lowered": 1, "solved": 1}
+    assert seen == {"lowered": 2, "raised": 2, "solved": 1}
 
 
 def loop_solve_per_mode(problem, g, params):
