@@ -459,7 +459,8 @@ def _cmd_spectrum(args) -> int:
     eta0 = eta0_mode = eta0_gap = explanation = None
     if report.ok:
         eta0, eta0_mode, eta0_gap = stokes_solver._located_bound(
-            g, dataclasses.replace(params, mu=mu, mu_prime=mu_prime))
+            g, dataclasses.replace(params, mu=mu, mu_prime=mu_prime),
+            params.xi_bar)
     else:
         explanation = (
             f"symbol not parameter-elliptic: min eigenvalue "
@@ -469,11 +470,9 @@ def _cmd_spectrum(args) -> int:
     csv_path = os.path.join(out_dir, "symbol_eigs.csv")
     with (_writing(csv_path),
           open(csv_path, "w", encoding="utf-8", newline="") as fh):
-        fh.write("k1,k2,lam1,lam2\n")
-        for (k1, k2), lam1, lam2 in zip(report.k.tolist(),
-                                        report.lam1.tolist(),
-                                        report.lam2.tolist()):
-            fh.write(f"{k1},{k2},{lam1:.17g},{lam2:.17g}\n")
+        np.savetxt(fh, np.column_stack([report.k, report.lam1, report.lam2]),
+                   fmt=("%d", "%d", "%.17g", "%.17g"), delimiter=",",
+                   header="k1,k2,lam1,lam2", comments="")
     payload = {
         "grid": [g.nx, g.ny, g.nz],
         "mu": mu,

@@ -240,14 +240,14 @@ def reconstruct_w(state: LagrangianState, g: Grid,
 
 def _baseline_density(mode: str, zeta0: np.ndarray | None, g: Grid,
                       params: PhysicalParams) -> np.ndarray:
-    """Column density rho0 of the linearization point, shape (nx, ny, nz).
+    """Column density rho0 of the linearization point.
 
-    The local modes linearize at their frozen ``zeta0``, ``GlobalGamma1``
-    at the constant state ``xi_bar``.
+    The local modes linearize at their frozen ``zeta0``, shape (nx, ny,
+    nz); ``GlobalGamma1`` at the constant state ``xi_bar``, one column of
+    shape (nz,) that broadcasts.
     """
-    if mode == "GlobalGamma1":
-        zeta0 = np.full((g.nx, g.ny), params.xi_bar)
-    return column_density(params.model, zeta0, g.z)
+    xi = params.xi_bar if mode == "GlobalGamma1" else zeta0
+    return column_density(params.model, xi, g.z)
 
 
 def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
@@ -335,7 +335,6 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
         dtV = np.zeros_like(state.V)
     V = state.V
     Z = state.fm.Z
-    ZmI = Z - np.eye(2)
     zf = full_surface_density(state, params)
 
     dV, H = _first_and_second_derivatives(V, g)
@@ -349,9 +348,10 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     W = reconstruct_w(state, g, params)
     advZ = W[..., None] * vertical_derivative(V, g)
 
+    # Z^T grad zeta; GlobalGamma1's linear part holds the flat gradient
     dzeta = grad_h(state.zeta, g)
-    press_full = np.einsum("abji,abj->abi", Z, dzeta)[:, :, None, :]
-    press_rem = np.einsum("abji,abj->abi", ZmI, dzeta)[:, :, None, :]
+    P = Z - np.eye(2) if state.mode == "GlobalGamma1" else Z
+    press = np.einsum("abji,abj->abi", P, dzeta)[:, :, None, :]
 
     # the viscous remainder is that of L, divided by the baseline density
     rho = _baseline_density(state.mode, state.zeta0, g, params)[..., None]
@@ -359,14 +359,14 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     wH = lame_weights(params.model, g.z)[0][:, None]
     out = (wH / rho) * (params.mu * twlap + params.mu_prime * twgd)
     if state.mode == "GlobalGamma1":
-        out = out - press_rem / params.xi_bar
+        out = out - press / params.xi_bar
     elif state.mode == "LocalGamma1":
-        out = out - press_full / rho
+        out = out - press / rho
     elif state.mode == "LocalGamma2":
-        out = out - 2.0 * ratio * press_full
+        out = out - 2.0 * ratio * press
     else:  # GeneralNoGravity
         pp = params.pressure_derivative(zf)[:, :, None, None]
-        out = out - (pp / rho) * press_full
+        out = out - (pp / rho) * press
     out = out + (1.0 - ratio) * dtV - ratio * (advH + advZ)
     if mutation == "flip_w_advection":
         out = out + 2.0 * ratio * advZ

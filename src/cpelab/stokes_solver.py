@@ -453,20 +453,18 @@ def spectral_bound(
     A_CHS is taken at ``xi_bar``, which defaults to ``params.xi_bar``.
     ``per_mode`` takes the union of the per-mode eigenvalues over the
     active horizontal modes (the k = 0 block restricted to its velocity
-    part, which is the mean-free restriction) of one mode of each four
-    (+-kx, +-ky), since the reflections map each block exactly to its
-    conjugate or to a sign similarity of it.  It runs in two passes.  A
-    real filter pass ranks the blocks by |k|^2 shell: the Lame symbol
-    -mu |k|^2 - mu' k k^T is isotropic, so every bordered block B on a
-    shell is a rotation of the one at (|k|, 0) and has its eigenvalues.
-    There the real form D^-1 B D, D = diag(i, 1, ..., 1), splits exactly
-    into zeta with the x velocity levels and the y velocity levels, and
-    one dgeev of each part gives the shell an approximate max Re a and a
-    size s = max|lambda|.  Only the candidates, blocks whose shell has
-    a + sqrt(eps) s at or above both the k = 0 block's max Re and every
-    a - sqrt(eps) s, are eigensolved as B itself (zgeev), in one batch with
-    the reflection (kx, -ky) of each candidate off the axes, as zgeev may
-    round the two apart: the filter's rounding sits far inside that
+    part, which is the mean-free restriction) of one mode of each conjugate
+    pair +-k, since the block at -k is the complex conjugate of the block
+    at k.  It runs in two passes.  A real filter pass ranks the blocks by
+    |k|^2 shell: the Lame symbol -mu |k|^2 - mu' k k^T is isotropic, so
+    every bordered block B on a shell is a rotation of the one at (|k|, 0)
+    and has its eigenvalues.  There the real form D^-1 B D, D = diag(i, 1,
+    ..., 1), splits exactly into zeta with the x velocity levels and the y
+    velocity levels, and one dgeev of each part gives the shell an
+    approximate max Re a and a size s = max|lambda|.  Only the candidates,
+    blocks whose shell has a + sqrt(eps) s at or above both the k = 0
+    block's max Re and every a - sqrt(eps) s, are eigensolved as B itself
+    (zgeev), in one batch: the filter's rounding sits far inside that
     margin, so the result is the maximum over every block, bit for bit.
     ``dense`` projects the dense reduced realization onto the mean-free
     active subspace.  Raises :class:`SolverBreakdown` if an eigensolve
@@ -474,91 +472,87 @@ def spectral_bound(
     computed bound is not positive, or not resolved (within n eps
     max|lambda| of zero, max|lambda| over the k = 0 block and the shells).
     """
-    return _located_bound(g, params, xi_bar, method)[0]
-
-
-def _located_bound(
-    g: Grid,
-    params: PhysicalParams,
-    xi_bar: float | None = None,
-    method: str = "per_mode",
-) -> tuple[float, tuple[int, int] | None, float | None]:
-    """:func:`spectral_bound`, also returning where its maximum lies: the
-    integer (kx, ky) of the block that holds it, (0, 0) for the k = 0
-    block, and its gap, the maximum less the largest filter value on any
-    other |k|^2 shell (the k = 0 block's max Re for shell 0).  Both are
-    None for ``dense``."""
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
-    mode = gap = None
     if method == "per_mode":
-        S, R = vertical_reduction(g)
-        S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
-        avg_row = g.wz @ R
-        K = mode_wavevectors(g)
-        # The block at -k is the complex conjugate of the block at k, and
-        # the block at (kx, -ky) is D B D with D = diag(1, (1, -1) per
-        # level): the same products with flipped signs.  Both have the
-        # eigenvalues of B (conjugated), so one mode of each four is
-        # solved, kx >= 0 and ky >= 0.
-        ix, iy = np.indices((g.nx, g.ny))
-        keep = g.active_mask & (ix <= g.nx // 2) & (iy <= g.ny // 2)
-        # k = 0: the velocity part alone is the mean-free restriction
-        keep[0, 0] = False
-        rho = column_density(params.model, xi_bar, g.z)
-
-        def blocks(kt):  # A_CHS itself: shift 0, scale -1
-            vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
-            return _bordered(vel, kt, avg_row, 0.0, -1.0, xi_bar)
-
-        A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
-        re0, size = _max_real_part(A0, "the k = 0 block")
-        # Filter pass, one shell q = kx^2 + ky^2 (integer k) at a time, its
-        # block built at (2 pi sqrt(q), 0) in batches of at most one kx row.
-        # Its two parts, zeta with the x levels and the y levels, round
-        # within about n eps s of zgeev on every block of the shell, far
-        # inside the margin, so every block within 1e-11 relative of the
-        # maximum is a candidate.  floor is a lower bound on the maximum;
-        # the candidates are the blocks whose shell's hi reaches it.
-        rx, ry = np.nonzero(keep)
-        shells, shell_of = np.unique(rx * rx + ry * ry, return_inverse=True)
-        m = len(avg_row)
-        parts = np.r_[0, 1:2 * m:2], np.r_[2:2 * m + 1:2]
-        a, s = np.empty((2, len(shells)))
-        for c in range(0, len(shells), g.ny // 2):
-            q = shells[c:c + g.ny // 2]
-            kt = np.stack([2 * np.pi * np.sqrt(q), np.zeros(len(q))], axis=-1)
-            B = _real_form(blocks(kt))
-            where = f"the filter shells |k|^2 = {', '.join(map(str, q))}"
-            a[c:c + len(q)], s[c:c + len(q)] = np.max(
-                [_max_real_part(B[:, p[:, None], p], where) for p in parts],
-                axis=0)
-        margin = np.sqrt(np.finfo(float).eps)
-        floor, size = max(re0, (a - margin * s).max()), max(size, s.max())
-        # Exact pass: zgeev on the candidates (a NaN is kept) and, off the
-        # axes, on their reflections (kx, -ky), which zgeev may round apart
-        # from them by < 1e-11 relative
-        hit = ~(a + margin * s < floor)[shell_of]
-        rx, ry = rx[hit], ry[hit]
-        off = (rx > 0) & (ry > 0)  # on an axis: conjugates, or itself
-        rx, ry = np.r_[rx, rx[off]], np.r_[ry, -ry[off] % g.ny]
-        max_re, mode = re0, (0, 0)
-        if rx.size:
-            re = _max_real_part(blocks(K[rx, ry]), "the candidate blocks")[0]
-            j = np.argmax(re)
-            if re[j] > max_re:
-                ky = ry[j] - g.ny if ry[j] > g.ny // 2 else ry[j]
-                max_re, mode = re[j], (int(rx[j]), int(ky))
-        # the gap to the largest filter value off the maximum's shell
-        others = np.r_[0, shells] != mode[0] ** 2 + mode[1] ** 2
-        gap = float(max_re - np.r_[re0, a][others].max())
-        n = 1 + 2 * m
-    elif method == "dense":
-        A = dense_chs(xi_bar, g, params, bc="reduced")
-        Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
-        max_re, size = _max_real_part(Q.T @ A @ Q, "the dense block")
-        n = Q.shape[1]
-    else:
+        return _located_bound(g, params, xi_bar)[0]
+    if method != "dense":
         raise ValueError(f"method must be 'per_mode' or 'dense', got {method!r}")
+    A = dense_chs(xi_bar, g, params, bc="reduced")
+    Q = _mean_free_active_basis(g, 2 * (g.nz - 2))
+    max_re, size = _max_real_part(Q.T @ A @ Q, "the dense block")
+    return _checked_bound(max_re, size, Q.shape[1])
+
+
+def _located_bound(g: Grid, params: PhysicalParams,
+                   xi_bar: float) -> tuple[float, tuple[int, int], float]:
+    """:func:`spectral_bound`'s per-mode pass at ``xi_bar``, also returning
+    where its maximum lies: the integer (kx, ky) of the block that holds
+    it, (0, 0) for the k = 0 block, and its gap, the maximum less the
+    largest filter value on any other |k|^2 shell (the k = 0 block's max
+    Re for shell 0)."""
+    S, R = vertical_reduction(g)
+    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+    avg_row = g.wz @ R
+    K = mode_wavevectors(g)
+    # one mode of each pair +-k, whose blocks are complex conjugates; at
+    # k = 0 the velocity part alone is the mean-free restriction
+    ix, iy = np.indices((g.nx, g.ny))
+    keep = g.active_mask & (ix <= g.nx // 2) & ((ix > 0) | (iy <= g.ny // 2))
+    keep[0, 0] = False
+    rho = column_density(params.model, xi_bar, g.z)
+
+    def blocks(kt):  # A_CHS itself: shift 0, scale -1
+        vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+        return _bordered(vel, kt, avg_row, 0.0, -1.0, xi_bar)
+
+    A0 = S2 @ vertical_lame_block(K[0, 0], rho, g, params) @ R2
+    re0, size = _max_real_part(A0, "the k = 0 block")
+    # The ky >= 0 blocks first, each kx row by |ky|: a tie between a block
+    # and its reflection (kx, -ky), which zgeev may round apart from it by
+    # < 1e-11 relative, names the ky >= 0 one.
+    rx, ky = np.nonzero(keep)
+    ky = np.where(ky > g.ny // 2, ky - g.ny, ky)  # signed; K[rx, ky] wraps
+    order = np.lexsort((abs(ky), rx, ky < 0))
+    rx, ky = rx[order], ky[order]
+    # Filter pass, one shell q = kx^2 + ky^2 (integer k) at a time, its
+    # block built at (2 pi sqrt(q), 0) in batches of at most one kx row.
+    # Its two parts, zeta with the x levels and the y levels, round within
+    # about n eps s of zgeev on every block of the shell, far inside the
+    # margin, so every block within 1e-11 relative of the maximum is a
+    # candidate.  floor is a lower bound on the maximum; the candidates are
+    # the blocks whose shell's hi reaches it.
+    shells, shell_of = np.unique(rx * rx + ky * ky, return_inverse=True)
+    m = len(avg_row)
+    parts = np.r_[0, 1:2 * m:2], np.r_[2:2 * m + 1:2]
+    a, s = np.empty((2, len(shells)))
+    for c in range(0, len(shells), g.ny // 2):
+        q = shells[c:c + g.ny // 2]
+        kt = np.stack([2 * np.pi * np.sqrt(q), np.zeros(len(q))], axis=-1)
+        B = _real_form(blocks(kt))
+        where = f"the filter shells |k|^2 = {', '.join(map(str, q))}"
+        a[c:c + len(q)], s[c:c + len(q)] = np.max(
+            [_max_real_part(B[:, p[:, None], p], where) for p in parts],
+            axis=0)
+    margin = np.sqrt(np.finfo(float).eps)
+    floor, size = max(re0, (a - margin * s).max()), max(size, s.max())
+    # Exact pass: zgeev on every block of a candidate shell (a NaN is kept)
+    hit = ~(a + margin * s < floor)[shell_of]
+    rx, ky = rx[hit], ky[hit]
+    max_re, mode = re0, (0, 0)
+    if rx.size:
+        re = _max_real_part(blocks(K[rx, ky]), "the candidate blocks")[0]
+        j = np.argmax(re)
+        if re[j] > max_re:
+            max_re, mode = re[j], (int(rx[j]), int(ky[j]))
+    # the gap to the largest filter value off the maximum's shell
+    others = np.r_[0, shells] != mode[0] ** 2 + mode[1] ** 2
+    gap = float(max_re - np.r_[re0, a][others].max())
+    return _checked_bound(max_re, size, 1 + 2 * m), mode, gap
+
+
+def _checked_bound(max_re: float, size: float, n: int) -> float:
+    """eta0 = -max_re, unless it is not positive or not resolved: within
+    the rounding n eps ``size`` of an eigensolve of order n."""
     eta0 = -max_re
     if not eta0 > 0:
         rounding = n * np.finfo(float).eps * size
@@ -569,7 +563,7 @@ def _located_bound(
         raise SolverBreakdown(
             f"spectral bound is not positive (max Re = {max_re}); the "
             "mean-free operator should be exponentially stable")
-    return float(eta0), mode, gap
+    return float(eta0)
 
 
 def _h2_seminorms(V: np.ndarray, g: Grid) -> float:

@@ -19,6 +19,7 @@ import cpelab
 from cpelab import cli, diagnostics, evolve, stokes_solver
 from cpelab.grid import grad_h, make_grid
 from cpelab.operators import (
+    SolverBreakdown,
     _bordered,
     mode_wavevectors,
     vertical_lame_block,
@@ -955,6 +956,34 @@ def test_spectrum_breakdown_in_the_bound_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         HOSTILE_ERRORS["xi_bar-1e-320", "spectrum"]]
     assert not (out / "symbol_eigs.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_bound_that_is_not_positive_exits_9_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # lift the k = 0 block's max Re by 100: every other block stays below it
+    lifted = []
+
+    def lifting(M, where, original=stokes_solver._max_real_part):
+        re, size = original(M, where)
+        if where == "the k = 0 block":
+            re = re + 100.0
+            lifted.append(re)
+        return re, size
+
+    monkeypatch.setattr(stokes_solver, "_max_real_part", lifting)
+    with pytest.raises(SolverBreakdown) as exc:
+        stokes_solver.spectral_bound(make_grid(8, 8, 5),
+                                     PhysicalParams(**ADMISSIBLE))
+    message = (f"spectral bound is not positive (max Re = {lifted[0]}); the "
+               "mean-free operator should be exponentially stable")
+    assert lifted[0] > 0 and str(exc.value) == message
+    cfg = write_config(tmp_path, params={**ADMISSIBLE, "xi_bar": 1.0})
+    out = tmp_path / "spectrum_out"
+    assert cli.main(["spectrum", cfg, "--output-dir", str(out)]) == 9
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert lifted[1] == lifted[0]
     assert not (out / "summary.json").exists()
 
 

@@ -731,6 +731,20 @@ def test_fixed_point_stops_at_the_first_non_finite_sweep():
         stepper._solve_momentum(s0.V, F2)
 
 
+def test_a_state_that_overflows_ends_as_a_named_blowup(monkeypatch):
+    # F1 is finite, but zeta + dt F1 overflows in the coupled solve, so the
+    # new state holds non-finite values; no RuntimeWarning escapes the step
+    g = make_grid(8, 8, 5)
+    stepper, s0 = stepper_and_state("GlobalGamma1", gamma1_params(), g, 4.0)
+    monkeypatch.setattr(evolve, "nonlinearity_F1",
+                        lambda state, g, params: np.full((g.nx, g.ny), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupDetected) as exc:
+            stepper.step(s0)
+    assert str(exc.value) == "non-finite values in the state"
+
+
 def counted(counts, name, fn):
     def wrapper(*args, **kwargs):
         counts[name] += 1
