@@ -14,9 +14,10 @@ data must satisfy the compatibility condition int_G f1 = 0 and the
 solution is unique in the mean-free class int_G zeta = 0.
 
 Because the coefficients are constant, the system block-diagonalizes
-over horizontal Fourier modes; the resolvent solver solves one small
-bordered vertical system per mode (boundary rows replaced by the
-boundary conditions).  A dense monolithic solve — at lambda = 0 with
+over horizontal Fourier modes into small bordered vertical systems
+(boundary rows replaced by the boundary conditions); as the Lame symbol
+is isotropic, the resolvent solver factorizes one system per |k|^2
+shell for all its modes.  A dense monolithic solve — at lambda = 0 with
 its kernel, zeta in the mean and on the Nyquist lines, deflated — is
 the tests' ground truth, and a decomposed solver mirrors the continuous
 existence argument: vertical averaging reduces lambda = 0 to a 2D
@@ -225,51 +226,106 @@ def _is_real(p: ResolventProblem) -> bool:
             and not np.iscomplexobj(p.f2))
 
 
+def _shell_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of a bordered block of order n at (|k|, 0), which has
+    no entries between them: zeta with the x velocity levels, and the y
+    velocity levels."""
+    return np.r_[0, 1:n:2], np.r_[2:n:2]
+
+
+def _rotate(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """Turn each level's velocity (x, y) of the packed modes u, one a row,
+    by (cos, sin) = (c, s), in place."""
+    x, y = u[:, 1::2], u[:, 2::2]
+    t = s * y  # in place, at most two temporaries: peak memory
+    y *= c
+    y += s * x
+    x *= c
+    x -= t
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_per_mode(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-by-mode bordered solve of (lambda - A_CHS) U = F.
+    """Shell-by-shell bordered solve of (lambda - A_CHS) U = F.
 
     Real data at real lambda is solved on the half-spectrum ky >= 0, any
-    other problem on every mode.  The blocks at (-kx, ky) and (kx, -ky)
-    are D M D, entry for entry, with D flipping the sign of the x or the y
-    velocity unknowns.  So each block with kx, ky >= 0 (built one kx row at
-    a time) also solves its reflections, their data and solutions flipped
-    by D.
+    other problem on every mode.  The Lame symbol is isotropic, so the
+    block at k is Q B Q^T: B is the block at (|k|, 0), and Q = diag(1, I
+    kron R_k) turns each level's velocity by the angle of k (boundary rows
+    and a pinned zeta row keep their form).  Each |k|^2 shell, pinned or
+    not, builds B once, in batches of at most ny/2 shells, and solves it
+    for the data Q^T b of all its modes as columns, in two parts, zeta
+    with the x levels and the y levels; at real lambda in its real form
+    D^-1 B D, D = diag(i, 1, ..., 1), for -i zeta-hat, Re and Im as two
+    columns.  Rows whose moduli sum to 1 or more are scaled down by powers
+    of two to sums in [0.5, 1), so that partial pivoting weighs boundary
+    rows against interior ones.  Fields that overflow fail the residual
+    check.
     """
     lam = complex(p.lam)
     real = _is_real(p)
     dtype = float if real else complex
     rhs = _pack_modes(np.asarray(p.f2, dtype=dtype),
                       np.asarray(p.f1, dtype=dtype))
-    nk = rhs.shape[1]
-    iy = np.arange(g.ny // 2 + 1)
-    K = mode_wavevectors(g)[:, iy]
-    pin = np.zeros((g.nx, nk), dtype=bool)
+    nk, n = rhs.shape[1:]
+    rhs = rhs.reshape(-1, n)  # one mode a row; the solutions replace it
+    K = mode_wavevectors(g)[:, :nk].reshape(-1, 2)
+    pin = np.zeros(len(K), dtype=bool)
     if lam == 0:
         # zeta is the normalized mean (or a Nyquist artifact): pin it to
         # zero and drop the continuity row.
-        pin = ~g.active_mask[:, :nk]
-        pin[0, 0] = True
+        pin = ~g.active_mask[:, :nk].ravel()
+        pin[0] = True
         rhs[pin, 0] = 0.0
+    k = np.sqrt(np.sum(K * K, axis=-1))
+    kk = np.where(k > 0, k, 1.0)
+    c, s = np.where(k > 0, K[:, 0] / kk, 1.0)[:, None], (K[:, 1] / kk)[:, None]
+    _rotate(rhs, c, -s)  # Q^T b
+    real_form = lam.imag == 0
+    lead = rhs[:, :1].view(float)  # (Re, Im) of zeta-hat
+    if real_form:
+        lead[:] = lead[:, ::-1] * (1.0, -1.0)  # -i zeta-hat
+    # the modes of each shell, keyed 2 q + pinned, as consecutive columns
+    q = np.rint((k / (2 * np.pi)) ** 2).astype(int)  # k on the integer grid
+    shells, shell_of, count = np.unique(2 * q + pin, return_inverse=True,
+                                        return_counts=True)
+    order = np.argsort(shell_of, kind="stable")
+    first = np.r_[0, np.cumsum(count)]
+    col = np.arange(len(K)) - first[shell_of[order]]
     rho = column_density(params.model, p.xi_bar, g.z)
-    j = np.arange(rhs.shape[-1])  # zeta, then (x, y) per level
-    x, y = j % 2 == 1, (j % 2 == 0) & (j > 0)
-    flips = (np.zeros_like(x), x, y, x | y)[:2 if real else 4]
-    sol = np.empty_like(rhs)
-    for ix in range(g.nx // 2 + 1):
-        M = mode_matrices(K[ix], rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
-        M[pin[ix, iy], 0, :] = 0.0
-        M[pin[ix, iy], 0, 0] = 1.0
-        jx, jy = -ix % g.nx, -iy % g.ny
-        at = ((ix, iy), (jx, iy), (ix, jy), (jx, jy))
-        b = [np.where(f, -rhs[m], rhs[m]) for m, f in zip(at, flips)]
-        with _linalg_breakdown(f"mode row {ix}"):
-            u = np.linalg.solve(M, np.stack(b, axis=-1))
-        # a mode that is its own reflection keeps the direct solve, last
-        for c in reversed(range(len(flips))):
-            sol[at[c]] = np.where(flips[c], -u[..., c], u[..., c])
-    return _unpack_modes(sol, g, real)
+    parts = _shell_parts(n)
+    for lo in range(0, len(shells), g.ny // 2):
+        key = shells[lo:lo + g.ny // 2]
+        batch = np.s_[first[lo]:first[lo + len(key)]]
+        at, row = order[batch], shell_of[order[batch]] - lo
+        kt = 2 * np.pi * np.sqrt(key // 2)[:, None] * [1.0, 0.0]
+        M = mode_matrices(kt, rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
+        M[key % 2 == 1, 0, :] = 0.0
+        M[key % 2 == 1, 0, 0] = 1.0
+        b = np.zeros((len(key), n, count[lo:lo + len(key)].max()),
+                     dtype=complex)
+        b[row, :, col[batch]] = rhs[at]
+        if real_form:
+            M, b = _real_form(M), b.view(float)
+        # exact scaling: a power of two, and none that could overflow
+        e = np.frexp(np.abs(M) @ np.ones(n))[1]
+        w = np.ldexp(1.0, -np.maximum(e, 0))[..., None]
+        M *= w
+        b *= w
+        u = np.empty_like(b)
+        where = "the resolvent shells |k|^2 = " + ", ".join(
+            f"{h // 2}" + " (pinned)" * (h % 2) for h in key)
+        with _linalg_breakdown(where):
+            for part in parts:
+                u[:, part] = np.linalg.solve(M[:, part[:, None], part],
+                                             b[:, part])
+        rhs[at] = u.view(complex)[row, :, col[batch]]
+    if real_form:
+        lead[:] = lead[:, ::-1] * (-1.0, 1.0)
+    _rotate(rhs, c, s)  # Q u
+    return _unpack_modes(rhs.reshape(g.nx, nk, n), g, real)
 
 
 def solve_resolvent(
@@ -278,10 +334,11 @@ def solve_resolvent(
     params: PhysicalParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (lambda - A_CHS)(zeta, V) = (f1, f2), one bordered vertical
-    system per horizontal Fourier mode.
+    system per horizontal Fourier mode, factorized once per |k|^2 shell.
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
-    A singular block (named by its kx row), or a relative residual not
+    A singular block (named by the |k|^2 shells of its batch, a pinned
+    lambda = 0 block marked ``(pinned)``), or a relative residual not
     within :data:`LIN_TOL`, raises :class:`SolverBreakdown`.  Returns real
     fields for real data at real lambda and complex fields otherwise; for
     lambda = 0, zeta is returned mean-free.
@@ -523,7 +580,7 @@ def _located_bound(g: Grid, params: PhysicalParams,
     # the blocks whose shell's hi reaches it.
     shells, shell_of = np.unique(rx * rx + ky * ky, return_inverse=True)
     m = len(avg_row)
-    parts = np.r_[0, 1:2 * m:2], np.r_[2:2 * m + 1:2]
+    parts = _shell_parts(1 + 2 * m)
     a, s = np.empty((2, len(shells)))
     for c in range(0, len(shells), g.ny // 2):
         q = shells[c:c + g.ny // 2]

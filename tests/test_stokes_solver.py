@@ -17,6 +17,7 @@ from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     SolverBreakdown,
     _bordered,
+    _kron,
     _pack_modes,
     _real_form,
     _replace_rows_dense,
@@ -88,6 +89,20 @@ def test_manufactured_solution_residual_and_error(setup, lam):
         err = np.sqrt(l2_norm(zeta - zeta_true, g) ** 2
                       + l2_norm(V - V_true, g) ** 2)
         assert err / scale <= 1e-10
+
+
+@pytest.mark.parametrize("lam", (3.7, 37j, 0.5 + 2j), ids=str)
+def test_stiff_manufactured_solution_is_solved_to_rounding(lam):
+    # at mu = 50 a block's interior rows outweigh its boundary rows by
+    # orders of magnitude; with its rows scaled, partial pivoting keeps to
+    # the boundary equations and the error stays at rounding (zeta within
+    # 8.1e-15, V within 2.2e-15 here; up to 3.5e-12 and 1.2e-13 unscaled)
+    g = make_grid(16, 8, 9)
+    params = PhysicalParams(mu=50.0, mu_prime=25.0)
+    problem, zeta_true, V_true = manufactured_resolvent_problem(lam, g, params)
+    zeta, V = solve_resolvent(problem, g, params)
+    for got, true in ((zeta, zeta_true), (V, V_true)):
+        assert np.max(np.abs(got - true)) <= 1e-13 * np.max(np.abs(true))
 
 
 def test_zero_lambda_requires_mean_free_f1(setup):
@@ -190,10 +205,16 @@ def _run_steady(g, params, problem):
 
 
 # (numpy.linalg function, the call of it that fails, solver, lambda, the
-# row or block the breakdown must name)
+# row, block or batch the breakdown must name)
 LINALG_FAILURES = [
     ("inv", 3, _run_stepper, 1.0, "mode row 2"),
-    ("solve", 2, _run_resolvent, 1.0, "mode row 1"),
+    # the resolvent at 8^2: the 10 shells |k|^2 = 0 ... 18 of the half-
+    # spectrum in batches of ny/2 = 4, each solved as its (zeta, x) part,
+    # then its y part; at lambda = 0 a pinned block is a shell of its own
+    ("solve", 3, _run_resolvent, 1.0,
+     "the resolvent shells |k|^2 = 5, 8, 9, 10"),
+    ("solve", 1, _run_resolvent, 0.0,
+     "the resolvent shells |k|^2 = 0 (pinned), 1, 1 (pinned), 2"),
     ("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block"),
     # the filter pass at 8^2: the 9 shells |k|^2 = 1 ... 18 in batches of
     # ny/2 = 4, each eigensolved as its (zeta, x) part, then its y part
@@ -209,8 +230,8 @@ LINALG_FAILURES = [
 
 @pytest.mark.parametrize(
     "name,nth,run,lam,where", LINALG_FAILURES,
-    ids=("stepper", "resolvent", "bound-k0", "bound-row", "bound-row-y",
-         "bound-candidates", "steady"))
+    ids=("stepper", "resolvent", "resolvent-pinned", "bound-k0", "bound-row",
+         "bound-row-y", "bound-candidates", "steady"))
 def test_linear_algebra_failure_names_its_row_or_block(monkeypatch, name,
                                                        nth, run, lam, where):
     g = make_grid(8, 8, 5)
@@ -424,7 +445,7 @@ BOUND_ORACLE_CASES += random_bound_cases(20) + [
                          BOUND_ORACLE_CASES)
 def test_spectral_bound_half_spectrum_is_the_full_maximum(
         nx, ny, nz, model, xi_bar, mu, mu_prime):
-    # one mode of each four is eigensolved, and no bit of eta0 moves
+    # one mode of each pair +-k is eigensolved, and no bit of eta0 moves
     g = make_grid(nx, ny, nz)
     params = PhysicalParams(mu=mu, mu_prime=mu_prime, model=model,
                             xi_bar=xi_bar)
@@ -545,7 +566,45 @@ def test_a_reflected_block_that_holds_the_maximum_sets_eta0(monkeypatch):
     assert spectral_bound(g, params) == -forced
 
 
-def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
+@pytest.mark.parametrize("tied,named", (
+    (((1, 1), (1, -1)), (1, 1)),
+    (((1, -1), (2, 1)), (2, 1)),
+    (((2, 1), (1, 2)), (1, 2)),
+    (((1, -2), (1, -1)), (1, -1)),
+), ids=("reflection", "next-row", "by-kx", "by-abs-ky"))
+def test_a_tie_in_the_exact_pass_names_its_first_block(monkeypatch, tied,
+                                                       named):
+    # the exact pass takes the kept blocks with ky >= 0 first, then those
+    # with ky < 0, each by kx, then |ky|, and a tie names the first: here
+    # two blocks read the same max Re, just above the true maximum, and the
+    # shells of both are ranked candidates
+    g = make_grid(8, 8, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    top = full_spectrum_max_re(g, params)
+    K = mode_wavevectors(g)
+    blocks = [bound_blocks(K[k], g, params) for k in tied]
+    parts = [P for k in tied for P in shell_parts(k[0] ** 2 + k[1] ** 2, g,
+                                                    params)[:2]]
+    original = np.linalg.eigvals
+    forced = top + 1e-12 * abs(top)
+
+    def tie(M):
+        ev = original(M)
+        for m, e in zip(M.reshape((-1,) + M.shape[-2:]),
+                        ev.reshape(-1, ev.shape[-1])):
+            for B, target in [(P, top) for P in parts] + [
+                    (B, forced) for B in blocks]:
+                if m.shape == B.shape and np.array_equal(m, B):
+                    e.real[np.argmax(e.real)] = target  # exactly
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", tie)
+    eta0, mode, _ = stokes_solver._located_bound(g, params, params.xi_bar)
+    assert eta0 == -forced
+    assert mode == named
+
+
+def test_spectral_bound_eigensolves_one_mode_of_each_pair(monkeypatch):
     g = make_grid(16, 16, 9)
     original = np.linalg.eigvals
     batches = []
@@ -557,14 +616,14 @@ def test_spectral_bound_eigensolves_one_mode_of_each_four(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     spectral_bound(g, PhysicalParams(mu=1.0, mu_prime=0.5))
     # the filter pass: the k = 0 velocity block, then the 33 shells |k|^2 of
-    # the 63 kept blocks (kx, ky = 0..7 without k = 0; 112 make the +-k
-    # half), in batches of ny/2 = 8 shells, each shell as a (zeta, x) part
-    # of order 8 and a y part of order 7
+    # the 112 kept blocks (one of each pair +-k of the 224 active modes
+    # without k = 0), in batches of ny/2 = 8 shells, each shell as a
+    # (zeta, x) part of order 8 and a y part of order 7
     real = np.dtype(float)
     shells = [((c, n, n), real) for c in (8, 8, 8, 8, 1) for n in (8, 7)]
     assert batches[:11] == [((14, 14), real)] + shells
-    # the exact pass: one zgeev batch of the few candidate blocks and the
-    # reflections of those off the axes (2 blocks here)
+    # the exact pass: one zgeev batch of the kept blocks on the few
+    # candidate shells (2 blocks here)
     [(shape, dtype)] = batches[11:]
     assert dtype == complex and shape[1:] == (15, 15)
     assert 1 <= shape[0] <= 4
@@ -616,6 +675,44 @@ def test_a_misranked_maximum_is_still_eigensolved_exactly(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", misranked)
     assert spectral_bound(g, params) == -top
     assert seen == {"lowered": 2, "raised": 2, "solved": 1}
+
+
+@pytest.mark.parametrize("lam", (0.0, 3.7, 37j), ids=str)
+@pytest.mark.parametrize("shape", ((8, 12, 5), (12, 8, 7)), ids=str)
+def test_each_resolvent_block_is_the_rotated_block_of_its_shell(shape, lam):
+    # the block at K, Nyquist lines, k = 0 and pinned blocks too, is
+    # Q B Q^T: B the block at (|K|, 0) as the shell solve builds it, at
+    # 2 pi sqrt(q) for the integer q = |K|^2 / (2 pi)^2, and Q = diag(1, I
+    # kron R) turning each level's velocity by the angle of K; and B has
+    # no entries between its (zeta, x) and y parts
+    g = make_grid(*shape)
+    params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=1.2)
+    rho = column_density(params.model, params.xi_bar, g.z)
+    K = mode_wavevectors(g).reshape(-1, 2)
+    pin = np.zeros(len(K), dtype=bool)
+    if lam == 0:
+        pin = ~g.active_mask.ravel()
+        pin[0] = True
+
+    def blocks(kt):
+        M = mode_matrices(kt, rho, g, params, lam, 1.0, xi_bar=params.xi_bar)
+        M[pin, 0, :] = 0.0
+        M[pin, 0, 0] = 1.0
+        return M
+
+    k = np.sqrt(np.sum(K * K, axis=-1))
+    q = np.rint((k / (2 * np.pi)) ** 2)
+    B = blocks(np.stack([2 * np.pi * np.sqrt(q), 0 * q], axis=-1))
+    c, s = np.where(k > 0, K.T / np.where(k > 0, k, 1.0), [[1.0], [0.0]])
+    Q = np.zeros(B.shape)
+    Q[:, 0, 0] = 1.0
+    Q[:, 1:, 1:] = _kron(np.eye(g.nz), np.stack(
+        [np.stack([c, -s], -1), np.stack([s, c], -1)], -2))
+    M = blocks(K)
+    err = np.abs(M - Q @ B @ Q.swapaxes(1, 2)).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.abs(M).max(axis=(1, 2)))
+    xz, y = stokes_solver._shell_parts(B.shape[-1])
+    assert not B[:, xz[:, None], y].any() and not B[:, y[:, None], xz].any()
 
 
 def loop_solve_per_mode(problem, g, params):
@@ -675,7 +772,7 @@ def test_batched_resolvent_matches_mode_loop(setup, lam, factor):
 
 def row_solve_per_mode(p, g, params):
     """The per-mode solve with one factorization per mode, one kx row of
-    blocks at a time: the reference of the paired solve."""
+    blocks at a time: the reference of the shell solve."""
     lam = complex(p.lam)
     real = stokes_solver._is_real(p)
     dtype = float if real else complex
@@ -701,8 +798,9 @@ def row_solve_per_mode(p, g, params):
 @pytest.mark.parametrize("shape", ((8, 12, 5), (12, 8, 7), (16, 8, 9)),
                          ids=str)
 def test_paired_solve_keeps_the_bits_of_the_row_solve(shape):
-    # one factorization serves (+-kx, +-ky): D solve(M, D b) has the bits
-    # of solve(D M D, b), and + 0.0 gives the flipped zeros their sign
+    # one factorization serves a |k|^2 shell, its modes' data rotated: the
+    # solutions match one solve per mode to rounding (V within 6.1e-15
+    # relative here, zeta within 1.5e-13), with as small a residual
     g = make_grid(*shape)
     params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=1.2)
     rng = np.random.default_rng(18)
@@ -719,11 +817,13 @@ def test_paired_solve_keeps_the_bits_of_the_row_solve(shape):
                 want = row_solve_per_mode(p, g, params)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes()
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+                assert resolvent_residual(lam, *got, p.f1, p.f2, p.xi_bar, g,
+                                          params) <= 1e-13
 
 
 def test_paired_solve_of_zero_data_is_zero():
-    # the only difference from the row solve: zeros may change sign
+    # zero data gives exact zeros, as in the row solve
     g = make_grid(8, 12, 5)
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
     for lam in (0.0, 3.7, 37j):
@@ -741,18 +841,23 @@ def test_paired_solve_factorizes_one_block_per_reflection_class(monkeypatch):
     shapes = []
 
     def counted(M, b):
-        shapes.append((M.shape, b.shape))
+        shapes.append((M.shape, b.shape, M.dtype))
         return original(M, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for lam, columns in ((3.7, 2), (37j, 4)):
+    # the 25 shells |k|^2 = 0 ... 58 of the half-spectrum (80 modes) or of
+    # every mode (128), in batches of ny/2 = 4 shells, each batch solved
+    # once as its (zeta, x) part of order 10 and once as its y part of
+    # order 9, for its modes as columns padded to its largest shell; at
+    # real lambda in real form, each mode's Re and Im side by side
+    for lam, dtype, widths in ((3.7, float, (12, 12, 8, 12, 8, 8, 4)),
+                               (37j, complex, (8, 8, 8, 8, 4, 4, 4))):
         shapes.clear()
         problem, _, _ = manufactured_resolvent_problem(lam, g, params)
         stokes_solver._solve_per_mode(problem, g, params)
-        # rows kx = 0..8 of ky = 0..4, each block solved for the
-        # right-hand sides of its reflections
-        n = 1 + 2 * g.nz
-        assert shapes == [((5, n, n), (5, n, columns))] * 9
+        assert shapes == [((b, n, n), (b, n, w), np.dtype(dtype))
+                          for b, w in zip((4,) * 6 + (1,), widths)
+                          for n in (10, 9)]
 
 
 def test_dense_solve_keeps_complex_data_at_real_lambda():
