@@ -496,9 +496,9 @@ def integral(f: np.ndarray, g: Grid) -> float:
     raise ValueError("integral expects a scalar field")
 
 
+@np.errstate(over="ignore")
 def l2_norm(f: np.ndarray, g: Grid) -> float:
     """Quadrature L^2 norm; components of vector fields are summed."""
-    f = np.asarray(f)
     mag2 = np.abs(f) ** 2
     kind = validate_field(f, g)
     if kind in ("vector2d", "vector3d"):

@@ -227,9 +227,8 @@ def _is_real(p: ResolventProblem) -> bool:
 
 
 def _shell_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of a bordered block of order n at (|k|, 0), which has
-    no entries between them: zeta with the x velocity levels, and the y
-    velocity levels."""
+    """The two parts of a bordered block of order n at (|k|, 0), with no
+    entries between them: zeta with the x velocity levels, and the y ones."""
     return np.r_[0, 1:n:2], np.r_[2:n:2]
 
 
@@ -244,6 +243,27 @@ def _rotate(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     x -= t
 
 
+def _shell_batches(keys: np.ndarray, ny: int, name: str):
+    """Group modes by key: 2 q for the shell q = |k|^2 / (2 pi)^2 of integer k,
+    2 q + 1 for a pinned lambda = 0 block.  Yields the shells by increasing
+    key, at most ny/2 to a batch: their wave vectors (2 pi sqrt(q), 0), which
+    are pinned, the batch's name in a breakdown, and per mode, in stable order,
+    its index, its shell in the batch and its column in that shell."""
+    shells, shell_of, count = np.unique(keys, return_inverse=True,
+                                        return_counts=True)
+    order = np.argsort(shell_of, kind="stable")
+    first = np.r_[0, np.cumsum(count)]
+    col = np.arange(len(keys)) - first[shell_of[order]]
+    for lo in range(0, len(shells), ny // 2):
+        key = shells[lo:lo + ny // 2]
+        batch = np.s_[first[lo]:first[lo + len(key)]]
+        at = order[batch]
+        yield (2 * np.pi * np.sqrt(key // 2)[:, None] * [1.0, 0.0],
+               key % 2 == 1, f"the {name} shells |k|^2 = " + ", ".join(
+                   f"{h // 2}" + " (pinned)" * (h % 2) for h in key),
+               at, shell_of[at] - lo, col[batch])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_per_mode(
     p: ResolventProblem, g: Grid, params: PhysicalParams
@@ -254,15 +274,14 @@ def _solve_per_mode(
     other problem on every mode.  The Lame symbol is isotropic, so the
     block at k is Q B Q^T: B is the block at (|k|, 0), and Q = diag(1, I
     kron R_k) turns each level's velocity by the angle of k (boundary rows
-    and a pinned zeta row keep their form).  Each |k|^2 shell, pinned or
-    not, builds B once, in batches of at most ny/2 shells, and solves it
-    for the data Q^T b of all its modes as columns, in two parts, zeta
-    with the x levels and the y levels; at real lambda in its real form
-    D^-1 B D, D = diag(i, 1, ..., 1), for -i zeta-hat, Re and Im as two
-    columns.  Rows whose moduli sum to 1 or more are scaled down by powers
-    of two to sums in [0.5, 1), so that partial pivoting weighs boundary
-    rows against interior ones.  Fields that overflow fail the residual
-    check.
+    and a pinned zeta row keep their form).  Each shell of
+    :func:`_shell_batches` builds B once and solves it for the data Q^T b
+    of all its modes as columns, by :func:`_shell_parts`; at real lambda
+    in its real form D^-1 B D, D = diag(i, 1, ..., 1), for -i zeta-hat, Re
+    and Im as two columns.  Rows whose moduli sum to 1 or more are scaled
+    down by powers of two to sums in [0.5, 1), so that partial pivoting
+    weighs boundary rows against interior ones.  Fields that overflow fail
+    the residual check.
     """
     lam = complex(p.lam)
     real = _is_real(p)
@@ -272,14 +291,15 @@ def _solve_per_mode(
     nk, n = rhs.shape[1:]
     rhs = rhs.reshape(-1, n)  # one mode a row; the solutions replace it
     K = mode_wavevectors(g)[:, :nk].reshape(-1, 2)
-    pin = np.zeros(len(K), dtype=bool)
+    k = np.sqrt(np.sum(K * K, axis=-1))
+    keys = 2 * np.rint((k / (2 * np.pi)) ** 2).astype(int)  # 2 q, q integer
     if lam == 0:
         # zeta is the normalized mean (or a Nyquist artifact): pin it to
         # zero and drop the continuity row.
         pin = ~g.active_mask[:, :nk].ravel()
         pin[0] = True
         rhs[pin, 0] = 0.0
-    k = np.sqrt(np.sum(K * K, axis=-1))
+        keys += pin  # a pinned block is a shell of its own
     kk = np.where(k > 0, k, 1.0)
     c, s = np.where(k > 0, K[:, 0] / kk, 1.0)[:, None], (K[:, 1] / kk)[:, None]
     _rotate(rhs, c, -s)  # Q^T b
@@ -287,26 +307,15 @@ def _solve_per_mode(
     lead = rhs[:, :1].view(float)  # (Re, Im) of zeta-hat
     if real_form:
         lead[:] = lead[:, ::-1] * (1.0, -1.0)  # -i zeta-hat
-    # the modes of each shell, keyed 2 q + pinned, as consecutive columns
-    q = np.rint((k / (2 * np.pi)) ** 2).astype(int)  # k on the integer grid
-    shells, shell_of, count = np.unique(2 * q + pin, return_inverse=True,
-                                        return_counts=True)
-    order = np.argsort(shell_of, kind="stable")
-    first = np.r_[0, np.cumsum(count)]
-    col = np.arange(len(K)) - first[shell_of[order]]
     rho = column_density(params.model, p.xi_bar, g.z)
     parts = _shell_parts(n)
-    for lo in range(0, len(shells), g.ny // 2):
-        key = shells[lo:lo + g.ny // 2]
-        batch = np.s_[first[lo]:first[lo + len(key)]]
-        at, row = order[batch], shell_of[order[batch]] - lo
-        kt = 2 * np.pi * np.sqrt(key // 2)[:, None] * [1.0, 0.0]
+    for kt, pinned, where, at, row, col in _shell_batches(keys, g.ny,
+                                                          "resolvent"):
         M = mode_matrices(kt, rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
-        M[key % 2 == 1, 0, :] = 0.0
-        M[key % 2 == 1, 0, 0] = 1.0
-        b = np.zeros((len(key), n, count[lo:lo + len(key)].max()),
-                     dtype=complex)
-        b[row, :, col[batch]] = rhs[at]
+        M[pinned, 0, :] = 0.0
+        M[pinned, 0, 0] = 1.0
+        b = np.zeros((len(kt), n, col.max() + 1), dtype=complex)
+        b[row, :, col] = rhs[at]
         if real_form:
             M, b = _real_form(M), b.view(float)
         # exact scaling: a power of two, and none that could overflow
@@ -315,13 +324,11 @@ def _solve_per_mode(
         M *= w
         b *= w
         u = np.empty_like(b)
-        where = "the resolvent shells |k|^2 = " + ", ".join(
-            f"{h // 2}" + " (pinned)" * (h % 2) for h in key)
         with _linalg_breakdown(where):
             for part in parts:
                 u[:, part] = np.linalg.solve(M[:, part[:, None], part],
                                              b[:, part])
-        rhs[at] = u.view(complex)[row, :, col[batch]]
+        rhs[at] = u.view(complex)[row, :, col]
     if real_form:
         lead[:] = lead[:, ::-1] * (-1.0, 1.0)
     _rotate(rhs, c, s)  # Q u
@@ -337,11 +344,10 @@ def solve_resolvent(
     system per horizontal Fourier mode, factorized once per |k|^2 shell.
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
-    A singular block (named by the |k|^2 shells of its batch, a pinned
-    lambda = 0 block marked ``(pinned)``), or a relative residual not
-    within :data:`LIN_TOL`, raises :class:`SolverBreakdown`.  Returns real
-    fields for real data at real lambda and complex fields otherwise; for
-    lambda = 0, zeta is returned mean-free.
+    A singular block (named by its batch of |k|^2 shells), or a relative
+    residual not within :data:`LIN_TOL`, raises :class:`SolverBreakdown`.
+    Returns real fields for real data at real lambda and complex fields
+    otherwise; for lambda = 0, zeta is returned mean-free.
     """
     return _solve_checked(p, g, params)[:2]
 
@@ -513,11 +519,11 @@ def spectral_bound(
     part, which is the mean-free restriction) of one mode of each conjugate
     pair +-k, since the block at -k is the complex conjugate of the block
     at k.  It runs in two passes.  A real filter pass ranks the blocks by
-    |k|^2 shell: the Lame symbol -mu |k|^2 - mu' k k^T is isotropic, so
-    every bordered block B on a shell is a rotation of the one at (|k|, 0)
-    and has its eigenvalues.  There the real form D^-1 B D, D = diag(i, 1,
-    ..., 1), splits exactly into zeta with the x velocity levels and the y
-    velocity levels, and one dgeev of each part gives the shell an
+    the |k|^2 shells of :func:`_shell_batches`: the Lame symbol
+    -mu |k|^2 - mu' k k^T is isotropic, so every bordered block B on a
+    shell is a rotation of the one at (|k|, 0) and has its eigenvalues.
+    There the real form D^-1 B D, D = diag(i, 1, ..., 1), splits into the
+    parts of :func:`_shell_parts`, and one dgeev of each gives the shell an
     approximate max Re a and a size s = max|lambda|.  Only the candidates,
     blocks whose shell has a + sqrt(eps) s at or above both the k = 0
     block's max Re and every a - sqrt(eps) s, are eigensolved as B itself
@@ -571,29 +577,23 @@ def _located_bound(g: Grid, params: PhysicalParams,
     ky = np.where(ky > g.ny // 2, ky - g.ny, ky)  # signed; K[rx, ky] wraps
     order = np.lexsort((abs(ky), rx, ky < 0))
     rx, ky = rx[order], ky[order]
-    # Filter pass, one shell q = kx^2 + ky^2 (integer k) at a time, its
-    # block built at (2 pi sqrt(q), 0) in batches of at most one kx row.
-    # Its two parts, zeta with the x levels and the y levels, round within
-    # about n eps s of zgeev on every block of the shell, far inside the
-    # margin, so every block within 1e-11 relative of the maximum is a
-    # candidate.  floor is a lower bound on the maximum; the candidates are
-    # the blocks whose shell's hi reaches it.
-    shells, shell_of = np.unique(rx * rx + ky * ky, return_inverse=True)
+    # Filter pass: the two parts of a shell round within about n eps s of
+    # zgeev on its every block, far inside the margin, so each block within
+    # 1e-11 relative of the maximum is a candidate, one whose a + margin s
+    # reaches floor, a lower bound on the maximum.
+    q = rx * rx + ky * ky
     m = len(avg_row)
     parts = _shell_parts(1 + 2 * m)
-    a, s = np.empty((2, len(shells)))
-    for c in range(0, len(shells), g.ny // 2):
-        q = shells[c:c + g.ny // 2]
-        kt = np.stack([2 * np.pi * np.sqrt(q), np.zeros(len(q))], axis=-1)
+    a, s = np.empty((2, len(q)))
+    for kt, _, where, at, row, _ in _shell_batches(2 * q, g.ny, "filter"):
         B = _real_form(blocks(kt))
-        where = f"the filter shells |k|^2 = {', '.join(map(str, q))}"
-        a[c:c + len(q)], s[c:c + len(q)] = np.max(
+        a[at], s[at] = np.max(
             [_max_real_part(B[:, p[:, None], p], where) for p in parts],
-            axis=0)
+            axis=0)[:, row]
     margin = np.sqrt(np.finfo(float).eps)
     floor, size = max(re0, (a - margin * s).max()), max(size, s.max())
-    # Exact pass: zgeev on every block of a candidate shell (a NaN is kept)
-    hit = ~(a + margin * s < floor)[shell_of]
+    # Exact pass: zgeev on every candidate block (a NaN is kept)
+    hit = ~(a + margin * s < floor)
     rx, ky = rx[hit], ky[hit]
     max_re, mode = re0, (0, 0)
     if rx.size:
@@ -602,7 +602,7 @@ def _located_bound(g: Grid, params: PhysicalParams,
         if re[j] > max_re:
             max_re, mode = re[j], (int(rx[j]), int(ky[j]))
     # the gap to the largest filter value off the maximum's shell
-    others = np.r_[0, shells] != mode[0] ** 2 + mode[1] ** 2
+    others = np.r_[0, q] != mode[0] ** 2 + mode[1] ** 2
     gap = float(max_re - np.r_[re0, a][others].max())
     return _checked_bound(max_re, size, 1 + 2 * m), mode, gap
 

@@ -751,6 +751,21 @@ def test_manufactured_data_whose_transform_overflows_name_their_cause(
     assert capsys.readouterr().err.splitlines() == [DATA_OVERFLOW]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_manufactured_data_whose_norm_overflows_end_in_the_residual_check(
+        tmp_path, capsys):
+    # finite data and transform, but the squares of their norm in the
+    # lambda = 0 compatibility check overflow; the residual reads nan
+    problem = write_problem(tmp_path, grid={"nx": 8, "ny": 8, "nz": 5},
+                            params={**ADMISSIBLE, "xi_bar": 1e300})
+    out = tmp_path / "out"
+    assert cli.main(["resolvent", problem, "--output-dir",
+                     str(out)]) == cli.EXIT_BREAKDOWN
+    assert capsys.readouterr().err.splitlines() == [
+        "linear-solver breakdown: relative residual nan exceeds 1.0e-08"]
+    assert not (out / "summary.json").exists()
+
+
 # The generated sweep: each key path of the schema set to each hostile
 # value, through simulate and spectrum in three modes and through resolvent.
 HOSTILE_VALUES = (None, True, "x", [], {}, 0, -1, 10**30, 1e308, -1e308,

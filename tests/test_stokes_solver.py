@@ -207,31 +207,32 @@ def _run_steady(g, params, problem):
 # (numpy.linalg function, the call of it that fails, solver, lambda, the
 # row, block or batch the breakdown must name)
 LINALG_FAILURES = [
-    ("inv", 3, _run_stepper, 1.0, "mode row 2"),
+    pytest.param("inv", 3, _run_stepper, 1.0, "mode row 2", id="stepper"),
     # the resolvent at 8^2: the 10 shells |k|^2 = 0 ... 18 of the half-
     # spectrum in batches of ny/2 = 4, each solved as its (zeta, x) part,
     # then its y part; at lambda = 0 a pinned block is a shell of its own
-    ("solve", 3, _run_resolvent, 1.0,
-     "the resolvent shells |k|^2 = 5, 8, 9, 10"),
-    ("solve", 1, _run_resolvent, 0.0,
-     "the resolvent shells |k|^2 = 0 (pinned), 1, 1 (pinned), 2"),
-    ("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block"),
+    pytest.param("solve", 3, _run_resolvent, 1.0,
+                 "the resolvent shells |k|^2 = 5, 8, 9, 10", id="resolvent"),
+    pytest.param("solve", 1, _run_resolvent, 0.0,
+                 "the resolvent shells |k|^2 = 0 (pinned), 1, 1 (pinned), 2",
+                 id="resolvent-pinned"),
+    pytest.param("eigvals", 1, _run_spectral_bound, 1.0, "the k = 0 block",
+                 id="bound-k0"),
     # the filter pass at 8^2: the 9 shells |k|^2 = 1 ... 18 in batches of
     # ny/2 = 4, each eigensolved as its (zeta, x) part, then its y part
-    ("eigvals", 2, _run_spectral_bound, 1.0,
-     "the filter shells |k|^2 = 1, 2, 4, 5"),
-    ("eigvals", 5, _run_spectral_bound, 1.0,
-     "the filter shells |k|^2 = 8, 9, 10, 13"),
+    pytest.param("eigvals", 2, _run_spectral_bound, 1.0,
+                 "the filter shells |k|^2 = 1, 2, 4, 5", id="bound-row"),
+    pytest.param("eigvals", 5, _run_spectral_bound, 1.0,
+                 "the filter shells |k|^2 = 8, 9, 10, 13", id="bound-row-y"),
     # after the k = 0 block and the three shell batches of the filter pass
-    ("eigvals", 8, _run_spectral_bound, 1.0, "the candidate blocks"),
-    ("inv", 1, _run_steady, 0.0, "the velocity recovery blocks"),
+    pytest.param("eigvals", 8, _run_spectral_bound, 1.0,
+                 "the candidate blocks", id="bound-candidates"),
+    pytest.param("inv", 1, _run_steady, 0.0, "the velocity recovery blocks",
+                 id="steady"),
 ]
 
 
-@pytest.mark.parametrize(
-    "name,nth,run,lam,where", LINALG_FAILURES,
-    ids=("stepper", "resolvent", "resolvent-pinned", "bound-k0", "bound-row",
-         "bound-row-y", "bound-candidates", "steady"))
+@pytest.mark.parametrize("name,nth,run,lam,where", LINALG_FAILURES)
 def test_linear_algebra_failure_names_its_row_or_block(monkeypatch, name,
                                                        nth, run, lam, where):
     g = make_grid(8, 8, 5)
@@ -450,6 +451,23 @@ def test_spectral_bound_half_spectrum_is_the_full_maximum(
     params = PhysicalParams(mu=mu, mu_prime=mu_prime, model=model,
                             xi_bar=xi_bar)
     assert spectral_bound(g, params) == -full_spectrum_max_re(g, params)
+    # the block named as eta0_mode holds the maximum, bit for bit
+    eta0, mode, _ = stokes_solver._located_bound(g, params, xi_bar)
+    assert named_block_max_re(g, params, mode) == -eta0
+
+
+def named_block_max_re(g, params, mode):
+    """zgeev's max Re of the bordered block of A_CHS at the integer mode
+    (kx, ky), or of the k = 0 velocity block at (0, 0)."""
+    kt = mode_wavevectors(g)[mode]
+    if not any(mode):
+        S, R = vertical_reduction(g)
+        S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+        rho = column_density(params.model, params.xi_bar, g.z)
+        B = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+    else:
+        B = bound_blocks(kt, g, params)
+    return np.linalg.eigvals(B).real.max()
 
 
 def bound_blocks(kt, g, params):
@@ -770,6 +788,45 @@ def test_batched_resolvent_matches_mode_loop(setup, lam, factor):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("pinned", (False, True), ids=("2q", "2q+pinned"))
+@pytest.mark.parametrize("shape", ((8, 12, 5), (16, 8, 9), (32, 32, 17)),
+                         ids=str)
+def test_shell_batches_take_every_mode_once_by_ascending_shell(shape,
+                                                                pinned):
+    # keys 2 q, or the lambda = 0 keys of the resolvent solve, 2 q + 1 for
+    # a pinned block (k = 0 and the Nyquist lines)
+    g = make_grid(*shape)
+    K = mode_wavevectors(g).reshape(-1, 2)
+    k2 = np.sum(K * K, axis=-1)
+    pin = np.zeros(len(K), dtype=bool)
+    if pinned:
+        pin = ~g.active_mask.ravel()
+        pin[0] = True
+    keys = 2 * np.rint(k2 / (2 * np.pi) ** 2).astype(int) + pin
+    taken, last, names = [], -1, []
+    for kt, pin_of, where, at, row, col in stokes_solver._shell_batches(
+            keys, g.ny, "test"):
+        assert 0 < len(kt) <= g.ny // 2 and not kt[:, 1].any()
+        q = np.rint((kt[:, 0] / (2 * np.pi)) ** 2).astype(int)
+        shell = 2 * q + pin_of
+        assert last < shell[0] and np.all(np.diff(shell) > 0)
+        last = shell[-1]
+        assert np.array_equal(keys[at], shell[row])
+        assert np.allclose(k2[at], kt[row, 0] ** 2, rtol=1e-12, atol=0.0)
+        for r in range(len(kt)):
+            # its modes in their stable order, as columns 0 ... count - 1
+            assert np.all(np.diff(at[row == r]) > 0)
+            assert np.array_equal(col[row == r], np.arange(np.sum(row == r)))
+        named = [f"{v} (pinned)" if p else f"{v}" for v, p in zip(q, pin_of)]
+        assert where == "the test shells |k|^2 = " + ", ".join(named)
+        names += named
+        taken.append(at)
+    assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(len(K)))
+    # k = 0 and the zero wave vectors of the Nyquist modes are pinned
+    assert ("0 (pinned)" in names) == pinned
+    assert ("0" in names) != pinned
+
+
 def row_solve_per_mode(p, g, params):
     """The per-mode solve with one factorization per mode, one kx row of
     blocks at a time: the reference of the shell solve."""
@@ -797,7 +854,7 @@ def row_solve_per_mode(p, g, params):
 
 @pytest.mark.parametrize("shape", ((8, 12, 5), (12, 8, 7), (16, 8, 9)),
                          ids=str)
-def test_paired_solve_keeps_the_bits_of_the_row_solve(shape):
+def test_shell_solve_matches_the_row_solve(shape):
     # one factorization serves a |k|^2 shell, its modes' data rotated: the
     # solutions match one solve per mode to rounding (V within 6.1e-15
     # relative here, zeta within 1.5e-13), with as small a residual
@@ -822,7 +879,7 @@ def test_paired_solve_keeps_the_bits_of_the_row_solve(shape):
                                           params) <= 1e-13
 
 
-def test_paired_solve_of_zero_data_is_zero():
+def test_shell_solve_of_zero_data_is_zero():
     # zero data gives exact zeros, as in the row solve
     g = make_grid(8, 12, 5)
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
@@ -834,7 +891,7 @@ def test_paired_solve_of_zero_data_is_zero():
             assert np.array_equal(a, b) and not np.any(a)
 
 
-def test_paired_solve_factorizes_one_block_per_reflection_class(monkeypatch):
+def test_shell_solve_factorizes_one_block_per_shell_batch(monkeypatch):
     g = make_grid(16, 8, 9)
     params = PhysicalParams(mu=1.0, mu_prime=0.5)
     original = np.linalg.solve
