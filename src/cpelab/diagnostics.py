@@ -170,9 +170,7 @@ def lagrangian_mass(zeta_full: np.ndarray, fm, g: Grid,
 
 def surface_h1_norm(f: np.ndarray, g: Grid) -> float:
     """Discrete H1 norm of a surface field (spectral first derivatives)."""
-    kind = validate_field(f, g)
-    if kind != "scalar2d":
-        raise ValueError(f"surface_h1_norm expects a 2D scalar, got {kind}")
+    validate_field(f, g, "scalar2d")
     return float(np.sqrt(l2_norm(f, g) ** 2 + l2_norm(grad_h(f, g), g) ** 2))
 
 

@@ -223,7 +223,7 @@ def reconstruct_w(state: LagrangianState, g: Grid,
     identically at ``z=0`` and, up to quadrature error of the depth-mean
     constraint, at ``z=1``.  Raises on nonpositive density.
     """
-    validate_field(state.V, g)
+    validate_field(state.V, g, "vector3d")
     zf = full_surface_density(state, params)
     if np.min(zf) <= 0.0:
         raise ValueError(f"nonpositive surface density (min {np.min(zf):.3e})")
@@ -674,9 +674,8 @@ class RunConfig:
                 f"preset {self.preset!r} needs amplitude > 0, "
                 f"got {self.amplitude}")
         m = self.perturbation_mode
-        if (len(m) != 2 or any(int(k) != k for k in m)
-                or max(abs(int(k)) for k in m) > min(self.nx, self.ny) // 3
-                or m == (0, 0)):
+        if (len(m) != 2 or any(int(k) != k for k in m) or m == (0, 0)
+                or abs(m[0]) > self.nx // 3 or abs(m[1]) > self.ny // 3):
             raise ValueError(
                 f"perturbation_mode must be a nonzero integer pair within "
                 f"the dealiased range, got {m}")

@@ -198,8 +198,7 @@ def advance_flow(fm: FlowMap, vbar: np.ndarray, g: Grid, dt: float) -> FlowMap:
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if validate_field(vbar, g) != "vector2d":
-        raise ValueError("advance_flow expects a 2D vector velocity field")
+    validate_field(vbar, g, "vector2d")
     gv = grad_h_vec(vbar, g)  # (nx, ny, 2, 2), [i, j] = d v_i / d y_j
     x0 = positions(fm, g)
     G0 = fm.gradX
@@ -234,8 +233,7 @@ def advance_flow_lagrangian(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if validate_field(Vbar, g) != "vector2d":
-        raise ValueError("advance_flow_lagrangian expects a 2D vector field")
+    validate_field(Vbar, g, "vector2d")
     disp = fm.disp + dt * Vbar
     gvZ = np.einsum("...ik,...kj->...ij",
                     grad_h_vec(Vbar, g) if dVbar is None else dVbar, fm.Z)

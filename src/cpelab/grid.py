@@ -6,12 +6,13 @@ Chebyshev--Gauss--Lobatto (CGL) collocation mapped to [0,1] so that the
 boundary planes z=0 (Gamma_b) and z=1 (Gamma_u) are grid nodes and nodal
 boundary conditions can be imposed by row replacement.
 
-Field layout conventions (all float64, C order):
+Field layout conventions (all float64, C order), one per field kind that
+:func:`validate_field` returns and names in its errors:
 
-* scalar 2D field : shape (Nx, Ny)
-* vector 2D field : shape (Nx, Ny, 2)
-* scalar 3D field : shape (Nx, Ny, Nz)
-* vector 3D field : shape (Nx, Ny, Nz, 2)
+* 2D scalar field ``"scalar2d"``: shape (Nx, Ny)
+* 2D vector field ``"vector2d"``: shape (Nx, Ny, 2)
+* 3D scalar field ``"scalar3d"``: shape (Nx, Ny, Nz)
+* 3D vector field ``"vector3d"``: shape (Nx, Ny, Nz, 2)
 
 The horizontal axes always come first and FFTs act on axes (0, 1); the
 vertical node axis is axis 2 for 3D fields; vector components sit on the
@@ -258,29 +259,31 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
 # Field validation
 # ---------------------------------------------------------------------------
 
-def validate_field(f: np.ndarray, g: Grid) -> str:
-    """Classify an array as one of the supported field shapes.
+def validate_field(f: np.ndarray, g: Grid, *kinds: str) -> str:
+    """Classify an array as one of the module docstring's four field kinds.
 
     Returns one of ``"scalar2d" | "vector2d" | "scalar3d" | "vector3d"``;
-    raises ``ValueError`` on any other shape.
+    raises ``ValueError`` on any other shape, and on a kind not among
+    ``kinds`` when any are given.
     """
-    shape = tuple(np.shape(f))
+    shape = np.shape(f)
     if shape == (g.nx, g.ny):
-        return "scalar2d"
-    if shape == (g.nx, g.ny, 2):  # nz >= 3, so never a 3D scalar
-        return "vector2d"
-    if shape == (g.nx, g.ny, g.nz):
-        return "scalar3d"
-    if shape == (g.nx, g.ny, g.nz, 2):
-        return "vector3d"
-    raise ValueError(
-        f"shape mismatch: array of shape {shape} does not fit grid "
-        f"({g.nx},{g.ny},{g.nz})"
-    )
-
-
-def _is_3d(kind: str) -> bool:
-    return kind in ("scalar3d", "vector3d")
+        kind = "scalar2d"
+    elif shape == (g.nx, g.ny, 2):  # nz >= 3, so never a 3D scalar
+        kind = "vector2d"
+    elif shape == (g.nx, g.ny, g.nz):
+        kind = "scalar3d"
+    elif shape == (g.nx, g.ny, g.nz, 2):
+        kind = "vector3d"
+    else:
+        raise ValueError(
+            f"shape mismatch: array of shape {shape} does not fit grid "
+            f"({g.nx},{g.ny},{g.nz})")
+    if kinds and kind not in kinds:
+        words = [f"{k[-2:].upper()} {k[:-2]}" for k in (*kinds, kind)]
+        raise ValueError(f"expected a {' or '.join(words[:-1])} field, "
+                         f"got a {words[-1]} field")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +295,7 @@ def vertical_average(f: np.ndarray, g: Grid) -> np.ndarray:
 
     Accepts a scalar or vector 3D field and returns the matching 2D field.
     """
-    kind = validate_field(f, g)
-    if not _is_3d(kind):
-        raise ValueError("vertical_average expects a 3D field")
+    validate_field(f, g, "scalar3d", "vector3d")
     # np.tensordot's own product, without its wrapper: the node axis last
     at = (np.swapaxes(f, 2, 3) if f.ndim == 4 else f).reshape(-1, g.nz)
     return np.dot(at, g.wz.reshape(-1, 1)).reshape(f.shape[:2] + f.shape[3:])
@@ -312,17 +313,13 @@ def _vertical_product(M: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def vertical_derivative(f: np.ndarray, g: Grid) -> np.ndarray:
     """Apply the vertical differentiation matrix along the node axis."""
-    kind = validate_field(f, g)
-    if not _is_3d(kind):
-        raise ValueError("vertical_derivative expects a 3D field")
+    validate_field(f, g, "scalar3d", "vector3d")
     return _vertical_product(g.Dz, f)
 
 
 def integrate_from_bottom(f: np.ndarray, g: Grid) -> np.ndarray:
     """Cumulative vertical integral ``int_0^{z_j} f dz'`` (exactly 0 at z=0)."""
-    kind = validate_field(f, g)
-    if not _is_3d(kind):
-        raise ValueError("integrate_from_bottom expects a 3D field")
+    validate_field(f, g, "scalar3d", "vector3d")
     return _vertical_product(g.Iz, f)
 
 
@@ -442,17 +439,13 @@ def _ifft_h(fh: np.ndarray, g: Grid, real: bool) -> np.ndarray:
 
 def grad_h(f: np.ndarray, g: Grid) -> np.ndarray:
     """Horizontal gradient of a scalar field; appends a component axis."""
-    kind = validate_field(f, g)
-    if kind not in ("scalar2d", "scalar3d"):
-        raise ValueError("grad_h expects a scalar field")
+    validate_field(f, g, "scalar2d", "scalar3d")
     return _gradient(f)
 
 
 def div_h(v: np.ndarray, g: Grid) -> np.ndarray:
     """Horizontal divergence of a 2-vector field; drops the component axis."""
-    kind = validate_field(v, g)
-    if kind not in ("vector2d", "vector3d"):
-        raise ValueError("div_h expects a 2-vector field")
+    validate_field(v, g, "vector2d", "vector3d")
     return _ddx(v[..., 0], g) + _ddy(v[..., 1], g)
 
 
@@ -461,9 +454,7 @@ def grad_h_vec(v: np.ndarray, g: Grid) -> np.ndarray:
 
     Returns an array with two trailing axes ``[i, j] = d v_i / d y_j``.
     """
-    kind = validate_field(v, g)
-    if kind not in ("vector2d", "vector3d"):
-        raise ValueError("grad_h_vec expects a 2-vector field")
+    validate_field(v, g, "vector2d", "vector3d")
     return _gradient(v)
 
 
@@ -488,19 +479,16 @@ def integral(f: np.ndarray, g: Grid) -> float:
     trigonometric polynomials); vertical quadrature is Clenshaw--Curtis.
     Vector fields are not accepted (integrate components explicitly).
     """
-    kind = validate_field(f, g)
-    if kind == "scalar2d":
+    if validate_field(f, g, "scalar2d", "scalar3d") == "scalar2d":
         return float(np.mean(f))
-    if kind == "scalar3d":
-        return float(np.mean(f, axis=(0, 1)) @ g.wz)
-    raise ValueError("integral expects a scalar field")
+    return float(np.mean(f, axis=(0, 1)) @ g.wz)
 
 
 @np.errstate(over="ignore")
 def l2_norm(f: np.ndarray, g: Grid) -> float:
     """Quadrature L^2 norm; components of vector fields are summed."""
-    mag2 = np.abs(f) ** 2
     kind = validate_field(f, g)
+    mag2 = np.abs(f) ** 2
     if kind in ("vector2d", "vector3d"):
         mag2 = mag2.sum(axis=-1)
     return float(np.sqrt(integral(mag2, g)))

@@ -107,10 +107,7 @@ def _column_density(xi0, g: Grid, params: PhysicalParams) -> np.ndarray:
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.ndim == 0:
         xi0 = np.full((g.nx, g.ny), float(xi0))
-    if xi0.shape != (g.nx, g.ny):
-        raise ValueError(
-            f"surface density must be scalar or shaped {(g.nx, g.ny)}, "
-            f"got {xi0.shape}")
+    validate_field(xi0, g, "scalar2d")
     if np.any(xi0 <= 0):
         raise ValueError(f"nonpositive surface density: min = {xi0.min()}")
     return column_density(params.model, xi0, g.z)
@@ -166,8 +163,7 @@ def apply_hydrostatic_lame(
         residuals (V at z = 1, d_z V at z = 0); ``raw`` returns the plain
         differential action everywhere.
     """
-    if validate_field(V, g) != "vector3d":
-        raise ValueError("expected a horizontal velocity field (nx, ny, nz, 2)")
+    validate_field(V, g, "vector3d")
     if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
     rho = _column_density(xi0, g, params)[..., None]
@@ -195,8 +191,7 @@ def apply_chs(
     operator; with ``bc="replace"`` the boundary layers of row 2 are the
     boundary residuals of V.
     """
-    if validate_field(zeta, g) != "scalar2d":
-        raise ValueError("expected a surface scalar (nx, ny)")
+    validate_field(zeta, g, "scalar2d")
     row1 = -xi_bar * div_h(vertical_average(V, g), g)
     gz = grad_h(zeta, g)
     row2 = -gz[:, :, None, :] + apply_hydrostatic_lame(

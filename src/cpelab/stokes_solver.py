@@ -356,8 +356,8 @@ def _solve_checked(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`solve_resolvent`, also returning the checked relative residual."""
-    validate_field(p.f1, g)
-    validate_field(p.f2, g)
+    validate_field(p.f1, g, "scalar2d")
+    validate_field(p.f2, g, "vector3d")
     if complex(p.lam) == 0:
         _check_compatibility(p.f1, g)
     zeta, V = _solve_per_mode(p, g, params)
@@ -408,8 +408,8 @@ def solve_steady_decomposed(
     """
     if params.model != "Gamma1":
         raise ValueError("the decomposed steady solver applies to model 'Gamma1'")
-    validate_field(f1, g)
-    validate_field(f2, g)
+    validate_field(f1, g, "scalar2d")
+    validate_field(f2, g, "vector3d")
     _check_compatibility(f1, g)
     f1, f2 = np.real(f1), np.real(f2)  # the operator is real
     mu, mup = params.mu, params.mu_prime

@@ -1056,6 +1056,12 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="perturbation_mode"):
         RunConfig(**{**good, "preset": "fourier_perturbation",
                      "amplitude": 1e-3, "perturbation_mode": (5, 0)})
+    # each component is bounded by its own axis, as the 2/3 mask is
+    wave = dict(good, preset="fourier_perturbation", amplitude=1e-3)
+    RunConfig(**{**wave, "nx": 24, "ny": 12, "perturbation_mode": (6, 0)})
+    RunConfig(**{**wave, "nx": 12, "ny": 24, "perturbation_mode": (0, 6)})
+    with pytest.raises(ValueError, match="perturbation_mode"):
+        RunConfig(**{**wave, "nx": 24, "ny": 12, "perturbation_mode": (0, 5)})
     with pytest.raises(ValueError, match="needs params.model"):
         RunConfig(**{**good, "mode": "LocalGamma2"})
     assert RunConfig(**{**good, "dt": 1e-3, "t_end": 1e-2}).n_steps == 10

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from cpelab import grid
+from cpelab.diagnostics import surface_h1_norm
+from cpelab.flowmap import advance_flow, advance_flow_lagrangian, identity_map
 from cpelab.grid import (
     _ddx,
     _ddy,
@@ -33,7 +35,10 @@ from cpelab.operators import (
     _dft_derivative_matrix,
     _pack_modes,
     _unpack_modes,
+    apply_chs,
+    apply_hydrostatic_lame,
 )
+from cpelab.transforms import PhysicalParams
 
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
@@ -220,6 +225,29 @@ def test_validate_field_classification_and_errors():
         div_h(np.zeros((6, 4)), g)
     with pytest.raises(ValueError):
         vertical_average(np.zeros((6, 4)), g)
+    # a kind outside the accepted ones is named, at every site that checks
+    s2, v2 = np.zeros((6, 4)), np.zeros((6, 4, 2))
+    s3, v3 = np.ones((6, 4, 5)), np.zeros((6, 4, 5, 2))
+    assert validate_field(s2, g, "scalar2d", "vector3d") == "scalar2d"
+    with pytest.raises(ValueError, match="^expected a 2D scalar or 3D scalar "
+                                         "field, got a 2D vector field$"):
+        validate_field(v2, g, "scalar2d", "scalar3d")
+    params = PhysicalParams(mu=1.0, mu_prime=0.5, model="Gamma1")
+    fm = identity_map(g)
+    wrong_kind_calls = [
+        (vertical_average, s2, g), (vertical_derivative, v2, g),
+        (integrate_from_bottom, s2, g), (grad_h, v3, g), (div_h, s3, g),
+        (grad_h_vec, s2, g), (integral, v2, g),
+        (apply_hydrostatic_lame, s3, 1.0, g, params),
+        (apply_chs, s3, v3, 1.0, g, params),
+        (apply_hydrostatic_lame, v3, s3, g, params),  # the column density
+        (advance_flow, fm, v3, g, 0.1),
+        (advance_flow_lagrangian, fm, s2, g, 0.1),
+        (surface_h1_norm, s3, g),
+    ]
+    for fn, *args in wrong_kind_calls:
+        with pytest.raises(ValueError, match="expected a"):
+            fn(*args)
 
 
 

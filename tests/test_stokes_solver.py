@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cpelab import stokes_solver
-from cpelab.evolve import Stepper
+from cpelab.evolve import LagrangianState, Stepper, reconstruct_w
+from cpelab.flowmap import identity_map
 from cpelab.grid import dealias, l2_norm, make_grid
 from cpelab.operators import (
     SolverBreakdown,
@@ -111,6 +112,24 @@ def test_zero_lambda_requires_mean_free_f1(setup):
     f2 = np.zeros((g.nx, g.ny, g.nz, 2))
     with pytest.raises(CompatibilityError, match="compatibility"):
         solve_resolvent(ResolventProblem(0.0, f1, f2), g, params)
+
+
+def test_solvers_name_a_field_of_the_wrong_kind():
+    g = make_grid(8, 8, 5)
+    params = PhysicalParams(mu=1.0, mu_prime=0.5)
+    f1, f2 = np.zeros((8, 8)), np.zeros((8, 8, 5, 2))
+    s3 = np.ones((8, 8, 5))
+    state = LagrangianState(mode="LocalGamma1", zeta=np.ones((8, 8)), V=s3,
+                            fm=identity_map(g), t=0.0, zeta0=np.ones((8, 8)))
+    wrong_kind_calls = (
+        lambda: solve_resolvent(ResolventProblem(1.0, f2, f1), g, params),
+        lambda: solve_resolvent(ResolventProblem(1.0, f1, s3), g, params),
+        lambda: solve_steady_decomposed(s3, f2, g, params),
+        lambda: reconstruct_w(state, g, params),
+    )
+    for call in wrong_kind_calls:
+        with pytest.raises(ValueError, match="expected a"):
+            call()
 
 
 def test_negative_real_part_rejected():
