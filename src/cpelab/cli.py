@@ -549,8 +549,9 @@ def _cmd_resolvent(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    if args.tol_scale < 1.0:
-        raise ConfigError("--tol-scale must be >= 1 (tolerances only relax)")
+    if not 1.0 <= args.tol_scale < float("inf"):
+        raise ConfigError("--tol-scale must be finite and >= 1 (tolerances "
+                          f"only relax), got {args.tol_scale}")
     if args.mutation is not None and args.mutation not in evolve.F2_MUTATIONS:
         raise ConfigError(f"unknown mutation {args.mutation!r}; expected "
                           f"one of {sorted(evolve.F2_MUTATIONS)}")
@@ -599,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "nonlinearity before running the oracle check "
                             "(the check must then fail)")
     p_ver.add_argument("--tol-scale", type=float, default=1.0,
-                       help="relax all check tolerances by this factor (>= 1)")
+                       help="relax every tolerance by a finite factor (>= 1)")
     p_ver.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, grad_h, grad_h_vec, integral, l2_norm, validate_field, \
-    vertical_derivative
+from .grid import Grid, grad_h, integral, l2_norm, validate_field
 from .transforms import DELTA, PhysicalParams, column_density, lame_weights
 
 __all__ = [
@@ -119,7 +118,8 @@ def potential_energy_density(xi: np.ndarray,
     return xi * prim - float(params.pressure(1.0)) * (xi - 1.0)
 
 
-def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
+def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, dV: np.ndarray,
+                      dzV: np.ndarray, fm, g: Grid,
                       params: PhysicalParams) -> EnergyEntry:
     """Energy and dissipation evaluated on Lagrangian fields.
 
@@ -128,7 +128,8 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
 
         int w_H (mu |grad V|^2 + mu' (div V)^2) + mu w_Z |d_z V|^2,
 
-    with the weights of :func:`cpelab.transforms.lame_weights`.  After the
+    with the weights of :func:`cpelab.transforms.lame_weights`; ``dV`` is
+    grad_h_vec(V) and ``dzV`` vertical_derivative(V).  After the
     change of variables the Eulerian gradient is the label gradient
     contracted with the inverse flow-map Jacobian, and the area element
     contributes the Jacobian determinant.  Gamma1 fields live in the
@@ -141,11 +142,10 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, fm, g: Grid,
     speed2 = np.sum(V**2, axis=-1)
     kinetic = integral(0.5 * rho * speed2 * det3, g)
     potential = integral(potential_energy_density(zeta_full, params) * det, g)
-    GT = grad_h_vec(V, g) @ fm.Z[:, :, None]
-    dzv = vertical_derivative(V, g)
+    GT = dV @ fm.Z[:, :, None]
     gradsq = np.sum(GT**2, axis=(-2, -1))
     div2 = (GT[..., 0, 0] + GT[..., 1, 1]) ** 2
-    dzsq = np.sum(dzv**2, axis=-1)
+    dzsq = np.sum(dzV**2, axis=-1)
     D = (params.mu * integral(wH * gradsq * det3, g)
          + params.mu * integral(wZ * dzsq * det3, g)
          + params.mu_prime * integral(wH * div2 * det3, g))

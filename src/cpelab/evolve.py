@@ -147,8 +147,8 @@ class LagrangianState:
     the frozen linearization baseline of the local modes (``None`` for the
     global mode).  ``dtV`` is the previous step's velocity increment per
     unit time, used to lag the time-derivative term of the momentum
-    remainder; ``None`` means "treat as zero" (first step).  grad_H Vbar
-    and grad_H V are kept once taken (``dataclasses.replace`` drops them).
+    remainder; ``None`` means "treat as zero" (first step).  ``_record``
+    holds V's derived fields (:func:`_derived`); ``replace`` starts it anew.
     """
 
     mode: str
@@ -158,10 +158,8 @@ class LagrangianState:
     t: float
     zeta0: np.ndarray | None = None
     dtV: np.ndarray | None = None
-    _dVbar: np.ndarray | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
-    _dV: np.ndarray | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
+    _record: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_run_value("mode", self.mode)
@@ -189,19 +187,17 @@ def full_surface_density(state: LagrangianState,
     return state.zeta
 
 
-def _mean_velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
-    """grad_H of the depth average of ``state.V``, taken once per state."""
-    if state._dVbar is None:
-        object.__setattr__(state, "_dVbar",
-                           grad_h_vec(vertical_average(state.V, g), g))
-    return state._dVbar
-
-
-def _velocity_gradient(state: LagrangianState, g: Grid) -> np.ndarray:
-    """grad_H of ``state.V``, taken once per state."""
-    if state._dV is None:
-        object.__setattr__(state, "_dV", grad_h_vec(state.V, g))
-    return state._dV
+def _derived(state: LagrangianState, g: Grid, name: str) -> np.ndarray:
+    """``state.V``'s depth average ``Vbar``, ``dVbar`` = grad_H Vbar, ``dV``
+    = grad_H V or ``dzV`` = d_z V, taken once per state: F1, F2, W, the
+    flow-map advance and the energy read them from the state's record."""
+    record = state._record
+    if name not in record:
+        take = {"Vbar": vertical_average, "dVbar": grad_h_vec,
+                "dV": grad_h_vec, "dzV": vertical_derivative}[name]
+        V = _derived(state, g, "Vbar") if name == "dVbar" else state.V
+        record[name] = take(V, g)
+    return record[name]
 
 
 def _twisted_divergence(dU: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -228,10 +224,10 @@ def reconstruct_w(state: LagrangianState, g: Grid,
     if np.min(zf) <= 0.0:
         raise ValueError(f"nonpositive surface density (min {np.min(zf):.3e})")
     Z = state.fm.Z
-    Vt = state.V - vertical_average(state.V, g)[:, :, None, :]
+    Vt = state.V - _derived(state, g, "Vbar")[:, :, None, :]
     flux = _twisted_divergence(grad_h_vec(zf[:, :, None, None] * Vt, g), Z)
     if state.mode == "LocalGamma2":
-        twdiv3 = _twisted_divergence(_velocity_gradient(state, g), Z)
+        twdiv3 = _twisted_divergence(_derived(state, g, "dV"), Z)
         flux = flux + (0.5 * g.z * twdiv3
                        - _depth_moment(twdiv3, g)[:, :, None])
     return (-integrate_from_bottom(flux, g)
@@ -263,7 +259,7 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
     Z = state.fm.Z
     ZmI = Z - np.eye(2)
     zf = full_surface_density(state, params)
-    dVbar = _mean_velocity_gradient(state, g)
+    dVbar = _derived(state, g, "dVbar")
     div_bar = dVbar[..., 0, 0] + dVbar[..., 1, 1]
     colon_bar = np.einsum("abik,abki->ab", dVbar, ZmI)
     if state.mode == "GlobalGamma1":
@@ -271,7 +267,7 @@ def nonlinearity_F1(state: LagrangianState, g: Grid, params: PhysicalParams,
     else:
         out = -(state.zeta - state.zeta0) * div_bar - zf * colon_bar
     if state.mode == "LocalGamma2":
-        dV = _velocity_gradient(state, g)
+        dV = _derived(state, g, "dV")
         colon3 = np.einsum("abzik,abki->abz", dV, ZmI)
         out = out - _depth_moment(colon3, g)
     return dealias_field(out, g) if dealias else out
@@ -305,15 +301,15 @@ def _twisted_terms(Z: np.ndarray, dZ: np.ndarray, dV: np.ndarray,
     return twlap, twgd, advH
 
 
-def _first_and_second_derivatives(V: np.ndarray, g: Grid):
-    """``dV[i, m] = d_m V_i`` and ``H[i, n, m] = d_n d_m V_i`` of V.
+def _second_derivatives(V: np.ndarray, dV: np.ndarray) -> np.ndarray:
+    """``H[i, n, m] = d_n d_m V_i`` of V, given ``dV`` = grad_h_vec(V).
 
-    The mixed derivative is taken once, so H is symmetric in (n, m).
+    The mixed derivative is taken once, d_x of d_y V: H is symmetric.
     """
-    d = _derivatives(V, ((0, 1), (1, 1), (0, 2), (1, 2)))
-    dxy = _derivatives(d[..., 1], ((0, 1),))[..., 0]
-    H = np.stack([d[..., 2], dxy, dxy, d[..., 3]], axis=-1)
-    return d[..., :2], H.reshape(V.shape + (2, 2))
+    d = _derivatives(V, ((0, 2), (1, 2)))
+    dxy = _derivatives(dV[..., 1], ((0, 1),))[..., 0]
+    H = np.stack([d[..., 0], dxy, dxy, d[..., 1]], axis=-1)
+    return H.reshape(V.shape + (2, 2))
 
 
 def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
@@ -337,16 +333,15 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     Z = state.fm.Z
     zf = full_surface_density(state, params)
 
-    dV, H = _first_and_second_derivatives(V, g)
-    if state._dV is None:  # grad_h_vec(V), bit for bit: reconstruct_w reads it
-        object.__setattr__(state, "_dV", dV)
+    dV = _derived(state, g, "dV")
+    H = _second_derivatives(V, dV)
     dZ = _gradient(Z)                           # [m, k, n] = d_n Z[m, k]
 
     # twisted-minus-flat viscous terms and the full twisted advection
-    Vt = V - vertical_average(V, g)[:, :, None, :]
+    Vt = V - _derived(state, g, "Vbar")[:, :, None, :]
     twlap, twgd, advH = _twisted_terms(Z, dZ, dV, H, Vt)
     W = reconstruct_w(state, g, params)
-    advZ = W[..., None] * vertical_derivative(V, g)
+    advZ = W[..., None] * _derived(state, g, "dzV")
 
     # Z^T grad zeta; GlobalGamma1's linear part holds the flat gradient
     dzeta = grad_h(state.zeta, g)
@@ -411,7 +406,8 @@ class Stepper:
                  fp_tol: float = FP_TOL_DEFAULT,
                  det_floor: float = flowmap.DET_FLOOR_DEFAULT):
         _check_mode_params(mode, params)
-        check_run_value("dt", dt)
+        for key, value in zip(("dt", *TOLERANCES), (dt, fp_tol, det_floor)):
+            check_run_value(key, value)
         self.mode = mode
         self.g = g
         self.params = params
@@ -562,20 +558,20 @@ class Stepper:
             zeta_new, V_new = self._solve_coupled(state.zeta, state.V, F1, F2)
         else:
             V_new, iterations = self._solve_momentum(state.V, F2)
-        # grad_H Vbar_new, taken once: the continuity divergence (its trace),
-        # F1 at V_new, the flow-map advance and the next step's F1 read it
+        # V_new's derived fields, taken once for this step, the energy and
+        # the next step (the continuity divergence is grad_H Vbar's trace)
         mid = dataclasses.replace(state, V=V_new)
-        dVbar = _mean_velocity_gradient(mid, g)
+        dVbar = _derived(mid, g, "dVbar")
         if not coupled:
             F1 = _finite("F1", nonlinearity_F1(mid, g, params))
             lin = state.zeta0 * (dVbar[..., 0, 0] + dVbar[..., 1, 1])
             if self.mode == "LocalGamma2":
-                dV = _velocity_gradient(mid, g)  # F1 took it
+                dV = _derived(mid, g, "dV")  # F1 took it
                 lin = lin + _depth_moment(dV[..., 0, 0] + dV[..., 1, 1], g)
             zeta_new = state.zeta + dt * (F1 - lin)
         try:
             fm_new = advance_flow_lagrangian(
-                state.fm, vertical_average(V_new, g), g, dt, dVbar=dVbar)
+                state.fm, _derived(mid, g, "Vbar"), g, dt, dVbar=dVbar)
         except ValueError as exc:  # the new Jacobian is singular
             raise MapNonInvertible(f"flow map degenerated: {exc}") from exc
         self._check_state(zeta_new, V_new, fm_new)
@@ -584,7 +580,7 @@ class Stepper:
         new = LagrangianState(
             mode=self.mode, zeta=zeta_new, V=V_new, fm=fm_new,
             t=state.t + dt, zeta0=state.zeta0, dtV=(V_new - state.V) / dt)
-        object.__setattr__(new, "_dVbar", dVbar)
+        new._record.update(mid._record)
         return new
 
 
@@ -674,7 +670,7 @@ class RunConfig:
                 f"preset {self.preset!r} needs amplitude > 0, "
                 f"got {self.amplitude}")
         m = self.perturbation_mode
-        if (len(m) != 2 or any(int(k) != k for k in m) or m == (0, 0)
+        if (len(m) != 2 or any(int(k) != k for k in m) or tuple(m) == (0, 0)
                 or abs(m[0]) > self.nx // 3 or abs(m[1]) > self.ny // 3):
             raise ValueError(
                 f"perturbation_mode must be a nonzero integer pair within "
@@ -798,7 +794,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
     def energy(state: LagrangianState) -> diagnostics.EnergyEntry:
         return diagnostics.lagrangian_energy(
-            full_surface_density(state, params), state.V, state.fm, g,
+            full_surface_density(state, params), state.V,
+            _derived(state, g, "dV"), _derived(state, g, "dzV"), state.fm, g,
             params)
 
     entry = energy(state)

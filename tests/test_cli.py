@@ -1191,7 +1191,8 @@ def test_verify_mutation_makes_oracle_check_fail(capsys):
 
 
 def test_verify_argument_validation(capsys):
-    assert cli.main(["verify", "--tol-scale", "0.5"]) == 2
-    assert "tol-scale" in capsys.readouterr().err
+    for scale in ("0.5", "nan", "inf"):
+        assert cli.main(["verify", "--tol-scale", scale]) == 2
+        assert "tol-scale" in capsys.readouterr().err
     assert cli.main(["verify", "--mutation", "bogus"]) == 2
     assert "unknown mutation" in capsys.readouterr().err

@@ -90,24 +90,30 @@ def test_potential_energy_density_formulas():
         potential_energy_density(np.array([1.0, -0.1]), p1)
 
 
+def derivatives(v, g):
+    """The two derivatives that lagrangian_energy reads: grad_H v, d_z v."""
+    return grad_h_vec(v, g), vertical_derivative(v, g)
+
+
 def test_energy_trivial_states():
     g = make_grid(8, 8, 7)
     p1 = PhysicalParams(mu=1.0, mu_prime=0.5, model="Gamma1")
     xi = np.ones((g.nx, g.ny))
     v = np.zeros((g.nx, g.ny, g.nz, 2))
     fm = identity_map(g)
-    entry = lagrangian_energy(xi, v, fm, g, p1)
+    entry = lagrangian_energy(xi, v, *derivatives(v, g), fm, g, p1)
     assert entry.E == 0.0 and entry.D == 0.0
 
     v_const = np.zeros_like(v)
     v_const[..., 0] = 0.3
     v_const[..., 1] = -0.4
-    entry = lagrangian_energy(xi, v_const, fm, g, p1)
+    entry = lagrangian_energy(xi, v_const, *derivatives(v_const, g), fm, g,
+                              p1)
     assert entry.E == pytest.approx(0.5 * 0.25, rel=1e-13)
     assert entry.D == pytest.approx(0.0, abs=1e-20)
 
     with pytest.raises(ValueError, match="nonpositive density"):
-        lagrangian_energy(-xi, v, fm, g, p1)
+        lagrangian_energy(-xi, v, *derivatives(v, g), fm, g, p1)
 
 
 def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
@@ -144,13 +150,14 @@ def test_lagrangian_energy_matches_eulerian_under_change_of_variables():
     for model in ("Gamma1", "Gamma2", "GeneralNoGravity"):
         kw = make_pressure_law("linear") if model == "GeneralNoGravity" else {}
         params = PhysicalParams(mu=1.0, mu_prime=0.5, model=model, **kw)
-        eul = lagrangian_energy(xi, v, identity_map(g), g, params)
-        lag = lagrangian_energy(zeta, V, fm, g, params)
+        eul = lagrangian_energy(xi, v, *derivatives(v, g), identity_map(g), g,
+                                params)
+        lag = lagrangian_energy(zeta, V, *derivatives(V, g), fm, g, params)
         assert lag.E == pytest.approx(eul.E, rel=1e-9)
         assert lag.D == pytest.approx(eul.D, rel=1e-9)
 
     with pytest.raises(ValueError, match="nonpositive density"):
-        lagrangian_energy(-zeta, V, fm, g,
+        lagrangian_energy(-zeta, V, *derivatives(V, g), fm, g,
                           PhysicalParams(mu=1.0, mu_prime=0.5))
 
 
@@ -173,7 +180,7 @@ def test_energy_is_lagrangian_energy_at_identity_map(model):
     D = (0.7 * integral(wH * np.sum(dv**2, axis=(-2, -1)), g)
          + 0.7 * integral(wZ * np.sum(dzv**2, axis=-1), g)
          + 0.4 * integral(wH * (dv[..., 0, 0] + dv[..., 1, 1])**2, g))
-    entry = lagrangian_energy(xi, v, identity_map(g), g, params)
+    entry = lagrangian_energy(xi, v, dv, dzv, identity_map(g), g, params)
     assert entry.E == pytest.approx(E, rel=1e-14)
     assert entry.D == pytest.approx(D, rel=1e-14)
 

@@ -44,6 +44,7 @@ from cpelab.grid import (
     l2_norm,
     make_grid,
     vertical_average,
+    vertical_derivative,
 )
 from cpelab.operators import (
     _real_form,
@@ -540,12 +541,6 @@ def test_twisted_products_keep_the_bytes_of_their_einsums(
         assert same_bytes(F2, nonlinearity_F2(s, s.dtV, g, p))
 
 
-def composed_derivatives(V, g):
-    """F2's dV and H as composed first derivatives, H by differentiating dV."""
-    dV = grad_h_vec(V, g)
-    return dV, np.stack([_ddx(dV, g), _ddy(dV, g)], axis=-2)
-
-
 def test_F2_one_transform_derivatives_match_composed_form(
         oracle_gamma1, oracle_general, general_params, oracle_grid,
         monkeypatch):
@@ -559,8 +554,9 @@ def test_F2_one_transform_derivatives_match_composed_form(
         for dealias in (False, True):
             cases.append((state_from_truth(truth), params, dealias))
     got = [nonlinearity_F2(s, s.dtV, g, p, dealias=d) for s, p, d in cases]
-    monkeypatch.setattr(evolve, "_first_and_second_derivatives",
-                        composed_derivatives)
+    # F2's H as composed first derivatives, by differentiating dV
+    monkeypatch.setattr(evolve, "_second_derivatives", lambda V, dV: np.stack(
+        [_ddx(dV, g), _ddy(dV, g)], axis=-2))
     for (s, p, d), F2 in zip(cases, got):
         ref = nonlinearity_F2(s, s.dtV, g, p, dealias=False)
         if d:
@@ -610,12 +606,13 @@ def test_step_shares_one_mean_velocity_gradient(mode, general_params):
     s1 = stepper.step(s0)
     Vbar = vertical_average(s1.V, g)
     dVbar = grad_h_vec(Vbar, g)
-    assert np.array_equal(evolve._mean_velocity_gradient(s1, g), dVbar)
+    assert np.array_equal(evolve._derived(s1, g, "dVbar"), dVbar)
+    assert same_bytes(evolve._derived(s1, g, "Vbar"), Vbar)
     # the continuity divergence is its trace, F1 and the advance read it
     assert np.array_equal(dVbar[..., 0, 0] + dVbar[..., 1, 1],
                           div_h(Vbar, g))
     fresh = dataclasses.replace(s1)
-    assert fresh._dVbar is None
+    assert fresh._record == {}
     assert np.array_equal(nonlinearity_F1(s1, g, params),
                           nonlinearity_F1(fresh, g, params))
     shared = advance_flow_lagrangian(s0.fm, Vbar, g, 0.01, dVbar=dVbar)
@@ -657,12 +654,13 @@ def test_gamma2_reconstruct_w_reads_the_gradient_F2_took(monkeypatch,
     s1 = stepper.step(s0)
     fresh = dataclasses.replace(s1)
     nonlinearity_F2(s1, s1.dtV, g, params)
-    # F2's first derivatives are grad_H V, bit for bit, and stay on the state
-    assert same_bytes(s1._dV, grad_h_vec(s1.V, g))
+    # the recorded gradient is grad_H V, bit for bit, and stays on the state
+    assert same_bytes(evolve._derived(s1, g, "dV"), grad_h_vec(s1.V, g))
     assert same_bytes(reconstruct_w(s1, g, params),
                       reconstruct_w(fresh, g, params))
-    # a step takes two gradients of 3D vector fields: the mass flux in
-    # reconstruct_w and V_new in F1; F2 takes its own derivatives of V
+    # a step from a recorded state takes two gradients of 3D vector fields:
+    # the mass flux in reconstruct_w and V_new in F1; F2 and W read V's
+    # gradient off the record, which a fresh state fills with one more
     counts = collections.Counter()
 
     def gradient(v, g_, fn=evolve.grad_h_vec):
@@ -670,8 +668,54 @@ def test_gamma2_reconstruct_w_reads_the_gradient_F2_took(monkeypatch,
         return fn(v, g_)
 
     monkeypatch.setattr(evolve, "grad_h_vec", gradient)
-    stepper.step(dataclasses.replace(s1))
+    stepper.step(s1)
     assert counts[4] == 2
+    counts.clear()
+    stepper.step(dataclasses.replace(s1))
+    assert counts[4] == 3
+
+
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_each_accepted_velocity_is_differentiated_once(mode, general_params,
+                                                       monkeypatch):
+    # Vbar, grad_H Vbar, grad_H V and d_z V of each accepted velocity are
+    # taken once, whichever of F1, F2, W, the flow-map advance and the
+    # energy read them: calls are counted by the bytes of their field
+    taken = collections.Counter()
+    average = grid.vertical_average
+    for name in ("vertical_average", "vertical_derivative", "_derivatives"):
+        fn = getattr(grid, name)
+
+        def counted(f, arg, name=name, fn=fn):
+            if name != "_derivatives" or any(o == 1 for _, o in arg):
+                taken[name, f.shape, f.tobytes()] += 1
+            return fn(f, arg)
+
+        for module in (grid, evolve, diagnostics, flowmap):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    accepted, step = [], Stepper.step
+
+    def recorded(self, state):
+        new = step(self, state)
+        accepted.append(new.V)
+        return new
+
+    monkeypatch.setattr(Stepper, "step", recorded)
+    params = mode_params(mode, general_params)
+    cfg = RunConfig(mode=mode, nx=8, ny=8, nz=5, params=params, dt=0.01,
+                    t_end=0.03, preset="random_smooth", amplitude=0.2, seed=5)
+    accepted.append(cfg.initial.V)
+    assert run_simulation(cfg).status == "completed" and len(accepted) == 4
+    g = cfg.grid
+    for n, V in enumerate(accepted):
+        Vbar = average(V, g)
+        counts = [taken[name, f.shape, f.tobytes()] for name, f in (
+            ("vertical_average", V), ("_derivatives", Vbar),
+            ("_derivatives", V), ("vertical_derivative", V))]
+        # only the coupled step's F1 reads the initial state's grad_H Vbar
+        first = mode != "GlobalGamma1" and n == 0
+        assert counts == [1, 0 if first else 1, 1, 1], n
 
 
 def test_a_replaced_velocity_never_reuses_the_old_gradient():
@@ -679,11 +723,11 @@ def test_a_replaced_velocity_never_reuses_the_old_gradient():
     params = gamma1_params()
     stepper, s0 = stepper_and_state("GlobalGamma1", params, g)
     s1 = stepper.step(s0)
-    dVbar = evolve._mean_velocity_gradient(s1, g)
     moved = dataclasses.replace(s1, V=2.0 * s1.V)
-    # doubling is exact, so the new gradient is exactly twice the old one
-    assert np.array_equal(evolve._mean_velocity_gradient(moved, g),
-                          2.0 * dVbar)
+    # doubling is exact, so each new derived field is exactly twice the old
+    for name in ("Vbar", "dVbar", "dV", "dzV"):
+        assert np.array_equal(evolve._derived(moved, g, name),
+                              2.0 * evolve._derived(s1, g, name)), name
     rebuilt = LagrangianState(mode=s1.mode, zeta=s1.zeta, V=2.0 * s1.V,
                               fm=s1.fm, t=s1.t, dtV=s1.dtV)
     assert np.array_equal(nonlinearity_F1(moved, g, params),
@@ -866,7 +910,8 @@ def test_diagnostics_match_separate_energy_evaluations(tmp_path):
 
     def entry(s):
         return diagnostics.lagrangian_energy(
-            full_surface_density(s, params), s.V, s.fm, g, params)
+            full_surface_density(s, params), s.V, grad_h_vec(s.V, g),
+            vertical_derivative(s.V, g), s.fm, g, params)
 
     state = initial_state(cfg, g)
     stepper = Stepper(cfg.mode, g, params, cfg.dt, zeta0=state.zeta0)
@@ -897,6 +942,22 @@ def test_stepper_validation():
     with pytest.raises(ValueError, match="baseline density"):
         Stepper("LocalGamma1", g, params, dt=1e-3,
                 zeta0=np.zeros((g.nx, g.ny)))
+
+
+@pytest.mark.parametrize("key, value", (
+    ("fp_tol", np.nan), ("fp_tol", 0.0), ("fp_tol", -1.0),
+    ("det_floor", np.nan), ("det_floor", np.inf)))
+def test_stepper_refuses_the_tolerances_run_config_refuses(key, value):
+    # else the first step ends as ImplicitSolveFailed or MapNonInvertible
+    g = make_grid(8, 8, 5)
+    params = gamma1_params()
+    message = f"tolerance '{key}' must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(mode="LocalGamma1", nx=8, ny=8, nz=5, params=params,
+                  dt=1e-3, t_end=1e-3, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        Stepper("LocalGamma1", g, params, dt=1e-3,
+                zeta0=np.ones((g.nx, g.ny)), **{key: value})
 
 
 def test_cfl_advisory_warns_once_and_changes_no_row():
@@ -1055,6 +1116,9 @@ def test_run_config_validation():
                      "amplitude": 1e-3, "perturbation_mode": (0, 0)})
     with pytest.raises(ValueError, match="perturbation_mode"):
         RunConfig(**{**good, "preset": "fourier_perturbation",
+                     "amplitude": 1e-3, "perturbation_mode": [0, 0]})
+    with pytest.raises(ValueError, match="perturbation_mode"):
+        RunConfig(**{**good, "preset": "fourier_perturbation",
                      "amplitude": 1e-3, "perturbation_mode": (5, 0)})
     # each component is bounded by its own axis, as the 2/3 mask is
     wave = dict(good, preset="fourier_perturbation", amplitude=1e-3)
@@ -1095,12 +1159,23 @@ def test_F2_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
     g = grid_of_any_parity(*shape)
     rng = np.random.default_rng(36)
     V = rng.standard_normal(shape + (2,))
-    dense = evolve._first_and_second_derivatives(V, g)
-    # the first derivatives are the velocity gradient's, bit for bit
-    assert same_bytes(dense[0], grad_h_vec(V, g))
+
+    def first_and_second():
+        dV = grad_h_vec(V, g)
+        H = evolve._second_derivatives(V, dV)
+        # a plane's bits do not depend on the derivatives taken beside it:
+        # split, they are those of one fused call
+        d = grid._derivatives(V, ((0, 1), (1, 1), (0, 2), (1, 2)))
+        assert same_bytes(dV, d[..., :2])
+        assert same_bytes(H[..., 0, 0], d[..., 2])
+        assert same_bytes(H[..., 1, 1], d[..., 3])
+        dxy = grid._derivatives(d[..., 1], ((0, 1),))[..., 0]
+        assert same_bytes(H[..., 0, 1], dxy)
+        return dV, H
+
+    dense = first_and_second()
     monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
-    ref = evolve._first_and_second_derivatives(V, g)
-    assert same_bytes(ref[0], grad_h_vec(V, g))  # on pocketfft too
+    ref = first_and_second()  # on pocketfft too
     for got, want in zip(dense, ref):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for _, H in (dense, ref):
@@ -1198,7 +1273,9 @@ def test_steps_commute_with_the_grid_symmetries(mode, shape, general_params):
         for _ in range(3):
             state = stepper.step(state)
         entry = diagnostics.lagrangian_energy(
-            full_surface_density(state, params), state.V, state.fm, g, params)
+            full_surface_density(state, params), state.V,
+            grad_h_vec(state.V, g), vertical_derivative(state.V, g),
+            state.fm, g, params)
         row = _diagnostics_row(state, g, params, entry.E, entry.D)
         return (state.zeta, state.V, state.fm.disp), np.array(row)
 
