@@ -139,13 +139,15 @@ def lagrangian_energy(zeta_full: np.ndarray, V: np.ndarray, dV: np.ndarray,
     det3 = det[:, :, None]
     wH, wZ = lame_weights(params.model, g.z)
     rho = column_density(params.model, zeta_full, g.z)
-    speed2 = np.sum(V**2, axis=-1)
+    # the component sums of np.sum, in its order, without its generic loop
+    speed2 = V[..., 0] ** 2 + V[..., 1] ** 2
     kinetic = integral(0.5 * rho * speed2 * det3, g)
     potential = integral(potential_energy_density(zeta_full, params) * det, g)
     GT = dV @ fm.Z[:, :, None]
-    gradsq = np.sum(GT**2, axis=(-2, -1))
+    G2 = GT**2
+    gradsq = ((G2[..., 0, 0] + G2[..., 0, 1]) + G2[..., 1, 0]) + G2[..., 1, 1]
     div2 = (GT[..., 0, 0] + GT[..., 1, 1]) ** 2
-    dzsq = np.sum(dzV**2, axis=-1)
+    dzsq = dzV[..., 0] ** 2 + dzV[..., 1] ** 2
     D = (params.mu * integral(wH * gradsq * det3, g)
          + params.mu * integral(wZ * dzsq * det3, g)
          + params.mu_prime * integral(wH * div2 * det3, g))

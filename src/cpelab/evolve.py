@@ -188,11 +188,14 @@ def full_surface_density(state: LagrangianState,
 
 
 def _derived(state: LagrangianState, g: Grid, name: str) -> np.ndarray:
-    """``state.V``'s depth average ``Vbar``, ``dVbar`` = grad_H Vbar, ``dV``
-    = grad_H V or ``dzV`` = d_z V, taken once per state: F1, F2, W, the
-    flow-map advance and the energy read them from the state's record."""
+    """``state.V``'s depth average ``Vbar``, ``Vt`` = V - Vbar, ``dVbar`` =
+    grad_H Vbar, ``dV`` = grad_H V or ``dzV`` = d_z V, taken once per
+    state: F1, F2, W, the flow-map advance and the energy read them from
+    the state's record."""
     record = state._record
-    if name not in record:
+    if name == "Vt" and name not in record:
+        record[name] = state.V - _derived(state, g, "Vbar")[:, :, None, :]
+    elif name not in record:
         take = {"Vbar": vertical_average, "dVbar": grad_h_vec,
                 "dV": grad_h_vec, "dzV": vertical_derivative}[name]
         V = _derived(state, g, "Vbar") if name == "dVbar" else state.V
@@ -224,7 +227,7 @@ def reconstruct_w(state: LagrangianState, g: Grid,
     if np.min(zf) <= 0.0:
         raise ValueError(f"nonpositive surface density (min {np.min(zf):.3e})")
     Z = state.fm.Z
-    Vt = state.V - _derived(state, g, "Vbar")[:, :, None, :]
+    Vt = _derived(state, g, "Vt")
     flux = _twisted_divergence(grad_h_vec(zf[:, :, None, None] * Vt, g), Z)
     if state.mode == "LocalGamma2":
         twdiv3 = _twisted_divergence(_derived(state, g, "dV"), Z)
@@ -338,8 +341,7 @@ def nonlinearity_F2(state: LagrangianState, dtV: np.ndarray | None, g: Grid,
     dZ = _gradient(Z)                           # [m, k, n] = d_n Z[m, k]
 
     # twisted-minus-flat viscous terms and the full twisted advection
-    Vt = V - _derived(state, g, "Vbar")[:, :, None, :]
-    twlap, twgd, advH = _twisted_terms(Z, dZ, dV, H, Vt)
+    twlap, twgd, advH = _twisted_terms(Z, dZ, dV, H, _derived(state, g, "Vt"))
     W = reconstruct_w(state, g, params)
     advZ = W[..., None] * _derived(state, g, "dzV")
 

@@ -302,13 +302,19 @@ def vertical_average(f: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _vertical_product(M: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply the (nz, nz) matrix M along the node axis of a 3D field.
+    """Apply the real (nz, nz) matrix M along the node axis of a 3D field.
 
     A vector field's trailing (nz, 2) slices already hold the node axis
     first, so ``M @ f`` is one batched matmul; a scalar field holds it
-    last, so it is ``f @ M.T``.
+    last, so it is ``f @ M.T``.  A complex vector field is multiplied as
+    real, its float view holding Re and Im as two more columns: numpy
+    would promote M and take a complex product, 3.5x the time at 32x32x17.
     """
-    return M @ f if f.ndim == 4 else f @ M.T
+    if f.ndim == 3:
+        return f @ M.T
+    if np.iscomplexobj(f):
+        return (M @ np.ascontiguousarray(f, complex).view(float)).view(complex)
+    return M @ f
 
 
 def vertical_derivative(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -490,6 +496,7 @@ def l2_norm(f: np.ndarray, g: Grid) -> float:
     kind = validate_field(f, g)
     mag2 = np.abs(f) ** 2
     if kind in ("vector2d", "vector3d"):
-        mag2 = mag2.sum(axis=-1)
+        # np.sum's bits, without its generic loop over a length-2 axis
+        mag2 = mag2[..., 0] + mag2[..., 1]
     return float(np.sqrt(integral(mag2, g)))
 

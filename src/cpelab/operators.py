@@ -272,7 +272,8 @@ def symbol_ellipticity_report(mu: float, mu_prime: float) -> EllipticityReport:
             f"mu_prime = {mu_prime:.6g})")
     # the first mode of the disk, in row-major order, with the least of
     # the two eigenvalues
-    disk = np.flatnonzero(np.sum(k * k, axis=1) <= SYMBOL_KMAX**2)
+    disk = np.flatnonzero(k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
+                          <= SYMBOL_KMAX**2)
     i = disk[np.argmin(np.minimum(lam1, lam2)[disk])]
     return EllipticityReport(
         min_lam1=float(lam1[i]), min_lam2=float(lam2[i]),

@@ -170,8 +170,8 @@ def _verify_flowmap(tol_scale: float, mutation):
     dY = flowmap.invert_map(fm, g, inv_tol=1e-13) - ident
     comp = Xpos + flowmap.evaluate_at_points(dY, Xpos, g)
     round_err = float(np.max(np.abs(comp - ident)))
-    dist = np.abs(fm.gradX - np.eye(2)).sum(axis=-1).max(axis=-1)
-    zdist = np.abs(fm.Z - np.eye(2)).sum(axis=-1).max(axis=-1)
+    dist = flowmap._row_sum_norm(fm.gradX - np.eye(2))
+    zdist = flowmap._row_sum_norm(fm.Z - np.eye(2))
     neumann_ok = bool(np.all(zdist <= 2.0 * dist + 1e-14))
     ok = round_err <= 1e-10 * tol_scale and neumann_ok
     return ok, f"roundtrip {round_err:.2e}, Neumann bound holds: {neumann_ok}"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cpelab import diagnostics, evolve, flowmap, grid, reference
+from cpelab.diagnostics import potential_energy_density
 from cpelab.evolve import (
     EVOLUTION_MODES,
     MODE_MODEL,
@@ -53,7 +54,12 @@ from cpelab.operators import (
     vertical_lame_block,
 )
 from cpelab.stokes_solver import ResolventProblem, solve_resolvent
-from cpelab.transforms import PhysicalParams, make_pressure_law
+from cpelab.transforms import (
+    PhysicalParams,
+    column_density,
+    lame_weights,
+    make_pressure_law,
+)
 
 
 def rel_err(a, b, g):
@@ -678,9 +684,9 @@ def test_gamma2_reconstruct_w_reads_the_gradient_F2_took(monkeypatch,
 @pytest.mark.parametrize("mode", EVOLUTION_MODES)
 def test_each_accepted_velocity_is_differentiated_once(mode, general_params,
                                                        monkeypatch):
-    # Vbar, grad_H Vbar, grad_H V and d_z V of each accepted velocity are
-    # taken once, whichever of F1, F2, W, the flow-map advance and the
-    # energy read them: calls are counted by the bytes of their field
+    # Vbar, grad_H Vbar, grad_H V, d_z V and V - Vbar of each accepted
+    # velocity are taken once, whichever of F1, F2, W, the flow-map advance
+    # and the energy read them: calls are counted by the bytes of their field
     taken = collections.Counter()
     average = grid.vertical_average
     for name in ("vertical_average", "vertical_derivative", "_derivatives"):
@@ -694,6 +700,14 @@ def test_each_accepted_velocity_is_differentiated_once(mode, general_params,
         for module in (grid, evolve, diagnostics, flowmap):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
+    derived = evolve._derived
+
+    def counted_fluctuation(state, g, name):
+        if name == "Vt" and name not in state._record:
+            taken["Vt", state.V.shape, state.V.tobytes()] += 1
+        return derived(state, g, name)
+
+    monkeypatch.setattr(evolve, "_derived", counted_fluctuation)
     accepted, step = [], Stepper.step
 
     def recorded(self, state):
@@ -712,10 +726,12 @@ def test_each_accepted_velocity_is_differentiated_once(mode, general_params,
         Vbar = average(V, g)
         counts = [taken[name, f.shape, f.tobytes()] for name, f in (
             ("vertical_average", V), ("_derivatives", Vbar),
-            ("_derivatives", V), ("vertical_derivative", V))]
-        # only the coupled step's F1 reads the initial state's grad_H Vbar
+            ("_derivatives", V), ("vertical_derivative", V), ("Vt", V))]
+        # only the coupled step's F1 reads the initial state's grad_H Vbar,
+        # and F2 and W do not read the last state's V - Vbar
         first = mode != "GlobalGamma1" and n == 0
-        assert counts == [1, 0 if first else 1, 1, 1], n
+        last = n == len(accepted) - 1
+        assert counts == [1, 0 if first else 1, 1, 1, 0 if last else 1], n
 
 
 def test_a_replaced_velocity_never_reuses_the_old_gradient():
@@ -725,7 +741,7 @@ def test_a_replaced_velocity_never_reuses_the_old_gradient():
     s1 = stepper.step(s0)
     moved = dataclasses.replace(s1, V=2.0 * s1.V)
     # doubling is exact, so each new derived field is exactly twice the old
-    for name in ("Vbar", "dVbar", "dV", "dzV"):
+    for name in ("Vbar", "Vt", "dVbar", "dV", "dzV"):
         assert np.array_equal(evolve._derived(moved, g, name),
                               2.0 * evolve._derived(s1, g, name)), name
     rebuilt = LagrangianState(mode=s1.mode, zeta=s1.zeta, V=2.0 * s1.V,
@@ -879,6 +895,70 @@ def test_dense_sweeps_match_the_pocketfft_sweeps(mode, shape, general_params):
     assert V.shape == V_ref.shape == s1.V.shape
     assert V.flags.c_contiguous and V_ref.flags.c_contiguous
     assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
+
+
+def np_sum_energy(zeta_full, V, dV, dzV, fm, g, params):
+    """lagrangian_energy with its component sums taken by np.sum."""
+    det = fm.detX
+    det3 = det[:, :, None]
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = column_density(params.model, zeta_full, g.z)
+    speed2 = np.sum(V**2, axis=-1)
+    kinetic = diagnostics.integral(0.5 * rho * speed2 * det3, g)
+    potential = diagnostics.integral(
+        potential_energy_density(zeta_full, params) * det, g)
+    GT = dV @ fm.Z[:, :, None]
+    gradsq = np.sum(GT**2, axis=(-2, -1))
+    div2 = (GT[..., 0, 0] + GT[..., 1, 1]) ** 2
+    dzsq = np.sum(dzV**2, axis=-1)
+    D = (params.mu * diagnostics.integral(wH * gradsq * det3, g)
+         + params.mu * diagnostics.integral(wZ * dzsq * det3, g)
+         + params.mu_prime * diagnostics.integral(wH * div2 * det3, g))
+    return diagnostics.EnergyEntry(E=float(kinetic + potential), D=float(D))
+
+
+@pytest.mark.parametrize("mode", EVOLUTION_MODES)
+def test_component_sums_keep_the_bytes_of_their_numpy_forms(
+        mode, general_params, monkeypatch):
+    # E, D, the invertibility report and the flow-map update write their
+    # sums over the component axes out; on states of every mode they keep
+    # the bits of np.sum and einsum, each energy integrand included
+    g = make_grid(8, 8, 5)
+    params = mode_params(mode, general_params)
+    stepper, state = stepper_and_state(mode, params, g, dt=0.05)
+    for _ in range(2):
+        state = stepper.step(state)
+    integrands = []
+    integral = diagnostics.integral
+
+    def recorded(f, g):
+        integrands.append(f)
+        return integral(f, g)
+
+    monkeypatch.setattr(diagnostics, "integral", recorded)
+    args = (full_surface_density(state, params), state.V,
+            grad_h_vec(state.V, g), vertical_derivative(state.V, g),
+            state.fm, g, params)
+    assert diagnostics.lagrangian_energy(*args) == np_sum_energy(*args)
+    assert len(integrands) == 10
+    for got, ref in zip(integrands[:5], integrands[5:]):
+        assert same_bytes(got, ref)
+
+    fm = state.fm
+    for M in (fm.gradX - np.eye(2), fm.Z - np.eye(2)):
+        assert same_bytes(flowmap._row_sum_norm(M),
+                          np.abs(M).sum(axis=-1).max(axis=-1))
+    supnorm = float(np.abs(fm.gradX - np.eye(2)).sum(axis=-1)
+                    .max(axis=-1).max())
+    assert supnorm > 0
+    report = flowmap.check_invertibility(fm, 0.1)
+    assert report.supnorm_dev.hex() == supnorm.hex()
+    assert report.min_det == float(fm.detX.min())
+
+    Vbar = vertical_average(state.V, g)
+    gvZ = np.einsum("...ik,...kj->...ij", grad_h_vec(Vbar, g), fm.Z)
+    gradX = fm.gradX + 0.05 * np.einsum("...ik,...kj->...ij", gvZ, fm.gradX)
+    assert same_bytes(advance_flow_lagrangian(fm, Vbar, g, 0.05).gradX, gradX)
 
 
 def test_energy_is_evaluated_once_per_state(monkeypatch):

@@ -292,6 +292,56 @@ def test_vertical_products_match_einsum():
                 assert rel_diff(got, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("nz", (5, 17, 33))
+def test_complex_vertical_products_are_two_real_products(nz):
+    # a complex field is multiplied on its float view, Re and Im as more
+    # columns: each part within a few ulps of its own real product, the
+    # ulp taken of the sum of |terms|; a real field keeps its product
+    g = make_grid(6, 4, nz)
+    rng = np.random.default_rng(37)
+    eps = np.finfo(float).eps
+
+    def product(A, f):
+        return A @ f if f.ndim == 4 else f @ A.T
+
+    for shape in ((6, 4, nz), (6, 4, nz, 2)):
+        re, im = rng.standard_normal((2,) + shape)
+        for op, M in ((vertical_derivative, g.Dz),
+                      (integrate_from_bottom, g.Iz)):
+            assert same_bytes(op(re, g), product(M, re))
+            for f in (re + 1j * im, np.asfortranarray(re + 1j * im)):
+                got = op(f, g)
+                assert got.dtype == complex and got.shape == f.shape
+                for part, ref in ((got.real, re), (got.imag, im)):
+                    bound = 4 * eps * product(np.abs(M), np.abs(ref))
+                    assert np.all(np.abs(part - product(M, ref)) <= bound)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_l2_norm_sums_components_as_np_sum_does(dtype, monkeypatch):
+    # the written-out component sum has np.sum's bits on every field kind,
+    # signed zeros, infinities and nans included
+    g = make_grid(16, 8, 3)
+    rng = np.random.default_rng(38)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200,
+                         -1e-310, 1.5])
+    pairs = np.stack(np.meshgrid(specials, specials), axis=-1).reshape(-1, 2)
+    summed = []
+    monkeypatch.setattr(grid, "integral", lambda f, g: summed.append(f) or 0.0)
+    for shape in ((16, 8), (16, 8, 2), (16, 8, 3), (16, 8, 3, 2)):
+        parts = rng.standard_normal((2,) + shape)
+        for part in parts:
+            part.reshape(-1, 2)[:len(pairs)] = rng.permuted(pairs, axis=0)
+        f = parts[0] if dtype is float else np.empty(shape, complex)
+        if dtype is complex:
+            f.real, f.imag = parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2_norm(f, g)
+            mag2 = np.abs(f) ** 2
+        ref = mag2.sum(axis=-1) if shape[-1] == 2 else mag2
+        assert same_bytes(summed[-1], ref), shape
+
+
 @pytest.mark.parametrize("shape", ((8, 6, 5), (7, 9, 5)))
 def test_real_input_transforms_match_complex_path(shape, grid_of_any_parity):
     g = grid_of_any_parity(*shape)
