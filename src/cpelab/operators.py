@@ -129,14 +129,18 @@ def _lame_h(V: np.ndarray, g: Grid, params: PhysicalParams) -> np.ndarray:
     ky = _multiplier(g.iky, 1, 3, real)
     lap = params.mu * (kx * kx + ky * ky)
     div = params.mu_prime * (kx * Vh[..., 0] + ky * Vh[..., 1])
-    out = np.empty_like(Vh)
-    out[..., 0] = lap * Vh[..., 0] + kx * div
-    out[..., 1] = lap * Vh[..., 1] + ky * div
-    return _ifft_h(out, g, real)
+    # the symbol applied in Vh itself; lap * Vh + k * div in this operand
+    # order keeps the bits of the products made out of place
+    for c, k in enumerate((kx, ky)):
+        np.multiply(lap, Vh[..., c], out=Vh[..., c])
+        Vh[..., c] += k * div
+    del div
+    return _ifft_h(Vh, g, real)
 
 
 def _replace_bc_rows(out: np.ndarray, V: np.ndarray, g: Grid) -> np.ndarray:
-    out = out.copy()
+    """Write the boundary residuals of V (V at z = 1, d_z V at z = 0) into
+    the boundary layers of ``out``, in place, and return it."""
     out[:, :, -1, :] = V[:, :, -1, :]
     out[:, :, 0, :] = g.Dz[0] @ V
     return out
@@ -168,11 +172,18 @@ def apply_hydrostatic_lame(
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
     rho = _column_density(xi0, g, params)[..., None]
     wH, wZ = lame_weights(params.model, g.z)
-    vert = vertical_derivative(wZ[:, None] * vertical_derivative(V, g), g)
-    out = ((wH[:, None] / rho) * _lame_h(V, g, params)
-           + (params.mu / rho) * vert)
+    # (wH / rho) L_H V + (mu / rho) vert, built in place to hold at most
+    # three fields at a time, each product in this operand order
+    out = _lame_h(V, g, params)
+    np.multiply(wH[:, None] / rho, out, out=out)
+    dzV = vertical_derivative(V, g)
+    np.multiply(wZ[:, None], dzV, out=dzV)
+    vert = vertical_derivative(dzV, g)
+    del dzV
+    np.multiply(params.mu / rho, vert, out=vert)
+    out += vert
     if bc == "replace":
-        out = _replace_bc_rows(out, V, g)
+        _replace_bc_rows(out, V, g)
     return out
 
 
@@ -197,7 +208,7 @@ def apply_chs(
     row2 = -gz[:, :, None, :] + apply_hydrostatic_lame(
         V, xi_bar, g, params, bc="raw")
     if bc == "replace":
-        row2 = _replace_bc_rows(row2, V, g)
+        _replace_bc_rows(row2, V, g)
     elif bc != "raw":
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
     return row1, row2

@@ -143,11 +143,26 @@ def _state_norm(zeta: np.ndarray, V: np.ndarray, g: Grid):
 
 
 def _shifted_chs(lam: complex, zeta: np.ndarray, V: np.ndarray,
-                 xi_bar: float, g: Grid, params: PhysicalParams):
-    """The two rows of (lambda - A_CHS)(zeta, V), boundary layers raw."""
+                 xi_bar: float, g: Grid, params: PhysicalParams, f2=None):
+    """The two rows of (lambda - A_CHS)(zeta, V), boundary layers raw; the
+    second less the data ``f2`` if given.
+
+    A lambda whose imaginary part is zero is taken as a real float, so
+    real fields give real rows.  The second row is built in place, of the
+    dtype of all the inputs, beside the operator's result alone.
+    """
+    lam = complex(lam)
+    if lam.imag == 0:
+        lam = lam.real
     AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
-    return (lam * zeta + xi_bar * div_h(vertical_average(V, g), g),
-            lam * V - AV + grad_h(zeta, g)[:, :, None, :])
+    r2 = np.multiply(lam, V, dtype=np.result_type(
+        lam, zeta, V, 0.0 if f2 is None else f2))
+    r2 -= AV
+    del AV
+    r2 += grad_h(zeta, g)[:, :, None, :]
+    if f2 is not None:
+        r2 -= f2
+    return lam * zeta + xi_bar * div_h(vertical_average(V, g), g), r2
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -167,8 +182,8 @@ def resolvent_residual(
     the boundary residuals V|_{z=1} and d_z V|_{z=0}.  A norm that
     overflows gives an inf or nan residual.
     """
-    r1, r2 = _shifted_chs(lam, zeta, V, xi_bar, g, params)
-    r2 = _replace_bc_rows(r2 - f2, V, g)
+    r1, r2 = _shifted_chs(lam, zeta, V, xi_bar, g, params, f2)
+    _replace_bc_rows(r2, V, g)
     scale = max(_state_norm(f1, f2, g), 1e-300)
     return float(_state_norm(r1 - f1, r2, g) / scale)
 
@@ -184,7 +199,8 @@ def manufactured_resolvent_problem(
     vertical profile 1 - z^2 (zero at z = 1, zero slope at z = 0, so the
     boundary rows are satisfied exactly at the collocation points) are
     substituted into (lambda - A_CHS), at xi_bar = ``params.xi_bar``, to
-    produce the right-hand side.
+    produce the right-hand side.  At real lambda the data and the solution
+    are real arrays of their own.
 
     Returns
     -------
@@ -215,11 +231,6 @@ def manufactured_resolvent_problem(
     if not finite:
         raise SolverBreakdown(
             "operator breakdown: the manufactured data overflow")
-    if lam.imag == 0.0:
-        f1 = f1.real
-        f2 = f2.real
-        zeta = zeta.real
-        V = V.real
     return ResolventProblem(lam, f1, f2, xi_bar=xi_bar), zeta, V
 
 

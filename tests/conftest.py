@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,3 +37,21 @@ def _grid_of_any_parity(nx, ny, nz):
 def grid_of_any_parity():
     """Factory ``(nx, ny, nz) -> Grid`` that also takes odd nx, ny."""
     return _grid_of_any_parity
+
+
+def _field_units(call, V):
+    """The traced peak of ``call()`` in fields of V's size: the bytes
+    tracemalloc sees it hold at most at once, divided by ``V.nbytes``."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / V.nbytes
+
+
+@pytest.fixture(scope="session")
+def field_units():
+    """``(call, V) -> float``: a call's traced peak in fields of V's size."""
+    return _field_units

@@ -242,6 +242,30 @@ def test_boundary_row_replacement_semantics():
     assert np.allclose(out[:, :, 0, :], dzV[:, :, 0, :], atol=1e-12)
 
 
+def test_replaced_rows_are_written_into_the_raw_action():
+    # the boundary layers replaced in place keep the bytes of the raw
+    # action copied and then replaced
+    g = make_grid(8, 8, 7)
+    xi0 = smooth_xi0(g)
+    rng = np.random.default_rng(35)
+    zeta = rng.standard_normal((8, 8))
+    V = rng.standard_normal((8, 8, 7, 2))
+    for params in all_model_params():
+        for z, v in ((zeta, V), (zeta * (1 + 2j), V * (1 - 1j))):
+            rows = [apply_hydrostatic_lame(v, xi0, g, params, bc="raw"),
+                    apply_chs(z, v, 1.3, g, params, bc="raw")[1]]
+            for raw in rows:
+                raw[:, :, -1, :] = v[:, :, -1, :]
+                raw[:, :, 0, :] = g.Dz[0] @ v
+            got = [apply_hydrostatic_lame(v, xi0, g, params),
+                   apply_chs(z, v, 1.3, g, params)[1]]
+            for a, b in zip(got, rows):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    out = np.zeros_like(V)
+    assert operators._replace_bc_rows(out, V, g) is out
+    assert out[:, :, -1].tobytes() == V[:, :, -1].tobytes()
+
+
 def test_chs_null_vector_constant_zeta():
     g = make_grid(4, 4, 5)
     params = PhysicalParams(mu=1.0, mu_prime=1.0)

@@ -14,7 +14,14 @@ import pytest
 from cpelab import stokes_solver
 from cpelab.evolve import LagrangianState, Stepper, reconstruct_w
 from cpelab.flowmap import identity_map
-from cpelab.grid import dealias, l2_norm, make_grid
+from cpelab.grid import (
+    dealias,
+    div_h,
+    grad_h,
+    l2_norm,
+    make_grid,
+    vertical_average,
+)
 from cpelab.operators import (
     SolverBreakdown,
     _bordered,
@@ -23,6 +30,7 @@ from cpelab.operators import (
     _real_form,
     _replace_rows_dense,
     _unpack_modes,
+    apply_hydrostatic_lame,
     dense_chs,
     mode_matrices,
     mode_wavevectors,
@@ -104,6 +112,60 @@ def test_stiff_manufactured_solution_is_solved_to_rounding(lam):
     zeta, V = solve_resolvent(problem, g, params)
     for got, true in ((zeta, zeta_true), (V, V_true)):
         assert np.max(np.abs(got - true)) <= 1e-13 * np.max(np.abs(true))
+
+
+@pytest.mark.parametrize("lam", (3.7, 0.0), ids=str)
+def test_manufactured_data_at_real_lambda_are_owned_real_arrays(setup, lam):
+    g, params = setup
+    problem, zeta, V = manufactured_resolvent_problem(lam, g, params)
+    for field in (problem.f1, problem.f2, zeta, V):
+        assert field.dtype == np.float64
+        assert field.base is None
+
+
+@pytest.mark.parametrize("lam", (3.7, 37j), ids=str)
+def test_resolvent_path_holds_few_fields(field_units, lam):
+    # traced peaks in fields of V's size at 32x32x17: the operator, its
+    # residual and the manufactured data each hold a field at most once
+    # (6.3, 5.8 and 7.4 fields when built out of place)
+    g = make_grid(32, 32, 17)
+    params = PhysicalParams(mu=0.9, mu_prime=0.6)
+    p, zeta, V = manufactured_resolvent_problem(lam, g, params)
+    assert field_units(lambda: apply_hydrostatic_lame(V, 1.0, g, params),
+                       V) <= 3.5
+    assert field_units(lambda: resolvent_residual(
+        lam, zeta, V, p.f1, p.f2, p.xi_bar, g, params), V) <= 3.5
+    assert field_units(lambda: manufactured_resolvent_problem(
+        lam, g, params), V) <= 4.5
+
+
+def _residual_out_of_place(lam, zeta, V, f1, f2, xi_bar, g, params):
+    """resolvent_residual written out of place, at a complex lambda."""
+    lam = complex(lam)
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
+    r1 = lam * zeta + xi_bar * div_h(vertical_average(V, g), g)
+    r2 = lam * V - AV + grad_h(zeta, g)[:, :, None, :] - f2
+    r2[:, :, -1, :] = V[:, :, -1, :]
+    r2[:, :, 0, :] = g.Dz[0] @ V
+    norm = np.sqrt(l2_norm(f1, g) ** 2 + l2_norm(f2, g) ** 2)
+    return float(np.sqrt(l2_norm(r1 - f1, g) ** 2 + l2_norm(r2, g) ** 2)
+                 / max(norm, 1e-300))
+
+
+def test_residual_takes_mixed_kinds_with_the_out_of_place_bits(setup):
+    g, params = setup
+    p, zeta, V = manufactured_resolvent_problem(3.7, g, params)
+    rng = np.random.default_rng(35)
+    V = V + 1e-3 * rng.standard_normal(V.shape)  # a nonzero residual
+    cases = (
+        (3.7, zeta * (1.0 + 0.5j), V, p.f1, p.f2),  # complex zeta, real V
+        (3.7 + 2j, zeta, V, p.f1, p.f2),  # real fields, complex lambda
+        (3.7, zeta, V, p.f1, p.f2 * (1.0 - 0.1j)),  # complex f2 only
+    )
+    for lam, *fields in cases:
+        got = resolvent_residual(lam, *fields, 1.3, g, params)
+        ref = _residual_out_of_place(lam, *fields, 1.3, g, params)
+        assert got.hex() == ref.hex()
 
 
 def test_zero_lambda_requires_mean_free_f1(setup):
