@@ -10,8 +10,14 @@ Subcommands
     the linear operator of a run configuration, with the mode that holds
     it; write a per-mode symbol CSV and a summary JSON.  Every field it
     reads is checked as ``simulate`` checks it (the time keys are
-    optional), except that a finite but inadmissible viscosity pair is
-    reported rather than rejected.
+    optional; the rules that relate keys to one another, such as
+    ``t_end >= dt``, are left to ``simulate``), except that a finite but
+    inadmissible viscosity pair is reported rather than rejected, since
+    diagnosing definiteness is the point of the command; a pair that is
+    not finite, or whose sum overflows, is a configuration error.  The
+    symbol and the spectral bound are computed before any output, so a
+    ``spectrum`` that exits 9 (a symbol that overflows at ``mu: -1e308``,
+    a Lame block that overflows at ``xi_bar: 1e-320``) writes no file.
 ``resolvent``
     Solve one resolvent problem described by a JSON problem file; write
     the solution fields and a summary JSON.
@@ -20,8 +26,14 @@ Subcommands
     print a pass/fail table.
 
 A configuration error exits with ``EXIT_CONFIG`` and a message naming the
-field and, where it can be found in the file, its line.  The exit codes
-are the ``EXIT_*`` constants below; README.md tabulates their meanings.
+field and, where it can be found in the file, its line; an integer past
+the float range (such as 1 followed by 400 zeros) names its key.  An
+output directory that cannot be created (a file in its path, say) or an
+output file that cannot be written (a directory of that name, say) is a
+configuration error too.  A run's step count has no cap other than
+round(t_end / dt), so a huge ``t_end`` runs until it is stopped.  The
+exit codes are the ``EXIT_*`` constants below; README.md tabulates their
+meanings.
 
 Determinism: identical configuration and seed produce bitwise-identical
 diagnostics CSV files and summary JSONs; no timestamps or host details

@@ -32,11 +32,27 @@ Design notes
   ``irfft((ik)^p rfft(I))``, one per horizontal plane (level, component),
   so a plane's bits do not depend on the field it sits in.  The local
   fixed-point sweeps are matmuls too, up to :data:`DENSE_SWEEP_MAX_N`.
-  Longer axes, dealiasing and the other implicit solves transform: real
+  These real matrices (the derivatives and the sweeps' DFTs) are made
+  from numpy's transforms of the identity once per size in a process and
+  shared read-only, so the k = 0 and Nyquist columns are treated as
+  ``irfft`` treats them.
+* Longer axes, dealiasing and the other implicit solves transform: real
   fields with ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the
   last transformed axis, complex fields (resolvent solutions at complex
-  lambda) with the full ``fft``/``ifft``.  Vertical products are BLAS
-  matmuls over the node axis.
+  lambda) with the full ``fft``/``ifft``.  The horizontal transforms are
+  numpy's one-axis transforms in the order its 2-D routines apply them,
+  so they return the same bits without the 2-D routines' overhead.
+* Vertical products are BLAS matmuls over the node axis.  A complex
+  vector field enters one through its float view, Re and Im as two more
+  columns of one real matmul: numpy would promote the real matrix and
+  take a complex product, 3.5 times as long at 32x32x17 (one CPU, one
+  BLAS thread).
+* Sums over a component axis of length 2 (``l2_norm``, the energy's
+  |V|^2, |d_z V|^2 and |grad V . Z|^2, the invertibility guard's row sums,
+  |k|) and the flow map's 2 x 2 products are written out in numpy's own
+  order: ``np.sum`` and ``einsum`` over so short an axis run numpy's
+  generic loop, about 250 us against 11 us for one sum at 32x32x17, for
+  the same bits.
 * Vertical quadrature uses Clenshaw--Curtis weights on the CGL nodes,
   normalized so that the weights sum to 1 on [0,1].
 * Dealiasing uses the 2/3 rule: modes with ``|k| > floor(N/3)`` in either
@@ -74,7 +90,8 @@ MAX_BLOCK_ENTRIES = 2**26
 #: Longest horizontal axis differentiated by matmuls; pocketfft above it.
 #: ``grad_h_vec``, one pinned CPU, matmuls over pocketfft time: 0.21-0.24
 #: at 12x12x7, 0.28-0.66 at 32x32x17, 0.61-0.71 at 64x64x9, 0.68-0.79 at
-#: 128x128x9; at 256x256 a 2-D gradient ties (1.06), at 384x384 all lose.
+#: 128x128x9 (0.6-0.8 from 64x64 to 192x192); at 256x256 a 2-D gradient
+#: ties (1.06), at 384x384 all lose.
 DENSE_DERIVATIVE_MAX_N = 128
 
 #: Largest nx, ny with dense-DFT fixed-point sweeps, pocketfft above.  Dense
@@ -82,7 +99,8 @@ DENSE_DERIVATIVE_MAX_N = 128
 #: of 9-15 interleaved, at nz = 9 / 17: 16^2 0.48 / 0.65, 24^2 0.66 / 0.62,
 #: 32^2 0.69-0.79 / 0.82-0.85, 40^2 0.86-0.87 / 0.90-0.91, 48^2 0.97-1.04 /
 #: 1.01-1.02, 64^2 1.04-1.18 / 0.94-1.00; at nz = 9, 8x48 0.51, 48x12 0.77,
-#: 8x64 0.61, 64x8 0.94, 64x16 1.01.
+#: 8x64 0.61, 64x8 0.94, 64x16 1.01.  No measured grid that this bound sends
+#: to the matrices was slower there.
 DENSE_SWEEP_MAX_N = 40
 
 
@@ -263,8 +281,11 @@ def validate_field(f: np.ndarray, g: Grid, *kinds: str) -> str:
     """Classify an array as one of the module docstring's four field kinds.
 
     Returns one of ``"scalar2d" | "vector2d" | "scalar3d" | "vector3d"``;
-    raises ``ValueError`` on any other shape, and on a kind not among
-    ``kinds`` when any are given.
+    raises ``ValueError`` on any other shape (``shape mismatch: ...``),
+    and on a kind not among ``kinds`` when any are given, for example
+    ``expected a 2D scalar or 3D scalar field, got a 2D vector field``
+    (from :func:`integral`).  Every public function that takes a field
+    checks its kind here.
     """
     shape = np.shape(f)
     if shape == (g.nx, g.ny):
@@ -307,8 +328,7 @@ def _vertical_product(M: np.ndarray, f: np.ndarray) -> np.ndarray:
     A vector field's trailing (nz, 2) slices already hold the node axis
     first, so ``M @ f`` is one batched matmul; a scalar field holds it
     last, so it is ``f @ M.T``.  A complex vector field is multiplied as
-    real, its float view holding Re and Im as two more columns: numpy
-    would promote M and take a complex product, 3.5x the time at 32x32x17.
+    real, through its float view (see the module docstring).
     """
     if f.ndim == 3:
         return f @ M.T

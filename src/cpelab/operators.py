@@ -50,7 +50,13 @@ from .grid import (
     vertical_average,
     vertical_derivative,
 )
-from .transforms import DELTA, PhysicalParams, column_density, lame_weights
+from .transforms import (
+    DELTA,
+    PhysicalParams,
+    check_density,
+    column_density,
+    lame_weights,
+)
 
 __all__ = [
     "SymbolEigs",
@@ -108,8 +114,7 @@ def _column_density(xi0, g: Grid, params: PhysicalParams) -> np.ndarray:
     if xi0.ndim == 0:
         xi0 = np.full((g.nx, g.ny), float(xi0))
     validate_field(xi0, g, "scalar2d")
-    if np.any(xi0 <= 0):
-        raise ValueError(f"nonpositive surface density: min = {xi0.min()}")
+    check_density(xi0, "xi0")
     return column_density(params.model, xi0, g.z)
 
 
@@ -166,6 +171,12 @@ def apply_hydrostatic_lame(
         ``replace`` overwrites the boundary layers with the boundary
         residuals (V at z = 1, d_z V at z = 0); ``raw`` returns the plain
         differential action everywhere.
+
+    The horizontal part mu Lap_H V + mu' grad_H div_H V is one forward and
+    one inverse horizontal transform of V.  The densities, the symbol and
+    the boundary rows are applied in place, so one application holds about
+    three field-sized temporaries: the spectrum, its inverse transform and
+    the result.
     """
     validate_field(V, g, "vector3d")
     if bc not in ("replace", "raw"):
@@ -501,7 +512,10 @@ def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
     builds them for solves).  A single (2,) wave vector gives a single
     block.  Blocks that overflow raise :class:`SolverBreakdown`.  Off the
     level diagonal every block is mu kron(vert, I2), built once and
-    copied; only the 2 x 2 level-diagonal blocks are made per mode.
+    copied; only the 2 x 2 level-diagonal blocks are made per mode.  Every
+    nonzero entry keeps the bits of the whole-block Kronecker formula (a
+    zero may differ in its sign, which no output depends on), and a
+    block's bits do not depend on the batch it is built in.
     """
     k2, kk = _symbol_parts(kt)
     wH, wZ = lame_weights(params.model, g.z)
@@ -575,6 +589,14 @@ def mode_matrices(
     (zeta-hat, V-hat(z)), see :func:`_bordered`; without it on V-hat(z)
     alone, shape (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at
     z = 1 and the bottom rows d_z V = 0 at z = 0.
+
+    It is the one builder of the per-mode systems: the resolvent solve,
+    the spectral bound and the time integrator's implicit step build a
+    batch of modes in one call and solve, invert or eigensolve it in one
+    batched ``numpy.linalg`` call.  A failure there raises
+    :class:`SolverBreakdown` naming the kx row or block (in the resolvent
+    solve and the spectral bound's filter pass, the |k|^2 shells of its
+    batch), which ``cpelab`` reports with exit code 9.
     """
     nz = g.nz
     M = vertical_lame_block(kt, rho, g, params)
@@ -599,14 +621,20 @@ def _pack_modes(V: np.ndarray, zeta: np.ndarray | None = None) -> np.ndarray:
     The :func:`cpelab.grid._fft_h` spectrum (half for real fields) of V's
     interior levels, boundary levels zero, shape (nx, nk, 2 nz), or of (zeta,
     V) with zeta-hat first; the modes are ``mode_wavevectors(g)[:, :nk]``.
+    Both spectra are written into one array, so the interior spectrum is
+    the only other field it holds.
     """
     inner = _fft_h(V[:, :, 1:-1])
-    Vh = np.zeros(inner.shape[:2] + V.shape[2:], dtype=inner.dtype)
-    Vh[:, :, 1:-1] = inner
-    Vh = Vh.reshape(Vh.shape[:2] + (-1,))
-    if zeta is None:
-        return Vh
-    return np.concatenate([_fft_h(zeta)[..., None], Vh], axis=-1)
+    off = 0 if zeta is None else 1
+    rhs = np.empty(inner.shape[:2] + (off + 2 * V.shape[2],),
+                   dtype=inner.dtype)
+    rhs[..., off:off + 2] = 0.0
+    rhs[..., off + 2:-2] = inner.reshape(inner.shape[:2] + (-1,))
+    rhs[..., -2:] = 0.0
+    del inner
+    if zeta is not None:
+        rhs[..., 0] = _fft_h(zeta)
+    return rhs
 
 
 def _unpack_modes(sol: np.ndarray, g: Grid, real: bool):

@@ -70,6 +70,7 @@ from .operators import (
 from .transforms import (
     PhysicalParams,
     _require_finite,
+    check_density,
     column_density,
     lame_weights,
 )
@@ -102,7 +103,11 @@ SWEEP_LAMBDAS = (0.0, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j)
 
 
 def check_spectral_parameter(lam: complex) -> None:
-    """Raise ``ValueError`` unless lambda is finite with Re lambda >= 0."""
+    """Raise ``ValueError`` unless lambda is finite with Re lambda >= 0.
+
+    The ``resolvent`` command's parser and :class:`ResolventProblem` both
+    call it, so a problem built in Python raises the parser's message.
+    """
     lam = complex(lam)
     _require_finite(("'lam'", lam))
     if lam.real < 0:
@@ -111,7 +116,12 @@ def check_spectral_parameter(lam: complex) -> None:
 
 @dataclass(frozen=True)
 class ResolventProblem:
-    """Data (lambda, f1, f2) of one resolvent problem, xi_bar fixed."""
+    """Data (lambda, f1, f2) of one resolvent problem, xi_bar fixed.
+
+    f1 is a 2D scalar and f2 a 3D vector field, the kinds the resolvent
+    and steady solvers check; lambda obeys :func:`check_spectral_parameter`
+    and xi_bar the density rule of :class:`cpelab.transforms.PhysicalParams`.
+    """
 
     lam: complex
     f1: np.ndarray
@@ -120,8 +130,7 @@ class ResolventProblem:
 
     def __post_init__(self) -> None:
         check_spectral_parameter(self.lam)
-        if not self.xi_bar > 0:
-            raise ValueError(f"xi_bar must be positive, got {self.xi_bar}")
+        check_density(self.xi_bar)
 
 
 class CompatibilityError(ValueError):
@@ -180,7 +189,8 @@ def resolvent_residual(
 
     Interior rows carry the equations; the velocity boundary layers carry
     the boundary residuals V|_{z=1} and d_z V|_{z=0}.  A norm that
-    overflows gives an inf or nan residual.
+    overflows gives an inf or nan residual.  At a lambda whose imaginary
+    part is zero, real fields are checked in real arithmetic.
     """
     r1, r2 = _shifted_chs(lam, zeta, V, xi_bar, g, params, f2)
     _replace_bc_rows(r2, V, g)
@@ -282,21 +292,7 @@ def _shell_batches(keys: np.ndarray, ny: int, name: str):
 def _solve_per_mode(
     p: ResolventProblem, g: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shell-by-shell bordered solve of (lambda - A_CHS) U = F.
-
-    Real data at real lambda is solved on the half-spectrum ky >= 0, any
-    other problem on every mode.  The Lame symbol is isotropic, so the
-    block at k is Q B Q^T: B is the block at (|k|, 0), and Q = diag(1, I
-    kron R_k) turns each level's velocity by the angle of k (boundary rows
-    and a pinned zeta row keep their form).  Each shell of
-    :func:`_shell_batches` builds B once and solves it for the data Q^T b
-    of all its modes as columns, by :func:`_shell_parts`; at real lambda
-    in its real form D^-1 B D, D = diag(i, 1, ..., 1), for -i zeta-hat, Re
-    and Im as two columns.  Rows whose moduli sum to 1 or more are scaled
-    down by powers of two to sums in [0.5, 1), so that partial pivoting
-    weighs boundary rows against interior ones.  Fields that overflow fail
-    the residual check.
-    """
+    """The shell-by-shell solve of :func:`solve_resolvent`, unchecked."""
     lam = complex(p.lam)
     real = _is_real(p)
     dtype = float if real else complex
@@ -359,9 +355,43 @@ def solve_resolvent(
 
     The operator is taken at ``p.xi_bar``; ``params.xi_bar`` is not read.
     A singular block (named by its batch of |k|^2 shells), or a relative
-    residual not within :data:`LIN_TOL`, raises :class:`SolverBreakdown`.
-    Returns real fields for real data at real lambda and complex fields
-    otherwise; for lambda = 0, zeta is returned mean-free.
+    residual not within :data:`LIN_TOL`, raises :class:`SolverBreakdown`;
+    fields that overflow fail the residual check.  Returns real fields for
+    real data at real lambda and complex fields otherwise; for lambda = 0,
+    zeta is returned mean-free.
+
+    The right-hand side is packed per mode: the horizontal transform of
+    zeta and of V's interior levels (the boundary levels are zero), the
+    packing that the velocity recovery of :func:`solve_steady_decomposed`
+    shares.  Real data at real lambda is transformed as by ``rfft2`` and
+    solved on the half-spectrum ky >= 0, any other problem on every mode.
+    At lambda = 0 the solution is unique only up to zeta in the mean and
+    on the Nyquist lines, whose derivatives vanish: those zeta modes are
+    pinned to zero, and the dense reference solve adds the projector onto
+    them to its matrix, so both return the same mean-free solution.
+
+    The Lame symbol is isotropic, so the bordered block at k is Q B Q^T:
+    B is the block at (|k|, 0), and Q = diag(1, I kron R_k) turns each
+    level's velocity by the angle of k (boundary rows and a pinned zeta
+    row keep their form).  Each shell q = |k|^2 / (2 pi)^2 of the wave
+    vectors the blocks use (Nyquist entries zero), pinned or not, builds B
+    once at (2 pi sqrt(q), 0) and solves it in one call for the data
+    Q^T b of all its modes as columns; the solutions are turned back by
+    Q.  The shells are taken in increasing order, a pinned block's shell
+    after the unpinned one of the same q, at most ny/2 of them to a batch,
+    whose blocks are built in one call and named together in a breakdown;
+    the filter pass of :func:`spectral_bound` batches its shells the same
+    way.  At (|k|, 0) B splits exactly into zeta with the x velocity levels
+    (order nz + 1) and the y velocity levels (order nz), solved apart, and
+    at real lambda it is solved in its real form D^-1 B D, D = diag(i, 1,
+    ..., 1), for -i zeta-hat, each mode's Re and Im as two real columns.
+    Before the solve each row whose moduli sum to 1 or more is scaled down
+    by a power of two to a sum in [0.5, 1), which is exact and lets partial
+    pivoting weigh the boundary rows (O(1) to O(nz^2)) against the
+    interior ones (O(|lambda| + mu |k|^2 + mu nz^4)).  At 32x32x17 that is
+    120 shells for the 544 modes of the real half-spectrum and the 1024 of
+    the full one.  The solutions match one solve per mode to rounding
+    (within 1.5e-13 relative on the tests' problems).
     """
     return _solve_checked(p, g, params)[:2]
 
@@ -527,29 +557,48 @@ def spectral_bound(
 ) -> float:
     """Spectral bound eta0 = -max Re sigma(A_CHS) on the mean-free subspace.
 
-    A_CHS is taken at ``xi_bar``, which defaults to ``params.xi_bar``.
-    ``per_mode`` takes the union of the per-mode eigenvalues over the
-    active horizontal modes (the k = 0 block restricted to its velocity
-    part, which is the mean-free restriction) of one mode of each conjugate
-    pair +-k, since the block at -k is the complex conjugate of the block
-    at k.  It runs in two passes.  A real filter pass ranks the blocks by
-    the |k|^2 shells of :func:`_shell_batches`: the Lame symbol
+    A_CHS is taken at ``xi_bar``, which defaults to ``params.xi_bar`` and
+    must be finite and positive.  ``per_mode`` takes the union of the
+    per-mode eigenvalues over the active horizontal modes (the k = 0 block
+    restricted to its velocity part, which is the mean-free restriction)
+    of one mode of each conjugate pair +-k, the half plane kx > 0 or
+    kx = 0 < ky: the block at -k is the complex conjugate of the block at
+    k, which keeps its eigenvalues exactly, up to conjugation.  It runs in
+    two passes.  A real filter pass ranks the blocks by |k|^2 shell, in
+    the shell batches of :func:`solve_resolvent`: the Lame symbol
     -mu |k|^2 - mu' k k^T is isotropic, so every bordered block B on a
-    shell is a rotation of the one at (|k|, 0) and has its eigenvalues.
-    There the real form D^-1 B D, D = diag(i, 1, ..., 1), splits into the
-    parts of :func:`_shell_parts`, and one dgeev of each gives the shell an
-    approximate max Re a and a size s = max|lambda|.  Only the candidates,
-    blocks whose shell has a + sqrt(eps) s at or above both the k = 0
-    block's max Re and every a - sqrt(eps) s, are eigensolved as B itself
-    (zgeev), in one batch: the filter's rounding sits far inside that
-    margin, so the result is the maximum over every block, bit for bit.
-    ``dense`` projects the dense reduced realization onto the mean-free
-    active subspace.  Raises :class:`SolverBreakdown` if an eigensolve
-    fails (naming its block, or the shells of its filter batch) or the
-    computed bound is not positive, or not resolved (within n eps
+    shell q = kx^2 + ky^2 (integer k) is a rotation of the one at
+    (2 pi sqrt(q), 0) and has its eigenvalues.  There the real form
+    D^-1 B D, D = diag(i, 1, ..., 1), is real (zeta's row and column of B
+    are imaginary, its velocity part real) and splits exactly into zeta
+    with the x velocity levels (order m + 1, m = nz - 2) and the y velocity
+    levels (order m), and one dgeev of each gives the shell an approximate
+    max Re a and a size s = max|lambda|; each kept block takes its shell's
+    a +- sqrt(eps) s.  At 16x16x9 that is 33 shells for 112 kept blocks,
+    at 32x32x17 119 shells for 480.  Only the candidates, blocks whose
+    shell has a + sqrt(eps) s at or above both the k = 0 block's max Re
+    and every a - sqrt(eps) s, are eigensolved as B itself (zgeev), in one
+    batch.  Every kept block's zgeev max Re lies within about 1e-15 s of
+    its shell's a (tested within 1e-13 s), and the real forms' own
+    rounding within 0.81 n eps s, far inside the margin, so the result is
+    the maximum over every block, bit for bit.  At the ``operators32``
+    viscosities 2 of 480 blocks are candidates.  Over 90 random
+    configurations (8^2 to 32^2, square and not, both models, mu from 1e-3
+    to 1e2, mu'/mu from -0.95 to 2, xi_bar from 0.1 to 10) zgeev ran on
+    17.4 blocks on average and 232 at most, the same blocks as with one
+    real eigensolve per block, and on none in the 48 where the k = 0 block
+    held the maximum.  zgeev returns the same bits under conjugation.  The
+    block at (kx, -ky) is D B D with D = diag(1, 1, -1, 1, -1, ...), which
+    zgeev may round apart from B (about 1e-12 relative); both are in the
+    batch, the ky >= 0 blocks first, so eta0 is the full-spectrum maximum,
+    bit for bit.  ``dense`` projects the dense reduced realization onto
+    the mean-free active subspace.  Raises :class:`SolverBreakdown` if an
+    eigensolve fails (naming its block, or the shells of its filter batch)
+    or the computed bound is not positive, or not resolved (within n eps
     max|lambda| of zero, max|lambda| over the k = 0 block and the shells).
     """
     xi_bar = params.xi_bar if xi_bar is None else xi_bar
+    check_density(xi_bar)
     if method == "per_mode":
         return _located_bound(g, params, xi_bar)[0]
     if method != "dense":

@@ -46,6 +46,7 @@ __all__ = [
     "DELTA",
     "MODELS",
     "PhysicalParams",
+    "check_density",
     "check_viscosities_finite",
     "column_density",
     "lame_weights",
@@ -88,6 +89,24 @@ def _require_finite(*named: tuple[str, complex]) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_density(xi, name: str = "xi_bar") -> None:
+    """Raise ``ValueError`` unless the density ``xi`` (a number, or a field
+    at each of its points) is finite and positive; the message names
+    ``name`` and, for a field, the first value that breaks the rule.
+
+    It is the rule of :class:`PhysicalParams` for ``xi_bar``, and every
+    operator and solver that takes a density as an argument applies it.
+    """
+    a = np.asarray(xi, dtype=float)
+    for ok, rule, bad in ((np.isfinite(a), "finite", "non-finite"),
+                          (a > 0, "positive", "nonpositive")):
+        if not np.all(ok) and a.ndim == 0:
+            raise ValueError(f"{name} must be {rule}, got {xi}")
+        if not np.all(ok):
+            raise ValueError(f"{name} must be {rule} at every point, got "
+                             f"the {bad} value {a[~ok].flat[0]}")
+
+
 def check_viscosities_finite(mu: float, mu_prime: float) -> None:
     """Raise ``ValueError`` unless mu, mu_prime and mu + mu_prime are finite.
 
@@ -115,8 +134,10 @@ class PhysicalParams:
         density.
     pressure, pressure_derivative : callable, optional
         The pressure law P and its derivative P' (``GeneralNoGravity``
-        only); sampled on [M1/2, 2*M2], P must be finite and P' finite
-        and positive, so that P' lies between two positive constants there.
+        only); sampled on [M1/2, 2*M2], which must be finite (so
+        ``M2 = 1e308`` is refused), P must be finite (so is a linear law
+        with ``c = 1e308``) and P' finite and positive, so that P' lies
+        between two positive constants there.
     """
 
     mu: float
@@ -142,8 +163,7 @@ class PhysicalParams:
             )
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not self.xi_bar > 0:
-            raise ValueError(f"xi_bar must be positive, got {self.xi_bar}")
+        check_density(self.xi_bar)
         if not 0 < self.M1 <= self.M2:
             raise ValueError(f"need 0 < M1 <= M2, got M1={self.M1}, M2={self.M2}")
         if self.model == "GeneralNoGravity":

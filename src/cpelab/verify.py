@@ -1,8 +1,9 @@
 """The ``cpelab verify`` battery: eleven self-contained correctness checks.
 
 Each check takes ``(tol_scale, mutation)`` and returns ``(ok, detail)``:
-``tol_scale >= 1`` relaxes its tolerance, and only the chain-rule oracle
-check uses ``mutation``, a defect injected into the explicit nonlinearity.
+``tol_scale >= 1`` relaxes its tolerance (for exploratory runs on unusual
+platforms), and only the chain-rule oracle check uses ``mutation``, a
+defect injected into the explicit nonlinearity.
 This module imports sympy through :mod:`cpelab.reference`, so the CLI
 imports it only when ``verify`` runs.
 """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -569,6 +570,48 @@ def readme_exit_codes():
 def test_readme_exit_code_table_matches_cli():
     assert readme_exit_codes() == {value for name, value in vars(cli).items()
                                    if name.startswith("EXIT_")}
+
+
+def readme_code_spans():
+    """The inline code spans of README.md, fenced blocks left out."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
+    return re.findall(r"`([^`\n]+)`", text)
+
+
+def test_readme_cites_public_names_that_exist():
+    # a dotted span is a citation when it starts at a cpelab module or class;
+    # file names (summary.json) and other packages (numpy.linalg) are not
+    modules = {m.name: importlib.import_module(f"cpelab.{m.name}")
+               for m in pkgutil.iter_modules(cpelab.__path__)}
+    classes = {name: obj for mod in modules.values()
+               for name, obj in vars(mod).items()
+               if isinstance(obj, type) and obj.__module__.startswith("cpelab")}
+    cited = []
+    for span in readme_code_spans():
+        parts = span.removeprefix("cpelab.").split(".")
+        if (not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span)
+                or parts[-1] in ("csv", "json", "npy", "py", "toml", "md")
+                or parts[0] not in {**modules, **classes}):
+            continue
+        cited.append(span)
+        obj = modules.get(parts[0]) or classes[parts[0]]
+        for attr in parts[1:]:
+            fields = ({f.name for f in dataclasses.fields(obj)}
+                      if dataclasses.is_dataclass(obj) else set())
+            assert hasattr(obj, attr) or attr in fields, span
+            assert not attr.startswith("_"), span
+            obj = getattr(obj, attr, None)
+    assert len(cited) >= 10
+
+
+def test_readme_names_no_private_name():
+    # an identifier that begins with an underscore, after a space, a dot,
+    # a parenthesis or the span's start (w_H and d_z V are not names)
+    private = [s for s in readme_code_spans()
+               if re.search(r"(?:^|[\s.(,])_[A-Za-z]", s)]
+    assert private == []
 
 
 def terminal_conditions(cls=evolve.TerminalCondition):

@@ -1174,6 +1174,18 @@ def test_initial_density_window_is_enforced():
         initial_state(cfg, make_grid(12, 12, 7))
 
 
+@pytest.mark.parametrize("mode", [(float("inf"), 0), (float("nan"), 0),
+                                  ("a", 1), (1.5, 0)])
+def test_run_config_refuses_non_integer_mode_components(mode):
+    # the rule's own message, not int()'s OverflowError or ValueError
+    with pytest.raises(ValueError, match="perturbation_mode must be a "
+                       "nonzero integer pair"):
+        RunConfig(mode="LocalGamma1", nx=8, ny=8, nz=5,
+                  params=gamma1_params(), dt=1e-3, t_end=1e-2,
+                  preset="fourier_perturbation", amplitude=1e-3,
+                  perturbation_mode=mode)
+
+
 def test_run_config_validation():
     params = gamma1_params()
     good = dict(mode="LocalGamma1", nx=8, ny=8, nz=5, params=params,

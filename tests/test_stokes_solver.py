@@ -139,6 +139,37 @@ def test_resolvent_path_holds_few_fields(field_units, lam):
         lam, g, params), V) <= 4.5
 
 
+def test_packing_holds_the_interior_spectrum_once(field_units):
+    # the per-mode right-hand sides at 32x32x17 are written into one array
+    # beside the interior spectrum (3.1 and 2.9 fields of V's size when
+    # zero-filled and concatenated)
+    rng = np.random.default_rng(36)
+    V = rng.standard_normal((32, 32, 17, 2))
+    zeta = rng.standard_normal((32, 32))
+    for V, zeta in ((V, zeta), (V * (1 + 1j), zeta * (1 - 1j))):
+        _pack_modes(V, zeta)  # numpy caches its transform plans on a first call
+        assert field_units(lambda: _pack_modes(V, zeta), V) <= 2.2
+
+
+@pytest.mark.parametrize("xi_bar", [0.0, -1.0, float("nan"), float("inf")])
+def test_reference_density_is_finite_and_positive_everywhere(xi_bar):
+    # PhysicalParams' rule for xi_bar, applied where a density is an argument
+    g, params = make_grid(8, 8, 5), PhysicalParams(mu=1.0, mu_prime=0.5)
+    rule = "must be (finite|positive)( at every point)?, got"
+    for method in ("per_mode", "dense"):
+        with pytest.raises(ValueError, match="xi_bar " + rule):
+            spectral_bound(g, params, xi_bar=xi_bar, method=method)
+    with pytest.raises(ValueError, match="xi_bar " + rule):
+        ResolventProblem(1.0, np.zeros((8, 8)), np.zeros((8, 8, 5, 2)),
+                         xi_bar=xi_bar)
+    V = np.ones((8, 8, 5, 2))
+    field = np.ones((8, 8))
+    field[3, 4] = xi_bar
+    for xi0 in (xi_bar, field):
+        with pytest.raises(ValueError, match="xi0 " + rule):
+            apply_hydrostatic_lame(V, xi0, g, params)
+
+
 def _residual_out_of_place(lam, zeta, V, f1, f2, xi_bar, g, params):
     """resolvent_residual written out of place, at a complex lambda."""
     lam = complex(lam)
