@@ -466,23 +466,28 @@ class Stepper:
         self.rho0 = rho0[..., None]
         self.rho_star = 0.5 * (np.min(rho0) + np.max(rho0))
         xi_bar = params.xi_bar if coupled else None
-        # the implicit operator rho_star - dt L on the half-spectrum, built in
-        # one call and inverted in place one row kx >= 0 at a time; the block
-        # at -kx is D M D, D negating the x-velocity unknowns
-        K = mode_wavevectors(g)[:, :g.ny // 2 + 1]
-        inv = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
-        inv = _real_form(inv) if coupled else inv
-        for ix in range(g.nx // 2 + 1):
-            with _linalg_breakdown(f"mode row {ix}"):
-                inv[ix] = np.linalg.inv(inv[ix])
-        sign = np.ones(inv.shape[-1])
-        sign[-2 * g.nz::2] = -1.0
-        rows = np.arange(g.nx // 2 + 1, g.nx)
-        inv[rows] = inv[g.nx - rows] * np.outer(sign, sign)
-        # all but the boundary levels' columns, as (ky, kx, c, n)
+        # the implicit operator rho_star - dt L on the rows kx >= 0 of the
+        # half-spectrum, built in one call and inverted one row at a time
+        # into the kept columns (all but the boundary levels') of _inv_t,
+        # as (ky, kx, c, n); the block at -kx is D M D, D negating the
+        # x-velocity unknowns, so its inverse D inv D is written as the
+        # row's times the outer product of D's signs
+        K = mode_wavevectors(g)[:g.nx // 2 + 1, :g.ny // 2 + 1]
+        blocks = mode_matrices(K, 1.0, g, params, self.rho_star, dt, xi_bar)
+        blocks = _real_form(blocks) if coupled else blocks
+        n = blocks.shape[-1]
         self._lead = lead = int(coupled)
-        self._inv_t = np.ascontiguousarray(np.delete(
-            inv, [lead, lead + 1, -2, -1], axis=-1).transpose(1, 0, 3, 2))
+        keep = np.delete(np.arange(n), [lead, lead + 1, n - 2, n - 1])
+        sign = np.ones(n)
+        sign[-2 * g.nz::2] = -1.0
+        mirror = np.outer(sign[keep], sign)
+        self._inv_t = np.empty((K.shape[1], g.nx, len(keep), n))
+        for ix, block in enumerate(blocks):
+            row = self._inv_t[:, ix]
+            with _linalg_breakdown(f"mode row {ix}"):
+                row[:] = np.linalg.inv(block)[..., keep].swapaxes(1, 2)
+            if 0 < ix < g.nx - ix:
+                np.multiply(row, mirror, out=self._inv_t[:, g.nx - ix])
         self._dft = None  # the transforms of a dense sweep, as matrices
         if max(g.nx, g.ny) <= DENSE_SWEEP_MAX_N:
             self._dft = (_fourier_matrix("rfft", g.ny),

@@ -27,18 +27,18 @@ Design notes
   Nyquist lines are zero exactly as for composed first derivatives, and
   spectral differentiation agrees with the classical dense Fourier
   differentiation matrix to machine precision.
-* Along an axis of at most :data:`DENSE_DERIVATIVE_MAX_N` nodes the
-  horizontal derivatives are BLAS matmuls with real matrices
+* The horizontal derivatives are BLAS matmuls with real matrices
   ``irfft((ik)^p rfft(I))``, one per horizontal plane (level, component),
-  so a plane's bits do not depend on the field it sits in.  The local
-  fixed-point sweeps are matmuls too, up to :data:`DENSE_SWEEP_MAX_N`.
-  These real matrices (the derivatives and the sweeps' DFTs) are made
-  from numpy's transforms of the identity once per size in a process and
-  shared read-only, so the k = 0 and Nyquist columns are treated as
-  ``irfft`` treats them.
-* Longer axes, dealiasing and the other implicit solves transform: real
-  fields with ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the
-  last transformed axis, complex fields (resolvent solutions at complex
+  on every axis (:data:`MAX_HORIZONTAL_N` bounds their size), so a plane's
+  bits do not depend on the field it sits in.  The local fixed-point
+  sweeps are matmuls too, up to :data:`DENSE_SWEEP_MAX_N`.  These real
+  matrices (the derivatives and the sweeps' DFTs) are made from numpy's
+  transforms of the identity once per size in a process and shared
+  read-only, so the k = 0 and Nyquist columns are treated as ``irfft``
+  treats them.
+* Dealiasing and the other implicit solves transform: real fields with
+  ``rfft``/``irfft`` on the half-spectrum ``k >= 0`` of the last
+  transformed axis, complex fields (resolvent solutions at complex
   lambda) with the full ``fft``/``ifft``.  The horizontal transforms are
   numpy's one-axis transforms in the order its 2-D routines apply them,
   so they return the same bits without the 2-D routines' overhead.
@@ -83,16 +83,22 @@ __all__ = [
 ]
 
 
-#: Resolution ceiling: the most entries nx (ny//2 + 1) (2 nz + 1)^2 that the
-#: implicit step's per-mode inverses may hold (1 GiB as complex numbers).
+#: Resolution ceiling on nx (ny//2 + 1) (2 nz + 1)^2.  It bounds what the
+#: implicit step's ``Stepper`` holds, with blocks of n <= 2 nz + 1 unknowns:
+#: the kept inverses ``_inv_t``, nx (ny//2 + 1) blocks of n (n - 4) floats,
+#: at most 2^26 floats (512 MiB), and while they are built the blocks of the
+#: rows kx >= 0, (nx//2 + 1)(ny//2 + 1) of n^2 entries, about 2^25 (512 MiB
+#: as GlobalGamma1's complex bordered blocks, 256 MiB as real ones).  It
+#: does not bound the horizontal derivative matrices: :data:`MAX_HORIZONTAL_N`
+#: does.
 MAX_BLOCK_ENTRIES = 2**26
 
-#: Longest horizontal axis differentiated by matmuls; pocketfft above it.
-#: ``grad_h_vec``, one pinned CPU, matmuls over pocketfft time: 0.21-0.24
-#: at 12x12x7, 0.28-0.66 at 32x32x17, 0.61-0.71 at 64x64x9, 0.68-0.79 at
-#: 128x128x9 (0.6-0.8 from 64x64 to 192x192); at 256x256 a 2-D gradient
-#: ties (1.06), at 384x384 all lose.
-DENSE_DERIVATIVE_MAX_N = 128
+#: Largest nx, ny.  Every horizontal derivative is a matmul with dense
+#: n x n matrices, cached per axis length: at 1024 nodes 8 MiB each, and
+#: about 24 MiB traced while one is made; both grow as n^2.  Their time
+#: over a transform's grows with n too: grad_h_vec at n x 8 x 3, one BLAS
+#: thread, took 2.3 times pocketfft's at n = 512 and 4-5 times at 1024.
+MAX_HORIZONTAL_N = 1024
 
 #: Largest nx, ny with dense-DFT fixed-point sweeps, pocketfft above.  Dense
 #: over pocketfft time of an iteration, one pinned CPU and BLAS thread, best
@@ -218,14 +224,18 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     Raises
     ------
     ValueError
-        If the resolution is too small or above :data:`MAX_BLOCK_ENTRIES`,
-        or a horizontal size is odd; checked before anything is allocated.
+        If the resolution is too small, above :data:`MAX_HORIZONTAL_N` or
+        :data:`MAX_BLOCK_ENTRIES`, or a horizontal size is odd; checked
+        before anything is allocated.
     """
     for name, n in (("nx", nx), ("ny", ny)):
         if n < 4 or n % 2 != 0:
             raise ValueError(
                 f"resolution too small: {name}={n} must be an even integer >= 4"
             )
+        if n > MAX_HORIZONTAL_N:
+            raise ValueError(f"resolution too large: {name}={n} exceeds "
+                             f"{MAX_HORIZONTAL_N}")
     if nz < 3:
         raise ValueError(f"resolution too small: nz={nz} must be >= 3")
     entries = nx * (ny // 2 + 1) * (2 * nz + 1) ** 2
@@ -408,30 +418,18 @@ def _derivatives(f: np.ndarray, ops) -> np.ndarray:
     """The spectral derivatives ``(axis, order)`` of f listed in ``ops``,
     order 1 or 2 along a horizontal axis, on a new trailing axis.
 
-    Along an axis of at most :data:`DENSE_DERIVATIVE_MAX_N` nodes each is
-    one matmul per horizontal plane (level, component) with the cached
-    ``"d1"``/``"d2"`` matrix, so a plane's bits are the same alone or in
-    any field; a longer axis takes one pocketfft forward transform.
+    Each is one matmul per horizontal plane (level, component) with the
+    cached ``"d1"``/``"d2"`` matrix of its axis, whatever the axis' length,
+    so a plane's bits are the same alone or in any field.
     """
     nx, ny = f.shape[:2]
     f3 = f.reshape(nx, ny, -1)
     out = np.empty(f3.shape + (len(ops),), np.result_type(f, float))
-    planes, spectra = None, {}
+    planes = np.ascontiguousarray(f3.transpose(2, 0, 1))
     for j, (axis, order) in enumerate(ops):
-        n = f.shape[axis]
-        if n <= DENSE_DERIVATIVE_MAX_N:
-            if planes is None:
-                planes = np.ascontiguousarray(f3.transpose(2, 0, 1))
-            D = _fourier_matrix(f"d{order}", n)
-            d = D @ planes if axis == 0 else planes @ D.T
-            out[..., j] = d.transpose(1, 2, 0)
-            continue
-        real = not np.iscomplexobj(f)
-        if axis not in spectra:
-            spectra[axis] = (np.fft.rfft if real else np.fft.fft)(f3, axis=axis)
-        fh = spectra[axis] * _multiplier(_ik(n) ** order, axis, 3, real)
-        out[..., j] = (np.fft.irfft(fh, n=n, axis=axis) if real
-                       else np.fft.ifft(fh, axis=axis))
+        D = _fourier_matrix(f"d{order}", f.shape[axis])
+        d = D @ planes if axis == 0 else planes @ D.T
+        out[..., j] = d.transpose(1, 2, 0)
     return out.reshape(f.shape + (len(ops),))
 
 

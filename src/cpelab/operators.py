@@ -198,6 +198,42 @@ def apply_hydrostatic_lame(
     return out
 
 
+def _shifted_chs(lam: complex, zeta: np.ndarray, V: np.ndarray,
+                 xi_bar: float, g: Grid, params: PhysicalParams, f2=None):
+    """The two rows of (lambda - A_CHS)(zeta, V), boundary layers raw; the
+    second less the data ``f2`` if given.
+
+    It is the one matrix-free body of A_CHS: :func:`apply_chs` is its
+    lambda = 0 result negated, and the resolvent residual and the
+    manufactured resolvent data read it.  A lambda whose imaginary part is
+    zero is taken as a real float, so real fields give real rows.
+    """
+    lam = complex(lam)
+    lam = lam.real if lam.imag == 0 else lam
+    r2 = _shifted_chs_row2(lam, grad_h(zeta, g)[:, :, None, :], V, xi_bar,
+                           g, params, f2)
+    return lam * zeta + xi_bar * div_h(vertical_average(V, g), g), r2
+
+
+def _shifted_chs_row2(lam, grad_zeta, V: np.ndarray, xi_bar: float, g: Grid,
+                      params: PhysicalParams, f2=None) -> np.ndarray:
+    """The second row of :func:`_shifted_chs` from the horizontal gradient
+    of zeta, which the steady solver already holds.
+
+    It is built in place, of the dtype of all the inputs, beside the
+    operator's result alone.
+    """
+    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
+    r2 = np.multiply(lam, V, dtype=np.result_type(
+        lam, grad_zeta, V, 0.0 if f2 is None else f2))
+    r2 -= AV
+    del AV
+    r2 += grad_zeta
+    if f2 is not None:
+        r2 -= f2
+    return r2
+
+
 def apply_chs(
     zeta: np.ndarray,
     V: np.ndarray,
@@ -211,18 +247,18 @@ def apply_chs(
     Row 1: -xi_bar * div_H of the vertical average of V.  Row 2:
     -grad_H zeta + A_{xi_bar} V with the constant-coefficient viscous
     operator; with ``bc="replace"`` the boundary layers of row 2 are the
-    boundary residuals of V.
+    boundary residuals of V.  Both rows are those of :func:`_shifted_chs`
+    at lambda = 0, negated in place.
     """
     validate_field(zeta, g, "scalar2d")
-    row1 = -xi_bar * div_h(vertical_average(V, g), g)
-    gz = grad_h(zeta, g)
-    row2 = -gz[:, :, None, :] + apply_hydrostatic_lame(
-        V, xi_bar, g, params, bc="raw")
-    if bc == "replace":
-        _replace_bc_rows(row2, V, g)
-    elif bc != "raw":
+    if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
-    return row1, row2
+    rows = _shifted_chs(0.0, zeta, V, xi_bar, g, params)
+    for row in rows:
+        np.negative(row, out=row)
+    if bc == "replace":
+        _replace_bc_rows(rows[1], V, g)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .grid import (
     _fft_h,
     _ifft_h,
     dealias,
-    div_h,
     grad_h,
     integral,
     l2_norm,
@@ -58,9 +57,10 @@ from .operators import (
     _linalg_breakdown,
     _pack_modes,
     _real_form,
-    _unpack_modes,
     _replace_bc_rows,
-    apply_hydrostatic_lame,
+    _shifted_chs,
+    _shifted_chs_row2,
+    _unpack_modes,
     dense_chs,
     mode_matrices,
     mode_wavevectors,
@@ -149,29 +149,6 @@ def _check_compatibility(f1: np.ndarray, g: Grid) -> None:
 def _state_norm(zeta: np.ndarray, V: np.ndarray, g: Grid):
     """sqrt(||zeta||^2 + ||V||^2), the norm of a state (zeta, V)."""
     return np.sqrt(l2_norm(zeta, g) ** 2 + l2_norm(V, g) ** 2)
-
-
-def _shifted_chs(lam: complex, zeta: np.ndarray, V: np.ndarray,
-                 xi_bar: float, g: Grid, params: PhysicalParams, f2=None):
-    """The two rows of (lambda - A_CHS)(zeta, V), boundary layers raw; the
-    second less the data ``f2`` if given.
-
-    A lambda whose imaginary part is zero is taken as a real float, so
-    real fields give real rows.  The second row is built in place, of the
-    dtype of all the inputs, beside the operator's result alone.
-    """
-    lam = complex(lam)
-    if lam.imag == 0:
-        lam = lam.real
-    AV = apply_hydrostatic_lame(V, xi_bar, g, params, bc="raw")
-    r2 = np.multiply(lam, V, dtype=np.result_type(
-        lam, zeta, V, 0.0 if f2 is None else f2))
-    r2 -= AV
-    del AV
-    r2 += grad_h(zeta, g)[:, :, None, :]
-    if f2 is not None:
-        r2 -= f2
-    return lam * zeta + xi_bar * div_h(vertical_average(V, g), g), r2
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -480,9 +457,10 @@ def solve_steady_decomposed(
     for it in range(PICARD_MAX_ITER):
         dzV = vertical_derivative(V, g)
         trace = trace_top * dzV[:, :, -1, :] + trace_bot * V[:, :, 0, :]
-        # tau correction: residual of the raw equation at the boundary rows
-        r_all = gz - f2 - apply_hydrostatic_lame(V, 1.0, g, params, bc="raw")
-        tau = tau_bot * r_all[:, :, 0, :] + tau_top * r_all[:, :, -1, :]
+        # tau correction: the raw second row of -A_CHS (zeta, V) - f2 at
+        # the boundary layers, from the last iterate's gradient of zeta
+        r = _shifted_chs_row2(0.0, gz, V, 1.0, g, params, f2)
+        tau = tau_bot * r[:, :, 0, :] + tau_top * r[:, :, -1, :]
         Rh = _fft_h(base + trace + tau)
         # saddle elimination: ztilde = (mu(k2-1) f1 - i kt . R)/k2
         zt = (mu * (k2 - 1.0) * f1h

@@ -39,6 +39,22 @@ def grid_of_any_parity():
     return _grid_of_any_parity
 
 
+def _fft_derivative(f, ik, axis):
+    """A derivative through the full complex fft along one axis, with the
+    multipliers ``ik`` (their square for the second derivative); real for a
+    real f."""
+    shape = [1] * f.ndim
+    shape[axis] = len(ik)
+    out = np.fft.ifft(np.fft.fft(f, axis=axis) * ik.reshape(shape), axis=axis)
+    return out if np.iscomplexobj(f) else out.real
+
+
+@pytest.fixture(scope="session")
+def fft_derivative():
+    """``(f, ik, axis) -> array``: the fft's derivative of f along axis."""
+    return _fft_derivative
+
+
 def _field_units(call, V):
     """The traced peak of ``call()`` in fields of V's size: the bytes
     tracemalloc sees it hold at most at once, divided by ``V.nbytes``."""

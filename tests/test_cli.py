@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cpelab
-from cpelab import cli, diagnostics, evolve, stokes_solver
+from cpelab import cli, diagnostics, evolve, operators, stokes_solver
 from cpelab.grid import grad_h, make_grid
 from cpelab.operators import (
     SolverBreakdown,
@@ -662,6 +662,7 @@ HOSTILE = [
     ({"params": {"mu": 1.0, "mu_prime": 1e300}}, (9, 9, 9)),
     ({"grid": {"nx": 2**40, "ny": 8, "nz": 5}}, (2, 2, 2)),
     ({"grid": {"nx": 8, "ny": 8, "nz": 10**9}}, (2, 2, 2)),
+    ({"grid": {"nx": 4, "ny": 65536, "nz": 3}}, (2, 2, 2)),
     ({"params": {"mu": 1.0, "mu_prime": 1e308}}, (9, 9, 9)),
     ({"params": {"mu": 1e308, "mu_prime": 0.5}}, (9, 9, 9)),
     ({"params": {**ADMISSIBLE, "xi_bar": 1e-320}}, (2, 9, 9)),
@@ -676,6 +677,7 @@ HOSTILE = [
 ]
 HOSTILE_IDS = ("xi_bar-1e308", "global-mu-1e-300", "global-mu-1e300",
                "mu-1e-300", "mu_prime-1e300", "nx-2**40", "nz-10**9",
+               "ny-65536",
                "mu_prime-1e308", "mu-1e308", "xi_bar-1e-320",
                "general-M2-1e308", "mu--1e308", "general-c-1e308",
                "general-c-4e307", "general-c-1e307")
@@ -689,8 +691,13 @@ DENSITY_WINDOW = ("config error: invalid params: the density window "
 PRESSURE_OVERFLOW = ("config error: invalid params: pressure derivative must "
                      "be finite and positive, and the pressure finite, on the "
                      "sampled interval [0.25, 4.0]: range [1e+308, 1e+308]")
+# under the block ceiling, but its derivative matrices would not fit
+LONG_AXIS = ("config error: invalid grid: resolution too large: ny=65536 "
+             "exceeds 1024")
 # (row, command) -> a line its standard error must hold
 HOSTILE_ERRORS = {
+    **{("ny-65536", command): LONG_AXIS
+       for command in ("simulate", "spectrum", "resolvent")},
     ("xi_bar-1e308", "spectrum"): ZETA_ROW_OVERFLOW,
     ("xi_bar-1e308", "resolvent"): DATA_OVERFLOW,
     ("mu_prime-1e308", "simulate"):
@@ -1157,14 +1164,14 @@ def test_simulate_sets_up_once(tmp_path, monkeypatch):
 
 def test_resolvent_applies_viscous_operator_once_per_field(tmp_path,
                                                            monkeypatch):
-    apply = stokes_solver.apply_hydrostatic_lame
+    apply = operators.apply_hydrostatic_lame
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return apply(*args, **kwargs)
 
-    monkeypatch.setattr(stokes_solver, "apply_hydrostatic_lame", counting)
+    monkeypatch.setattr(operators, "apply_hydrostatic_lame", counting)
     prob = write_problem(tmp_path, lam=3.0)
     assert cli.main(["resolvent", prob,
                      "--output-dir", str(tmp_path / "res")]) == 0

@@ -781,6 +781,20 @@ def test_reflected_inverses_solve_as_every_row_inverted(mode, general_params):
         assert same_bytes(V, V_ref) and it == it_ref
 
 
+@pytest.mark.parametrize("mode,bound", (("LocalGamma1", 2.5),
+                                        ("GlobalGamma1", 3.0)))
+def test_stepper_builds_its_inverses_in_place(mode, bound, field_units):
+    # each row kx >= 0 is inverted straight into the kept columns of
+    # _inv_t and mirrored there, so the build holds no more than the
+    # blocks of the rows kx >= 0 beside what it keeps
+    g = make_grid(32, 32, 17)
+    params = gamma1_params()
+    zeta0 = np.ones((g.nx, g.ny))
+    kept = Stepper(mode, g, params, 1e-2, zeta0=zeta0)._inv_t
+    assert field_units(
+        lambda: Stepper(mode, g, params, 1e-2, zeta0=zeta0), kept) <= bound
+
+
 def test_fixed_point_stops_at_the_first_non_finite_sweep():
     g = make_grid(8, 8, 5)
     stepper, s0 = stepper_and_state("LocalGamma1", gamma1_params(), g, 0.05)
@@ -1247,31 +1261,31 @@ def test_mode_tables_are_consistent():
 @pytest.mark.parametrize("shape", ((8, 8, 5), (12, 6, 7), (7, 9, 5),
                                    (24, 16, 9)))
 def test_F2_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
-                                              monkeypatch):
+                                              fft_derivative):
     g = grid_of_any_parity(*shape)
     rng = np.random.default_rng(36)
     V = rng.standard_normal(shape + (2,))
-
-    def first_and_second():
-        dV = grad_h_vec(V, g)
-        H = evolve._second_derivatives(V, dV)
-        # a plane's bits do not depend on the derivatives taken beside it:
-        # split, they are those of one fused call
-        d = grid._derivatives(V, ((0, 1), (1, 1), (0, 2), (1, 2)))
-        assert same_bytes(dV, d[..., :2])
-        assert same_bytes(H[..., 0, 0], d[..., 2])
-        assert same_bytes(H[..., 1, 1], d[..., 3])
-        dxy = grid._derivatives(d[..., 1], ((0, 1),))[..., 0]
-        assert same_bytes(H[..., 0, 1], dxy)
-        return dV, H
-
-    dense = first_and_second()
-    monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
-    ref = first_and_second()  # on pocketfft too
-    for got, want in zip(dense, ref):
+    dV = grad_h_vec(V, g)
+    H = evolve._second_derivatives(V, dV)
+    # a plane's bits do not depend on the derivatives taken beside it:
+    # split, they are those of one fused call
+    d = grid._derivatives(V, ((0, 1), (1, 1), (0, 2), (1, 2)))
+    assert same_bytes(dV, d[..., :2])
+    assert same_bytes(H[..., 0, 0], d[..., 2])
+    assert same_bytes(H[..., 1, 1], d[..., 3])
+    dxy = grid._derivatives(d[..., 1], ((0, 1),))[..., 0]
+    assert same_bytes(H[..., 0, 1], dxy)
+    assert same_bytes(H[..., 0, 1], H[..., 1, 0])
+    # the fft's derivatives, each axis' multipliers and their squares
+    dx, dy = (fft_derivative(V, ik, axis)
+              for axis, ik in ((0, g.ikx), (1, g.iky)))
+    ref_dV = np.stack([dx, dy], axis=-1)
+    ref_H = np.stack([fft_derivative(V, g.ikx**2, 0),
+                      fft_derivative(dy, g.ikx, 0),
+                      fft_derivative(dx, g.iky, 1),
+                      fft_derivative(V, g.iky**2, 1)], axis=-1)
+    for got, want in ((dV, ref_dV), (H, ref_H.reshape(H.shape))):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    for _, H in (dense, ref):
-        assert same_bytes(H[..., 0, 1], H[..., 1, 0])
 
 
 @pytest.mark.parametrize("mode", ("LocalGamma1", "LocalGamma2",

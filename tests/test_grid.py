@@ -66,11 +66,17 @@ def test_make_grid_rejects_small_or_odd_resolutions():
 
 
 def test_make_grid_rejects_resolutions_above_the_ceiling():
-    # 128 * 65 * 89^2 is within 2^26, 128 * 65 * 91^2 is not
+    # 128 * 65 * 89^2 is within 2^26, 128 * 65 * 91^2 is not; 4 * 32769 * 7^2
+    # is within it too, but the dense derivative matrices of a 65536-node
+    # axis are not: the axis length bounds them
     assert make_grid(128, 128, 44).nz == 44
-    for shape in ((128, 128, 45), (2**40, 8, 5), (8, 8, 10**9)):
+    assert make_grid(1024, 4, 3).nx == grid.MAX_HORIZONTAL_N == 1024
+    for shape in ((128, 128, 45), (2**40, 8, 5), (8, 8, 10**9), (1026, 4, 3),
+                  (4, 65536, 3)):
         with pytest.raises(ValueError, match="resolution too large"):
             make_grid(*shape)
+    with pytest.raises(ValueError, match="ny=65536 exceeds 1024$"):
+        make_grid(4, 65536, 3)
 
 
 def test_grid_nodes_and_weights_basic_structure():
@@ -259,14 +265,6 @@ def rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def fft_derivative(f, ik, axis):
-    """First derivative through the full complex fft along one axis."""
-    shape = [1] * f.ndim
-    shape[axis] = len(ik)
-    out = np.fft.ifft(np.fft.fft(f, axis=axis) * ik.reshape(shape), axis=axis)
-    return out if np.iscomplexobj(f) else out.real
-
-
 def fft_dealias(f, g):
     """The 2/3 rule through the full complex fft2."""
     mask = g.dealias_mask.reshape(g.dealias_mask.shape + (1,) * (f.ndim - 2))
@@ -343,7 +341,8 @@ def test_l2_norm_sums_components_as_np_sum_does(dtype, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ((8, 6, 5), (7, 9, 5)))
-def test_real_input_transforms_match_complex_path(shape, grid_of_any_parity):
+def test_real_input_transforms_match_complex_path(shape, grid_of_any_parity,
+                                                  fft_derivative):
     g = grid_of_any_parity(*shape)
     nx, ny, nz = shape
     rng = np.random.default_rng(31)
@@ -418,22 +417,17 @@ def field_shapes(nx, ny, nz):
 @pytest.mark.parametrize("shape", FIELD_GRIDS,
                          ids=["x".join(map(str, s)) for s in FIELD_GRIDS])
 def test_dense_derivatives_match_pocketfft(shape, grid_of_any_parity,
-                                           monkeypatch):
+                                           fft_derivative):
     g = grid_of_any_parity(*shape)
-    assert max(g.nx, g.ny) <= grid.DENSE_DERIVATIVE_MAX_N
     rng = np.random.default_rng(33)
     fields = [f for s in field_shapes(*shape) for f in real_and_complex(rng, s)]
     ops = ((0, 1), (1, 1), (0, 2), (1, 2))  # (axis, order)
-    dense = [grid._derivatives(f, ops) for f in fields]
-    monkeypatch.setattr(grid, "DENSE_DERIVATIVE_MAX_N", 0)
-    for f, got in zip(fields, dense):
-        ref = grid._derivatives(f, ops)
+    for f in fields:
+        got = grid._derivatives(f, ops)
         assert got.dtype == f.dtype and got.shape == f.shape + (4,)
-        for j in range(4):
-            assert rel_diff(got[..., j], ref[..., j]) <= 1e-14
-        # pocketfft's first derivatives are the full complex path's
-        for j, ik in ((0, g.ikx), (1, g.iky)):
-            assert rel_diff(ref[..., j], fft_derivative(f, ik, j)) <= 1e-14
+        for j, (axis, order) in enumerate(ops):
+            ik = (g.ikx, g.iky)[axis] ** order
+            assert rel_diff(got[..., j], fft_derivative(f, ik, axis)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", (4, 7, 12, 15, 32))
@@ -479,19 +473,23 @@ def test_derivative_matrices_are_made_once_and_never_written():
             m[0, ...] = 1.0
 
 
-def test_a_long_axis_keeps_the_pocketfft_derivative(monkeypatch):
-    n = grid.DENSE_DERIVATIVE_MAX_N + 2
-    g = make_grid(n, 6, 3)
-    f = np.random.default_rng(35).standard_normal((n, 6, 2))
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        def counted(*args, name=name, fn=getattr(np.fft, name), **kwargs):
-            counts[name] += 1
+@pytest.mark.parametrize("axis", (0, 1))
+def test_a_long_axis_is_differentiated_by_matmuls(axis, monkeypatch,
+                                                  fft_derivative):
+    shape = (130, 6) if axis == 0 else (6, 130)
+    g = make_grid(*shape, 3)
+    ik = (g.ikx, g.iky)[axis]
+    rng = np.random.default_rng(35)
+    fields = real_and_complex(rng, shape + (2,))
+    grad_h_vec(fields[0], g)  # makes the cached matrices of both axes
+    calls = []
+    for name in np.fft.__all__:
+        def counted(*args, fn=getattr(np.fft, name), **kwargs):
+            calls.append(fn)
             return fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    got = grad_h_vec(f, g)
-    # one transform pair along x; the short y axis is a matmul
-    assert counts == {"rfft": 1, "irfft": 1}
-    ref = np.fft.irfft(np.fft.rfft(f, axis=0) * g.ikx[:n // 2 + 1, None, None],
-                       n=n, axis=0)
-    assert same_bytes(np.ascontiguousarray(got[..., 0]), ref)
+    got = [grad_h_vec(f, g)[..., axis] for f in fields]
+    assert calls == []
+    monkeypatch.undo()
+    for f, d in zip(fields, got):
+        assert rel_diff(d, fft_derivative(f, ik, axis)) <= 1e-14

@@ -304,6 +304,11 @@ def _run_stepper(g, params, problem):
     return Stepper("GlobalGamma1", g, params, 1e-2)
 
 
+def _run_local_stepper(g, params, problem):
+    return Stepper("LocalGamma1", g, params, 1e-2,
+                   zeta0=np.ones((g.nx, g.ny)))
+
+
 def _run_resolvent(g, params, problem):
     return solve_resolvent(problem, g, params)
 
@@ -320,6 +325,8 @@ def _run_steady(g, params, problem):
 # row, block or batch the breakdown must name)
 LINALG_FAILURES = [
     pytest.param("inv", 3, _run_stepper, 1.0, "mode row 2", id="stepper"),
+    pytest.param("inv", 4, _run_local_stepper, 1.0, "mode row 3",
+                 id="local-stepper"),
     # the resolvent at 8^2: the 10 shells |k|^2 = 0 ... 18 of the half-
     # spectrum in batches of ny/2 = 4, each solved as its (zeta, x) part,
     # then its y part; at lambda = 0 a pinned block is a shell of its own
