@@ -71,6 +71,7 @@ __all__ = [
     "mode_wavevectors",
     "vertical_lame_block",
     "mode_matrices",
+    "shell_blocks",
     "vertical_reduction",
     "pack_state",
     "unpack_state",
@@ -533,6 +534,34 @@ def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k2, kt[..., :, None] * kt[..., None, :]
 
 
+def _lame_parts(kt: np.ndarray, rho, g: Grid,
+                params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """The Lame formula of :func:`vertical_lame_block` in its two parts.
+
+    Returns mu times the vertical part off the level diagonal, shape (nz,
+    nz), the same at every mode, and the 2 x 2 level-diagonal blocks at
+    the wave vectors ``kt`` (..., 2), shape (..., nz, 2, 2).  Blocks that
+    overflow raise :class:`SolverBreakdown`.
+    """
+    k2, kk = _symbol_parts(kt)
+    wH, wZ = lame_weights(params.model, g.z)
+    rho = np.broadcast_to(rho, g.z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (wH / rho)[:, None, None]
+        vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
+        v = np.diag(vert)[:, None, None]
+        T = params.mu * (vert - np.diag(np.diag(vert)))
+        D = (-params.mu * k2[..., None, :, :] * (a * np.eye(2))
+             + params.mu * (v * np.eye(2))
+             - params.mu_prime * (a * kk[..., None, :, :]))
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(D))):
+        raise SolverBreakdown(
+            f"operator breakdown: the Lame block overflows (mu = "
+            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
+            f"column density {rho.min():.6g})")
+    return T, D
+
+
 def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
                         params: PhysicalParams) -> np.ndarray:
     """Vertical blocks of L / rho at horizontal modes ``kt``.
@@ -546,33 +575,36 @@ def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
     flattened as (iz, comp) C-order, without boundary handling (combine
     with :func:`vertical_reduction` for eigensolves; :func:`mode_matrices`
     builds them for solves).  A single (2,) wave vector gives a single
-    block.  Blocks that overflow raise :class:`SolverBreakdown`.  Off the
-    level diagonal every block is mu kron(vert, I2), built once and
-    copied; only the 2 x 2 level-diagonal blocks are made per mode.  Every
-    nonzero entry keeps the bits of the whole-block Kronecker formula (a
-    zero may differ in its sign, which no output depends on), and a
-    block's bits do not depend on the batch it is built in.
+    block.  Blocks that overflow raise :class:`SolverBreakdown`.  This is
+    the row assembly of the formula of :func:`_lame_parts`, which
+    :func:`shell_blocks` assembles per velocity component: off the level
+    diagonal every block is kron(T, I2), built once and copied; only the
+    2 x 2 level-diagonal blocks are made per mode.  Every nonzero entry
+    keeps the bits of the whole-block Kronecker formula (a zero may differ
+    in its sign, which no output depends on), and a block's bits do not
+    depend on the batch it is built in.
     """
-    k2, kk = _symbol_parts(kt)
-    wH, wZ = lame_weights(params.model, g.z)
-    rho = np.broadcast_to(rho, g.z.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = (wH / rho)[:, None, None]
-        vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
-        v = np.diag(vert)[:, None, None]
-        T = params.mu * _kron(vert - np.diag(np.diag(vert)), np.eye(2))
-        D = (-params.mu * k2[..., None, :, :] * (a * np.eye(2))
-             + params.mu * (v * np.eye(2))
-             - params.mu_prime * (a * kk[..., None, :, :]))
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(D))):
-        raise SolverBreakdown(
-            f"operator breakdown: the Lame block overflows (mu = "
-            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
-            f"column density {rho.min():.6g})")
-    M = np.broadcast_to(T, D.shape[:-3] + T.shape).copy()
+    T, D = _lame_parts(kt, rho, g, params)
+    M = np.broadcast_to(_kron(T, np.eye(2)),
+                        D.shape[:-3] + (2 * g.nz, 2 * g.nz)).copy()
     i = 2 * np.arange(g.nz)[:, None] + np.arange(2)
     M[..., i[:, :, None], i[:, None, :]] = D
     return M
+
+
+def _zeta_border(kt: np.ndarray, weights: np.ndarray, scale: float,
+                 xi_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta row and column of scale * A_CHS at the wave vectors ``kt``
+    (..., c): scale xi_bar i kt weights, shape (..., m, c), and scale i kt,
+    complex; ``weights`` (m,) is the vertical average.  A row that
+    overflows raises :class:`SolverBreakdown`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = scale * xi_bar * 1j * kt[..., None, :] * weights[:, None]
+    if not np.all(np.isfinite(row)):
+        raise SolverBreakdown(
+            f"operator breakdown: the zeta row overflows (xi_bar * |k| "
+            f"exceeds the float range at xi_bar = {xi_bar:.6g})")
+    return row, scale * 1j * kt
 
 
 def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
@@ -585,16 +617,11 @@ def _bordered(vel: np.ndarray, kt: np.ndarray, weights: np.ndarray,
     """
     kt = np.asarray(kt, dtype=float)
     m = len(weights)
+    row, col = _zeta_border(kt, weights, scale, xi_bar)
     B = np.zeros(vel.shape[:-2] + (1 + 2 * m, 1 + 2 * m), dtype=complex)
     B[..., 0, 0] = shift
-    with np.errstate(over="ignore", invalid="ignore"):
-        B[..., 0, 1:] = (scale * xi_bar * 1j * kt[..., None, :]
-                         * weights[:, None]).reshape(kt.shape[:-1] + (2 * m,))
-    if not np.all(np.isfinite(B[..., 0, 1:])):
-        raise SolverBreakdown(
-            f"operator breakdown: the zeta row overflows (xi_bar * |k| "
-            f"exceeds the float range at xi_bar = {xi_bar:.6g})")
-    B[..., 1:, 0] = np.tile(scale * 1j * kt, m)
+    B[..., 0, 1:] = row.reshape(kt.shape[:-1] + (2 * m,))
+    B[..., 1:, 0] = np.tile(col, m)
     B[..., 1:, 1:] = vel
     return B
 
@@ -626,13 +653,14 @@ def mode_matrices(
     alone, shape (..., 2 nz, 2 nz).  The top velocity rows hold V = 0 at
     z = 1 and the bottom rows d_z V = 0 at z = 0.
 
-    It is the one builder of the per-mode systems: the resolvent solve,
-    the spectral bound and the time integrator's implicit step build a
-    batch of modes in one call and solve, invert or eigensolve it in one
-    batched ``numpy.linalg`` call.  A failure there raises
-    :class:`SolverBreakdown` naming the kx row or block (in the resolvent
-    solve and the spectral bound's filter pass, the |k|^2 shells of its
-    batch), which ``cpelab`` reports with exit code 9.
+    It builds the per-mode systems at general wave vectors: the time
+    integrator's implicit step builds a kx row of modes in one call and
+    the steady solver's velocity recovery every mode, each inverted in one
+    batched ``numpy.linalg`` call; a failure there raises
+    :class:`SolverBreakdown` naming the kx row or the blocks, which
+    ``cpelab`` reports with exit code 9.  The |k|^2 shells of the
+    resolvent solve and of the spectral bound's filter pass take their
+    two parts from :func:`shell_blocks` instead.
     """
     nz = g.nz
     M = vertical_lame_block(kt, rho, g, params)
@@ -649,6 +677,72 @@ def mode_matrices(
     M[..., bot, :] = 0.0
     M[..., bot[:, None], off + 2 * np.arange(nz) + comp[:, None]] = g.Dz[0]
     return M
+
+
+def shell_blocks(kt: np.ndarray, rho, g: Grid, params: PhysicalParams,
+                 xi_bar: float, lam: complex | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the bordered blocks of one batch of |k|^2 shells.
+
+    At a wave vector (k, 0) of ``kt`` (b, 2) a bordered block has no
+    entries between zeta with the x velocity levels and the y velocity
+    levels.  This builds those two parts and nothing else: per velocity
+    component the level blocks of the Lame formula of :func:`_lame_parts`
+    at ``rho``, then the zeta row and column of the x part.  Each part is
+    allocated once, in its final dtype, and filled in place.
+
+    With ``lam`` they are the parts of lam - A_CHS with boundary rows
+    replaced, as :func:`mode_matrices` builds it with ``xi_bar``: orders
+    nz + 1 and nz, complex, or at real lam float, in the real form D^-1 B
+    D, D = diag(i, 1, ..., 1), of :func:`_real_form` (zeta's row and
+    column of B are imaginary, its velocity part real).  Without it they
+    are the parts of the real form of A_CHS in the reduced realization S A
+    R of :func:`vertical_reduction`: orders m + 1 and m, m = nz - 2.
+    Every entry has the bits of the same entry of those whole blocks.
+    The resolvent solve and the spectral bound's filter pass build each
+    batch of shells here; a failure in the linear algebra on the parts
+    raises :class:`SolverBreakdown` naming the batch's shells.
+    """
+    T, D = _lame_parts(kt, rho, g, params)
+    b, nz = len(kt), g.nz
+    if lam is None:
+        S, R = vertical_reduction(g)
+        weights, scale, corner, real = g.wz @ R, -1.0, 0.0, True
+    else:
+        weights, scale, corner = g.wz, 1.0, complex(lam)
+        real = corner.imag == 0
+        # lam I's diagonal [0, 0] and off-diagonal [0, 1] entries, zeros
+        # signed as in the whole block's lam * eye(2 nz)
+        shift = corner * np.eye(2)
+        shift = shift.real if real else shift
+    row, col = _zeta_border(kt[:, :1], weights, scale, xi_bar)
+    m = len(weights)
+    dtype = float if real else complex
+    parts = np.empty((b, m + 1, m + 1), dtype), np.empty((b, m, m), dtype)
+    level = np.arange(nz)
+    for c, P in enumerate(parts):
+        vel = P[:, 1 - c:, 1 - c:]
+        if lam is None:
+            L = np.broadcast_to(T, (b, nz, nz)).copy()
+            L[:, level, level] = D[:, :, c, c]
+            vel[...] = S @ L @ R
+        else:
+            vel[...] = T
+            np.subtract(shift[0, 1], vel, out=vel)
+            vel[:, level, level] = shift[0, 0] - D[:, :, c, c]
+            vel[:, 0] = g.Dz[0]  # d_z V = 0 at z = 0
+            vel[:, -1] = 0.0     # V = 0 at z = 1
+            vel[:, -1, -1] = 1.0
+    col = np.tile(col, m)
+    if lam is not None:
+        col[:, [0, -1]] = 0.0  # the boundary rows
+    if real:
+        corner, row, col = corner.real, row.imag, -col.imag
+    X = parts[0]
+    X[:, 0, 0] = corner
+    X[:, 0, 1:] = row[..., 0]
+    X[:, 1:, 0] = col
+    return parts
 
 
 def _pack_modes(V: np.ndarray, zeta: np.ndarray | None = None) -> np.ndarray:

@@ -56,7 +56,6 @@ from .operators import (
     _bordered,
     _linalg_breakdown,
     _pack_modes,
-    _real_form,
     _replace_bc_rows,
     _shifted_chs,
     _shifted_chs_row2,
@@ -64,6 +63,7 @@ from .operators import (
     dense_chs,
     mode_matrices,
     mode_wavevectors,
+    shell_blocks,
     vertical_lame_block,
     vertical_reduction,
 )
@@ -227,12 +227,6 @@ def _is_real(p: ResolventProblem) -> bool:
             and not np.iscomplexobj(p.f2))
 
 
-def _shell_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of a bordered block of order n at (|k|, 0), with no
-    entries between them: zeta with the x velocity levels, and the y ones."""
-    return np.r_[0, 1:n:2], np.r_[2:n:2]
-
-
 def _rotate(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     """Turn each level's velocity (x, y) of the packed modes u, one a row,
     by (cos, sin) = (c, s), in place."""
@@ -295,27 +289,31 @@ def _solve_per_mode(
     if real_form:
         lead[:] = lead[:, ::-1] * (1.0, -1.0)  # -i zeta-hat
     rho = column_density(params.model, p.xi_bar, g.z)
-    parts = _shell_parts(n)
     for kt, pinned, where, at, row, col in _shell_batches(keys, g.ny,
                                                           "resolvent"):
-        M = mode_matrices(kt, rho, g, params, lam, 1.0, xi_bar=p.xi_bar)
-        M[pinned, 0, :] = 0.0
-        M[pinned, 0, 0] = 1.0
-        b = np.zeros((len(kt), n, col.max() + 1), dtype=complex)
-        b[row, :, col] = rhs[at]
-        if real_form:
-            M, b = _real_form(M), b.view(float)
-        # exact scaling: a power of two, and none that could overflow
-        e = np.frexp(np.abs(M) @ np.ones(n))[1]
-        w = np.ldexp(1.0, -np.maximum(e, 0))[..., None]
-        M *= w
-        b *= w
-        u = np.empty_like(b)
-        with _linalg_breakdown(where):
-            for part in parts:
-                u[:, part] = np.linalg.solve(M[:, part[:, None], part],
-                                             b[:, part])
-        rhs[at] = u.view(complex)[row, :, col]
+        xz, y = shell_blocks(kt, rho, g, params, p.xi_bar, lam)
+        xz[pinned, 0, :] = 0.0
+        xz[pinned, 0, 0] = 1.0
+        # the data of each part, its modes as columns
+        r = rhs[at]
+        bxz, by = (np.zeros((len(kt), M.shape[-1], col.max() + 1),
+                            dtype=complex) for M in (xz, y))
+        bxz[row, 0, col] = r[:, 0]
+        bxz[row, 1:, col] = r[:, 1::2]
+        by[row, :, col] = r[:, 2::2]
+        for M, b in ((xz, bxz), (y, by)):
+            b = b.view(float) if real_form else b
+            # exact scaling: a power of two, and none that could overflow
+            e = np.frexp(np.abs(M) @ np.ones(M.shape[-1]))[1]
+            w = np.ldexp(1.0, -np.maximum(e, 0))[..., None]
+            M *= w
+            b *= w
+            with _linalg_breakdown(where):
+                b[...] = np.linalg.solve(M, b)
+        r[:, 0] = bxz[row, 0, col]
+        r[:, 1::2] = bxz[row, 1:, col]
+        r[:, 2::2] = by[row, :, col]
+        rhs[at] = r
     if real_form:
         lead[:] = lead[:, ::-1] * (-1.0, 1.0)
     _rotate(rhs, c, s)  # Q u
@@ -358,14 +356,14 @@ def solve_resolvent(
     after the unpinned one of the same q, at most ny/2 of them to a batch,
     whose blocks are built in one call and named together in a breakdown;
     the filter pass of :func:`spectral_bound` batches its shells the same
-    way.  At (|k|, 0) B splits exactly into zeta with the x velocity levels
-    (order nz + 1) and the y velocity levels (order nz), solved apart, and
-    at real lambda it is solved in its real form D^-1 B D, D = diag(i, 1,
-    ..., 1), for -i zeta-hat, each mode's Re and Im as two real columns.
-    Before the solve each row whose moduli sum to 1 or more is scaled down
-    by a power of two to a sum in [0.5, 1), which is exact and lets partial
-    pivoting weigh the boundary rows (O(1) to O(nz^2)) against the
-    interior ones (O(|lambda| + mu |k|^2 + mu nz^4)).  At 32x32x17 that is
+    way.  At (|k|, 0) B splits exactly into two parts, which
+    :func:`cpelab.operators.shell_blocks` builds alone and which are solved
+    apart; at real lambda in their real form, for -i zeta-hat, each mode's
+    Re and Im as two real columns.  Before the solve each row whose moduli
+    sum to 1 or more is scaled down by a power of two to a sum in [0.5,
+    1), which is exact and lets partial pivoting weigh the boundary rows
+    (O(1) to O(nz^2)) against the interior ones (O(|lambda| + mu |k|^2 +
+    mu nz^4)).  At 32x32x17 that is
     120 shells for the 544 modes of the real half-spectrum and the 1024 of
     the full one.  The solutions match one solve per mode to rounding
     (within 1.5e-13 relative on the tests' problems).
@@ -546,11 +544,9 @@ def spectral_bound(
     the shell batches of :func:`solve_resolvent`: the Lame symbol
     -mu |k|^2 - mu' k k^T is isotropic, so every bordered block B on a
     shell q = kx^2 + ky^2 (integer k) is a rotation of the one at
-    (2 pi sqrt(q), 0) and has its eigenvalues.  There the real form
-    D^-1 B D, D = diag(i, 1, ..., 1), is real (zeta's row and column of B
-    are imaginary, its velocity part real) and splits exactly into zeta
-    with the x velocity levels (order m + 1, m = nz - 2) and the y velocity
-    levels (order m), and one dgeev of each gives the shell an approximate
+    (2 pi sqrt(q), 0) and has its eigenvalues.  There B splits exactly
+    into two parts, whose real forms :func:`cpelab.operators.shell_blocks`
+    builds alone, and one dgeev of each gives the shell an approximate
     max Re a and a size s = max|lambda|; each kept block takes its shell's
     a +- sqrt(eps) s.  At 16x16x9 that is 33 shells for 112 kept blocks,
     at 32x32x17 119 shells for 480.  Only the candidates, blocks whose
@@ -624,12 +620,11 @@ def _located_bound(g: Grid, params: PhysicalParams,
     # reaches floor, a lower bound on the maximum.
     q = rx * rx + ky * ky
     m = len(avg_row)
-    parts = _shell_parts(1 + 2 * m)
     a, s = np.empty((2, len(q)))
     for kt, _, where, at, row, _ in _shell_batches(2 * q, g.ny, "filter"):
-        B = _real_form(blocks(kt))
         a[at], s[at] = np.max(
-            [_max_real_part(B[:, p[:, None], p], where) for p in parts],
+            [_max_real_part(P, where)
+             for P in shell_blocks(kt, rho, g, params, xi_bar)],
             axis=0)[:, row]
     margin = np.sqrt(np.finfo(float).eps)
     floor, size = max(re0, (a - margin * s).max()), max(size, s.max())

@@ -35,6 +35,7 @@ from cpelab.operators import (
     mode_matrices,
     mode_wavevectors,
     pack_state,
+    shell_blocks,
     unpack_state,
     vertical_lame_block,
     vertical_reduction,
@@ -49,7 +50,11 @@ from cpelab.stokes_solver import (
     solve_steady_decomposed,
     spectral_bound,
 )
-from cpelab.transforms import PhysicalParams, column_density
+from cpelab.transforms import (
+    PhysicalParams,
+    column_density,
+    make_pressure_law,
+)
 
 LAMBDAS = (0.0, 1.0, 1j, 10j, 100j)
 
@@ -137,6 +142,18 @@ def test_resolvent_path_holds_few_fields(field_units, lam):
         lam, zeta, V, p.f1, p.f2, p.xi_bar, g, params), V) <= 3.5
     assert field_units(lambda: manufactured_resolvent_problem(
         lam, g, params), V) <= 4.5
+
+
+def test_shell_solve_holds_no_whole_block_batch(field_units):
+    # the shell solve at 32x32x17, lam = 0, builds each batch of shells as
+    # its two parts only: a traced peak of 3.56 fields of V's size (4.99
+    # when each batch was built as whole interleaved complex blocks)
+    g = make_grid(32, 32, 17)
+    params = PhysicalParams(mu=0.9, mu_prime=0.6)
+    p, _, V = manufactured_resolvent_problem(0.0, g, params)
+    stokes_solver._solve_per_mode(p, g, params)  # transform plans cached
+    assert field_units(lambda: stokes_solver._solve_per_mode(p, g, params),
+                       V) <= 3.8
 
 
 def test_packing_holds_the_interior_spectrum_once(field_units):
@@ -848,8 +865,57 @@ def test_each_resolvent_block_is_the_rotated_block_of_its_shell(shape, lam):
     M = blocks(K)
     err = np.abs(M - Q @ B @ Q.swapaxes(1, 2)).max(axis=(1, 2))
     assert np.all(err <= 1e-14 * np.abs(M).max(axis=(1, 2)))
-    xz, y = stokes_solver._shell_parts(B.shape[-1])
+    n = B.shape[-1]
+    xz, y = np.r_[0, 1:n:2], np.r_[2:n:2]
     assert not B[:, xz[:, None], y].any() and not B[:, y[:, None], xz].any()
+
+
+SHELL_MODELS = {"Gamma1": {}, "Gamma2": {"model": "Gamma2"},
+                "GeneralNoGravity": {"model": "GeneralNoGravity",
+                                     **make_pressure_law("linear", c=1.0)}}
+
+
+@pytest.mark.parametrize("model", SHELL_MODELS)
+@pytest.mark.parametrize("shape", ((4, 4, 3), (8, 4, 5), (12, 8, 7),
+                                   (32, 32, 17)), ids=str)
+def test_shell_blocks_keep_the_bits_of_the_whole_blocks(shape, model):
+    # both shell callers' parts, built per velocity component, have the
+    # bytes of the parts cut from the whole interleaved blocks: lam -
+    # A_CHS with boundary rows replaced (in its real form at real lam), and
+    # the real form of the reduced A_CHS, over every batch of shells
+    g = make_grid(*shape)
+    K = mode_wavevectors(g).reshape(-1, 2)
+    keys = 2 * np.rint(np.sum(K * K, axis=-1) / (2 * np.pi) ** 2).astype(int)
+    pin = ~g.active_mask.ravel()
+    pin[0] = True
+    S, R = vertical_reduction(g)
+    S2, R2 = np.kron(S, np.eye(2)), np.kron(R, np.eye(2))
+
+    def assert_parts(got, whole):
+        n = whole.shape[-1]
+        for part, cut in zip(got, (np.r_[0, 1:n:2], np.r_[2:n:2])):
+            want = whole[:, cut[:, None], cut]
+            assert part.dtype == want.dtype and part.shape == want.shape
+            assert part.tobytes() == want.tobytes()
+
+    for xi_bar in (1.0, 1.3):
+        params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=xi_bar,
+                                **SHELL_MODELS[model])
+        rho = column_density(params.model, xi_bar, g.z)
+        for lam in (0.0, 3.7, 37j, 0.5 + 2j):
+            # at lam = 0 the pinned blocks are shells of their own
+            for kt, *_ in stokes_solver._shell_batches(
+                    keys + pin * (lam == 0), g.ny, "resolvent"):
+                M = mode_matrices(kt, rho, g, params, complex(lam), 1.0,
+                                  xi_bar=xi_bar)
+                assert_parts(shell_blocks(kt, rho, g, params, xi_bar, lam),
+                             M if complex(lam).imag else _real_form(M))
+        for kt, *_ in stokes_solver._shell_batches(keys[keys > 0], g.ny,
+                                                   "filter"):
+            vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
+            B = _bordered(vel, kt, g.wz @ R, 0.0, -1.0, xi_bar)
+            assert_parts(shell_blocks(kt, rho, g, params, xi_bar),
+                         _real_form(B))
 
 
 def loop_solve_per_mode(problem, g, params):

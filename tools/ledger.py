@@ -27,7 +27,8 @@ for example the parent commit's tree against a change::
 The command list holds the benchmark's workloads (``perfbench/workloads.py``
 makes their inputs), ``simulate`` in every mode and preset on grid shapes
 on both sides of ``grid.DENSE_SWEEP_MAX_N``, ``resolvent`` at four λ with
-each kind of data, and hostile ``resolvent`` problems that exit 2, 6 and 9.
+each kind of data, ``spectrum`` in three modes and on three grids, and
+hostile ``resolvent`` problems that exit 2, 6 and 9.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ PRESETS = {"steady": {"amplitude": 0.0},
 SIMULATE_GRIDS = ((8, 8, 5), (12, 16, 7), (24, 24, 9), (48, 48, 5))
 LAMBDAS = {"0": 0.0, "3.7": 3.7, "37i": [0.0, 37.0], "0.5+2i": [0.5, 2.0]}
 RESOLVENT_GRIDS = ((12, 16, 9), (32, 32, 17))
+# spectrum configs, label: (mode, grid, params beside mu = 1, mu' = 0.5),
+# and a lambda = 0 resolvent with nx > ny: with the workloads they reach
+# every branch of the shell blocks (the three vertical weights, xi_bar
+# other than 1, the real and complex forms, pinned shells)
+SPECTRA = {
+    "LocalGamma2": ("LocalGamma2", (16, 16, 9), {}),
+    "GeneralNoGravity": ("GeneralNoGravity", (16, 16, 9),
+                         {"pressure": {"law": "tanh", "alpha": 0.5}}),
+    "24x12x13": ("GlobalGamma1", (24, 12, 13), {}),
+    "xi_bar-1.3": ("LocalGamma1", (16, 16, 9), {"xi_bar": 1.3}),
+}
+NX_ABOVE_NY = (24, 12, 13)
 HOSTILE = {  # label: problem keys over an 8x8x5 manufactured problem
     "lam_negative": {"lam": -1.0},                                # 2
     "xi_bar_zero": {"params": {"mu": 1.0, "mu_prime": 0.5,
@@ -121,6 +134,16 @@ def commands(work: str) -> list:
             "schema_version": 1, "grid": _grid(shape),
             "params": {"mu": 1.0, "mu_prime": 0.5}, "lam": lam,
             "rhs": rhs, "seed": 0})]))
+    cid = "resolvent/{}x{}x{}/0/manufactured".format(*NX_ABOVE_NY)
+    cmds.append((cid, ["resolvent", _input(work, cid, {
+        "schema_version": 1, "grid": _grid(NX_ABOVE_NY),
+        "params": {"mu": 1.0, "mu_prime": 0.5}, "lam": 0.0,
+        "rhs": "manufactured"})]))
+    for label, (mode, shape, extra) in SPECTRA.items():
+        cid = f"spectrum/{label}"
+        cmds.append((cid, ["spectrum", _input(work, cid, {
+            "schema_version": 1, "mode": mode, "grid": _grid(shape),
+            "params": {"mu": 1.0, "mu_prime": 0.5, **extra}})]))
     for label, keys in HOSTILE.items():
         cid = f"hostile/{label}"
         cmds.append((cid, ["resolvent", _input(work, cid, {
