@@ -44,11 +44,11 @@ from .grid import (
     _fft_h,
     _ifft_h,
     _multiplier,
+    _vertical_product,
     div_h,
     grad_h,
     validate_field,
     vertical_average,
-    vertical_derivative,
 )
 from .transforms import (
     DELTA,
@@ -110,12 +110,13 @@ def _linalg_breakdown(where: str):
 # ---------------------------------------------------------------------------
 
 def _column_density(xi0, g: Grid, params: PhysicalParams) -> np.ndarray:
-    """rho(xi0, z) shaped (nx, ny, nz) of a scalar or (nx, ny) xi0."""
+    """rho(xi0, z): the (nz,) column of a scalar xi0, or the (nx, ny, nz)
+    field of an (nx, ny) one.  A scalar is checked as the field it stands
+    for, so both give the same messages."""
     xi0 = np.asarray(xi0, dtype=float)
-    if xi0.ndim == 0:
-        xi0 = np.full((g.nx, g.ny), float(xi0))
-    validate_field(xi0, g, "scalar2d")
-    check_density(xi0, "xi0")
+    if xi0.ndim:
+        validate_field(xi0, g, "scalar2d")
+    check_density(np.broadcast_to(xi0, (g.nx, g.ny)), "xi0")
     return column_density(params.model, xi0, g.z)
 
 
@@ -174,10 +175,14 @@ def apply_hydrostatic_lame(
         differential action everywhere.
 
     The horizontal part mu Lap_H V + mu' grad_H div_H V is one forward and
-    one inverse horizontal transform of V.  The densities, the symbol and
-    the boundary rows are applied in place, so one application holds about
-    three field-sized temporaries: the spectrum, its inverse transform and
-    the result.
+    one inverse horizontal transform of V.  The vertical part d_z(w_Z d_z
+    V) is one product along the node axis with the (nz, nz) matrix Dz
+    diag(w_Z) Dz, made once per call.  A constant xi0 keeps rho as its
+    (nz,) column; a field xi0 takes the same path with rho a field.  The
+    densities, the symbol and the boundary rows are applied in place, so
+    one application holds about three field-sized temporaries: the
+    spectrum, its inverse transform and the result, then the result and
+    the vertical part.
     """
     validate_field(V, g, "vector3d")
     if bc not in ("replace", "raw"):
@@ -188,10 +193,7 @@ def apply_hydrostatic_lame(
     # three fields at a time, each product in this operand order
     out = _lame_h(V, g, params)
     np.multiply(wH[:, None] / rho, out, out=out)
-    dzV = vertical_derivative(V, g)
-    np.multiply(wZ[:, None], dzV, out=dzV)
-    vert = vertical_derivative(dzV, g)
-    del dzV
+    vert = _vertical_product((g.Dz * wZ) @ g.Dz, V)
     np.multiply(params.mu / rho, vert, out=vert)
     out += vert
     if bc == "replace":
@@ -420,7 +422,8 @@ def dense_hydrostatic_lame(
     _check_dense_limit(g)
     if bc not in ("replace", "raw"):
         raise ValueError(f"bc must be 'replace' or 'raw', got {bc!r}")
-    rho = np.repeat(_column_density(xi0, g, params).ravel(), 2)
+    rho = np.repeat(np.broadcast_to(_column_density(xi0, g, params),
+                                    (g.nx, g.ny, g.nz)).ravel(), 2)
     wH, wZ = (np.diag(np.tile(w, g.nx * g.ny))
               for w in lame_weights(params.model, g.z))
     mu, mup = params.mu, params.mu_prime
@@ -534,16 +537,28 @@ def _symbol_parts(kt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k2, kt[..., :, None] * kt[..., None, :]
 
 
-def _lame_parts(kt: np.ndarray, rho, g: Grid,
-                params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """The Lame formula of :func:`vertical_lame_block` in its two parts.
+class _LameColumns(NamedTuple):
+    """The z-only part of the Lame formula of :func:`vertical_lame_block`
+    at one column density, made once per call by :func:`_lame_columns`."""
 
-    Returns mu times the vertical part off the level diagonal, shape (nz,
-    nz), the same at every mode, and the 2 x 2 level-diagonal blocks at
-    the wave vectors ``kt`` (..., 2), shape (..., nz, 2, 2).  Blocks that
-    overflow raise :class:`SolverBreakdown`.
-    """
-    k2, kk = _symbol_parts(kt)
+    a: np.ndarray      # w_H / rho, shape (nz, 1, 1)
+    vI: np.ndarray     # mu times the vertical part's diagonal, times I2
+    T: np.ndarray      # mu times the vertical part off the level diagonal
+    rho: np.ndarray    # the column density (nz,), for a breakdown
+
+
+def _lame_overflow(params: PhysicalParams, rho) -> SolverBreakdown:
+    return SolverBreakdown(
+        f"operator breakdown: the Lame block overflows (mu = "
+        f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
+        f"column density {rho.min():.6g})")
+
+
+def _lame_columns(rho, g: Grid, params: PhysicalParams) -> _LameColumns:
+    """The z-only part of the Lame formula at the column density ``rho``
+    (nz,) or a scalar: w_H / rho, the level diagonal of the vertical part
+    and mu times its part off the level diagonal, T (nz, nz), the same at
+    every mode.  A T that overflows raises :class:`SolverBreakdown`."""
     wH, wZ = lame_weights(params.model, g.z)
     rho = np.broadcast_to(rho, g.z.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -551,15 +566,25 @@ def _lame_parts(kt: np.ndarray, rho, g: Grid,
         vert = (g.Dz / rho[:, None]) @ np.diag(wZ) @ g.Dz
         v = np.diag(vert)[:, None, None]
         T = params.mu * (vert - np.diag(np.diag(vert)))
-        D = (-params.mu * k2[..., None, :, :] * (a * np.eye(2))
-             + params.mu * (v * np.eye(2))
+        vI = params.mu * (v * np.eye(2))
+    if not np.all(np.isfinite(T)):
+        raise _lame_overflow(params, rho)
+    return _LameColumns(a, vI, T, rho)
+
+
+def _lame_levels(kt: np.ndarray, cols: _LameColumns,
+                 params: PhysicalParams) -> np.ndarray:
+    """The 2 x 2 level-diagonal blocks of the Lame formula at the wave
+    vectors ``kt`` (..., 2), shape (..., nz, 2, 2), from the columns
+    ``cols``.  Blocks that overflow raise :class:`SolverBreakdown`."""
+    k2, kk = _symbol_parts(kt)
+    a = cols.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = (-params.mu * k2[..., None, :, :] * (a * np.eye(2)) + cols.vI
              - params.mu_prime * (a * kk[..., None, :, :]))
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(D))):
-        raise SolverBreakdown(
-            f"operator breakdown: the Lame block overflows (mu = "
-            f"{params.mu:.6g}, mu_prime = {params.mu_prime:.6g}, least "
-            f"column density {rho.min():.6g})")
-    return T, D
+    if not np.all(np.isfinite(D)):
+        raise _lame_overflow(params, cols.rho)
+    return D
 
 
 def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
@@ -576,15 +601,19 @@ def vertical_lame_block(kt: np.ndarray, rho, g: Grid,
     with :func:`vertical_reduction` for eigensolves; :func:`mode_matrices`
     builds them for solves).  A single (2,) wave vector gives a single
     block.  Blocks that overflow raise :class:`SolverBreakdown`.  This is
-    the row assembly of the formula of :func:`_lame_parts`, which
-    :func:`shell_blocks` assembles per velocity component: off the level
-    diagonal every block is kron(T, I2), built once and copied; only the
-    2 x 2 level-diagonal blocks are made per mode.  Every nonzero entry
-    keeps the bits of the whole-block Kronecker formula (a zero may differ
-    in its sign, which no output depends on), and a block's bits do not
-    depend on the batch it is built in.
+    the row assembly of the Lame formula, which :func:`shell_blocks`
+    assembles per velocity component.  The formula is made in two parts:
+    its z-only columns (:func:`_lame_columns`: w_H / rho, the level
+    diagonal of the vertical part and T, mu times the vertical part off
+    the level diagonal), once per call, and the 2 x 2 level-diagonal
+    blocks of each mode (:func:`_lame_levels`).  Off the level diagonal
+    every block is kron(T, I2), built once and copied.  Every nonzero
+    entry keeps the bits of the whole-block Kronecker formula (a zero may
+    differ in its sign, which no output depends on), and a block's bits do
+    not depend on the batch it is built in.
     """
-    T, D = _lame_parts(kt, rho, g, params)
+    cols = _lame_columns(rho, g, params)
+    T, D = cols.T, _lame_levels(kt, cols, params)
     M = np.broadcast_to(_kron(T, np.eye(2)),
                         D.shape[:-3] + (2 * g.nz, 2 * g.nz)).copy()
     i = 2 * np.arange(g.nz)[:, None] + np.arange(2)
@@ -679,17 +708,22 @@ def mode_matrices(
     return M
 
 
-def shell_blocks(kt: np.ndarray, rho, g: Grid, params: PhysicalParams,
-                 xi_bar: float, lam: complex | None = None
+def shell_blocks(kt: np.ndarray, cols: _LameColumns, g: Grid,
+                 params: PhysicalParams, xi_bar: float,
+                 lam: complex | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of the bordered blocks of one batch of |k|^2 shells.
 
     At a wave vector (k, 0) of ``kt`` (b, 2) a bordered block has no
     entries between zeta with the x velocity levels and the y velocity
     levels.  This builds those two parts and nothing else: per velocity
-    component the level blocks of the Lame formula of :func:`_lame_parts`
-    at ``rho``, then the zeta row and column of the x part.  Each part is
-    allocated once, in its final dtype, and filled in place.
+    component the level blocks of the Lame formula of
+    :func:`vertical_lame_block`, then the zeta row and column of the x
+    part.  The formula's z-only columns ``cols`` come from
+    :func:`_lame_columns`, which each caller makes once per call (so a T
+    that overflows fails before the first batch); only the level diagonal
+    is made per batch.  Each part is allocated once, in its final dtype,
+    and filled in place.
 
     With ``lam`` they are the parts of lam - A_CHS with boundary rows
     replaced, as :func:`mode_matrices` builds it with ``xi_bar``: orders
@@ -703,7 +737,7 @@ def shell_blocks(kt: np.ndarray, rho, g: Grid, params: PhysicalParams,
     batch of shells here; a failure in the linear algebra on the parts
     raises :class:`SolverBreakdown` naming the batch's shells.
     """
-    T, D = _lame_parts(kt, rho, g, params)
+    T, D = cols.T, _lame_levels(kt, cols, params)
     b, nz = len(kt), g.nz
     if lam is None:
         S, R = vertical_reduction(g)

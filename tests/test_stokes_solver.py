@@ -26,6 +26,7 @@ from cpelab.operators import (
     SolverBreakdown,
     _bordered,
     _kron,
+    _lame_columns,
     _pack_modes,
     _real_form,
     _replace_rows_dense,
@@ -128,11 +129,37 @@ def test_manufactured_data_at_real_lambda_are_owned_real_arrays(setup, lam):
         assert field.base is None
 
 
+@pytest.mark.parametrize("shape", ((12, 16, 9), (32, 32, 17)), ids=str)
+@pytest.mark.parametrize("lam", (37j, 0.5 + 2j), ids=str)
+def test_complex_manufactured_data_are_formed_by_linearity(shape, lam):
+    # the data of the complex solution (c1 zeta, c2 V) come from one
+    # application of the operator to the real V; they equal the operator
+    # applied to the complex fields to rounding in the l2 norm of the
+    # residual (8.9e-15 for f2 at 32x32x17; 1.6e-14 of the largest entry,
+    # the rounding of c2 V amplified by the vertical product), and the
+    # solution keeps the bytes of the real fields times c1 and c2
+    g = make_grid(*shape)
+    for xi_bar in (1.0, 1.3):
+        params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=xi_bar)
+        _, zeta, V = manufactured_resolvent_problem(1.0, g, params)
+        p, zeta_c, V_c = manufactured_resolvent_problem(lam, g, params)
+        want = (zeta * (1.0 + 0.5j), V * (1.0 - 0.25j))
+        for got, field in zip((zeta_c, V_c), want):
+            assert got.dtype == complex and got.tobytes() == field.tobytes()
+        f1, f2 = stokes_solver._shifted_chs(lam, *want, xi_bar, g, params)
+        f2[:, :, [0, -1], :] = 0.0
+        for got, ref in ((p.f1, f1), (p.f2, f2)):
+            assert got.dtype == complex and got.shape == ref.shape
+            assert l2_norm(got - ref, g) <= 1e-14 * l2_norm(ref, g)
+
+
 @pytest.mark.parametrize("lam", (3.7, 37j), ids=str)
 def test_resolvent_path_holds_few_fields(field_units, lam):
     # traced peaks in fields of V's size at 32x32x17: the operator, its
     # residual and the manufactured data each hold a field at most once
-    # (6.3, 5.8 and 7.4 fields when built out of place)
+    # (6.3, 5.8 and 7.4 fields when built out of place); at complex lambda
+    # the data apply the operator to the real V (4.17 fields when they
+    # applied it to the complex one)
     g = make_grid(32, 32, 17)
     params = PhysicalParams(mu=0.9, mu_prime=0.6)
     p, zeta, V = manufactured_resolvent_problem(lam, g, params)
@@ -140,8 +167,31 @@ def test_resolvent_path_holds_few_fields(field_units, lam):
                        V) <= 3.5
     assert field_units(lambda: resolvent_residual(
         lam, zeta, V, p.f1, p.f2, p.xi_bar, g, params), V) <= 3.5
-    assert field_units(lambda: manufactured_resolvent_problem(
-        lam, g, params), V) <= 4.5
+    data = field_units(lambda: manufactured_resolvent_problem(
+        lam, g, params), V)
+    assert data <= 4.5
+    if complex(lam).imag:
+        assert data <= 3.6
+
+
+def test_lame_overflow_fails_before_the_first_shell_batch(monkeypatch):
+    # finite data and a mu whose Lame columns overflow: the solve names
+    # the overflow as the whole-block formula did, before any batch is built
+    g = make_grid(8, 8, 5)
+    params = PhysicalParams(mu=1e308, mu_prime=0.5)
+    rng = np.random.default_rng(39)
+    p = ResolventProblem(1.0, rng.standard_normal((8, 8)),
+                         rng.standard_normal((8, 8, 5, 2)))
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a shell batch was built")
+
+    monkeypatch.setattr(stokes_solver, "shell_blocks", no_batch)
+    with pytest.raises(SolverBreakdown) as err:
+        solve_resolvent(p, g, params)
+    assert str(err.value) == (
+        "operator breakdown: the Lame block overflows (mu = 1e+308, "
+        "mu_prime = 0.5, least column density 1)")
 
 
 def test_shell_solve_holds_no_whole_block_batch(field_units):
@@ -902,19 +952,20 @@ def test_shell_blocks_keep_the_bits_of_the_whole_blocks(shape, model):
         params = PhysicalParams(mu=0.9, mu_prime=0.6, xi_bar=xi_bar,
                                 **SHELL_MODELS[model])
         rho = column_density(params.model, xi_bar, g.z)
+        cols = _lame_columns(rho, g, params)
         for lam in (0.0, 3.7, 37j, 0.5 + 2j):
             # at lam = 0 the pinned blocks are shells of their own
             for kt, *_ in stokes_solver._shell_batches(
                     keys + pin * (lam == 0), g.ny, "resolvent"):
                 M = mode_matrices(kt, rho, g, params, complex(lam), 1.0,
                                   xi_bar=xi_bar)
-                assert_parts(shell_blocks(kt, rho, g, params, xi_bar, lam),
+                assert_parts(shell_blocks(kt, cols, g, params, xi_bar, lam),
                              M if complex(lam).imag else _real_form(M))
         for kt, *_ in stokes_solver._shell_batches(keys[keys > 0], g.ny,
                                                    "filter"):
             vel = S2 @ vertical_lame_block(kt, rho, g, params) @ R2
             B = _bordered(vel, kt, g.wz @ R, 0.0, -1.0, xi_bar)
-            assert_parts(shell_blocks(kt, rho, g, params, xi_bar),
+            assert_parts(shell_blocks(kt, cols, g, params, xi_bar),
                          _real_form(B))
 
 

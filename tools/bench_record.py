@@ -1,9 +1,11 @@
-"""The benchmark record: wall times of the four end-to-end commands.
+"""The benchmark record: wall times of the five end-to-end commands.
 
 ``--record N`` writes ``BENCH_N.json`` at the repository root with the
-wall time of each of the four commands that ROADMAP aim 1 names: the
+wall time of each of the five commands that ROADMAP aim 1 names: the
 criterion-8 run (``GlobalGamma1``, 16²×9, 2000 steps), a 32²×17
-``LocalGamma1`` run, and ``spectrum`` and ``resolvent`` (λ = 0) at 32²×17.
+``LocalGamma1`` run, ``spectrum`` at 32²×17, and ``resolvent`` at 32²×17
+at λ = 0 and on the imaginary axis (λ = 37i), the path of the resolvent
+estimate.
 Each command runs through ``cpelab.cli.main`` in a fresh process with one
 BLAS thread (``perfbench/run.py`` sets it before numpy is imported) and is
 timed at its best of ``REPEATS`` runs in that process; a tree's time is
@@ -56,6 +58,10 @@ COMMANDS = {
     "resolvent": ("resolvent", {
         "schema_version": 1, "grid": _GRID32,
         "params": {"mu": 1.0, "mu_prime": 0.5}, "lam": 0.0,
+        "rhs": "manufactured"}),
+    "resolvent_imag": ("resolvent", {
+        "schema_version": 1, "grid": _GRID32,
+        "params": {"mu": 1.0, "mu_prime": 0.5}, "lam": [0.0, 37.0],
         "rhs": "manufactured"}),
 }
 

@@ -25,6 +25,9 @@ TINY = {
     "resolvent": ("resolvent", {"schema_version": 1, "grid": GRID,
                                 "params": PARAMS, "lam": 0.0,
                                 "rhs": "manufactured"}),
+    "resolvent_imag": ("resolvent", {"schema_version": 1, "grid": GRID,
+                                     "params": PARAMS, "lam": [0.0, 37.0],
+                                     "rhs": "manufactured"}),
 }
 
 
@@ -46,13 +49,15 @@ def test_a_record_holds_each_tree_and_command(tmp_path):
     assert set(rec["change_over_parent"]) == set(TINY)
 
 
-def test_the_four_commands_are_those_of_the_roadmap():
+def test_the_five_commands_are_those_of_the_roadmap():
     sub = {name: cmd for name, (cmd, _) in bench_record.COMMANDS.items()}
     assert sub == {"criterion8": "simulate", "local32": "simulate",
-                   "spectrum": "spectrum", "resolvent": "resolvent"}
+                   "spectrum": "spectrum", "resolvent": "resolvent",
+                   "resolvent_imag": "resolvent"}
     c8 = bench_record.COMMANDS["criterion8"][1]
     assert round(c8["t_end"] / c8["dt"]) == 2000
     assert c8["grid"] == {"nx": 16, "ny": 16, "nz": 9}
-    for name in ("local32", "spectrum", "resolvent"):
+    for name in ("local32", "spectrum", "resolvent", "resolvent_imag"):
         assert bench_record.COMMANDS[name][1]["grid"] == {
             "nx": 32, "ny": 32, "nz": 17}
+    assert bench_record.COMMANDS["resolvent_imag"][1]["lam"] == [0.0, 37.0]
